@@ -34,7 +34,7 @@ from ngspectral.constructions import (
     extremal_graph,
     witness_check,
 )
-from ngspectral.eigensolver import ConvergenceError, symmetric_eigenvalues
+from ngspectral.eigensolver import symmetric_eigenvalues
 from ngspectral.graph6 import emit_graph6, parse_graph6
 from ngspectral.graphs import (
     Graph,

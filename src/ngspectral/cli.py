@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on usage or parse errors, 2 when a check emits a
 report that is applicable but not satisfied.  All randomness flows from
---seed; machine output (json/csv) is byte-identical across repeated runs.
+--seed; machine output (json/csv) is byte-identical across repeated runs on
+the same machine with the same BLAS thread count.
 """
 
 from __future__ import annotations
@@ -276,6 +277,7 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    saved_cap = os.environ.get(MAX_ORDER_ENV)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "max_order", None) is not None:
@@ -289,6 +291,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # --max-order holds for this call only
+        if saved_cap is None:
+            os.environ.pop(MAX_ORDER_ENV, None)
+        else:
+            os.environ[MAX_ORDER_ENV] = saved_cap
 
 
 def entry() -> None:

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ngspectral.constructions import extremal_graph
+from ngspectral.eigensolver import complement_pair_eigenvalues
 from ngspectral.graph6 import emit_graph6, parse_graph6
 from ngspectral.graphs import Graph, check_order, complement, erdos_renyi, pair_positions
 from ngspectral.spectra import DEFAULT_TOL, mu, mu_bottom, spectrum_pair
@@ -29,6 +30,9 @@ FAMILIES = ("top", "bottom")
 EXHAUSTIVE_DEFAULT_CAP = 7
 EXHAUSTIVE_HARD_CAP = 8
 DEFAULT_SHARD_SIZE = 1 << 16
+# local search: scores closer than this are ties, and a flip must beat the
+# current score by more than this to count as an improvement
+CLIMB_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ def _validate_s(n: int, s: int, family: str) -> None:
 
 
 def objective(g: Graph, s: int, family: str, *, tol: float = DEFAULT_TOL) -> float:
-    """Score a graph through the reference spectrum path."""
+    """Score a graph through its spectrum pair."""
     _validate_family(family)
     _validate_s(g.n, s, family)
     sg, sc = spectrum_pair(g, tol)
@@ -92,14 +96,9 @@ def target_ratio(s: int, family: str) -> float:
 
 
 def _score_stack(stack: np.ndarray, s: int, family: str) -> np.ndarray:
-    """Objective for a stack of adjacency matrices (bulk LAPACK path)."""
-    n = stack.shape[-1]
-    comp = 1.0 - stack
-    idx = np.arange(n)
-    comp[..., idx, idx] = 0.0
-    wg = np.linalg.eigvalsh(stack)
-    wc = np.linalg.eigvalsh(comp)
-    col = n - s if family == "top" else s - 1
+    """Objective for a stack of adjacency matrices."""
+    wg, wc = complement_pair_eigenvalues(stack)
+    col = s - 1 if family == "top" else stack.shape[-1] - s
     return np.abs(wg[..., col]) + np.abs(wc[..., col])
 
 
@@ -214,8 +213,8 @@ def local_search_f(
 
     Starts from `restarts` seeded random graphs (seed + restart index) plus
     any matching extremal construction.  The returned value is the witness
-    re-scored through the reference spectrum path, hence a certified lower
-    bound on the true extremal value.
+    re-scored by `objective` after its graph6 round trip, hence a certified
+    lower bound on the true extremal value.
     """
     _validate_family(family)
     _validate_s(n, s, family)
@@ -247,16 +246,16 @@ def local_search_f(
                 flip_scores[lo:hi] = _score_stack(stack, s, family)
             evaluations += m
             j = int(np.argmax(flip_scores))  # ties resolve to the smallest flip index
-            if flip_scores[j] <= score + 1e-12:
+            if flip_scores[j] <= score + CLIMB_TIE_TOL:
                 break
             score = float(flip_scores[j])
             bits ^= 1 << int(pos[j])
             a[iu[j], ju[j]] = 1.0 - a[iu[j], ju[j]]
             a[ju[j], iu[j]] = a[iu[j], ju[j]]
-        if score > best_score + 1e-12:
+        if score > best_score + CLIMB_TIE_TOL:
             best_score = score
             best_masks = [bits]
-        elif score > best_score - 1e-12:
+        elif score > best_score - CLIMB_TIE_TOL:
             best_masks.append(bits)
 
     witness = _lex_min_witness(n, best_masks)

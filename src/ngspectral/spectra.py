@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ngspectral.eigensolver import symmetric_eigenvalues
-from ngspectral.graphs import Graph, complement
+from ngspectral.eigensolver import complement_pair_eigenvalues, symmetric_eigenvalues
+from ngspectral.graphs import Graph
 
 DEFAULT_TOL = 1e-8
 
@@ -47,10 +47,13 @@ def mu_bottom(spec: Spectrum, s: int) -> float:
     return mu(spec, spec.n - s + 1)
 
 
+def _spectrum(w: np.ndarray, tol: float) -> Spectrum:
+    return Spectrum(tuple(float(x) for x in w), int(w.shape[0]), tol)
+
+
 def symmetric_spectrum(matrix, tol: float = DEFAULT_TOL) -> Spectrum:
     """Spectrum of an arbitrary real symmetric matrix."""
-    w = symmetric_eigenvalues(matrix)
-    return Spectrum(tuple(float(x) for x in w), int(w.shape[0]), tol)
+    return _spectrum(symmetric_eigenvalues(matrix), tol)
 
 
 def adjacency_spectrum(g: Graph, tol: float = DEFAULT_TOL) -> Spectrum:
@@ -60,7 +63,8 @@ def adjacency_spectrum(g: Graph, tol: float = DEFAULT_TOL) -> Spectrum:
 
 def spectrum_pair(g: Graph, tol: float = DEFAULT_TOL) -> tuple[Spectrum, Spectrum]:
     """Spectra of g and of its complement, in that order."""
-    return adjacency_spectrum(g, tol), adjacency_spectrum(complement(g), tol)
+    wg, wc = complement_pair_eigenvalues(g.adjacency_matrix())
+    return _spectrum(wg, tol), _spectrum(wc, tol)
 
 
 def regular_shift_spectrum(spec: Spectrum, r: float, a: float, b: float) -> Spectrum:

@@ -1,5 +1,7 @@
 """CLI subcommands, exit codes, deterministic machine output."""
 
+import os
+
 from ngspectral.cli import main
 from ngspectral.graph6 import emit_graph6
 from ngspectral.graphs import path
@@ -153,13 +155,24 @@ def test_usage_errors_exit1(capsys):
 
 
 def test_max_order_flag(capsys, monkeypatch):
-    # pin the env var so monkeypatch teardown undoes the CLI's own override
+    # pin the env var to a known value; the flag overrides it for one call
     monkeypatch.setenv("NG_MAX_ORDER", "4096")
     code, _, err = run_cli(
         capsys, "spectrum", "--generate", "complete:10", "--max-order", "8"
     )
     assert code == 1
     assert "cap" in err
+
+
+def test_max_order_flag_leaves_environment_unchanged(capsys, monkeypatch):
+    monkeypatch.delenv("NG_MAX_ORDER", raising=False)
+    run_cli(capsys, "spectrum", "--generate", "complete:3", "--max-order", "8")
+    assert "NG_MAX_ORDER" not in os.environ
+    run_cli(capsys, "spectrum", "--generate", "complete:10", "--max-order", "8")
+    assert "NG_MAX_ORDER" not in os.environ
+    monkeypatch.setenv("NG_MAX_ORDER", "100")
+    run_cli(capsys, "spectrum", "--generate", "complete:3", "--max-order", "8")
+    assert os.environ["NG_MAX_ORDER"] == "100"
 
 
 def test_max_order_env(capsys, monkeypatch):
@@ -186,3 +199,12 @@ def test_graph6_file_input(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--graph6-file", str(src))
     assert code == 0
     assert "1.61803398875" in out
+
+
+def test_check_degenerate_bipartite_at_order_768(capsys):
+    # K_{384,384}: highly repeated eigenvalues at a large order
+    code, out, _ = run_cli(
+        capsys, "check", "--generate", "complete_bipartite:384,384", "--s-max", "3"
+    )
+    assert code == 0
+    assert "VIOLATION" not in out

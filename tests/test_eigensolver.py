@@ -1,16 +1,18 @@
-"""Householder + QL eigensolver against closed forms and the LAPACK oracle."""
+"""The LAPACK eigen path against closed forms, and against the independent
+Householder + QL oracle in ql_oracle.py."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ngspectral.eigensolver import batched_symmetric_eigenvalues, symmetric_eigenvalues
-from ngspectral.graphs import complete, complete_bipartite, cycle, erdos_renyi, path
-
-
-def _lapack_desc(a):
-    return np.sort(np.linalg.eigvalsh(a))[::-1]
+from ngspectral.eigensolver import (
+    batched_symmetric_eigenvalues,
+    complement_pair_eigenvalues,
+    symmetric_eigenvalues,
+)
+from ngspectral.graphs import complement, complete, complete_bipartite, cycle, erdos_renyi, path
+from ql_oracle import ql_eigenvalues
 
 
 def test_trivial_sizes():
@@ -57,14 +59,14 @@ def test_matches_lapack_random(n):
     for _ in range(3):
         a = rng.standard_normal((n, n))
         a = a + a.T
-        assert np.max(np.abs(symmetric_eigenvalues(a) - _lapack_desc(a))) <= 1e-10 * n
+        assert np.max(np.abs(ql_eigenvalues(a) - symmetric_eigenvalues(a))) <= 1e-10 * n
 
 
 def test_matches_lapack_adjacency():
     for seed in range(10):
         g = erdos_renyi(4 + 6 * seed, 0.5, seed)
         a = g.adjacency_matrix()
-        assert np.max(np.abs(symmetric_eigenvalues(a) - _lapack_desc(a))) <= 1e-10 * g.n
+        assert np.max(np.abs(ql_eigenvalues(a) - symmetric_eigenvalues(a))) <= 1e-10 * g.n
 
 
 def test_accuracy_at_order_512():
@@ -72,7 +74,7 @@ def test_accuracy_at_order_512():
     a = (rng.random((512, 512)) < 0.5).astype(float)
     a = np.triu(a, 1)
     a = a + a.T
-    assert np.max(np.abs(symmetric_eigenvalues(a) - _lapack_desc(a))) <= 1e-10 * 512
+    assert np.max(np.abs(ql_eigenvalues(a) - symmetric_eigenvalues(a))) <= 1e-10 * 512
 
 
 def test_deterministic():
@@ -96,3 +98,13 @@ def test_batched_matches_scalar_path():
     batch = batched_symmetric_eigenvalues(stack)
     for i in range(stack.shape[0]):
         assert np.max(np.abs(batch[i] - symmetric_eigenvalues(stack[i]))) < 1e-10
+
+
+def test_complement_pair_matches_single_solves():
+    graphs = [erdos_renyi(11, 0.5, seed) for seed in range(6)]
+    stack = np.stack([g.adjacency_matrix() for g in graphs])
+    wg, wc = complement_pair_eigenvalues(stack)
+    for i, g in enumerate(graphs):
+        assert np.max(np.abs(wg[i] - symmetric_eigenvalues(g.adjacency_matrix()))) < 1e-10
+        wc_single = symmetric_eigenvalues(complement(g).adjacency_matrix())
+        assert np.max(np.abs(wc[i] - wc_single)) < 1e-10

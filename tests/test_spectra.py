@@ -171,3 +171,17 @@ def test_graph_weyl_pair_inequalities():
         for k in range(2, n + 1):
             assert mu(sg, k) + mu(sc, n - k + 2) <= -1 + 1e-8
             assert mu(sg, k) + mu(sc, n - k + 1) >= -1 - 1e-8
+
+
+def test_spectrum_pair_complete_bipartite_closed_form():
+    # K_{a,b} has spectrum +-sqrt(ab) and zeros; its complement K_a + K_b has
+    # a-1, b-1 and -1's.  These degenerate spectra once broke the solver.
+    for n in range(2, 65):
+        for a in range(1, n):
+            b = n - a
+            sg, sc = spectrum_pair(complete_bipartite(a, b))
+            root = math.sqrt(a * b)
+            expected_g = [root] + [0.0] * (n - 2) + [-root]
+            expected_c = sorted([a - 1.0, b - 1.0] + [-1.0] * (n - 2), reverse=True)
+            assert np.max(np.abs(np.array(sg.values) - expected_g)) <= 1e-9 * n, (a, b)
+            assert np.max(np.abs(np.array(sc.values) - expected_c)) <= 1e-9 * n, (a, b)
