@@ -9,6 +9,7 @@ the same machine with the same BLAS thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -67,7 +68,9 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(prog="ngspectral", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -285,10 +288,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise UsageError(f"--max-order must be positive, got {args.max_order}")
             os.environ[MAX_ORDER_ENV] = str(args.max_order)
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

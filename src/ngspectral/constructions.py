@@ -103,8 +103,8 @@ def extremal_graph(k: int, t: int) -> Graph:
     if t < 1:
         raise ValueError(f"blow-up factor must be at least 1, got {t}")
     check_order(2 ** (k + 1) * t)
-    base = construct_a(k + 1).entries
-    blown = np.kron(base, np.ones((t, t), dtype=np.int64))
+    base = construct_a(k + 1).entries.astype(np.uint8)
+    blown = np.kron(base, np.ones((t, t), dtype=np.uint8))
     np.fill_diagonal(blown, 0)
     return Graph.from_adjacency(blown)
 

@@ -5,6 +5,13 @@ Python integer: the pair (i, j) with i < j sits at bit (j-1)(j-2)/2 + (i-1).
 This is the column-major pair order of the graph6 wire format, so
 serialization, complementation and whole-graph enumeration all reduce to
 integer arithmetic on masks.  Graph values are immutable and safe to share.
+
+Every conversion takes one route: bitmask <-> pair-order bit array <->
+matrix.  `mask_to_bitarray` and `bitarray_to_mask` move between the mask
+and a uint8 array indexed by bit position, and `pair_indices` gives the
+matrix entry of each position.  No routine walks the mask once per edge or
+per pair, so building, slicing and listing a graph stay linear in the
+number of pairs up to the order cap.
 """
 
 from __future__ import annotations
@@ -59,24 +66,20 @@ def pair_bit(i: int, j: int) -> int:
     return (j - 1) * (j - 2) // 2 + (i - 1)
 
 
-def pair_positions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, col, bit) arrays for the strict upper triangle, rows/cols 0-based."""
-    iu, ju = np.triu_indices(n, 1)
-    return iu, ju, ju * (ju - 1) // 2 + iu
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (i, j) arrays with i < j, entry b being the pair at bit b."""
+    j, i = np.tril_indices(n, -1)
+    return i, j
 
 
 def mask_to_bitarray(bits: int, m: int) -> np.ndarray:
     """Expand an m-bit mask into a uint8 0/1 array indexed by bit position."""
-    if m == 0:
-        return np.zeros(0, dtype=np.uint8)
     buf = bits.to_bytes((m + 7) // 8, "little")
     return np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")[:m]
 
 
 def bitarray_to_mask(arr: np.ndarray) -> int:
     """Inverse of mask_to_bitarray."""
-    if arr.size == 0:
-        return 0
     packed = np.packbits(arr.astype(np.uint8), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
 
@@ -118,12 +121,9 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges (i, j) with i < j, in ascending bit order."""
-        bits = self.bits
-        for j in range(2, self.n + 1):
-            base = (j - 1) * (j - 2) // 2
-            for i in range(1, j):
-                if bits >> (base + i - 1) & 1:
-                    yield (i, j)
+        i, j = pair_indices(self.n)
+        on = np.flatnonzero(mask_to_bitarray(self.bits, self.pair_count))
+        yield from zip((i[on] + 1).tolist(), (j[on] + 1).tolist())
 
     def degrees(self) -> list[int]:
         a = self.adjacency_matrix(dtype=np.int64)
@@ -131,24 +131,25 @@ class Graph:
 
     def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=dtype)
-        if self.pair_count:
-            iu, ju, pos = pair_positions(self.n)
-            vals = mask_to_bitarray(self.bits, self.pair_count)[pos]
-            a[iu, ju] = vals
-            a[ju, iu] = vals
+        i, j = pair_indices(self.n)
+        vals = mask_to_bitarray(self.bits, self.pair_count)
+        a[i, j] = vals
+        a[j, i] = vals
         return a
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         check_order(n)
-        bits = 0
+        positions = []
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u}, {v}) out of range 1..{n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} not allowed")
-            bits |= 1 << pair_bit(u, v)
-        return cls(n, bits)
+            positions.append(pair_bit(u, v))
+        arr = np.zeros(n * (n - 1) // 2, dtype=np.uint8)
+        arr[positions] = 1
+        return cls(n, bitarray_to_mask(arr))
 
     @classmethod
     def from_adjacency(cls, matrix) -> "Graph":
@@ -163,22 +164,13 @@ class Graph:
             raise ValueError("adjacency entries must be 0 or 1")
         if np.any(np.diagonal(a) != 0):
             raise ValueError("adjacency diagonal must be zero (no loops)")
-        m = n * (n - 1) // 2
-        arr = np.zeros(m, dtype=np.uint8)
-        if m:
-            iu, ju, pos = pair_positions(n)
-            arr[pos] = a[iu, ju] != 0
-        return cls(n, bitarray_to_mask(arr))
+        i, j = pair_indices(n)
+        return cls(n, bitarray_to_mask(a[i, j] != 0))
 
 
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices with edges exactly where g has none."""
     return Graph(g.n, g.bits ^ g.full_mask)
-
-
-def _check_blowup_factor(t: int) -> None:
-    if t < 1:
-        raise ValueError(f"blow-up factor must be at least 1, got {t}")
 
 
 def blowup_independent(g: Graph, t: int) -> Graph:
@@ -188,10 +180,11 @@ def blowup_independent(g: Graph, t: int) -> Graph:
     Copy j of vertex u becomes vertex (u-1)t + j, so the adjacency matrix of
     the result is the Kronecker product of A(g) with the all-ones t x t block.
     """
-    _check_blowup_factor(t)
+    if t < 1:
+        raise ValueError(f"blow-up factor must be at least 1, got {t}")
     check_order(g.n * t)
-    a = g.adjacency_matrix(dtype=np.int64)
-    return Graph.from_adjacency(np.kron(a, np.ones((t, t), dtype=np.int64)))
+    a = g.adjacency_matrix(dtype=np.uint8)
+    return Graph.from_adjacency(np.kron(a, np.ones((t, t), dtype=np.uint8)))
 
 
 def blowup_clique(g: Graph, t: int) -> Graph:
@@ -199,15 +192,7 @@ def blowup_clique(g: Graph, t: int) -> Graph:
 
     Equals the complement of the independent blow-up of the complement.
     """
-    _check_blowup_factor(t)
-    check_order(g.n * t)
-    a = g.adjacency_matrix(dtype=np.int64)
-    blown = np.kron(a, np.ones((t, t), dtype=np.int64))
-    blocks = np.kron(
-        np.eye(g.n, dtype=np.int64),
-        np.ones((t, t), dtype=np.int64) - np.eye(t, dtype=np.int64),
-    )
-    return Graph.from_adjacency(blown + blocks)
+    return complement(blowup_independent(complement(g), t))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -217,12 +202,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
         raise ValueError("vertex subset must be nonempty")
     for v in vs:
         g._check_vertex(v)
-    edges = []
-    for a_idx, u in enumerate(vs, start=1):
-        for b_idx, v in enumerate(vs, start=1):
-            if u < v and g.has_edge(u, v):
-                edges.append((a_idx, b_idx))
-    return Graph.from_edges(len(vs), edges)
+    rows = np.array(vs) - 1
+    return Graph.from_adjacency(g.adjacency_matrix(dtype=np.uint8)[np.ix_(rows, rows)])
 
 
 def complete(n: int) -> Graph:
@@ -251,9 +232,10 @@ def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError(f"complete_bipartite parts must be positive, got {a}, {b}")
     check_order(a + b)
-    return Graph.from_edges(
-        a + b, [(u, v) for u in range(1, a + 1) for v in range(a + 1, a + b + 1)]
-    )
+    m = np.zeros((a + b, a + b), dtype=np.uint8)
+    m[:a, a:] = 1
+    m[a:, :a] = 1
+    return Graph.from_adjacency(m)
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:

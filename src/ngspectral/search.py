@@ -22,7 +22,7 @@ import numpy as np
 from ngspectral.constructions import extremal_graph
 from ngspectral.eigensolver import complement_pair_eigenvalues
 from ngspectral.graph6 import emit_graph6, parse_graph6
-from ngspectral.graphs import Graph, check_order, complement, erdos_renyi, pair_positions
+from ngspectral.graphs import Graph, check_order, complement, erdos_renyi, pair_indices
 from ngspectral.spectra import DEFAULT_TOL, mu, mu_bottom, spectrum_pair
 
 FAMILIES = ("top", "bottom")
@@ -103,12 +103,11 @@ def _score_stack(stack: np.ndarray, s: int, family: str) -> np.ndarray:
 
 
 def _masks_to_stack(masks: np.ndarray, n: int) -> np.ndarray:
-    iu, ju, pos = pair_positions(n)
+    i, j = pair_indices(n)
     stack = np.zeros((masks.shape[0], n, n))
-    if pos.size:
-        bits = (masks[:, None] >> pos[None, :]) & 1
-        stack[:, iu, ju] = bits
-        stack[:, ju, iu] = bits
+    bits = (masks[:, None] >> np.arange(i.size)) & 1
+    stack[:, i, j] = bits
+    stack[:, j, i] = bits
     return stack
 
 
@@ -223,7 +222,7 @@ def local_search_f(
         raise ValueError("iterations and restarts must be at least 1")
 
     m = n * (n - 1) // 2
-    iu, ju, pos = pair_positions(n)
+    iu, ju = np.triu_indices(n, 1)  # flip order; the smallest index wins ties
     starts = [erdos_renyi(n, 0.5, seed + r) for r in range(restarts)]
     starts.extend(_constructive_starts(n, s))
 
@@ -231,7 +230,6 @@ def local_search_f(
     best_score = -math.inf
     best_masks: list[int] = []
     for start in starts:
-        bits = start.bits
         a = start.adjacency_matrix()
         score = float(_score_stack(a[None, :, :], s, family)[0])
         evaluations += 1
@@ -249,9 +247,9 @@ def local_search_f(
             if flip_scores[j] <= score + CLIMB_TIE_TOL:
                 break
             score = float(flip_scores[j])
-            bits ^= 1 << int(pos[j])
             a[iu[j], ju[j]] = 1.0 - a[iu[j], ju[j]]
             a[ju[j], iu[j]] = a[iu[j], ju[j]]
+        bits = Graph.from_adjacency(a).bits
         if score > best_score + CLIMB_TIE_TOL:
             best_score = score
             best_masks = [bits]

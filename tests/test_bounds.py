@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from ngspectral.bounds import (
+    BoundReport,
+    _neighbor_masks,
     check_abs_sum_bottom,
     check_abs_sum_top,
     check_csikvari_terpai,
@@ -34,7 +36,6 @@ from ngspectral.graphs import (
     cycle,
     empty,
     erdos_renyi,
-    pair_positions,
     path,
 )
 from ngspectral.reporting import report_csv_row
@@ -196,6 +197,20 @@ def test_subset_squares_examples():
         assert check_subset_squares(g, subset).satisfied
 
 
+def test_subset_squares_tolerance_scales_with_magnitude():
+    # K_{2048,2048} meets the bound with equality; eigvalsh rounding at n=4096
+    # left lhs above rhs by 3.9e-8, more than the absolute tolerance 1e-8
+    r = BoundReport("subset_squares", 4096, 4095, True, False, 4194304.000000039, 4194304.0)
+    assert r.margin < -r.tol
+    assert r.satisfied and not r.violated
+    # a relative excess well above the tolerance is still a violation
+    over = 4194304.0 * (1 + 1e-6)
+    assert BoundReport("subset_squares", 4096, 4095, True, False, over, 4194304.0).violated
+    # below magnitude 1 the tolerance stays absolute
+    assert BoundReport("weyl_upper", 4, 2, True, False, 0.5 + 2e-8, 0.5).violated
+    assert BoundReport("nosal_upper", 4, None, True, True, 0.5 + 5e-9, 0.5).satisfied
+
+
 def test_nonpositive_eigenvalue_examples():
     r = check_nonpositive_eigenvalue(complete(4), 2)
     assert r.applicable
@@ -255,6 +270,17 @@ def test_ramsey_certificate_examples():
             assert _is_clique(complement(g), cert.vertices)
 
 
+def test_neighbor_masks_match_has_edge():
+    graphs = [Graph(4, bits) for bits in range(64)]
+    graphs += [erdos_renyi(40, 0.5, seed) for seed in range(3)]
+    for g in graphs:
+        masks = _neighbor_masks(g)
+        assert len(masks) == g.n
+        for u in range(1, g.n + 1):
+            for v in range(1, g.n + 1):
+                assert bool(masks[u - 1] >> (v - 1) & 1) == g.has_edge(u, v)
+
+
 def test_ramsey_certificate_limits():
     with pytest.raises(ValueError):
         ramsey_certificate(complete(4), 0)
@@ -282,7 +308,8 @@ def test_weyl_pair_exhaustive_small_orders():
     for n in (4, 5):
         m = n * (n - 1) // 2
         masks = np.arange(1 << m, dtype=np.int64)
-        iu, ju, pos = pair_positions(n)
+        iu, ju = np.triu_indices(n, 1)
+        pos = ju * (ju - 1) // 2 + iu  # graph6 bit of the pair (iu, ju)
         stack = np.zeros((len(masks), n, n))
         bits = (masks[:, None] >> pos[None, :]) & 1
         stack[:, iu, ju] = bits

@@ -1,10 +1,16 @@
 """CLI subcommands, exit codes, deterministic machine output."""
 
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
-from ngspectral.cli import main
+from ngspectral.cli import build_parser, main
 from ngspectral.graph6 import emit_graph6
-from ngspectral.graphs import path
+from ngspectral.graphs import complete_bipartite, path
+from ngspectral.reporting import record_text
+from ngspectral.search import local_search_f
 
 
 def run_cli(capsys, *argv):
@@ -208,3 +214,54 @@ def test_check_degenerate_bipartite_at_order_768(capsys):
     )
     assert code == 0
     assert "VIOLATION" not in out
+
+
+def test_check_bipartite_at_the_order_cap(tmp_path, capsys):
+    # K_{2048,2048} meets subset_squares with equality at n=4096, where
+    # eigvalsh rounding exceeds the absolute tolerance.  About 10 s on
+    # 2 cores; the budget fails a per-edge or per-pair cliff in the graph
+    # plumbing, which costs minutes at this order.
+    start = time.perf_counter()
+    src = tmp_path / "k2048.g6"
+    src.write_text(emit_graph6(complete_bipartite(2048, 2048)), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "check", "--graph6-file", str(src), "--s-max", "3")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "VIOLATION" not in out
+    assert "subset_squares" in out
+    assert elapsed < 60.0
+
+
+def test_parser_is_reused_without_leaking_values(capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(
+        capsys,
+        "search", "--exact", "--n", "4", "--s", "2", "--family", "top",
+        "--seed", "5", "--workers", "2", "--format", "json",
+    )
+    assert code == 0 and '"exact":true' in out
+    code, out, _ = run_cli(
+        capsys, "search", "--local", "--n", "6", "--s", "3", "--family", "bottom",
+        "--iterations", "3", "--restarts", "1",
+    )
+    assert code == 0
+    # defaults, not the first call's values: seed 0 and text format
+    assert out == record_text(local_search_f(6, 3, "bottom", 0, 3, 1)) + "\n"
+
+
+def test_csv_byte_identical_per_blas_thread_count():
+    # the contract covers repeat runs with the same BLAS thread count only
+    argv = [
+        sys.executable, "-m", "ngspectral", "check",
+        "--generate", "erdos_renyi:400,0.5", "--seed", "1", "--format", "csv",
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs = [
+            subprocess.run(argv, env=env, capture_output=True, check=True, timeout=120).stdout
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0].startswith(b"bound_id,")

@@ -132,6 +132,13 @@ def test_blowup_edge_counts_and_complement_identity(t):
         assert indep.edge_count == t * t * g.edge_count
         assert cliq.edge_count == t * t * g.edge_count + n * t * (t - 1) // 2
         assert complement(blowup_independent(complement(g), t)) == cliq
+        # blowup_clique is defined by the identity above; check it against
+        # the Kronecker formula A (x) J + I (x) (J - I) as well
+        a = g.adjacency_matrix(dtype=np.int64)
+        j = np.ones((t, t), dtype=np.int64)
+        i = np.eye(t, dtype=np.int64)
+        kron = np.kron(a, j) + np.kron(np.eye(n, dtype=np.int64), j - i)
+        assert cliq == Graph.from_adjacency(kron)
 
 
 def test_blowup_rejects_zero_factor():
@@ -146,6 +153,47 @@ def test_induced_subgraph_examples():
     g = erdos_renyi(8, 0.5, 3)
     assert induced_subgraph(g, range(1, 9)) == g
     assert induced_subgraph(cycle(5), [1, 2, 3]) == path(3)
+
+
+def _every_graph_up_to_order_5():
+    for n in range(1, 6):
+        for bits in range(1 << (n * (n - 1) // 2)):
+            yield Graph(n, bits)
+
+
+def _edges_by_has_edge(g):
+    return [(i, j) for j in range(1, g.n + 1) for i in range(1, j) if g.has_edge(i, j)]
+
+
+def _check_induced_by_has_edge(g, vs):
+    h = induced_subgraph(g, vs)
+    assert h.n == len(vs)
+    for a in range(len(vs)):
+        for b in range(len(vs)):
+            assert h.has_edge(a + 1, b + 1) == (a != b and g.has_edge(vs[a], vs[b]))
+
+
+def test_edges_and_from_edges_match_has_edge():
+    graphs = list(_every_graph_up_to_order_5())
+    graphs += [erdos_renyi(40, 0.5, seed) for seed in range(3)]
+    for g in graphs:
+        edges = list(g.edges())
+        assert edges == _edges_by_has_edge(g)
+        assert Graph.from_edges(g.n, edges) == g
+
+
+def test_induced_subgraph_matches_has_edge():
+    for g in _every_graph_up_to_order_5():
+        every = list(range(1, g.n + 1))
+        subsets = [every, every[::2]] + [every[:v] + every[v + 1 :] for v in range(g.n) if g.n > 1]
+        for vs in subsets:
+            _check_induced_by_has_edge(g, vs)
+    rng = np.random.default_rng(0)
+    for seed in range(3):
+        g = erdos_renyi(40, 0.5, seed)
+        for size in (1, 7, 20, 40):
+            vs = sorted(int(v) for v in rng.choice(np.arange(1, 41), size=size, replace=False))
+            _check_induced_by_has_edge(g, vs)
 
 
 def test_induced_subgraph_rejects_bad_subsets():
