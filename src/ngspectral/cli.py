@@ -101,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--family", choices=("top", "bottom"), required=True)
     p_search.add_argument("--iterations", type=int, default=50)
     p_search.add_argument("--restarts", type=int, default=3)
-    p_search.add_argument("--workers", type=int, default=1)
+    p_search.add_argument(
+        "--workers", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     p_search.add_argument("--allow-n8", action="store_true", help="raise the exhaustive cap to n=8")
     p_search.add_argument("--n-list", metavar="N1,N2,...", help="orders for --table")
     _add_common(p_search)
@@ -248,7 +250,6 @@ def _do_search(args: argparse.Namespace) -> int:
             args.family,
             tol=tol,
             allow_order_8=args.allow_n8,
-            workers=args.workers,
         )
     else:
         record = local_search_f(

@@ -8,10 +8,11 @@ integer arithmetic on masks.  Graph values are immutable and safe to share.
 
 Every conversion takes one route: bitmask <-> pair-order bit array <->
 matrix.  `mask_to_bitarray` and `bitarray_to_mask` move between the mask
-and a uint8 array indexed by bit position, and `pair_indices` gives the
-matrix entry of each position.  No routine walks the mask once per edge or
-per pair, so building, slicing and listing a graph stay linear in the
-number of pairs up to the order cap.
+and a uint8 array indexed by bit position; `pair_indices` gives the matrix
+entry of each position, and the strict lower triangle of the matrix, read
+row by row, lists the positions in order.  No routine walks the mask once
+per edge or per pair, so building, slicing and listing a graph stay linear
+in the number of pairs up to the order cap.
 """
 
 from __future__ import annotations
@@ -70,6 +71,13 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """0-based (i, j) arrays with i < j, entry b being the pair at bit b."""
     j, i = np.tril_indices(n, -1)
     return i, j
+
+
+def _lower_triangle(n: int) -> np.ndarray:
+    """Boolean mask of the strict lower triangle.  Its row-major order is the
+    pair bit order, so it moves a bit array into a matrix without the index
+    arrays of `pair_indices`."""
+    return np.tri(n, n, -1, dtype=bool)
 
 
 def mask_to_bitarray(bits: int, m: int) -> np.ndarray:
@@ -131,10 +139,10 @@ class Graph:
 
     def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=dtype)
-        i, j = pair_indices(self.n)
+        lower = _lower_triangle(self.n)
         vals = mask_to_bitarray(self.bits, self.pair_count)
-        a[i, j] = vals
-        a[j, i] = vals
+        a[lower] = vals
+        a.T[lower] = vals
         return a
 
     @classmethod
@@ -164,8 +172,7 @@ class Graph:
             raise ValueError("adjacency entries must be 0 or 1")
         if np.any(np.diagonal(a) != 0):
             raise ValueError("adjacency diagonal must be zero (no loops)")
-        i, j = pair_indices(n)
-        return cls(n, bitarray_to_mask(a[i, j] != 0))
+        return cls(n, bitarray_to_mask(a[_lower_triangle(n)] != 0))
 
 
 def complement(g: Graph) -> Graph:

@@ -2,18 +2,25 @@
 orders and certified lower bounds by seeded hill climbing for larger ones.
 
 The objective for the top family at index s is |mu_s(G)| + |mu_s(comp)|; the
-bottom family at index s uses mu_{n-s+1} instead.  Both are invariant under
-swapping G with its complement, so the exhaustive pass scores each unordered
-{G, comp} pair exactly once by skipping every bitmask whose complement mask
-is numerically smaller.  Results are fully deterministic: enumeration order
-is fixed, local search is seed-driven, and value ties are broken by the
+bottom family at index s uses mu_{n-s+1} instead.  Both depend only on the
+spectra, so they are invariant under relabelling and under swapping G with
+its complement.  The exhaustive pass therefore scores one graph per
+isomorphism class: it builds the classes of order n-1 level by level (extend
+every class by a new vertex with every neighbour set, dedupe by a canonical
+form from colour refinement and the permutations within its cells) and
+scores every one-vertex extension of them, which covers every class of
+order n.  Rounding differs between labellings of one graph, so the classes
+within tol of the best score are expanded into all their labellings and
+rescored: the value and the witness are those of the search over every
+labelled graph.  Results are fully deterministic: enumeration order is
+fixed, local search is seed-driven, and value ties are broken by the
 lexicographically smallest graph6 string.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,14 +29,18 @@ import numpy as np
 from ngspectral.constructions import extremal_graph
 from ngspectral.eigensolver import complement_pair_eigenvalues
 from ngspectral.graph6 import emit_graph6, parse_graph6
-from ngspectral.graphs import Graph, check_order, complement, erdos_renyi, pair_indices
+from ngspectral.graphs import Graph, check_order, erdos_renyi, pair_indices
 from ngspectral.spectra import DEFAULT_TOL, mu, mu_bottom, spectrum_pair
 
 FAMILIES = ("top", "bottom")
 
 EXHAUSTIVE_DEFAULT_CAP = 7
 EXHAUSTIVE_HARD_CAP = 8
-DEFAULT_SHARD_SIZE = 1 << 16
+# exhaustive search: matrices per eigvalsh batch, and per relabelling block
+SCORE_CHUNK = 1 << 14
+# two labellings of one graph score the same up to rounding far below this,
+# so candidates this close to the tie band can still hold a maximizer
+RELABEL_SLACK = 1e-12
 # local search: scores closer than this are ties, and a flip must beat the
 # current score by more than this to count as an improvement
 CLIMB_TIE_TOL = 1e-12
@@ -102,25 +113,130 @@ def _score_stack(stack: np.ndarray, s: int, family: str) -> np.ndarray:
     return np.abs(wg[..., col]) + np.abs(wc[..., col])
 
 
-def _masks_to_stack(masks: np.ndarray, n: int) -> np.ndarray:
+def _masks_to_stack(masks: np.ndarray, n: int, dtype=np.float64) -> np.ndarray:
     i, j = pair_indices(n)
-    stack = np.zeros((masks.shape[0], n, n))
+    stack = np.zeros((masks.shape[0], n, n), dtype=dtype)
     bits = (masks[:, None] >> np.arange(i.size)) & 1
     stack[:, i, j] = bits
     stack[:, j, i] = bits
     return stack
 
 
+def _score_masks(masks: np.ndarray, n: int, s: int, family: str) -> np.ndarray:
+    """Objective for each mask, solved SCORE_CHUNK matrices at a time."""
+    return np.concatenate([
+        _score_stack(_masks_to_stack(masks[lo : lo + SCORE_CHUNK], n), s, family)
+        for lo in range(0, masks.size, SCORE_CHUNK)
+    ])
+
+
+def _extensions(reps: np.ndarray, k: int) -> np.ndarray:
+    """Every order-k mask whose first k-1 vertices induce one of `reps`.
+
+    The pairs of vertex k are the top k-1 bits of the pair order, so a new
+    vertex joined to a neighbour set is that set shifted above the old mask.
+    """
+    shift = (k - 1) * (k - 2) // 2
+    sets = np.arange(1 << (k - 1), dtype=np.int64) << shift
+    return (reps[:, None] | sets[None, :]).ravel()
+
+
+def _relabel(adj: np.ndarray, seq: np.ndarray) -> np.ndarray:
+    """Masks of the graphs `adj` (G, k, k) relabelled by `seq` (G or 1, P, k).
+
+    Vertex a of a relabelling is vertex seq[..., a] of the graph, so entry
+    [g, p] is the mask of adj[g][seq[g, p]][:, seq[g, p]].
+    """
+    k = adj.shape[-1]
+    i, j = pair_indices(k)
+    g = np.arange(adj.shape[0])[:, None, None]
+    bits = adj[g, seq[..., i], seq[..., j]]
+    return bits @ (np.int64(1) << np.arange(i.size, dtype=np.int64))
+
+
+def _cell_permutations(layout: np.ndarray) -> np.ndarray:
+    """Every permutation of positions that maps each run of equal values in
+    the sorted `layout` onto itself, as rows."""
+    cuts = [0, *(np.flatnonzero(np.diff(layout)) + 1).tolist(), layout.size]
+    cells = [itertools.permutations(range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+    return np.array([sum(p, ()) for p in itertools.product(*cells)], dtype=np.int64)
+
+
+def _refined_colours(adj: np.ndarray) -> np.ndarray:
+    """Stable colour refinement of each graph in `adj` (B, k, k).
+
+    A vertex's next colour is the number of vertices whose (colour,
+    neighbour count per colour) key is smaller, so colours are canonical:
+    relabelling a graph permutes its colours the same way.
+    """
+    k = adj.shape[-1]
+    place = (k + 1) ** np.arange(k, -1, -1, dtype=np.int64)
+    colour = np.zeros(adj.shape[:2], dtype=np.int64)
+    for _ in range(k):
+        counts = adj @ (colour[:, :, None] == np.arange(k)).astype(np.int64)
+        key = np.concatenate([colour[:, :, None], counts], axis=2) @ place
+        refined = (key[:, :, None] > key[:, None, :]).sum(axis=2)
+        if np.array_equal(refined, colour):
+            break
+        colour = refined
+    return colour
+
+
+def _canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
+    """Canonical form of each order-k mask: the smallest mask over the
+    relabellings that list the refined colour cells in colour order.
+
+    Two masks get the same canonical form exactly when their graphs are
+    isomorphic, and the form is itself a labelling of the graph.
+    """
+    adj = _masks_to_stack(masks, k, dtype=np.int64)
+    colour = _refined_colours(adj)
+    order = np.argsort(colour, axis=1, kind="stable")
+    layouts, group = np.unique(
+        np.take_along_axis(colour, order, axis=1), axis=0, return_inverse=True
+    )
+    group = group.ravel()
+    canon = np.empty(masks.size, dtype=np.int64)
+    for g, layout in enumerate(layouts):
+        members = np.flatnonzero(group == g)
+        perms = _cell_permutations(layout)
+        step = max(1, SCORE_CHUNK // perms.shape[0])
+        for lo in range(0, members.size, step):
+            idx = members[lo : lo + step]
+            canon[idx] = _relabel(adj[idx], order[idx][:, perms]).min(axis=1)
+    return canon
+
+
+def isomorphism_classes(n: int) -> np.ndarray:
+    """Canonical masks of the graphs of order n, one per isomorphism class,
+    ascending.  Built level by level from the graph on no vertices."""
+    reps = np.zeros(1, dtype=np.int64)
+    for k in range(1, n + 1):
+        reps = np.unique(_canonical_masks(_extensions(reps, k), k))
+    return reps
+
+
+def _labellings(classes: np.ndarray, n: int) -> np.ndarray:
+    """Distinct masks of every labelling of the given order-n graphs."""
+    perms = _cell_permutations(np.zeros(n, dtype=np.int64))[None]  # one cell: all n!
+    adj = _masks_to_stack(classes, n, dtype=np.int64)
+    blocks = [_relabel(adj[c : c + 1], perms).ravel() for c in range(classes.size)]
+    return np.unique(np.concatenate(blocks))
+
+
 def _lex_min_witness(n: int, masks: Sequence[int]) -> str:
-    """Smallest graph6 string over the given masks and their complements."""
-    best = None
-    for mask in masks:
-        g = Graph(n, mask)
-        for cand in (emit_graph6(g), emit_graph6(complement(g))):
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+    """Smallest graph6 string over the given masks and their complements.
+
+    At a fixed order graph6 compares as the pair bits read from bit 0 up,
+    which is the mask's m-bit binary string reversed.
+    """
+    m = n * (n - 1) // 2
+    full = (1 << m) - 1
+    best = min(
+        (cand for mask in masks for cand in (mask, mask ^ full)),
+        key=lambda mask: f"{mask:0{m}b}"[::-1],
+    )
+    return emit_graph6(Graph(n, best))
 
 
 def exhaustive_f(
@@ -130,14 +246,13 @@ def exhaustive_f(
     *,
     tol: float = DEFAULT_TOL,
     allow_order_8: bool = False,
-    workers: int = 1,
-    shard_size: int = DEFAULT_SHARD_SIZE,
 ) -> ExtremalRecord:
     """Exact extremal value over all 2^(n(n-1)/2) labeled graphs.
 
     Capped at n <= 7 by default (n <= 8 with allow_order_8).  The witness is
     the lexicographically smallest graph6 string among all maximizers within
-    tol, complements included.
+    tol, complements included.  `evaluations` counts the labelled graphs
+    covered, one per complement pair.
     """
     _validate_family(family)
     _validate_s(n, s, family)
@@ -151,27 +266,13 @@ def exhaustive_f(
     m = n * (n - 1) // 2
     total = 1 if m == 0 else 1 << (m - 1)
 
-    def run_shard(lo: int, hi: int) -> tuple[float, list[int]]:
-        masks = np.arange(lo, hi, dtype=np.int64)
-        scores = _score_stack(_masks_to_stack(masks, n), s, family)
-        best = float(scores.max())
-        keep = np.nonzero(scores >= best - tol)[0]
-        return best, [int(masks[i]) for i in keep]
-
-    spans = [(lo, min(lo + shard_size, total)) for lo in range(0, total, shard_size)]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda span: run_shard(*span), spans))
-    else:
-        results = [run_shard(lo, hi) for lo, hi in spans]
-
-    value = max(best for best, _ in results)
-    pool = [mask for best, masks in results if best >= value - tol for mask in masks]
-    # shard-local keeps are relative to the shard maximum; re-score against the
-    # global one before tie-breaking
-    scores = _score_stack(_masks_to_stack(np.array(pool, dtype=np.int64), n), s, family)
-    final = [mask for mask, score in zip(pool, scores) if score >= value - tol]
-    witness = _lex_min_witness(n, final)
+    candidates = _extensions(isomorphism_classes(n - 1), n)
+    scores = _score_masks(candidates, n, s, family)
+    near = candidates[scores >= scores.max() - tol - RELABEL_SLACK]
+    labelled = _labellings(np.unique(_canonical_masks(near, n)), n)
+    scores = _score_masks(labelled, n, s, family)
+    value = float(scores.max())
+    witness = _lex_min_witness(n, labelled[scores >= value - tol].tolist())
     return ExtremalRecord(
         n=n,
         s=s,

@@ -265,3 +265,24 @@ def test_csv_byte_identical_per_blas_thread_count():
         ]
         assert runs[0] == runs[1]
         assert runs[0].startswith(b"bound_id,")
+
+
+def test_exact_search_output_pinned(capsys):
+    # the bytes the labelled enumeration printed for n=7, s=2, top
+    code, out, _ = run_cli(
+        capsys, "search", "--exact", "--n", "7", "--s", "2", "--family", "top", "--format", "csv"
+    )
+    assert code == 0
+    assert out == (
+        "n,s,family,value,witness,method,exact,evaluations,seed\n"
+        "7,2,top,3.12310562562,F@NMO,exhaustive,true,1048576,\n"
+    )
+    code, out, _ = run_cli(
+        capsys, "search", "--exact", "--n", "7", "--s", "2", "--family", "top",
+        "--workers", "1", "--format", "json",
+    )
+    assert code == 0
+    assert out == (
+        '{"n":7,"s":2,"family":"top","value":3.12310562562,"witness":"F@NMO",'
+        '"method":"exhaustive","exact":true,"evaluations":1048576,"seed":null}\n'
+    )

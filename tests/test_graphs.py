@@ -16,7 +16,9 @@ from ngspectral.graphs import (
     erdos_renyi,
     generate,
     induced_subgraph,
+    mask_to_bitarray,
     pair_bit,
+    pair_indices,
     path,
 )
 
@@ -66,6 +68,21 @@ def test_from_adjacency_round_trip():
     for n, p, seed in RANDOM_SUITE:
         g = erdos_renyi(n, p, seed)
         assert Graph.from_adjacency(g.adjacency_matrix()) == g
+
+
+def test_adjacency_matrix_matches_pair_indices_route():
+    for n in range(1, 65):
+        g = erdos_renyi(n, 0.5, n)
+        i, j = pair_indices(n)
+        bits = mask_to_bitarray(g.bits, g.pair_count)
+        expected = np.zeros((n, n), dtype=np.uint8)
+        expected[i, j] = bits
+        expected[j, i] = bits
+        for dtype in (np.float64, np.uint8):
+            a = g.adjacency_matrix(dtype=dtype)
+            assert a.dtype == dtype
+            assert np.array_equal(a, expected)
+        assert Graph.from_adjacency(expected) == g
 
 
 def test_complement_of_complete_is_empty():

@@ -1,19 +1,25 @@
 """Exhaustive and hill-climbing extremal search."""
 
 import math
+import time
 
+import numpy as np
 import pytest
 
+from labelled_oracle import labelled_exhaustive_f
 from ngspectral.constructions import extremal_graph
 from ngspectral.graph6 import parse_graph6
 from ngspectral.graphs import Graph, complement, erdos_renyi
 from ngspectral.search import (
+    _canonical_masks,
     exhaustive_f,
+    isomorphism_classes,
     local_search_f,
     objective,
     ratio_table,
     target_ratio,
 )
+from ngspectral.spectra import DEFAULT_TOL
 
 SQ5 = math.sqrt(5)
 
@@ -74,9 +80,60 @@ def test_exhaustive_deterministic_and_sharded():
     a = exhaustive_f(5, 2, "top")
     b = exhaustive_f(5, 2, "top")
     assert a == b
-    # shard/worker split must not change the reduction
-    c = exhaustive_f(5, 2, "top", shard_size=64, workers=2)
+    # the labelled oracle's shard split must not change its reduction either
+    c = labelled_exhaustive_f(5, 2, "top", shard_size=64)
     assert c == a
+
+
+def _all_cases(n):
+    return [(n, s, "top") for s in range(2, n + 1)] + [(n, s, "bottom") for s in range(1, n + 1)]
+
+
+@pytest.mark.parametrize(
+    "n,s,family",
+    [case for n in range(1, 7) for case in _all_cases(n)] + [(7, 2, "top"), (7, 1, "bottom")],
+)
+def test_exhaustive_matches_labelled_oracle(n, s, family):
+    # == on the whole record: the value bit for bit, the witness, the counts
+    assert exhaustive_f(n, s, family) == labelled_exhaustive_f(n, s, family)
+
+
+def test_isomorphism_class_counts():
+    # OEIS A000088: graphs on n unlabelled vertices
+    counts = [isomorphism_classes(n).size for n in range(1, 8)]
+    assert counts == [1, 2, 4, 11, 34, 156, 1044]
+
+
+def test_canonical_form_is_a_relabelling_invariant_labelling():
+    rng = np.random.default_rng(5)
+    for n in (5, 7, 8):
+        m = n * (n - 1) // 2
+        masks = rng.integers(0, 1 << m, size=40, dtype=np.int64)
+        canon = _canonical_masks(masks, n)
+        for mask, form in zip(masks.tolist(), canon.tolist()):
+            g = Graph(n, mask)
+            perm = rng.permutation(n) + 1
+            h = Graph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
+            assert _canonical_masks(np.array([h.bits]), n)[0] == form
+            # the form is a labelling of g: same degrees, same spectrum pair
+            f = Graph(n, form)
+            assert sorted(f.degrees()) == sorted(g.degrees())
+            assert objective(f, 2, "top") == pytest.approx(objective(g, 2, "top"), abs=1e-9)
+    # the regular graphs of order 7 fall in one refinement cell
+    c7 = Graph.from_edges(7, [(i, i % 7 + 1) for i in range(1, 8)])
+    c3c4 = Graph.from_edges(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+    assert len(set(_canonical_masks(np.array([c7.bits, c3c4.bits]), 7).tolist())) == 2
+
+
+def test_exhaustive_order8_within_budget():
+    start = time.perf_counter()
+    rec = exhaustive_f(8, 2, "top", allow_order_8=True)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60, f"exhaustive_f(8) took {elapsed:.1f} s"
+    assert rec.evaluations == 1 << 27
+    assert rec.value < 8 / math.sqrt(2)
+    assert rec.value >= local_search_f(8, 2, "top", 0).value - DEFAULT_TOL
+    assert objective(parse_graph6(rec.witness), 2, "top") == pytest.approx(rec.value, abs=1e-9)
 
 
 def test_exhaustive_cap():
