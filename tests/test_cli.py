@@ -286,3 +286,26 @@ def test_exact_search_output_pinned(capsys):
         '{"n":7,"s":2,"family":"top","value":3.12310562562,"witness":"F@NMO",'
         '"method":"exhaustive","exact":true,"evaluations":1048576,"seed":null}\n'
     )
+
+
+def test_local_search_output_pinned(capsys):
+    # the bytes the climb that rescored every flip printed
+    argv = ["search", "--local", "--n", "16", "--s", "2", "--family", "top", "--seed", "0"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == (
+        "n,s,family,value,witness,method,exact,evaluations,seed\n"
+        "16,2,top,9.63014581273,O?~~~~o{F_]??N?N_Fw@~,local_search,false,12484,0\n"
+    )
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"n":16,"s":2,"family":"top","value":9.63014581273,"witness":"O?~~~~o{F_]??N?N_Fw@~",'
+        '"method":"local_search","exact":false,"evaluations":12484,"seed":0}\n'
+    )
+
+
+def test_local_search_single_vertex(capsys):
+    code, out, _ = run_cli(capsys, "search", "--local", "--n", "1", "--s", "1", "--family", "bottom")
+    assert code == 0
+    assert "value=0 " in out and "witness=@" in out

@@ -9,6 +9,7 @@ import pytest
 from ngspectral.eigensolver import (
     batched_symmetric_eigenvalues,
     complement_pair_eigenvalues,
+    complement_pair_eigh,
     symmetric_eigenvalues,
 )
 from ngspectral.graphs import complement, complete, complete_bipartite, cycle, erdos_renyi, path
@@ -108,3 +109,15 @@ def test_complement_pair_matches_single_solves():
         assert np.max(np.abs(wg[i] - symmetric_eigenvalues(g.adjacency_matrix()))) < 1e-10
         wc_single = symmetric_eigenvalues(complement(g).adjacency_matrix())
         assert np.max(np.abs(wc[i] - wc_single)) < 1e-10
+
+
+def test_complement_pair_eigh_reconstructs_both_matrices():
+    for g in [erdos_renyi(11, 0.5, 3), complete_bipartite(4, 5), path(1)]:
+        a = g.adjacency_matrix()
+        lam, vec = complement_pair_eigh(a)
+        wg, wc = complement_pair_eigenvalues(a)
+        assert np.max(np.abs(lam - np.stack([wg, wc]))) < 1e-10
+        assert np.all(np.diff(lam, axis=1) <= 0)
+        for w, v, m in zip(lam, vec, [a, complement(g).adjacency_matrix()]):
+            assert np.max(np.abs((v * w) @ v.T - m)) < 1e-10
+            assert np.max(np.abs(v.T @ v - np.eye(g.n))) < 1e-10

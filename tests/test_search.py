@@ -7,11 +7,16 @@ import numpy as np
 import pytest
 
 from labelled_oracle import labelled_exhaustive_f
+from local_oracle import local_oracle
 from ngspectral.constructions import extremal_graph
+from ngspectral.eigensolver import complement_pair_eigenvalues
 from ngspectral.graph6 import parse_graph6
-from ngspectral.graphs import Graph, complement, erdos_renyi
+from ngspectral.graphs import Graph, complement, complete, complete_bipartite, empty, erdos_renyi
 from ngspectral.search import (
+    SCREEN_SLACK,
     _canonical_masks,
+    _flipped_stack,
+    _screen_flips,
     exhaustive_f,
     isomorphism_classes,
     local_search_f,
@@ -182,6 +187,63 @@ def test_local_search_witness_rescores():
     )
     exact = exhaustive_f(7, 1, "bottom")
     assert rec.value <= exact.value + 1e-9
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_local_search_matches_oracle_small_orders(n):
+    # == on the whole record: the value bit for bit, the witness, the counts
+    for _, s, family in _all_cases(n):
+        for seed in range(3):
+            assert local_search_f(n, s, family, seed) == local_oracle(n, s, family, seed)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(16, 3, "top", 1), (20, 3, "top", 2)]
+    + [(n, 2, family, 0, 8) for n in (16, 24, 32) for family in ("top", "bottom")],
+)
+def test_local_search_matches_oracle(args):
+    assert local_search_f(*args) == local_oracle(*args)
+
+
+def test_local_search_without_flips():
+    # one vertex has no pair to flip: every climb stops at its start
+    rec = local_search_f(1, 1, "bottom", 0)
+    exact = exhaustive_f(1, 1, "bottom")
+    assert (rec.value, rec.witness) == (exact.value, exact.witness) == (0.0, "@")
+    assert rec.evaluations == 3
+    for _, s, family in _all_cases(2):
+        rec = local_search_f(2, s, family, 0)
+        assert rec == local_oracle(2, s, family, 0)
+        assert rec.value == exhaustive_f(2, s, family).value
+
+
+def _screen_graphs(n):
+    yield erdos_renyi(n, 0.5, n)
+    yield erdos_renyi(n, 0.2, n + 1)
+    for k in range(1, 5):
+        if n % 2 ** (k + 1) == 0:
+            yield extremal_graph(k, n // 2 ** (k + 1))
+    yield complete_bipartite(n // 2, n - n // 2)
+    yield empty(n)
+    yield complete(n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 8, 12, 16, 24, 32, 64])
+def test_screen_matches_eigvalsh_on_every_flip(n):
+    # integer and highly repeated spectra put the flipped eigenvalues on the
+    # unflipped ones and make double roots: the cases the screen must survive
+    iu, ju = np.triu_indices(n, 1)
+    for g in _screen_graphs(n):
+        a = g.adjacency_matrix()
+        # what _score_stack computes, with the spectra solved once per graph
+        wg, wc = complement_pair_eigenvalues(_flipped_stack(a, iu, ju))
+        for t in sorted({1, 2, 3, n // 2, n - 1, n}):
+            exact = np.abs(wg[:, t - 1]) + np.abs(wc[:, t - 1])
+            for s, family in [(t, "top"), (n - t + 1, "bottom")]:
+                if s >= 2 or family == "bottom":
+                    error = np.abs(_screen_flips(a, s, family) - exact).max()
+                    assert error <= SCREEN_SLACK / 4, (n, g.bits, s, family, error)
 
 
 def test_local_search_validation():
