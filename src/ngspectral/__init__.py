@@ -1,6 +1,6 @@
 """Nordhaus-Gaddum spectral toolkit.
 
-Adjacency spectra of graph/complement pairs, checkers for the eigenvalue
+Adjacency spectra of graph/complement pairs, a table of the eigenvalue
 inequalities that bound them, the Kronecker-recursive extremal constructions
 that approach those bounds, and exact/heuristic search for the extremal
 functions themselves.
@@ -9,20 +9,6 @@ functions themselves.
 from ngspectral.bounds import (
     BoundReport,
     RamseyCertificate,
-    check_abs_sum_bottom,
-    check_abs_sum_top,
-    check_csikvari_terpai,
-    check_fns_upper,
-    check_fs_upper,
-    check_nonpositive_eigenvalue,
-    check_nosal,
-    check_pair_bottom,
-    check_pair_top,
-    check_ramsey_sign,
-    check_subset_squares,
-    check_sum_squares_bottom,
-    check_sum_squares_top,
-    check_weyl_pair,
     ramsey_certificate,
     run_battery,
     violations,

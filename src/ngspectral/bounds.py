@@ -1,36 +1,43 @@
-"""One checker per Nordhaus-Gaddum eigenvalue inequality.
+"""The Nordhaus-Gaddum eigenvalue inequalities as one table.
 
-Every checker returns a BoundReport with the inequality normalized to
-lhs <= rhs, margin = rhs - lhs, and satisfied decided purely by margin,
-strictness and tolerance.  The slack allowed is tol * max(1, |lhs|, |rhs|),
-because eigenvalue rounding grows with the sides (by more than 1e-8 at
-n = 4096).  Strict inequalities are tested as margin > -slack: floating
-arithmetic cannot certify strictness, so at tolerance scale strict and
-non-strict coincide; the check guards against gross violations.
-Inapplicable reports are still emitted (with values where computable) but
-are never asserted.
+Each row of BOUNDS is one inequality: its bound id, its strictness, the
+parameters it takes at order n for a given s_max, its precondition on
+(n, p), a spectral side written as numpy over a batch of spectrum pairs,
+and a scalar side in (n, p).  `evaluate` walks the table over descending
+spectra wg, wc of shape (batch, n), the graphs and their complements, and
+returns lhs, rhs and applicability per row and parameter.  `run_battery`
+runs it on a batch of one and returns one BoundReport per (row, parameter),
+sorted by (bound_id, parameter).
+
+Every report is normalized to lhs <= rhs, margin = rhs - lhs, and satisfied
+decided purely by margin, strictness and tolerance.  The slack allowed is
+tol * max(1, |lhs|, |rhs|), because eigenvalue rounding grows with the
+sides (by more than 1e-8 at n = 4096).  Strict inequalities are tested as
+margin > -slack: floating arithmetic cannot certify strictness, so at
+tolerance scale strict and non-strict coincide; the check guards against
+gross violations.  Inapplicable reports are still emitted but are never
+asserted; a parameter that indexes past the spectrum (s > n, or k = 0 for
+ramsey_sign) gets a NaN spectral side.
+
+The values keep the last bits of the per-inequality checkers this table
+replaced, because the CLI prints float noise: running sums over the top of
+the spectrum add left to right (np.cumsum, not the pairwise np.sum), sums
+over the bottom and the subset sum use math.fsum, and squares go through
+np.float_power, which calls the C pow that Python's ** uses (numpy's ** 2
+is x*x, which differs in the last bit for about one value in a thousand).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ngspectral.eigensolver import complement_pair_eigenvalues
 from ngspectral.graphs import Graph, bitarray_to_mask, complement
-from ngspectral.spectra import (
-    DEFAULT_TOL,
-    Spectrum,
-    adjacency_spectrum,
-    mu,
-    mu_bottom,
-    spectrum_pair,
-    sum_top,
-)
-
-_NAN = float("nan")
+from ngspectral.spectra import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -66,250 +73,199 @@ def violations(reports: Iterable[BoundReport]) -> list[BoundReport]:
     return [r for r in reports if r.violated]
 
 
-def _pair(g: Graph, tol: float, spectra) -> tuple[Spectrum, Spectrum]:
-    if spectra is None:
-        return spectrum_pair(g, tol)
-    return spectra
+# The spectral side reads 1-based views of the spectra, both of shape
+# (2, batch, width), index 0 of the first axis for the graphs and 1 for
+# their complements: t[..., p] is mu_p and b[..., p] is mu_{n-p+1}, and an
+# index past the spectrum (0, or above n) reads NaN.  It maps (t, b, p),
+# with p the int array of parameters (or [None]), to (batch, len(p)).
+Spectral = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-def check_nosal(g: Graph, *, tol: float = DEFAULT_TOL, spectra=None) -> list[BoundReport]:
-    """n - 1 <= mu_1(G) + mu_1(complement) < sqrt(2)(n - 1)."""
-    sg, sc = _pair(g, tol, spectra)
-    total = mu(sg, 1) + mu(sc, 1)
-    n = g.n
-    return [
-        BoundReport("nosal_lower", n, None, True, False, n - 1.0, total, tol),
-        BoundReport("nosal_upper", n, None, True, True, total, math.sqrt(2.0) * (n - 1), tol),
-    ]
+class Bound(NamedTuple):
+    """One inequality: spectral <= scalar, or scalar <= spectral when
+    `spectral_is_lhs` is false.  `applies` is the precondition on (n, p),
+    None when there is none; when `gate` is set, applicability also needs
+    gate(t, b, p) <= tol."""
+
+    bound_id: str
+    strict: bool
+    params: Callable[[int, int], Sequence[Optional[int]]]  # (n, s_max)
+    spectral: Spectral
+    scalar: Callable[[int, Optional[int]], float]  # (n, p)
+    applies: Optional[Callable[[int, int], bool]] = None
+    gate: Optional[Spectral] = None
+    spectral_is_lhs: bool = True
 
 
-def check_csikvari_terpai(g: Graph, *, tol: float = DEFAULT_TOL, spectra=None) -> BoundReport:
-    """mu_1(G) + mu_1(complement) <= 4n/3 - 1."""
-    sg, sc = _pair(g, tol, spectra)
-    total = mu(sg, 1) + mu(sc, 1)
-    return BoundReport("csikvari_terpai", g.n, None, True, False, total, 4.0 * g.n / 3.0 - 1.0, tol)
+def _sq(x: np.ndarray) -> np.ndarray:
+    return np.float_power(x, 2.0)
 
 
-def _require_top_s(s: int) -> None:
-    if s < 2:
-        raise ValueError(f"top-family index must satisfy s >= 2, got {s}")
+def _both(x: np.ndarray) -> np.ndarray:
+    """The graph's term plus the complement's."""
+    return x[0] + x[1]
 
 
-def _require_bottom_s(s: int) -> None:
-    if s < 1:
-        raise ValueError(f"bottom-family index must satisfy s >= 1, got {s}")
+def _running(x: np.ndarray, s) -> np.ndarray:
+    """Sum of x[..., 2..s], added left to right."""
+    return x[..., 2:].cumsum(axis=-1)[..., s - 2]
 
 
-def check_sum_squares_top(
-    g: Graph, s: int, *, tol: float = DEFAULT_TOL, spectra=None
-) -> BoundReport:
-    """sum_{i=2..s} (mu_i(G)^2 + mu_i(comp)^2) < n^2/4, applicable for n >= 3s-2."""
-    _require_top_s(s)
-    sg, sc = _pair(g, tol, spectra)
-    n = g.n
-    applicable = n >= 3 * s - 2
-    if s <= n:
-        lhs = sum_top(sg, 2, s, power=2) + sum_top(sc, 2, s, power=2)
-    else:
-        lhs = _NAN
-    return BoundReport("top_sum_squares", n, s, applicable, True, lhs, n * n / 4.0, tol)
+def _fsum_prefix(x: np.ndarray, counts) -> np.ndarray:
+    """math.fsum of x[:, 1..c] of each row of x (batch, width), for each c
+    in counts."""
+    rows = [[math.fsum(row[1 : c + 1]) for c in counts] for row in x.tolist()]
+    return np.array(rows, dtype=np.float64).reshape(x.shape[0], len(counts))
 
 
-def check_abs_sum_top(
-    g: Graph, s: int, *, tol: float = DEFAULT_TOL, spectra=None
-) -> BoundReport:
-    """sum_{i=2..s} (|mu_i(G)| + |mu_i(comp)|) < n sqrt((s-1)/2), for n >= 3s-2."""
-    _require_top_s(s)
-    sg, sc = _pair(g, tol, spectra)
-    n = g.n
-    applicable = n >= 3 * s - 2
-    if s <= n:
-        lhs = sum_top(sg, 2, s, absolute=True) + sum_top(sc, 2, s, absolute=True)
-    else:
-        lhs = _NAN
-    rhs = n * math.sqrt((s - 1) / 2.0)
-    return BoundReport("top_abs_sum", n, s, applicable, True, lhs, rhs, tol)
+def _ramsey_lhs(t: np.ndarray, b: np.ndarray, k) -> np.ndarray:
+    """Best-case violation of: one of {G, complement} has mu_{n-k+1} <= -1
+    and the other mu_{n-k+1} <= 0 (nonpositive when that holds).  A tie in
+    min or max is between equal values, none of them -0.0, so numpy's
+    minimum and maximum give the bits of Python's min and max."""
+    g, c = b[..., k]
+    return -np.maximum(np.minimum(-1.0 - g, 0.0 - c), np.minimum(-1.0 - c, 0.0 - g))
 
 
-def check_pair_top(g: Graph, s: int, *, tol: float = DEFAULT_TOL, spectra=None) -> BoundReport:
-    """mu_s(G)^2 + mu_s(comp)^2 < n^2/(4(s-1)), applicable for n >= 3s-2."""
-    _require_top_s(s)
-    sg, sc = _pair(g, tol, spectra)
-    n = g.n
-    applicable = n >= 3 * s - 2
-    lhs = mu(sg, s) ** 2 + mu(sc, s) ** 2 if s <= n else _NAN
-    return BoundReport("top_pair_squares", n, s, applicable, True, lhs, n * n / (4.0 * (s - 1)), tol)
+def _total(t: np.ndarray, b: np.ndarray, p) -> np.ndarray:
+    return _both(t[..., 1:2])
 
 
-def check_fs_upper(g: Graph, s: int, *, tol: float = DEFAULT_TOL, spectra=None) -> BoundReport:
-    """|mu_s(G)| + |mu_s(comp)| <= n/sqrt(2(s-1)) - 1, applicable for n >= 15(s-1)."""
-    _require_top_s(s)
-    sg, sc = _pair(g, tol, spectra)
-    n = g.n
-    applicable = n >= 15 * (s - 1)
-    lhs = abs(mu(sg, s)) + abs(mu(sc, s)) if s <= n else _NAN
-    rhs = n / math.sqrt(2.0 * (s - 1)) - 1.0
-    return BoundReport("fs_upper", n, s, applicable, False, lhs, rhs, tol)
+def _none(n: int, s_max: int) -> list[None]:
+    return [None]
 
 
-def check_sum_squares_bottom(
-    g: Graph, s: int, *, tol: float = DEFAULT_TOL, spectra=None
-) -> BoundReport:
-    """sum_{i=1..s} (mu_{n-i+1}(G)^2 + mu_{n-i+1}(comp)^2) <= (n/2 + s)^2, for n > 2s."""
-    _require_bottom_s(s)
-    sg, sc = _pair(g, tol, spectra)
-    n = g.n
-    applicable = n > 2 * s
-    if s <= n:
-        lhs = math.fsum(
-            mu_bottom(sg, i) ** 2 + mu_bottom(sc, i) ** 2 for i in range(1, s + 1)
-        )
-    else:
-        lhs = _NAN
-    rhs = (n / 2.0 + s) ** 2
-    return BoundReport("bottom_sum_squares", n, s, applicable, False, lhs, rhs, tol)
+def _top_s(n: int, s_max: int) -> range:
+    return range(2, s_max + 1)
 
 
-def check_abs_sum_bottom(
-    g: Graph, s: int, *, tol: float = DEFAULT_TOL, spectra=None
-) -> BoundReport:
-    """sum_{i=1..s} (|mu_{n-i+1}(G)| + |mu_{n-i+1}(comp)|) <= (n/2 + s) sqrt(2s), for n > 2s."""
-    _require_bottom_s(s)
-    sg, sc = _pair(g, tol, spectra)
-    n = g.n
-    applicable = n > 2 * s
-    if s <= n:
-        lhs = math.fsum(
-            abs(mu_bottom(sg, i)) + abs(mu_bottom(sc, i)) for i in range(1, s + 1)
-        )
-    else:
-        lhs = _NAN
-    rhs = (n / 2.0 + s) * math.sqrt(2.0 * s)
-    return BoundReport("bottom_abs_sum", n, s, applicable, False, lhs, rhs, tol)
+def _bottom_s(n: int, s_max: int) -> range:
+    return range(1, s_max + 1)
 
 
-def check_pair_bottom(
-    g: Graph, s: int, *, tol: float = DEFAULT_TOL, spectra=None
-) -> BoundReport:
-    """mu_{n-s+1}(G)^2 + mu_{n-s+1}(comp)^2 <= (n/2 + s)^2 / s, applicable for n > 4^s."""
-    _require_bottom_s(s)
-    sg, sc = _pair(g, tol, spectra)
-    n = g.n
-    applicable = n > 4**s
-    lhs = mu_bottom(sg, s) ** 2 + mu_bottom(sc, s) ** 2 if s <= n else _NAN
-    rhs = (n / 2.0 + s) ** 2 / s
-    return BoundReport("bottom_pair_squares", n, s, applicable, False, lhs, rhs, tol)
+def _two_to_n(n: int, s_max: int) -> range:
+    return range(2, n + 1)
 
 
-def check_fns_upper(g: Graph, s: int, *, tol: float = DEFAULT_TOL, spectra=None) -> BoundReport:
-    """|mu_{n-s+1}(G)| + |mu_{n-s+1}(comp)| <= n/sqrt(2s) + 1, applicable for n >= 4^s."""
-    _require_bottom_s(s)
-    sg, sc = _pair(g, tol, spectra)
-    n = g.n
-    applicable = n >= 4**s
-    lhs = abs(mu_bottom(sg, s)) + abs(mu_bottom(sc, s)) if s <= n else _NAN
-    rhs = n / math.sqrt(2.0 * s) + 1.0
-    return BoundReport("fns_upper", n, s, applicable, False, lhs, rhs, tol)
+BOUNDS: tuple[Bound, ...] = (
+    # n - 1 <= mu_1(G) + mu_1(comp) < sqrt(2)(n - 1)
+    Bound("nosal_lower", False, _none, _total, lambda n, p: n - 1.0, spectral_is_lhs=False),
+    Bound("nosal_upper", True, _none, _total, lambda n, p: math.sqrt(2.0) * (n - 1)),
+    # mu_1(G) + mu_1(comp) <= 4n/3 - 1
+    Bound("csikvari_terpai", False, _none, _total, lambda n, p: 4.0 * n / 3.0 - 1.0),
+    # sum_{i=2..s} (mu_i(G)^2 + mu_i(comp)^2) < n^2/4, for n >= 3s-2
+    Bound("top_sum_squares", True, _top_s,
+          lambda t, b, s: _both(_running(_sq(t), s)),
+          lambda n, s: n * n / 4.0, applies=lambda n, s: n >= 3 * s - 2),
+    # sum_{i=2..s} (|mu_i(G)| + |mu_i(comp)|) < n sqrt((s-1)/2), for n >= 3s-2
+    Bound("top_abs_sum", True, _top_s,
+          lambda t, b, s: _both(_running(np.abs(t), s)),
+          lambda n, s: n * math.sqrt((s - 1) / 2.0), applies=lambda n, s: n >= 3 * s - 2),
+    # mu_s(G)^2 + mu_s(comp)^2 < n^2/(4(s-1)), for n >= 3s-2
+    Bound("top_pair_squares", True, _top_s,
+          lambda t, b, s: _both(_sq(t[..., s])),
+          lambda n, s: n * n / (4.0 * (s - 1)), applies=lambda n, s: n >= 3 * s - 2),
+    # |mu_s(G)| + |mu_s(comp)| <= n/sqrt(2(s-1)) - 1, for n >= 15(s-1)
+    Bound("fs_upper", False, _top_s,
+          lambda t, b, s: _both(np.abs(t[..., s])),
+          lambda n, s: n / math.sqrt(2.0 * (s - 1)) - 1.0, applies=lambda n, s: n >= 15 * (s - 1)),
+    # sum_{i=1..s} (mu_{n-i+1}(G)^2 + mu_{n-i+1}(comp)^2) <= (n/2 + s)^2, for n > 2s
+    Bound("bottom_sum_squares", False, _bottom_s,
+          lambda t, b, s: _fsum_prefix(_both(_sq(b)), s),
+          lambda n, s: (n / 2.0 + s) ** 2, applies=lambda n, s: n > 2 * s),
+    # sum_{i=1..s} (|mu_{n-i+1}(G)| + |mu_{n-i+1}(comp)|) <= (n/2 + s) sqrt(2s), for n > 2s
+    Bound("bottom_abs_sum", False, _bottom_s,
+          lambda t, b, s: _fsum_prefix(_both(np.abs(b)), s),
+          lambda n, s: (n / 2.0 + s) * math.sqrt(2.0 * s), applies=lambda n, s: n > 2 * s),
+    # mu_{n-s+1}(G)^2 + mu_{n-s+1}(comp)^2 <= (n/2 + s)^2 / s, for n > 4^s
+    Bound("bottom_pair_squares", False, _bottom_s,
+          lambda t, b, s: _both(_sq(b[..., s])),
+          lambda n, s: (n / 2.0 + s) ** 2 / s, applies=lambda n, s: n > 4**s),
+    # |mu_{n-s+1}(G)| + |mu_{n-s+1}(comp)| <= n/sqrt(2s) + 1, for n >= 4^s
+    Bound("fns_upper", False, _bottom_s,
+          lambda t, b, s: _both(np.abs(b[..., s])),
+          lambda n, s: n / math.sqrt(2.0 * s) + 1.0, applies=lambda n, s: n >= 4**s),
+    # sum_{i=2..n} mu_i(G)^2 <= n^2/4; the parameter is the index count
+    # c = n - 1, and the shifted view puts mu_2..mu_{c+1} at 1..c
+    Bound("subset_squares", False, lambda n, s_max: [n - 1],
+          lambda t, b, c: _fsum_prefix(_sq(t[0, :, 1:]), c),
+          lambda n, c: n * n / 4.0),
+    # |mu_s(G)| <= n / (2 sqrt(n-s+1)), applicable when mu_s(G) <= 0
+    Bound("nonpositive_eigenvalue", False, lambda n, s_max: range(2, min(s_max, n) + 1),
+          lambda t, b, s: np.abs(t[0][:, s]),
+          lambda n, s: n / (2.0 * math.sqrt(n - s + 1)),
+          gate=lambda t, b, s: t[0][:, s]),
+    # for n >= 4^k one of {G, comp} has mu_{n-k+1} <= -1 and the other
+    # mu_{n-k+1} <= 0; k runs over 4^k <= n, and k = 0 is never applicable
+    Bound("ramsey_sign", False, lambda n, s_max: range((n.bit_length() - 1) // 2 + 1),
+          _ramsey_lhs, lambda n, k: 0.0, applies=lambda n, k: k >= 1 and n >= 4**k),
+    # mu_k(G) + mu_{n-k+2}(comp) <= -1 and mu_k(G) + mu_{n-k+1}(comp) >= -1, for 2 <= k <= n
+    Bound("weyl_upper", False, _two_to_n,
+          lambda t, b, k: t[0][:, k] + b[1][:, k - 1], lambda n, k: -1.0),
+    Bound("weyl_lower", False, _two_to_n,
+          lambda t, b, k: t[0][:, k] + b[1][:, k], lambda n, k: -1.0, spectral_is_lhs=False),
+)
 
 
-def check_subset_squares(
-    g: Graph, subset: Iterable[int], *, tol: float = DEFAULT_TOL, spectra=None
-) -> BoundReport:
-    """sum_{i in X} mu_i(G)^2 <= n^2/4 for any X inside {2..n} (X may be empty)."""
-    indices = sorted(set(subset))
-    n = g.n
-    for i in indices:
-        if not 2 <= i <= n:
-            raise ValueError(f"subset index {i} outside 2..{n}")
-    sg = spectra[0] if spectra is not None else adjacency_spectrum(g, tol)
-    lhs = math.fsum(mu(sg, i) ** 2 for i in indices)
-    return BoundReport("subset_squares", n, len(indices), True, False, lhs, n * n / 4.0, tol)
+class Evaluation(NamedTuple):
+    """One table row over a batch: column j holds parameter params[j].
+
+    lhs, rhs and applicable broadcast to (batch, len(params)); the scalar
+    side, and a precondition that reads no spectrum, has a single row."""
+
+    bound: Bound
+    params: list[Optional[int]]
+    lhs: np.ndarray
+    rhs: np.ndarray
+    applicable: np.ndarray
 
 
-def check_nonpositive_eigenvalue(
-    g: Graph, s: int, *, tol: float = DEFAULT_TOL, spectra=None
-) -> BoundReport:
-    """|mu_s(G)| <= n / (2 sqrt(n-s+1)), applicable when mu_s(G) <= 0."""
-    n = g.n
-    if not 2 <= s <= n:
-        raise ValueError(f"index must satisfy 2 <= s <= n, got s={s}, n={n}")
-    sg = spectra[0] if spectra is not None else adjacency_spectrum(g, tol)
-    value = mu(sg, s)
-    applicable = value <= tol
-    rhs = n / (2.0 * math.sqrt(n - s + 1))
-    return BoundReport("nonpositive_eigenvalue", n, s, applicable, False, abs(value), rhs, tol)
-
-
-def check_ramsey_sign(g: Graph, k: int, *, tol: float = DEFAULT_TOL, spectra=None) -> BoundReport:
-    """For n >= 4^k, one of the pair {G, complement} has mu_{n-k+1} <= -1 while
-    the other has mu_{n-k+1} <= 0.
-
-    The report carries lhs = best-case violation (nonpositive when the
-    disjunction holds); k = 0 would index mu_{n+1}, so it is reported as
-    inapplicable.
-    """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    n = g.n
-    applicable = k >= 1 and n >= 4**k
-    if 1 <= k <= n:
-        sg, sc = _pair(g, tol, spectra)
-        a = mu_bottom(sg, k)
-        b = mu_bottom(sc, k)
-        first = min(-1.0 - a, 0.0 - b)
-        second = min(-1.0 - b, 0.0 - a)
-        lhs = -max(first, second)
-    else:
-        lhs = _NAN
-    return BoundReport("ramsey_sign", n, k, applicable, False, lhs, 0.0, tol)
-
-
-def check_weyl_pair(g: Graph, k: int, *, tol: float = DEFAULT_TOL, spectra=None) -> list[BoundReport]:
-    """mu_k(G) + mu_{n-k+2}(comp) <= -1 and mu_k(G) + mu_{n-k+1}(comp) >= -1,
-    for 2 <= k <= n."""
-    n = g.n
-    if not 2 <= k <= n:
-        raise ValueError(f"index must satisfy 2 <= k <= n, got k={k}, n={n}")
-    sg, sc = _pair(g, tol, spectra)
-    upper_lhs = mu(sg, k) + mu(sc, n - k + 2)
-    lower_rhs = mu(sg, k) + mu(sc, n - k + 1)
-    return [
-        BoundReport("weyl_upper", n, k, True, False, upper_lhs, -1.0, tol),
-        BoundReport("weyl_lower", n, k, True, False, -1.0, lower_rhs, tol),
-    ]
+def evaluate(
+    wg: np.ndarray, wc: np.ndarray, s_max: int, tol: float = DEFAULT_TOL
+) -> list[Evaluation]:
+    """Every row of BOUNDS, over all its parameters for s_max, on descending
+    spectra wg, wc of shape (batch, n): the graphs and their complements.
+    `tol` enters only through the gates."""
+    if s_max < 1:
+        raise ValueError(f"s_max must be at least 1, got {s_max}")
+    batch, n = wg.shape
+    t = np.full((2, batch, max(n, s_max) + 1), np.nan)
+    t[..., 1 : n + 1] = (wg, wc)
+    b = np.full_like(t, np.nan)
+    b[..., 1 : n + 1] = t[..., n:0:-1]
+    out = []
+    for bound in BOUNDS:
+        params = list(bound.params(n, s_max))
+        # an empty list would give a float array, which cannot index
+        p = np.array(params) if params else np.zeros(0, dtype=np.int64)
+        spectral = bound.spectral(t, b, p)
+        scalar = np.array([[bound.scalar(n, q) for q in params]])
+        if bound.applies is None:
+            applicable = np.ones((1, len(params)), dtype=bool)
+        else:
+            applicable = np.array([[bound.applies(n, q) for q in params]], dtype=bool)
+        if bound.gate is not None:
+            applicable = applicable & (bound.gate(t, b, p) <= tol)
+        lhs, rhs = (spectral, scalar) if bound.spectral_is_lhs else (scalar, spectral)
+        out.append(Evaluation(bound, params, lhs, rhs, applicable))
+    return out
 
 
 def run_battery(g: Graph, s_max: int, *, tol: float = DEFAULT_TOL) -> list[BoundReport]:
-    """Every checker over all valid parameters s <= s_max (and all k), with
-    both spectra computed once; reports sorted by (bound_id, parameter)."""
-    if s_max < 1:
-        raise ValueError(f"s_max must be at least 1, got {s_max}")
-    spectra = spectrum_pair(g, tol)
-    n = g.n
-    reports: list[BoundReport] = []
-    reports.extend(check_nosal(g, tol=tol, spectra=spectra))
-    reports.append(check_csikvari_terpai(g, tol=tol, spectra=spectra))
-    for s in range(2, s_max + 1):
-        reports.append(check_sum_squares_top(g, s, tol=tol, spectra=spectra))
-        reports.append(check_abs_sum_top(g, s, tol=tol, spectra=spectra))
-        reports.append(check_pair_top(g, s, tol=tol, spectra=spectra))
-        reports.append(check_fs_upper(g, s, tol=tol, spectra=spectra))
-    for s in range(1, s_max + 1):
-        reports.append(check_sum_squares_bottom(g, s, tol=tol, spectra=spectra))
-        reports.append(check_abs_sum_bottom(g, s, tol=tol, spectra=spectra))
-        reports.append(check_pair_bottom(g, s, tol=tol, spectra=spectra))
-        reports.append(check_fns_upper(g, s, tol=tol, spectra=spectra))
-    reports.append(check_subset_squares(g, range(2, n + 1), tol=tol, spectra=spectra))
-    for s in range(2, min(s_max, n) + 1):
-        reports.append(check_nonpositive_eigenvalue(g, s, tol=tol, spectra=spectra))
-    k = 0
-    while 4**k <= n:
-        reports.append(check_ramsey_sign(g, k, tol=tol, spectra=spectra))
-        k += 1
-    for k in range(2, n + 1):
-        reports.extend(check_weyl_pair(g, k, tol=tol, spectra=spectra))
-    reports.sort(key=lambda r: (r.bound_id, -1 if r.param is None else r.param))
-    return reports
+    """Every row of the table over all its parameters (s <= s_max, and all
+    k), with both spectra computed once; reports sorted by (bound_id,
+    parameter), since every row lists its parameters in ascending order."""
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    wg, wc = complement_pair_eigenvalues(g.adjacency_matrix())
+    rows = sorted(evaluate(wg[None], wc[None], s_max, tol), key=lambda ev: ev.bound.bound_id)
+    return [
+        BoundReport(ev.bound.bound_id, g.n, p, applicable, ev.bound.strict, lhs, rhs, tol)
+        for ev in rows
+        for p, lhs, rhs, applicable in zip(
+            ev.params, ev.lhs[0].tolist(), ev.rhs[0].tolist(), ev.applicable[0].tolist()
+        )
+    ]
 
 
 @dataclass(frozen=True)

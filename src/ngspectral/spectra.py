@@ -103,17 +103,6 @@ def blowup_spectrum_closed_form(spec: Spectrum, t: int, variant: str) -> Spectru
     return Spectrum(tuple(values), spec.n * t, spec.tol)
 
 
-def sum_top(spec: Spectrum, lo: int, hi: int, power: int = 1, absolute: bool = False) -> float:
-    """Sum of mu_i (optionally |mu_i|^power) over lo <= i <= hi."""
-    total = 0.0
-    for i in range(lo, hi + 1):
-        v = mu(spec, i)
-        if absolute:
-            v = abs(v)
-        total += v**power
-    return total
-
-
 def trace_checks(g: Graph, spec: Spectrum) -> tuple[float, float]:
     """(sum of eigenvalues, sum of squares - 2e(G)); both near zero."""
     total = math.fsum(spec.values)

@@ -1,6 +1,6 @@
 """Every inequality, verified over every graph of small order.
 
-This sweep bypasses the checker objects entirely: spectra come from batched
+This sweep bypasses the inequality table entirely: spectra come from batched
 LAPACK solves and the inequalities are evaluated as raw numpy formulas, so it
 is an independent route to the same claims the bounds module encodes.  Each
 unordered {G, complement} pair is visited once and both orientations are
@@ -71,6 +71,13 @@ def _check_orientation(n: int, wg: np.ndarray, wc: np.ndarray) -> None:
     # subset square-sum bound at the full index set {2..n}
     tail = (wg[:, 1:] ** 2).sum(axis=1)
     assert np.all(tail <= n * n / 4 + TOL), "subset square sum"
+
+    for s in range(2, n + 1):  # |mu_s| <= n / (2 sqrt(n-s+1)) whenever mu_s <= 0
+        mu_s = wg[:, s - 1]
+        nonpositive = mu_s[mu_s <= TOL]
+        assert np.all(np.abs(nonpositive) <= n / (2 * math.sqrt(n - s + 1)) + TOL), (
+            f"nonpositive eigenvalue s={s}"
+        )
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
