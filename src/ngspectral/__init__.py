@@ -14,7 +14,6 @@ from ngspectral.bounds import (
     violations,
 )
 from ngspectral.constructions import (
-    Matrix01,
     a_spectrum_closed_form,
     construct_a,
     extremal_graph,
@@ -24,8 +23,8 @@ from ngspectral.eigensolver import symmetric_eigenvalues
 from ngspectral.graph6 import emit_graph6, parse_graph6
 from ngspectral.graphs import (
     Graph,
-    blowup_clique,
-    blowup_independent,
+    Matrix01,
+    blowup,
     complement,
     complete,
     complete_bipartite,
@@ -50,7 +49,7 @@ from ngspectral.spectra import (
     DEFAULT_TOL,
     Spectrum,
     adjacency_spectrum,
-    blowup_spectrum_closed_form,
+    blowup_spectrum,
     mu,
     mu_bottom,
     regular_shift_spectrum,

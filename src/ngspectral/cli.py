@@ -143,8 +143,11 @@ def _tol(args: argparse.Namespace) -> float:
 def _emit(args: argparse.Namespace, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n" if lines else ""
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -217,12 +220,12 @@ def _do_construct(args: argparse.Namespace) -> int:
 def _do_search(args: argparse.Namespace) -> int:
     tol = _tol(args)
     if args.table:
-        if not args.n_list:
-            raise UsageError("--table requires --n-list")
         try:
-            orders = [int(x) for x in args.n_list.split(",") if x != ""]
+            orders = [int(x) for x in (args.n_list or "").split(",") if x != ""]
         except ValueError as exc:
             raise UsageError(f"bad --n-list {args.n_list!r}") from exc
+        if not orders:
+            raise UsageError("--table requires --n-list")
         rows = ratio_table(
             args.s,
             args.family,

@@ -1,58 +1,29 @@
 """Recursive Kronecker family of symmetric 0/1 matrices and the extremal
-graphs obtained from their zero-diagonal blow-ups.
+graphs obtained by blowing them up.
 
 The family starts from the 2x2 identity; each step maps A to
 (1/2) * ((2A - J) (x) B + J) with B = [[1, -1], [-1, -1]].  The k-th matrix
 has order 2^k, constant row-sums 2^{k-1}, and a four-valued spectrum that is
-known in closed form.  Zeroing the diagonal of A (x) J_t yields graphs whose
-eigenvalues mu_i and mu_{n-i+2} (for 2 <= i <= 2^{k-1}+1) sit within 1 of
+known in closed form.  Read as a looped quotient, A blows up through
+`graphs.blowup` into parts of size t (cliques at the diagonal ones), whose
+adjacency matrix is A (x) J_t with the diagonal zeroed.  Those graphs have
+eigenvalues mu_i and mu_{n-i+2} (for 2 <= i <= 2^{k-1}+1) within 1 of
 +/- n / (2 sqrt(2(s-1))), on the graph and on its complement alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ngspectral.bounds import BoundReport
-from ngspectral.graphs import Graph, check_order
+from ngspectral.graphs import Graph, Matrix01, blowup, check_order
 from ngspectral.spectra import Spectrum, mu, mu_bottom, spectrum_pair
 
 KRONECKER_SEED = np.array([[1, -1], [-1, -1]], dtype=np.int64)  # eigenvalues +/- sqrt(2)
 
 WITNESS_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class Matrix01:
-    """Symmetric 0/1 matrix; unlike Graph, diagonal ones are permitted."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=np.int64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("entries must form a square matrix")
-        if np.any((a != 0) & (a != 1)):
-            raise ValueError("entries must be 0 or 1")
-        if not np.array_equal(a, a.T):
-            raise ValueError("entries must be symmetric")
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def order(self) -> int:
-        return int(self.entries.shape[0])
-
-    def row_sums(self) -> list[int]:
-        return [int(x) for x in self.entries.sum(axis=1)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix01):
-            return NotImplemented
-        return np.array_equal(self.entries, other.entries)
 
 
 def construct_a(k: int) -> Matrix01:
@@ -96,17 +67,14 @@ def a_spectrum_closed_form(k: int) -> Spectrum:
 
 
 def extremal_graph(k: int, t: int) -> Graph:
-    """Graph whose adjacency matrix is construct_a(k+1) (x) J_t with the
-    diagonal zeroed; order 2^(k+1) * t."""
+    """Blow-up of construct_a(k+1) into parts of size t, order 2^(k+1) * t:
+    its adjacency matrix is construct_a(k+1) (x) J_t, diagonal zeroed."""
     if k < 1:
         raise ValueError(f"index must be at least 1, got {k}")
     if t < 1:
         raise ValueError(f"blow-up factor must be at least 1, got {t}")
     check_order(2 ** (k + 1) * t)
-    base = construct_a(k + 1).entries.astype(np.uint8)
-    blown = np.kron(base, np.ones((t, t), dtype=np.uint8))
-    np.fill_diagonal(blown, 0)
-    return Graph.from_adjacency(blown)
+    return blowup(construct_a(k + 1), [t] * 2 ** (k + 1))
 
 
 def witness_check(k: int, t: int, *, tol: float = WITNESS_TOL) -> list[BoundReport]:

@@ -13,10 +13,15 @@ entry of each position, and the strict lower triangle of the matrix, read
 row by row, lists the positions in order.  No routine walks the mask once
 per edge or per pair, so building, slicing and listing a graph stay linear
 in the number of pairs up to the order cap.
+
+Every blow-up takes one route too: `blowup` expands a looped 0/1 quotient
+`Matrix01` into parts of given sizes, cliques at its loops.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -175,31 +180,61 @@ class Graph:
         return cls(n, bitarray_to_mask(a[_lower_triangle(n)] != 0))
 
 
+@dataclass(frozen=True, eq=False)
+class Matrix01:
+    """Symmetric 0/1 matrix; unlike Graph, diagonal ones are permitted."""
+
+    entries: np.ndarray
+
+    def __post_init__(self) -> None:
+        a = np.asarray(self.entries, dtype=np.int64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("entries must form a square matrix")
+        if np.any((a != 0) & (a != 1)):
+            raise ValueError("entries must be 0 or 1")
+        if not np.array_equal(a, a.T):
+            raise ValueError("entries must be symmetric")
+        a.setflags(write=False)
+        object.__setattr__(self, "entries", a)
+
+    @property
+    def order(self) -> int:
+        return int(self.entries.shape[0])
+
+    def row_sums(self) -> list[int]:
+        return [int(x) for x in self.entries.sum(axis=1)]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix01):
+            return NotImplemented
+        return np.array_equal(self.entries, other.entries)
+
+
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices with edges exactly where g has none."""
     return Graph(g.n, g.bits ^ g.full_mask)
 
 
-def blowup_independent(g: Graph, t: int) -> Graph:
-    """Replace every vertex by t independent copies and every edge by a
-    complete bipartite join between the corresponding blocks.
-
-    Copy j of vertex u becomes vertex (u-1)t + j, so the adjacency matrix of
-    the result is the Kronecker product of A(g) with the all-ones t x t block.
-    """
-    if t < 1:
-        raise ValueError(f"blow-up factor must be at least 1, got {t}")
-    check_order(g.n * t)
-    a = g.adjacency_matrix(dtype=np.uint8)
-    return Graph.from_adjacency(np.kron(a, np.ones((t, t), dtype=np.uint8)))
+def check_sizes(base: Matrix01, sizes: Sequence[int]) -> list[int]:
+    """The part sizes of a blow-up of base, one positive integer per row."""
+    sizes = [operator.index(t) for t in sizes]
+    if len(sizes) != base.order:
+        raise ValueError(f"expected {base.order} part sizes, got {len(sizes)}")
+    if any(t < 1 for t in sizes):
+        raise ValueError(f"part sizes must be at least 1, got {min(sizes)}")
+    return sizes
 
 
-def blowup_clique(g: Graph, t: int) -> Graph:
-    """Like blowup_independent, but every t-block additionally induces a clique.
-
-    Equals the complement of the independent blow-up of the complement.
-    """
-    return complement(blowup_independent(complement(g), t))
+def blowup(base: Matrix01, sizes: Sequence[int]) -> Graph:
+    """Vertex i of the quotient base becomes sizes[i] consecutive vertices: a
+    clique when base has a loop at i, an independent set otherwise.  Parts
+    i != j are completely joined when base[i, j] = 1.  With equal sizes t the
+    adjacency matrix is base (x) J_t with the diagonal zeroed."""
+    sizes = check_sizes(base, sizes)
+    n = sum(sizes)
+    check_order(n)
+    a = np.repeat(np.repeat(base.entries.astype(np.uint8), sizes, axis=0), sizes, axis=1)
+    return Graph(n, bitarray_to_mask(a[_lower_triangle(n)]))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -238,11 +273,7 @@ def cycle(n: int) -> Graph:
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError(f"complete_bipartite parts must be positive, got {a}, {b}")
-    check_order(a + b)
-    m = np.zeros((a + b, a + b), dtype=np.uint8)
-    m[:a, a:] = 1
-    m[a:, :a] = 1
-    return Graph.from_adjacency(m)
+    return blowup(Matrix01(np.array([[0, 1], [1, 0]])), (a, b))
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -260,6 +291,8 @@ def generate(kind: str, params: Sequence[float], seed: int | None = None) -> Gra
     """Build a named graph; deterministic for fixed (kind, params, seed)."""
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown generator {kind!r}; choose from {GENERATOR_KINDS}")
+    if not all(math.isfinite(x) for x in params):
+        raise ValueError(f"generator {kind} needs finite parameters, got {list(params)}")
 
     def _ints(count: int) -> list[int]:
         if len(params) != count:

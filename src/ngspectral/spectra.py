@@ -1,19 +1,18 @@
 """Adjacency spectra with 1-based indexing mu_1 >= ... >= mu_n, plus the
-closed-form spectra of blow-ups and rank-one regular shifts."""
+spectra of blow-ups from their quotient and of rank-one regular shifts."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ngspectral.eigensolver import complement_pair_eigenvalues, symmetric_eigenvalues
-from ngspectral.graphs import Graph
+from ngspectral.graphs import Graph, Matrix01, check_sizes
 
 DEFAULT_TOL = 1e-8
-
-BLOWUP_VARIANTS = ("independent", "clique")
 
 
 @dataclass(frozen=True)
@@ -84,23 +83,17 @@ def regular_shift_spectrum(spec: Spectrum, r: float, a: float, b: float) -> Spec
     return Spectrum(tuple(values), spec.n, spec.tol)
 
 
-def blowup_spectrum_closed_form(spec: Spectrum, t: int, variant: str) -> Spectrum:
-    """Predicted spectrum of a blow-up from the base spectrum.
-
-    independent: every eigenvalue scales by t, plus n(t-1) extra zeros.
-    clique: every eigenvalue maps to t*mu + t - 1, plus n(t-1) extra -1's.
-    """
-    if t < 1:
-        raise ValueError(f"blow-up factor must be at least 1, got {t}")
-    if variant not in BLOWUP_VARIANTS:
-        raise ValueError(f"variant must be one of {BLOWUP_VARIANTS}, got {variant!r}")
-    extra = spec.n * (t - 1)
-    if variant == "independent":
-        values = [t * v for v in spec.values] + [0.0] * extra
-    else:
-        values = [t * v + t - 1 for v in spec.values] + [-1.0] * extra
-    values.sort(reverse=True)
-    return Spectrum(tuple(values), spec.n * t, spec.tol)
+def blowup_spectrum(base: Matrix01, sizes: Sequence[int], tol: float = DEFAULT_TOL) -> Spectrum:
+    """Spectrum of graphs.blowup(base, sizes) from the r x r quotient, at any
+    order: the parts are an equitable partition, so it is the eigenvalues of
+    sqrt(T) B sqrt(T) - diag(B_ii) with T = diag(sizes), plus sizes[i] - 1
+    copies of -B_ii for each part i."""
+    sizes = check_sizes(base, sizes)
+    root = np.sqrt(sizes)
+    loops = np.diagonal(base.entries)
+    quotient = symmetric_eigenvalues(base.entries * np.outer(root, root) - np.diag(loops))
+    extra = np.repeat(np.where(loops == 1, -1.0, 0.0), np.subtract(sizes, 1))
+    return _spectrum(np.sort(np.concatenate([quotient, extra]))[::-1], tol)
 
 
 def trace_checks(g: Graph, spec: Spectrum) -> tuple[float, float]:

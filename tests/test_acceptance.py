@@ -10,8 +10,8 @@ from ngspectral.bounds import run_battery, violations
 from ngspectral.constructions import a_spectrum_closed_form, construct_a, witness_check
 from ngspectral.graphs import (
     Graph,
-    blowup_clique,
-    blowup_independent,
+    Matrix01,
+    blowup,
     complete,
     complete_bipartite,
     cycle,
@@ -23,7 +23,7 @@ from ngspectral.graphs import (
 from ngspectral.search import exhaustive_f
 from ngspectral.spectra import (
     adjacency_spectrum,
-    blowup_spectrum_closed_form,
+    blowup_spectrum,
     interlacing_margins,
     mu,
     mu_bottom,
@@ -50,22 +50,19 @@ def test_criterion_1_construction_spectra():
 
 
 def test_criterion_2_blowup_closed_forms():
-    """200 seeded random graphs, t in 1..4, both blow-up variants."""
+    """200 seeded random graphs, t in 1..4, with independent parts (base A)
+    and clique parts (base A + I)."""
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
     worst = 0.0
     for case in range(200):
         n = int(rng.integers(1, 16))
         p = float(rng.choice([0.2, 0.35, 0.5, 0.65, 0.8]))
-        g = erdos_renyi(n, p, case)
-        base = adjacency_spectrum(g)
-        for t in range(1, 5):
-            for variant, builder in (
-                ("independent", blowup_independent),
-                ("clique", blowup_clique),
-            ):
-                predicted = np.array(blowup_spectrum_closed_form(base, t, variant).values)
-                direct = np.array(adjacency_spectrum(builder(g, t)).values)
+        a = erdos_renyi(n, p, case).adjacency_matrix(dtype=np.int64)
+        for base in (Matrix01(a), Matrix01(a + np.eye(n, dtype=np.int64))):
+            for t in range(1, 5):
+                predicted = np.array(blowup_spectrum(base, [t] * n).values)
+                direct = np.array(adjacency_spectrum(blowup(base, [t] * n)).values)
                 worst = max(worst, float(np.max(np.abs(predicted - direct))))
     assert worst <= 1e-8
     elapsed = time.perf_counter() - start

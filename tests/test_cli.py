@@ -6,6 +6,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from ngspectral.cli import build_parser, main
 from ngspectral.graph6 import emit_graph6
 from ngspectral.graphs import complete_bipartite, path
@@ -104,6 +106,24 @@ def test_construct_extremal_path4(capsys):
     assert "VIOLATION" not in out
 
 
+@pytest.mark.parametrize(
+    "k, t, g6",
+    [
+        ("2", "3", "Ww??ww[~~~~~FwFwb{^w?~?B{?FF?~F?zb_[??~w?F~_?^~"),
+        (
+            "3",
+            "2",
+            "__Kv~{{NF`}FrKrK_????NKK{o~_Ff_FbKKrrBKo@~~_F~~o{K{o{K{@w^wW]F}FKrNKorK{rN~~_?F~~_??",
+        ),
+    ],
+    ids=["k2-t3", "k3-t2"],
+)
+def test_construct_extremal_graph6_pinned(capsys, k, t, g6):
+    code, out, _ = run_cli(capsys, "construct", "--extremal", "--k", k, "--t", t, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == f"graph6,{g6}"
+
+
 def test_construct_extremal_requires_k_t(capsys):
     code, _, err = run_cli(capsys, "construct", "--extremal")
     assert code == 1
@@ -147,6 +167,16 @@ def test_search_table(capsys):
     lines = out.splitlines()
     assert lines[0] == "n,value,ratio,target,gap,method"
     assert len(lines) == 3
+
+
+def test_search_table_requires_orders(capsys):
+    for extra in ([], ["--n-list", ","], ["--n-list", ""]):
+        code, out, err = run_cli(
+            capsys, "search", "--table", "--s", "2", "--family", "top", *extra
+        )
+        assert code == 1
+        assert out == ""
+        assert "--table requires --n-list" in err
 
 
 def test_usage_errors_exit1(capsys):
@@ -197,6 +227,22 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     content = target.read_text(encoding="utf-8")
     assert content.startswith("n,e,i,")
+
+
+def test_output_to_unwritable_path_exit1(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, "check", "--generate", "cycle:5", "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+def test_non_finite_generator_parameters_exit1(capsys):
+    for spec in ("complete:1e400", "erdos_renyi:inf,0.5"):
+        code, out, err = run_cli(capsys, "check", "--generate", spec)
+        assert code == 1
+        assert out == ""
+        assert "needs finite parameters" in err
 
 
 def test_graph6_file_input(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import pytest
 
 from ngspectral.graph6 import emit_graph6, parse_graph6
-from ngspectral.graphs import Graph, complete, cycle, empty, erdos_renyi, path
+from ngspectral.graphs import Graph, complete, complete_bipartite, cycle, empty, erdos_renyi, path
 
 
 def test_k3_hand_packed():
@@ -22,6 +22,7 @@ def test_more_goldens():
     assert emit_graph6(Graph(1)) == "@"
     assert emit_graph6(complete(2)) == "A_"
     assert emit_graph6(empty(2)) == "A?"
+    assert emit_graph6(complete_bipartite(3, 5)) == "GFzfF?"
 
 
 def test_round_trip_named():

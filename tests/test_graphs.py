@@ -6,8 +6,8 @@ import pytest
 
 from ngspectral.graphs import (
     Graph,
-    blowup_clique,
-    blowup_independent,
+    Matrix01,
+    blowup,
     complement,
     complete,
     complete_bipartite,
@@ -104,30 +104,40 @@ def test_cycle5_self_complementary():
     assert mapped == g
 
 
+def independent(g: Graph) -> Matrix01:
+    """g as a quotient whose parts are independent sets."""
+    return Matrix01(g.adjacency_matrix(dtype=np.int64))
+
+
+def cliques(g: Graph) -> Matrix01:
+    """g as a quotient whose parts are cliques: A + I."""
+    return Matrix01(g.adjacency_matrix(dtype=np.int64) + np.eye(g.n, dtype=np.int64))
+
+
 def test_blowup_independent_of_edge_is_bipartite():
-    assert blowup_independent(complete(2), 3) == complete_bipartite(3, 3)
+    assert blowup(independent(complete(2)), [3, 3]) == complete_bipartite(3, 3)
 
 
 def test_blowup_identity_at_t1():
     for n, p, seed in RANDOM_SUITE[:4]:
         g = erdos_renyi(n, p, seed)
-        assert blowup_independent(g, 1) == g
-        assert blowup_clique(g, 1) == g
+        assert blowup(independent(g), [1] * n) == g
+        assert blowup(cliques(g), [1] * n) == g
 
 
 def test_blowup_cycle5_edge_count():
-    b = blowup_independent(cycle(5), 2)
+    b = blowup(independent(cycle(5)), [2] * 5)
     assert b.n == 10
     assert b.edge_count == 20  # t^2 * e
 
 
 def test_blowup_clique_of_edge():
-    assert blowup_clique(complete(2), 2) == complete(4)
+    assert blowup(cliques(complete(2)), [2, 2]) == complete(4)
 
 
 def test_blowup_clique_of_empty_is_disjoint_cliques():
     t = 3
-    b = blowup_clique(empty(4), t)
+    b = blowup(cliques(empty(4)), [t] * 4)
     expected = Graph.from_edges(
         12,
         [
@@ -144,13 +154,13 @@ def test_blowup_clique_of_empty_is_disjoint_cliques():
 def test_blowup_edge_counts_and_complement_identity(t):
     for n, p, seed in RANDOM_SUITE:
         g = erdos_renyi(n, p, seed)
-        indep = blowup_independent(g, t)
-        cliq = blowup_clique(g, t)
+        indep = blowup(independent(g), [t] * n)
+        cliq = blowup(cliques(g), [t] * n)
         assert indep.edge_count == t * t * g.edge_count
         assert cliq.edge_count == t * t * g.edge_count + n * t * (t - 1) // 2
-        assert complement(blowup_independent(complement(g), t)) == cliq
-        # blowup_clique is defined by the identity above; check it against
-        # the Kronecker formula A (x) J + I (x) (J - I) as well
+        assert complement(blowup(independent(complement(g)), [t] * n)) == cliq
+        # check the clique blow-up against the Kronecker formula
+        # A (x) J + I (x) (J - I) as well
         a = g.adjacency_matrix(dtype=np.int64)
         j = np.ones((t, t), dtype=np.int64)
         i = np.eye(t, dtype=np.int64)
@@ -158,11 +168,42 @@ def test_blowup_edge_counts_and_complement_identity(t):
         assert cliq == Graph.from_adjacency(kron)
 
 
+def test_blowup_unequal_parts_and_complement():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        r = int(rng.integers(1, 7))
+        upper = np.triu(rng.integers(0, 2, size=(r, r)))
+        b = upper + np.triu(upper, 1).T
+        sizes = [int(x) for x in rng.integers(1, 5, size=r)]
+        g = blowup(Matrix01(b), sizes)
+        assert g.n == sum(sizes)
+        # parts are consecutive: vertex v lies in part part[v - 1]
+        part = np.repeat(np.arange(r), sizes)
+        expected = b[np.ix_(part, part)]
+        np.fill_diagonal(expected, 0)
+        assert np.array_equal(g.adjacency_matrix(dtype=np.int64), expected)
+        assert complement(g) == blowup(Matrix01(1 - b), sizes)
+
+
 def test_blowup_rejects_zero_factor():
     with pytest.raises(ValueError):
-        blowup_independent(complete(2), 0)
+        blowup(independent(complete(2)), [0, 0])
     with pytest.raises(ValueError):
-        blowup_clique(complete(2), 0)
+        blowup(cliques(complete(2)), [2, 0])
+    with pytest.raises(ValueError):
+        blowup(independent(complete(3)), [2, 2])  # one size per part
+    with pytest.raises(TypeError):
+        blowup(independent(complete(2)), [1.5, 2])
+
+
+def test_blowup_checks_the_order_cap_before_building(monkeypatch):
+    monkeypatch.setenv("NG_MAX_ORDER", "8")
+    assert blowup(independent(complete(2)), [4, 4]) == complete_bipartite(4, 4)
+    with pytest.raises(ValueError, match="cap"):
+        blowup(independent(complete(2)), [4, 5])
+    # an order far past any memory fails at the cap, not at allocation
+    with pytest.raises(ValueError, match="cap"):
+        blowup(independent(complete(2)), [10**9, 10**9])
 
 
 def test_induced_subgraph_examples():
@@ -249,6 +290,14 @@ def test_erdos_renyi_determinism_and_extremes():
     assert erdos_renyi(20, 0.5, 2) != a
     with pytest.raises(ValueError):
         erdos_renyi(5, 1.5, 0)
+
+
+def test_generate_rejects_non_finite_parameters():
+    for kind, params in [("complete", [float("inf")]), ("erdos_renyi", [float("inf"), 0.5])]:
+        with pytest.raises(ValueError, match=f"generator {kind} needs finite parameters"):
+            generate(kind, params, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        generate("cycle", [float("nan")])
 
 
 def test_generate_dispatcher():

@@ -8,8 +8,9 @@ import pytest
 
 from ngspectral.constructions import construct_a
 from ngspectral.graphs import (
-    blowup_clique,
-    blowup_independent,
+    Graph,
+    Matrix01,
+    blowup,
     complete,
     complete_bipartite,
     cycle,
@@ -20,7 +21,7 @@ from ngspectral.graphs import (
 from ngspectral.spectra import (
     Spectrum,
     adjacency_spectrum,
-    blowup_spectrum_closed_form,
+    blowup_spectrum,
     interlacing_margins,
     mu,
     mu_bottom,
@@ -112,29 +113,65 @@ def test_regular_shift_matches_direct_eigensolve(k):
     assert shifted.values == pytest.approx(direct.values, abs=1e-9)
 
 
+def independent(g: Graph) -> Matrix01:
+    """g as a quotient whose parts are independent sets."""
+    return Matrix01(g.adjacency_matrix(dtype=np.int64))
+
+
+def cliques(g: Graph) -> Matrix01:
+    """g as a quotient whose parts are cliques: A + I."""
+    return Matrix01(g.adjacency_matrix(dtype=np.int64) + np.eye(g.n, dtype=np.int64))
+
+
 def test_blowup_closed_form_examples():
-    spec = adjacency_spectrum(complete(2))
-    indep = blowup_spectrum_closed_form(spec, 2, "independent")
+    edge = complete(2)
+    indep = blowup_spectrum(independent(edge), [2, 2])
     assert indep.values == pytest.approx([2, 0, 0, -2], abs=1e-12)
-    cliq = blowup_spectrum_closed_form(spec, 2, "clique")
+    cliq = blowup_spectrum(cliques(edge), [2, 2])
     assert cliq.values == pytest.approx([3, -1, -1, -1], abs=1e-12)
-    same = blowup_spectrum_closed_form(spec, 1, "independent")
-    assert same.values == spec.values
+    same = blowup_spectrum(independent(edge), [1, 1])
+    assert same.values == adjacency_spectrum(edge).values
+    # K_{a,b}: +/- sqrt(ab) and a + b - 2 zeros
+    kab = blowup_spectrum(independent(edge), [3, 5], tol=1e-6)
+    assert kab.values == pytest.approx([math.sqrt(15)] + [0] * 6 + [-math.sqrt(15)], abs=1e-12)
+    assert kab.tol == 1e-6
     with pytest.raises(ValueError):
-        blowup_spectrum_closed_form(spec, 0, "independent")
+        blowup_spectrum(independent(edge), [0, 0])
     with pytest.raises(ValueError):
-        blowup_spectrum_closed_form(spec, 2, "join")
+        blowup_spectrum(independent(edge), [2, 2, 2])
 
 
 @pytest.mark.parametrize("t", [2, 3, 4])
 def test_blowup_closed_form_matches_construction(t):
     for n, p, seed in RANDOM_SUITE[:4]:
         g = erdos_renyi(n, p, seed)
-        base = adjacency_spectrum(g)
-        for variant, builder in (("independent", blowup_independent), ("clique", blowup_clique)):
-            predicted = blowup_spectrum_closed_form(base, t, variant)
-            direct = adjacency_spectrum(builder(g, t))
+        for base in (independent(g), cliques(g)):
+            predicted = blowup_spectrum(base, [t] * n)
+            direct = adjacency_spectrum(blowup(base, [t] * n))
             assert np.max(np.abs(np.array(predicted.values) - np.array(direct.values))) <= 1e-8
+
+
+def test_blowup_spectrum_with_unit_parts_is_the_adjacency_spectrum():
+    for n, p, seed in RANDOM_SUITE:
+        g = erdos_renyi(n, p, seed)
+        expected = adjacency_spectrum(g)
+        assert blowup_spectrum(independent(g), [1] * n) == expected
+        assert blowup_spectrum(cliques(g), [1] * n) == expected
+
+
+def test_blowup_spectrum_matches_eigvalsh_on_random_looped_quotients():
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(200):
+        r = int(rng.integers(1, 7))
+        upper = np.triu(rng.integers(0, 2, size=(r, r)))
+        base = Matrix01(upper + np.triu(upper, 1).T)
+        sizes = [int(x) for x in rng.integers(1, 9, size=r)]
+        predicted = np.array(blowup_spectrum(base, sizes).values)
+        a = blowup(base, sizes).adjacency_matrix()
+        direct = np.linalg.eigvalsh(a)[::-1]
+        worst = max(worst, float(np.max(np.abs(predicted - direct))))
+    assert worst <= 1e-12
 
 
 def test_cauchy_interlacing_random_pairs():
