@@ -47,14 +47,12 @@ from ngspectral.search import (
 )
 from ngspectral.spectra import (
     DEFAULT_TOL,
-    Spectrum,
     adjacency_spectrum,
     blowup_spectrum,
     mu,
     mu_bottom,
     regular_shift_spectrum,
     spectrum_pair,
-    symmetric_spectrum,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from ngspectral.bounds import BoundReport, run_battery
 from ngspectral.constructions import construct_a, extremal_graph, witness_check
 from ngspectral.graph6 import emit_graph6, parse_graph6
-from ngspectral.graphs import MAX_ORDER_ENV, Graph, generate
+from ngspectral.graphs import MAX_ORDER_ENV, Graph, generate, max_order
 from ngspectral.reporting import (
     RATIO_CSV_HEADER,
     RECORD_CSV_HEADER,
@@ -52,7 +52,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--output", metavar="PATH", help="write output to PATH instead of stdout")
-    parser.add_argument("--tol", type=float, help="tolerance override (must be positive)")
+    parser.add_argument("--tol", type=float, help="inequality tolerance (positive); read by "
+                        "check, construct --extremal, search --exact and search --table")
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     parser.add_argument("--max-order", type=int, help="override the graph-order size cap")
 
@@ -162,7 +163,8 @@ def _report_lines(reports: list[BoundReport], fmt: str) -> list[str]:
 
 def _do_spectrum(args: argparse.Namespace) -> int:
     g = _resolve_graph(args)
-    sg, sc = spectrum_pair(g, _tol(args))
+    _tol(args)  # validated for every command; a spectrum reads no tolerance
+    sg, sc = spectrum_pair(g)
     if args.format == "json":
         lines = [spectrum_json(g.n, g.edge_count, sg, sc)]
     elif args.format == "csv":
@@ -176,6 +178,9 @@ def _do_spectrum(args: argparse.Namespace) -> int:
 def _do_check(args: argparse.Namespace) -> int:
     if args.s_max < 1:
         raise UsageError(f"--s-max must be at least 1, got {args.s_max}")
+    cap = max_order()
+    if args.s_max > cap:  # every s above the cap is inapplicable to every graph accepted
+        raise UsageError(f"--s-max {args.s_max} exceeds the graph-order cap {cap}")
     g = _resolve_graph(args)
     reports = run_battery(g, args.s_max, tol=_tol(args))
     _emit(args, _report_lines(reports, args.format))
@@ -201,10 +206,10 @@ def _do_construct(args: argparse.Namespace) -> int:
         raise UsageError("--extremal requires --k and --t")
     if args.k < 1 or args.t < 1:
         raise UsageError("--k and --t must be at least 1")
-    tol = args.tol
-    if tol is not None and tol <= 0:
-        raise UsageError(f"tolerance must be positive, got {tol}")
-    reports = witness_check(args.k, args.t) if tol is None else witness_check(args.k, args.t, tol=tol)
+    if args.tol is None:
+        reports = witness_check(args.k, args.t)
+    else:
+        reports = witness_check(args.k, args.t, tol=_tol(args))
     g6 = emit_graph6(extremal_graph(args.k, args.t))
     if args.format == "json":
         lines = [f'{{"graph6":{json.dumps(g6)},"k":{args.k},"t":{args.t}}}']
@@ -262,7 +267,6 @@ def _do_search(args: argparse.Namespace) -> int:
             args.seed,
             args.iterations,
             args.restarts,
-            tol=tol,
         )
     if args.format == "json":
         lines = [record_json_line(record)]

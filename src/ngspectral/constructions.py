@@ -19,7 +19,7 @@ import numpy as np
 
 from ngspectral.bounds import BoundReport
 from ngspectral.graphs import Graph, Matrix01, blowup, check_order
-from ngspectral.spectra import Spectrum, mu, mu_bottom, spectrum_pair
+from ngspectral.spectra import mu, mu_bottom, spectrum_pair
 
 KRONECKER_SEED = np.array([[1, -1], [-1, -1]], dtype=np.int64)  # eigenvalues +/- sqrt(2)
 
@@ -48,22 +48,20 @@ def construct_a(k: int) -> Matrix01:
     return Matrix01(a)
 
 
-def a_spectrum_closed_form(k: int) -> Spectrum:
-    """Closed-form spectrum of construct_a(k+1), order 2^(k+1):
+def a_spectrum_closed_form(k: int) -> np.ndarray:
+    """Closed-form spectrum of construct_a(k+1), order 2^(k+1), descending:
     one 2^k, then 2^(k/2) with multiplicity 2^(k-1), 2^k - 1 zeros, and
     -2^(k/2) with multiplicity 2^(k-1)."""
     if k < 1:
         raise ValueError(f"index must be at least 1, got {k}")
-    order = 2 ** (k + 1)
-    check_order(order)
+    check_order(2 ** (k + 1))
     half = math.sqrt(2.0**k)
-    values = (
+    return np.array(
         [float(2**k)]
         + [half] * 2 ** (k - 1)
         + [0.0] * (2**k - 1)
         + [-half] * 2 ** (k - 1)
     )
-    return Spectrum(tuple(values), order)
 
 
 def extremal_graph(k: int, t: int) -> Graph:
@@ -88,7 +86,7 @@ def witness_check(k: int, t: int, *, tol: float = WITNESS_TOL) -> list[BoundRepo
     s = 2 ** (k - 1) + 1
     n = g.n
     c = n / (2.0 * math.sqrt(2.0 * (s - 1)))
-    sg, sc = spectrum_pair(g, tol)
+    sg, sc = spectrum_pair(g)
     reports: list[BoundReport] = []
     for i in range(2, s + 1):
         reports.append(

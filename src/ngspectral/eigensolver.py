@@ -2,11 +2,12 @@
 
 This is the toolkit's one eigen path, and the only module that calls
 numpy.linalg.  Single matrices, stacks of matrices and graph/complement
-pairs all end in `batched_symmetric_eigenvalues`.  Local search also needs
-eigenvectors: `complement_pair_eigh` returns the eigenpairs of one graph and
-of its complement from a single eigh call.  On integer adjacency matrices
-the error per eigenvalue is a small multiple of machine epsilon times the
-spectral radius.
+pairs all end in `batched_symmetric_eigenvalues`; its descending float64
+arrays are the toolkit's spectra, read 1-based by `spectra.mu`.  Local
+search also needs eigenvectors: `complement_pair_eigh` returns the
+eigenpairs of one graph and of its complement from one eigh call.  On
+integer adjacency matrices the error per eigenvalue is a small multiple of
+machine epsilon times the spectral radius.
 
 Determinism: the same input gives byte-identical output across runs on the
 same machine with the same BLAS thread count.  A different thread count can

@@ -187,11 +187,12 @@ class Matrix01:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=np.int64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raw = np.asarray(self.entries)
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
             raise ValueError("entries must form a square matrix")
-        if np.any((a != 0) & (a != 1)):
+        if np.any((raw != 0) & (raw != 1)):  # before the cast, which would truncate 0.5 to 0
             raise ValueError("entries must be 0 or 1")
+        a = raw.astype(np.int64, copy=False)
         if not np.array_equal(a, a.T):
             raise ValueError("entries must be symmetric")
         a.setflags(write=False)

@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 from ngspectral.bounds import BoundReport
 from ngspectral.search import ExtremalRecord, RatioRow
-from ngspectral.spectra import Spectrum
 
 REPORT_CSV_HEADER = "bound_id,n,s_or_k,applicable,strict,lhs,rhs,margin,satisfied,tol"
 RECORD_CSV_HEADER = "n,s,family,value,witness,method,exact,evaluations,seed"
@@ -162,18 +163,16 @@ def ratio_text(row: RatioRow) -> str:
     )
 
 
-def spectrum_csv_lines(n: int, edges: int, sg: Spectrum, sc: Spectrum) -> list[str]:
+def spectrum_csv_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray) -> list[str]:
     lines = ["n,e,i,mu_g,mu_complement"]
-    for i in range(n):
-        lines.append(
-            f"{n},{edges},{i + 1},{format_real(sg.values[i])},{format_real(sc.values[i])}"
-        )
+    for i, (g, c) in enumerate(zip(sg.tolist(), sc.tolist()), start=1):
+        lines.append(f"{n},{edges},{i},{format_real(g)},{format_real(c)}")
     return lines
 
 
-def spectrum_json(n: int, edges: int, sg: Spectrum, sc: Spectrum) -> str:
-    g_vals = ",".join(_json_real(v) for v in sg.values)
-    c_vals = ",".join(_json_real(v) for v in sc.values)
+def spectrum_json(n: int, edges: int, sg: np.ndarray, sc: np.ndarray) -> str:
+    g_vals = ",".join(_json_real(v) for v in sg.tolist())
+    c_vals = ",".join(_json_real(v) for v in sc.tolist())
     return (
         "{"
         f'"n":{n},"e":{edges},'
@@ -183,7 +182,7 @@ def spectrum_json(n: int, edges: int, sg: Spectrum, sc: Spectrum) -> str:
     )
 
 
-def spectrum_text_lines(n: int, edges: int, sg: Spectrum, sc: Spectrum) -> list[str]:
-    g_vals = ", ".join(format_real(v) for v in sg.values)
-    c_vals = ", ".join(format_real(v) for v in sc.values)
+def spectrum_text_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray) -> list[str]:
+    g_vals = ", ".join(format_real(v) for v in sg.tolist())
+    c_vals = ", ".join(format_real(v) for v in sc.tolist())
     return [f"n={n} e={edges}", f"G: {g_vals}", f"complement: {c_vals}"]

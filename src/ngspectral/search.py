@@ -39,7 +39,7 @@ from ngspectral.constructions import extremal_graph
 from ngspectral.eigensolver import complement_pair_eigenvalues, complement_pair_eigh
 from ngspectral.graph6 import emit_graph6, parse_graph6
 from ngspectral.graphs import Graph, check_order, erdos_renyi, pair_indices
-from ngspectral.spectra import DEFAULT_TOL, mu, mu_bottom, spectrum_pair
+from ngspectral.spectra import DEFAULT_TOL
 
 FAMILIES = ("top", "bottom")
 
@@ -106,14 +106,11 @@ def _validate_s(n: int, s: int, family: str) -> None:
         raise ValueError(f"family {family} needs {low} <= s <= n, got s={s}, n={n}")
 
 
-def objective(g: Graph, s: int, family: str, *, tol: float = DEFAULT_TOL) -> float:
-    """Score a graph through its spectrum pair."""
+def objective(g: Graph, s: int, family: str) -> float:
+    """Score one graph through `_score_stack`."""
     _validate_family(family)
     _validate_s(g.n, s, family)
-    sg, sc = spectrum_pair(g, tol)
-    if family == "top":
-        return abs(mu(sg, s)) + abs(mu(sc, s))
-    return abs(mu_bottom(sg, s)) + abs(mu_bottom(sc, s))
+    return float(_score_stack(g.adjacency_matrix()[None], s, family)[0])
 
 
 def target_ratio(s: int, family: str) -> float:
@@ -544,8 +541,6 @@ def local_search_f(
     seed: int,
     iterations: int = 50,
     restarts: int = 3,
-    *,
-    tol: float = DEFAULT_TOL,
 ) -> ExtremalRecord:
     """Steepest-ascent hill climbing over single-edge flips.
 
@@ -599,7 +594,7 @@ def local_search_f(
             best_masks.append(bits)
 
     witness = _lex_min_witness(n, best_masks)
-    value = objective(parse_graph6(witness), s, family, tol=tol)
+    value = objective(parse_graph6(witness), s, family)
     return ExtremalRecord(
         n=n,
         s=s,
@@ -637,7 +632,7 @@ def ratio_table(
         if n <= cap:
             rec = exhaustive_f(n, s, family, tol=tol, allow_order_8=allow_order_8)
         else:
-            rec = local_search_f(n, s, family, seed, iterations, restarts, tol=tol)
+            rec = local_search_f(n, s, family, seed, iterations, restarts)
         ratio = rec.value / n
         rows.append(RatioRow(n, rec.value, ratio, target, target - ratio, rec.method))
     return rows

@@ -24,7 +24,6 @@ from ngspectral.search import (
     _validate_s,
     objective,
 )
-from ngspectral.spectra import DEFAULT_TOL
 
 
 def local_oracle(
@@ -35,7 +34,6 @@ def local_oracle(
     iterations: int = 50,
     restarts: int = 3,
     *,
-    tol: float = DEFAULT_TOL,
     flip_chunk: int = 512,
 ) -> ExtremalRecord:
     """The record `local_search_f(n, s, family, seed, ...)` must return."""
@@ -81,7 +79,7 @@ def local_oracle(
             best_masks.append(bits)
 
     witness = _lex_min_witness(n, best_masks)
-    value = objective(parse_graph6(witness), s, family, tol=tol)
+    value = objective(parse_graph6(witness), s, family)
     return ExtremalRecord(
         n=n,
         s=s,

@@ -45,6 +45,80 @@ def test_spectrum_machine_formats_carry_order_and_edges(capsys):
     assert out.splitlines()[1].startswith("5,5,1,2,")
 
 
+# `spectrum` bytes for three small graphs; the near-zero pair of K_{2,2} is
+# LAPACK rounding residue, which the determinism contract also pins
+SPECTRUM_PINNED = {
+    ("path:4", "text"): (
+        "n=4 e=3\n"
+        "G: 1.61803398875, 0.61803398875, -0.61803398875, -1.61803398875\n"
+        "complement: 1.61803398875, 0.61803398875, -0.61803398875, -1.61803398875\n"
+    ),
+    ("path:4", "csv"): (
+        "n,e,i,mu_g,mu_complement\n"
+        "4,3,1,1.61803398875,1.61803398875\n"
+        "4,3,2,0.61803398875,0.61803398875\n"
+        "4,3,3,-0.61803398875,-0.61803398875\n"
+        "4,3,4,-1.61803398875,-1.61803398875\n"
+    ),
+    ("path:4", "json"): (
+        '{"n":4,"e":3,"spectrum":[1.61803398875,0.61803398875,-0.61803398875,-1.61803398875],'
+        '"complement_spectrum":[1.61803398875,0.61803398875,-0.61803398875,-1.61803398875]}\n'
+    ),
+    ("cycle:5", "text"): (
+        "n=5 e=5\n"
+        "G: 2, 0.61803398875, 0.61803398875, -1.61803398875, -1.61803398875\n"
+        "complement: 2, 0.61803398875, 0.61803398875, -1.61803398875, -1.61803398875\n"
+    ),
+    ("cycle:5", "csv"): (
+        "n,e,i,mu_g,mu_complement\n"
+        "5,5,1,2,2\n"
+        "5,5,2,0.61803398875,0.61803398875\n"
+        "5,5,3,0.61803398875,0.61803398875\n"
+        "5,5,4,-1.61803398875,-1.61803398875\n"
+        "5,5,5,-1.61803398875,-1.61803398875\n"
+    ),
+    ("cycle:5", "json"): (
+        '{"n":5,"e":5,"spectrum":[2,0.61803398875,0.61803398875,-1.61803398875,-1.61803398875],'
+        '"complement_spectrum":[2,0.61803398875,0.61803398875,-1.61803398875,-1.61803398875]}\n'
+    ),
+    ("complete_bipartite:2,2", "text"): (
+        "n=4 e=4\n"
+        "G: 2, 2.22044604925e-16, -2.15105711021e-16, -2\n"
+        "complement: 1, 1, -1, -1\n"
+    ),
+    ("complete_bipartite:2,2", "csv"): (
+        "n,e,i,mu_g,mu_complement\n"
+        "4,4,1,2,1\n"
+        "4,4,2,2.22044604925e-16,1\n"
+        "4,4,3,-2.15105711021e-16,-1\n"
+        "4,4,4,-2,-1\n"
+    ),
+    ("complete_bipartite:2,2", "json"): (
+        '{"n":4,"e":4,"spectrum":[2,2.22044604925e-16,-2.15105711021e-16,-2],'
+        '"complement_spectrum":[1,1,-1,-1]}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, fmt", sorted(SPECTRUM_PINNED))
+def test_spectrum_output_pinned(capsys, spec, fmt):
+    code, out, _ = run_cli(capsys, "spectrum", "--generate", spec, "--format", fmt)
+    assert code == 0
+    assert out == SPECTRUM_PINNED[spec, fmt]
+
+
+def test_tol_leaves_spectrum_and_local_search_unchanged(capsys):
+    for argv in (
+        ["spectrum", "--generate", "erdos_renyi:12,0.5", "--seed", "4", "--format", "json"],
+        ["search", "--local", "--n", "10", "--s", "2", "--family", "top", "--seed", "1"],
+    ):
+        code, default, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, loose, _ = run_cli(capsys, *argv, "--tol", "1e-3")
+        assert code == 0
+        assert loose == default
+
+
 def test_spectrum_parse_error_exit1(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--graph6", "!!")
     assert code == 1
@@ -188,6 +262,19 @@ def test_usage_errors_exit1(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, "spectrum", "--generate", "cycle:5", "--tol", "-1")
     assert code == 1
+
+
+def test_check_s_max_above_the_order_cap_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("NG_MAX_ORDER", "4096")
+    code, out, _ = run_cli(capsys, "check", "--generate", "complete:4", "--s-max", "4096")
+    assert code == 0 and out
+    code, out, err = run_cli(capsys, "check", "--generate", "complete:4", "--s-max", "4097")
+    assert code == 1 and out == ""
+    assert "--s-max 4097" in err and "4096" in err
+    code, _, err = run_cli(
+        capsys, "check", "--generate", "complete:4", "--s-max", "9", "--max-order", "8"
+    )
+    assert code == 1 and "cap 8" in err
 
 
 def test_max_order_flag(capsys, monkeypatch):

@@ -185,6 +185,18 @@ def test_blowup_unequal_parts_and_complement():
         assert complement(g) == blowup(Matrix01(1 - b), sizes)
 
 
+def test_matrix01_rejects_non_integer_entries_before_casting():
+    with pytest.raises(ValueError, match="0 or 1"):
+        Matrix01(np.array([[0.5, 1.0], [1.0, 0.9]]))
+    with pytest.raises(ValueError, match="0 or 1"):
+        Matrix01(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    expected = np.array([[0, 1], [1, 1]], dtype=np.int64)
+    for entries in (expected.astype(float), expected.astype(bool)):
+        m = Matrix01(entries)
+        assert m.entries.dtype == np.int64
+        assert np.array_equal(m.entries, expected)
+
+
 def test_blowup_rejects_zero_factor():
     with pytest.raises(ValueError):
         blowup(independent(complete(2)), [0, 0])
