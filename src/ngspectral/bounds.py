@@ -37,11 +37,10 @@ import numpy as np
 
 from ngspectral.eigensolver import complement_pair_eigenvalues
 from ngspectral.graphs import Graph, bitarray_to_mask, complement
-from ngspectral.spectra import DEFAULT_TOL
+from ngspectral.spectra import DEFAULT_TOL, check_tol
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One inequality instance, normalized to lhs <= rhs."""
 
     bound_id: str
@@ -255,8 +254,7 @@ def run_battery(g: Graph, s_max: int, *, tol: float = DEFAULT_TOL) -> list[Bound
     """Every row of the table over all its parameters (s <= s_max, and all
     k), with both spectra computed once; reports sorted by (bound_id,
     parameter), since every row lists its parameters in ascending order."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tol(tol)
     wg, wc = complement_pair_eigenvalues(g.adjacency_matrix())
     rows = sorted(evaluate(wg[None], wc[None], s_max, tol), key=lambda ev: ev.bound.bound_id)
     return [

@@ -11,33 +11,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
 from ngspectral.bounds import BoundReport, run_battery
-from ngspectral.constructions import construct_a, extremal_graph, witness_check
+from ngspectral.constructions import WITNESS_TOL, construct_a, extremal_graph, witness_check
 from ngspectral.graph6 import emit_graph6, parse_graph6
-from ngspectral.graphs import MAX_ORDER_ENV, Graph, generate, max_order
-from ngspectral.reporting import (
-    RATIO_CSV_HEADER,
-    RECORD_CSV_HEADER,
-    REPORT_CSV_HEADER,
-    ratio_csv_row,
-    ratio_json_line,
-    ratio_text,
-    record_csv_row,
-    record_json_line,
-    record_text,
-    report_csv_row,
-    report_json_line,
-    report_text_line,
-    spectrum_csv_lines,
-    spectrum_json,
-    spectrum_text_lines,
-)
-from ngspectral.search import exhaustive_f, local_search_f, ratio_table
-from ngspectral.spectra import DEFAULT_TOL, spectrum_pair
+from ngspectral.graphs import Graph, generate, max_order
+from ngspectral.reporting import render, spectrum_csv_lines, spectrum_json, spectrum_text_lines
+from ngspectral.search import ExtremalRecord, RatioRow, exhaustive_f, local_search_f, ratio_table
+from ngspectral.spectra import DEFAULT_TOL, check_tol, spectrum_pair
 
 
 class UsageError(Exception):
@@ -49,13 +32,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    try:
+        return check_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--output", metavar="PATH", help="write output to PATH instead of stdout")
-    parser.add_argument("--tol", type=float, help="inequality tolerance (positive); read by "
-                        "check, construct --extremal, search --exact and search --table")
+    parser.add_argument(
+        "--tol", type=_tolerance, default=DEFAULT_TOL,
+        help="inequality tolerance, positive and finite (default 1e-8, 1e-9 for construct); "
+        "read by check, construct --extremal, search --exact and search --table",
+    )
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument("--max-order", type=int, help="override the graph-order size cap")
 
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
@@ -91,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--k", type=int, help="recursion depth for --extremal")
     p_con.add_argument("--t", type=int, help="blow-up factor for --extremal")
     _add_common(p_con)
+    p_con.set_defaults(tol=WITNESS_TOL)
 
     p_search = sub.add_parser("search", help="extremal-function search")
     mode = p_search.add_mutually_exclusive_group(required=True)
@@ -133,14 +126,6 @@ def _resolve_graph(args: argparse.Namespace) -> Graph:
     return generate(kind, values, seed=args.seed)
 
 
-def _tol(args: argparse.Namespace) -> float:
-    if args.tol is None:
-        return DEFAULT_TOL
-    if args.tol <= 0:
-        raise UsageError(f"tolerance must be positive, got {args.tol}")
-    return args.tol
-
-
 def _emit(args: argparse.Namespace, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n" if lines else ""
     if args.output:
@@ -153,17 +138,8 @@ def _emit(args: argparse.Namespace, lines: list[str]) -> None:
         sys.stdout.write(text)
 
 
-def _report_lines(reports: list[BoundReport], fmt: str) -> list[str]:
-    if fmt == "csv":
-        return [REPORT_CSV_HEADER] + [report_csv_row(r) for r in reports]
-    if fmt == "json":
-        return [report_json_line(r) for r in reports]
-    return [report_text_line(r) for r in reports]
-
-
 def _do_spectrum(args: argparse.Namespace) -> int:
     g = _resolve_graph(args)
-    _tol(args)  # validated for every command; a spectrum reads no tolerance
     sg, sc = spectrum_pair(g)
     if args.format == "json":
         lines = [spectrum_json(g.n, g.edge_count, sg, sc)]
@@ -182,8 +158,8 @@ def _do_check(args: argparse.Namespace) -> int:
     if args.s_max > cap:  # every s above the cap is inapplicable to every graph accepted
         raise UsageError(f"--s-max {args.s_max} exceeds the graph-order cap {cap}")
     g = _resolve_graph(args)
-    reports = run_battery(g, args.s_max, tol=_tol(args))
-    _emit(args, _report_lines(reports, args.format))
+    reports = run_battery(g, args.s_max, tol=args.tol)
+    _emit(args, render(reports, args.format, BoundReport))
     return 2 if any(r.violated for r in reports) else 0
 
 
@@ -206,10 +182,7 @@ def _do_construct(args: argparse.Namespace) -> int:
         raise UsageError("--extremal requires --k and --t")
     if args.k < 1 or args.t < 1:
         raise UsageError("--k and --t must be at least 1")
-    if args.tol is None:
-        reports = witness_check(args.k, args.t)
-    else:
-        reports = witness_check(args.k, args.t, tol=_tol(args))
+    reports = witness_check(args.k, args.t, tol=args.tol)
     g6 = emit_graph6(extremal_graph(args.k, args.t))
     if args.format == "json":
         lines = [f'{{"graph6":{json.dumps(g6)},"k":{args.k},"t":{args.t}}}']
@@ -217,13 +190,12 @@ def _do_construct(args: argparse.Namespace) -> int:
         lines = [f"graph6,{g6}"]
     else:
         lines = [f"graph6: {g6}"]
-    lines.extend(_report_lines(reports, args.format))
+    lines.extend(render(reports, args.format, BoundReport))
     _emit(args, lines)
     return 2 if any(r.violated for r in reports) else 0
 
 
 def _do_search(args: argparse.Namespace) -> int:
-    tol = _tol(args)
     if args.table:
         try:
             orders = [int(x) for x in (args.n_list or "").split(",") if x != ""]
@@ -238,16 +210,10 @@ def _do_search(args: argparse.Namespace) -> int:
             seed=args.seed,
             iterations=args.iterations,
             restarts=args.restarts,
-            tol=tol,
+            tol=args.tol,
             allow_order_8=args.allow_n8,
         )
-        if args.format == "json":
-            lines = [ratio_json_line(r) for r in rows]
-        elif args.format == "csv":
-            lines = [RATIO_CSV_HEADER] + [ratio_csv_row(r) for r in rows]
-        else:
-            lines = [ratio_text(r) for r in rows]
-        _emit(args, lines)
+        _emit(args, render(rows, args.format, RatioRow))
         return 0
     if args.n is None:
         raise UsageError("--exact and --local require --n")
@@ -256,7 +222,7 @@ def _do_search(args: argparse.Namespace) -> int:
             args.n,
             args.s,
             args.family,
-            tol=tol,
+            tol=args.tol,
             allow_order_8=args.allow_n8,
         )
     else:
@@ -268,13 +234,7 @@ def _do_search(args: argparse.Namespace) -> int:
             args.iterations,
             args.restarts,
         )
-    if args.format == "json":
-        lines = [record_json_line(record)]
-    elif args.format == "csv":
-        lines = [RECORD_CSV_HEADER, record_csv_row(record)]
-    else:
-        lines = [record_text(record)]
-    _emit(args, lines)
+    _emit(args, render([record], args.format, ExtremalRecord))
     return 0
 
 
@@ -287,24 +247,12 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    saved_cap = os.environ.get(MAX_ORDER_ENV)
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "max_order", None) is not None:
-            if args.max_order < 1:
-                raise UsageError(f"--max-order must be positive, got {args.max_order}")
-            os.environ[MAX_ORDER_ENV] = str(args.max_order)
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        # --max-order holds for this call only
-        if saved_cap is None:
-            os.environ.pop(MAX_ORDER_ENV, None)
-        else:
-            os.environ[MAX_ORDER_ENV] = saved_cap
 
 
 def entry() -> None:

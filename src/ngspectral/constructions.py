@@ -19,7 +19,7 @@ import numpy as np
 
 from ngspectral.bounds import BoundReport
 from ngspectral.graphs import Graph, Matrix01, blowup, check_order
-from ngspectral.spectra import mu, mu_bottom, spectrum_pair
+from ngspectral.spectra import check_tol, mu, mu_bottom, spectrum_pair
 
 KRONECKER_SEED = np.array([[1, -1], [-1, -1]], dtype=np.int64)  # eigenvalues +/- sqrt(2)
 
@@ -82,6 +82,7 @@ def witness_check(k: int, t: int, *, tol: float = WITNESS_TOL) -> list[BoundRepo
     satisfy mu_i >= c - 1 and mu_{n-i+2} <= -c, on the graph and on its
     complement.
     """
+    check_tol(tol)
     g = extremal_graph(k, t)
     s = 2 ** (k - 1) + 1
     n = g.n

@@ -42,7 +42,8 @@ GENERATOR_KINDS = (
 
 
 def max_order() -> int:
-    """Hard cap on graph order; override with the NG_MAX_ORDER env var."""
+    """Hard cap on graph order.  NG_MAX_ORDER, read at each call, is its only
+    override; `NG_MAX_ORDER=8 ngspectral ...` sets it for one run."""
     raw = os.environ.get(MAX_ORDER_ENV)
     if raw is None:
         return DEFAULT_MAX_ORDER
@@ -192,7 +193,7 @@ class Matrix01:
             raise ValueError("entries must form a square matrix")
         if np.any((raw != 0) & (raw != 1)):  # before the cast, which would truncate 0.5 to 0
             raise ValueError("entries must be 0 or 1")
-        a = raw.astype(np.int64, copy=False)
+        a = raw.astype(np.int64)  # a copy, so the caller's array stays writeable
         if not np.array_equal(a, a.T):
             raise ValueError("entries must be symmetric")
         a.setflags(write=False)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -161,6 +162,28 @@ def ratio_text(row: RatioRow) -> str:
         f"n={row.n}: value={format_real(row.value)} value/n={format_real(row.ratio)} "
         f"target={format_real(row.target)} gap={format_real(row.gap)} [{row.method}]"
     )
+
+
+def render(items: Iterable, fmt: str, kind: type) -> list[str]:
+    """Lines of `items`, all of `kind` (BoundReport, ExtremalRecord or
+    RatioRow), in `fmt`: csv is a header then one row per item, json and
+    text one line per item.  The per-item renderers are looked up by name
+    at each call, so a wrapper bound to that name sees every item."""
+    if kind is BoundReport:
+        header, csv_row, json_line, text = (
+            REPORT_CSV_HEADER, report_csv_row, report_json_line, report_text_line)
+    elif kind is ExtremalRecord:
+        header, csv_row, json_line, text = (
+            RECORD_CSV_HEADER, record_csv_row, record_json_line, record_text)
+    elif kind is RatioRow:
+        header, csv_row, json_line, text = (
+            RATIO_CSV_HEADER, ratio_csv_row, ratio_json_line, ratio_text)
+    else:
+        raise TypeError(f"no renderer for {kind.__name__}")
+    if fmt == "csv":
+        return [header] + [csv_row(x) for x in items]
+    line = json_line if fmt == "json" else text
+    return [line(x) for x in items]
 
 
 def spectrum_csv_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray) -> list[str]:

@@ -39,7 +39,7 @@ from ngspectral.constructions import extremal_graph
 from ngspectral.eigensolver import complement_pair_eigenvalues, complement_pair_eigh
 from ngspectral.graph6 import emit_graph6, parse_graph6
 from ngspectral.graphs import Graph, check_order, erdos_renyi, pair_indices
-from ngspectral.spectra import DEFAULT_TOL
+from ngspectral.spectra import DEFAULT_TOL, check_tol
 
 FAMILIES = ("top", "bottom")
 
@@ -276,6 +276,7 @@ def exhaustive_f(
     _validate_family(family)
     _validate_s(n, s, family)
     check_order(n)
+    check_tol(tol)
     cap = EXHAUSTIVE_HARD_CAP if allow_order_8 else EXHAUSTIVE_DEFAULT_CAP
     if n > cap:
         raise ValueError(
@@ -625,6 +626,7 @@ def ratio_table(
     evidence only and never claims a limit.
     """
     _validate_family(family)
+    check_tol(tol)
     target = target_ratio(s, family)
     rows = []
     cap = EXHAUSTIVE_HARD_CAP if allow_order_8 else EXHAUSTIVE_DEFAULT_CAP

@@ -16,6 +16,13 @@ from ngspectral.graphs import Graph, Matrix01, check_sizes
 DEFAULT_TOL = 1e-8
 
 
+def check_tol(tol: float) -> float:
+    """tol itself, when it is positive and finite; ValueError otherwise."""
+    if not 0.0 < tol < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    return tol
+
+
 def mu(spec: np.ndarray, i: int) -> float:
     """i-th largest eigenvalue, 1-based."""
     if not 1 <= i <= len(spec):

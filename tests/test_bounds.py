@@ -215,6 +215,13 @@ def test_subset_squares_tolerance_scales_with_magnitude():
     assert BoundReport("nosal_upper", 4, None, True, True, 0.5 + 5e-9, 0.5).satisfied
 
 
+def test_bound_report_is_immutable():
+    r = BoundReport("nosal_upper", 4, None, True, True, 0.5, 1.0)
+    assert r.tol == 1e-8 and r.margin == 0.5
+    with pytest.raises(AttributeError):
+        r.lhs = 2.0
+
+
 def test_nonpositive_eigenvalue_examples():
     r = report(complete(4), "nonpositive_eigenvalue", 2)
     assert r.applicable

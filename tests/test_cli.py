@@ -262,6 +262,18 @@ def test_usage_errors_exit1(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, "spectrum", "--generate", "cycle:5", "--tol", "-1")
     assert code == 1
+    commands = [
+        ["check", "--generate", "cycle:5"],
+        ["search", "--exact", "--n", "5", "--s", "2", "--family", "top"],
+        ["construct", "--extremal", "--k", "1", "--t", "1"],
+    ]
+    for argv in commands:
+        for tol in ("nan", "inf"):
+            code, out, err = run_cli(capsys, *argv, "--tol", tol)
+            assert code == 1 and out == ""
+            assert f"argument --tol: tolerance must be positive and finite, got {tol}" in err
+    code, out, _ = run_cli(capsys, "construct", "--a-matrix", "2", "--tol", "0")
+    assert code == 1 and out == ""
 
 
 def test_check_s_max_above_the_order_cap_is_a_usage_error(capsys, monkeypatch):
@@ -271,31 +283,16 @@ def test_check_s_max_above_the_order_cap_is_a_usage_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "check", "--generate", "complete:4", "--s-max", "4097")
     assert code == 1 and out == ""
     assert "--s-max 4097" in err and "4096" in err
-    code, _, err = run_cli(
-        capsys, "check", "--generate", "complete:4", "--s-max", "9", "--max-order", "8"
-    )
+    monkeypatch.setenv("NG_MAX_ORDER", "8")
+    code, _, err = run_cli(capsys, "check", "--generate", "complete:4", "--s-max", "9")
     assert code == 1 and "cap 8" in err
 
 
-def test_max_order_flag(capsys, monkeypatch):
-    # pin the env var to a known value; the flag overrides it for one call
-    monkeypatch.setenv("NG_MAX_ORDER", "4096")
-    code, _, err = run_cli(
-        capsys, "spectrum", "--generate", "complete:10", "--max-order", "8"
-    )
-    assert code == 1
-    assert "cap" in err
-
-
-def test_max_order_flag_leaves_environment_unchanged(capsys, monkeypatch):
-    monkeypatch.delenv("NG_MAX_ORDER", raising=False)
-    run_cli(capsys, "spectrum", "--generate", "complete:3", "--max-order", "8")
-    assert "NG_MAX_ORDER" not in os.environ
-    run_cli(capsys, "spectrum", "--generate", "complete:10", "--max-order", "8")
-    assert "NG_MAX_ORDER" not in os.environ
-    monkeypatch.setenv("NG_MAX_ORDER", "100")
-    run_cli(capsys, "spectrum", "--generate", "complete:3", "--max-order", "8")
-    assert os.environ["NG_MAX_ORDER"] == "100"
+def test_max_order_flag(capsys):
+    # NG_MAX_ORDER is the only override of the order cap
+    code, out, err = run_cli(capsys, "spectrum", "--generate", "complete:3", "--max-order", "8")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_max_order_env(capsys, monkeypatch):

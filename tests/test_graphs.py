@@ -197,6 +197,15 @@ def test_matrix01_rejects_non_integer_entries_before_casting():
         assert np.array_equal(m.entries, expected)
 
 
+def test_matrix01_leaves_the_callers_array_writeable():
+    a = np.eye(2, dtype=np.int64)
+    m = Matrix01(a)
+    assert a.flags.writeable
+    assert not m.entries.flags.writeable
+    a[0, 1] = 1
+    assert m.entries[0, 1] == 0
+
+
 def test_blowup_rejects_zero_factor():
     with pytest.raises(ValueError):
         blowup(independent(complete(2)), [0, 0])

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from ngspectral.constructions import construct_a
+from ngspectral.bounds import run_battery
+from ngspectral.constructions import construct_a, witness_check
 from ngspectral.eigensolver import symmetric_eigenvalues
 from ngspectral.graphs import (
     Graph,
@@ -29,6 +30,7 @@ from ngspectral.spectra import (
     spectrum_pair,
     trace_checks,
 )
+from ngspectral.search import exhaustive_f, ratio_table
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -211,3 +213,21 @@ def test_spectrum_pair_complete_bipartite_closed_form():
             expected_c = sorted([a - 1.0, b - 1.0] + [-1.0] * (n - 2), reverse=True)
             assert np.max(np.abs(sg - expected_g)) <= 1e-9 * n, (a, b)
             assert np.max(np.abs(sc - expected_c)) <= 1e-9 * n, (a, b)
+
+
+# the four library calls that decide an inequality up to a tolerance
+TOL_READERS = {
+    "run_battery": lambda tol: run_battery(complete(4), 2, tol=tol),
+    "witness_check": lambda tol: witness_check(1, 1, tol=tol),
+    "exhaustive_f": lambda tol: exhaustive_f(5, 2, "top", tol=tol),
+    "ratio_table": lambda tol: ratio_table(2, "top", [5], tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("reader", sorted(TOL_READERS))
+def test_library_rejects_bad_tolerance(reader, tol):
+    # an infinite tolerance would accept any graph as a witness, and a NaN
+    # one would mark every report violated
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        TOL_READERS[reader](tol)
