@@ -36,7 +36,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ngspectral.eigensolver import complement_pair_eigenvalues
-from ngspectral.graphs import Graph, bitarray_to_mask, complement
+from ngspectral.graphs import Graph, bitarray_to_mask, complement, max_order
 from ngspectral.spectra import DEFAULT_TOL, check_tol
 
 
@@ -224,9 +224,13 @@ def evaluate(
 ) -> list[Evaluation]:
     """Every row of BOUNDS, over all its parameters for s_max, on descending
     spectra wg, wc of shape (batch, n): the graphs and their complements.
-    `tol` enters only through the gates."""
+    `tol` enters only through the gates.  s_max may not exceed the
+    graph-order cap: every larger s is inapplicable to every graph accepted."""
     if s_max < 1:
         raise ValueError(f"s_max must be at least 1, got {s_max}")
+    cap = max_order()
+    if s_max > cap:
+        raise ValueError(f"s_max {s_max} exceeds the graph-order cap {cap}")
     batch, n = wg.shape
     t = np.full((2, batch, max(n, s_max) + 1), np.nan)
     t[..., 1 : n + 1] = (wg, wc)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -18,7 +17,7 @@ from ngspectral.bounds import BoundReport, run_battery
 from ngspectral.constructions import WITNESS_TOL, construct_a, extremal_graph, witness_check
 from ngspectral.graph6 import emit_graph6, parse_graph6
 from ngspectral.graphs import Graph, generate, max_order
-from ngspectral.reporting import render, spectrum_csv_lines, spectrum_json, spectrum_text_lines
+from ngspectral.reporting import graph6_line, matrix_lines, render, spectrum_lines
 from ngspectral.search import ExtremalRecord, RatioRow, exhaustive_f, local_search_f, ratio_table
 from ngspectral.spectra import DEFAULT_TOL, check_tol, spectrum_pair
 
@@ -141,13 +140,7 @@ def _emit(args: argparse.Namespace, lines: list[str]) -> None:
 def _do_spectrum(args: argparse.Namespace) -> int:
     g = _resolve_graph(args)
     sg, sc = spectrum_pair(g)
-    if args.format == "json":
-        lines = [spectrum_json(g.n, g.edge_count, sg, sc)]
-    elif args.format == "csv":
-        lines = spectrum_csv_lines(g.n, g.edge_count, sg, sc)
-    else:
-        lines = spectrum_text_lines(g.n, g.edge_count, sg, sc)
-    _emit(args, lines)
+    _emit(args, spectrum_lines(g.n, g.edge_count, sg, sc, args.format))
     return 0
 
 
@@ -167,31 +160,16 @@ def _do_construct(args: argparse.Namespace) -> int:
     if args.a_matrix is not None:
         if args.a_matrix < 1:
             raise UsageError(f"--a-matrix index must be at least 1, got {args.a_matrix}")
-        matrix = construct_a(args.a_matrix)
-        rows = ["".join(str(int(x)) for x in row) for row in matrix.entries]
-        if args.format == "json":
-            quoted = ",".join(f'"{r}"' for r in rows)
-            lines = [f'{{"order":{matrix.order},"rows":[{quoted}]}}']
-        elif args.format == "csv":
-            lines = [",".join(row) for row in rows]
-        else:
-            lines = rows
-        _emit(args, lines)
+        _emit(args, matrix_lines(construct_a(args.a_matrix), args.format))
         return 0
     if args.k is None or args.t is None:
         raise UsageError("--extremal requires --k and --t")
     if args.k < 1 or args.t < 1:
         raise UsageError("--k and --t must be at least 1")
-    reports = witness_check(args.k, args.t, tol=args.tol)
-    g6 = emit_graph6(extremal_graph(args.k, args.t))
-    if args.format == "json":
-        lines = [f'{{"graph6":{json.dumps(g6)},"k":{args.k},"t":{args.t}}}']
-    elif args.format == "csv":
-        lines = [f"graph6,{g6}"]
-    else:
-        lines = [f"graph6: {g6}"]
-    lines.extend(render(reports, args.format, BoundReport))
-    _emit(args, lines)
+    g = extremal_graph(args.k, args.t)
+    reports = witness_check(g, args.k, tol=args.tol)
+    header = graph6_line(emit_graph6(g), args.k, args.t, args.format)
+    _emit(args, [header] + render(reports, args.format, BoundReport))
     return 2 if any(r.violated for r in reports) else 0
 
 

@@ -75,15 +75,17 @@ def extremal_graph(k: int, t: int) -> Graph:
     return blowup(construct_a(k + 1), [t] * 2 ** (k + 1))
 
 
-def witness_check(k: int, t: int, *, tol: float = WITNESS_TOL) -> list[BoundReport]:
-    """Verify the four eigenvalue guarantees of extremal_graph(k, t).
+def witness_check(g: Graph, k: int, *, tol: float = WITNESS_TOL) -> list[BoundReport]:
+    """Verify on g = extremal_graph(k, t) the four eigenvalue guarantees of
+    its family.
 
     With s = 2^(k-1) + 1 and c = n / (2 sqrt(2(s-1))), every 2 <= i <= s must
     satisfy mu_i >= c - 1 and mu_{n-i+2} <= -c, on the graph and on its
     complement.
     """
     check_tol(tol)
-    g = extremal_graph(k, t)
+    if k < 1:
+        raise ValueError(f"index must be at least 1, got {k}")
     s = 2 ** (k - 1) + 1
     n = g.n
     c = n / (2.0 * math.sqrt(2.0 * (s - 1)))

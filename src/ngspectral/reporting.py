@@ -1,25 +1,29 @@
-"""Deterministic text/JSON/CSV rendering for reports, records and tables.
+"""Deterministic text/JSON/CSV rendering of everything the CLI prints.
 
 Identical inputs must produce byte-identical output, so every real number is
 rendered with 12 significant digits (IEEE round-half-even), -0.0 normalizes
 to 0, field order is fixed, and rows end with a bare newline.  NaN renders as
 "nan" in CSV/text and as null in JSON.
+
+Reports, records and ratio rows each have one column table in `COLUMNS`:
+`render` derives the csv header, the csv rows and the json lines from it,
+and calls the kind's text-line function for text.  The spectrum, the
+recursion-matrix grid and the extremal graph6 line each have one function
+that takes the format, so the CLI only passes the format on.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Iterable
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from ngspectral.bounds import BoundReport
+from ngspectral.graphs import Matrix01
 from ngspectral.search import ExtremalRecord, RatioRow
-
-REPORT_CSV_HEADER = "bound_id,n,s_or_k,applicable,strict,lhs,rhs,margin,satisfied,tol"
-RECORD_CSV_HEADER = "n,s,family,value,witness,method,exact,evaluations,seed"
-RATIO_CSV_HEADER = "n,value,ratio,target,gap,method"
 
 
 def format_real(x: float) -> str:
@@ -38,40 +42,57 @@ def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-def report_csv_row(r: BoundReport) -> str:
-    param = "" if r.param is None else str(r.param)
-    return ",".join(
-        [
-            r.bound_id,
-            str(r.n),
-            param,
-            _bool(r.applicable),
-            _bool(r.strict),
-            format_real(r.lhs),
-            format_real(r.rhs),
-            format_real(r.margin),
-            _bool(r.satisfied),
-            format_real(r.tol),
-        ]
-    )
+# A value type: how one value becomes a csv cell and a json value.
+STR = (str, json.dumps)
+INT = (str, str)
+BOOL = (_bool, _bool)
+FLOAT = (format_real, _json_real)
+OPT_INT = (lambda v: "" if v is None else str(v), lambda v: "null" if v is None else str(v))
 
 
-def report_json_line(r: BoundReport) -> str:
-    param = "null" if r.param is None else str(r.param)
-    return (
-        "{"
-        f'"bound_id":{json.dumps(r.bound_id)},'
-        f'"n":{r.n},'
-        f'"s_or_k":{param},'
-        f'"applicable":{_bool(r.applicable)},'
-        f'"strict":{_bool(r.strict)},'
-        f'"lhs":{_json_real(r.lhs)},'
-        f'"rhs":{_json_real(r.rhs)},'
-        f'"margin":{_json_real(r.margin)},'
-        f'"satisfied":{_bool(r.satisfied)},'
-        f'"tol":{_json_real(r.tol)}'
-        "}"
-    )
+class Column(NamedTuple):
+    name: str  # csv header and json key
+    attr: str
+    type: tuple[Callable[..., str], Callable[..., str]]
+
+
+COLUMNS = {
+    BoundReport: (
+        Column("bound_id", "bound_id", STR),
+        Column("n", "n", INT),
+        Column("s_or_k", "param", OPT_INT),
+        Column("applicable", "applicable", BOOL),
+        Column("strict", "strict", BOOL),
+        Column("lhs", "lhs", FLOAT),
+        Column("rhs", "rhs", FLOAT),
+        Column("margin", "margin", FLOAT),
+        Column("satisfied", "satisfied", BOOL),
+        Column("tol", "tol", FLOAT),
+    ),
+    ExtremalRecord: (
+        Column("n", "n", INT),
+        Column("s", "s", INT),
+        Column("family", "family", STR),
+        Column("value", "value", FLOAT),
+        Column("witness", "witness", STR),
+        Column("method", "method", STR),
+        Column("exact", "exact", BOOL),
+        Column("evaluations", "evaluations", INT),
+        Column("seed", "seed", OPT_INT),
+    ),
+    RatioRow: (
+        Column("n", "n", INT),
+        Column("value", "value", FLOAT),
+        Column("ratio", "ratio", FLOAT),
+        Column("target", "target", FLOAT),
+        Column("gap", "gap", FLOAT),
+        Column("method", "method", STR),
+    ),
+}
+
+# kind -> name of its text-line function, looked up at each call so that a
+# wrapper bound to that name sees every item
+TEXT_LINE = {BoundReport: "report_text_line", ExtremalRecord: "record_text", RatioRow: "ratio_text"}
 
 
 def report_text_line(r: BoundReport) -> str:
@@ -89,71 +110,11 @@ def report_text_line(r: BoundReport) -> str:
     )
 
 
-def record_csv_row(rec: ExtremalRecord) -> str:
-    seed = "" if rec.seed is None else str(rec.seed)
-    return ",".join(
-        [
-            str(rec.n),
-            str(rec.s),
-            rec.family,
-            format_real(rec.value),
-            rec.witness,
-            rec.method,
-            _bool(rec.exact),
-            str(rec.evaluations),
-            seed,
-        ]
-    )
-
-
-def record_json_line(rec: ExtremalRecord) -> str:
-    seed = "null" if rec.seed is None else str(rec.seed)
-    return (
-        "{"
-        f'"n":{rec.n},'
-        f'"s":{rec.s},'
-        f'"family":{json.dumps(rec.family)},'
-        f'"value":{_json_real(rec.value)},'
-        f'"witness":{json.dumps(rec.witness)},'
-        f'"method":{json.dumps(rec.method)},'
-        f'"exact":{_bool(rec.exact)},'
-        f'"evaluations":{rec.evaluations},'
-        f'"seed":{seed}'
-        "}"
-    )
-
-
 def record_text(rec: ExtremalRecord) -> str:
     exact = "exact" if rec.exact else "lower bound"
     return (
         f"n={rec.n} s={rec.s} family={rec.family}: value={format_real(rec.value)} "
         f"({exact}, {rec.method}, {rec.evaluations} evaluations) witness={rec.witness}"
-    )
-
-
-def ratio_csv_row(row: RatioRow) -> str:
-    return ",".join(
-        [
-            str(row.n),
-            format_real(row.value),
-            format_real(row.ratio),
-            format_real(row.target),
-            format_real(row.gap),
-            row.method,
-        ]
-    )
-
-
-def ratio_json_line(row: RatioRow) -> str:
-    return (
-        "{"
-        f'"n":{row.n},'
-        f'"value":{_json_real(row.value)},'
-        f'"ratio":{_json_real(row.ratio)},'
-        f'"target":{_json_real(row.target)},'
-        f'"gap":{_json_real(row.gap)},'
-        f'"method":{json.dumps(row.method)}'
-        "}"
     )
 
 
@@ -167,23 +128,26 @@ def ratio_text(row: RatioRow) -> str:
 def render(items: Iterable, fmt: str, kind: type) -> list[str]:
     """Lines of `items`, all of `kind` (BoundReport, ExtremalRecord or
     RatioRow), in `fmt`: csv is a header then one row per item, json and
-    text one line per item.  The per-item renderers are looked up by name
-    at each call, so a wrapper bound to that name sees every item."""
-    if kind is BoundReport:
-        header, csv_row, json_line, text = (
-            REPORT_CSV_HEADER, report_csv_row, report_json_line, report_text_line)
-    elif kind is ExtremalRecord:
-        header, csv_row, json_line, text = (
-            RECORD_CSV_HEADER, record_csv_row, record_json_line, record_text)
-    elif kind is RatioRow:
-        header, csv_row, json_line, text = (
-            RATIO_CSV_HEADER, ratio_csv_row, ratio_json_line, ratio_text)
-    else:
+    text one line per item.  Each column converts each distinct value once."""
+    if kind not in COLUMNS:
         raise TypeError(f"no renderer for {kind.__name__}")
+    if fmt not in ("csv", "json"):
+        line = globals()[TEXT_LINE[kind]]
+        return [line(x) for x in items]
+    columns = COLUMNS[kind]
+    items = list(items)
+    cells = []
+    for name, attr, (csv_cell, json_value) in columns:
+        values = list(map(attrgetter(attr), items))
+        if fmt == "csv":
+            text = {v: csv_cell(v) for v in set(values)}
+        else:
+            key = json.dumps(name) + ":"
+            text = {v: key + json_value(v) for v in set(values)}
+        cells.append(map(text.__getitem__, values))
     if fmt == "csv":
-        return [header] + [csv_row(x) for x in items]
-    line = json_line if fmt == "json" else text
-    return [line(x) for x in items]
+        return [",".join(c.name for c in columns)] + list(map(",".join, zip(*cells)))
+    return ["{" + ",".join(row) + "}" for row in zip(*cells)]
 
 
 def spectrum_csv_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray) -> list[str]:
@@ -209,3 +173,33 @@ def spectrum_text_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray) -> l
     g_vals = ", ".join(format_real(v) for v in sg.tolist())
     c_vals = ", ".join(format_real(v) for v in sc.tolist())
     return [f"n={n} e={edges}", f"G: {g_vals}", f"complement: {c_vals}"]
+
+
+def spectrum_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray, fmt: str) -> list[str]:
+    """The spectra `sg` of a graph with `n` vertices and `edges` edges and
+    `sc` of its complement, in `fmt`."""
+    if fmt == "json":
+        return [spectrum_json(n, edges, sg, sc)]
+    if fmt == "csv":
+        return spectrum_csv_lines(n, edges, sg, sc)
+    return spectrum_text_lines(n, edges, sg, sc)
+
+
+def matrix_lines(matrix: Matrix01, fmt: str) -> list[str]:
+    """The 0/1 grid of `matrix`: one row of digits per line (comma-separated
+    in csv), or one json object with the order and the rows."""
+    rows = ["".join(map(str, row)) for row in matrix.entries.tolist()]
+    if fmt == "json":
+        return [json.dumps({"order": matrix.order, "rows": rows}, separators=(",", ":"))]
+    if fmt == "csv":
+        return [",".join(row) for row in rows]
+    return rows
+
+
+def graph6_line(g6: str, k: int, t: int, fmt: str) -> str:
+    """The graph6 line that heads the witness reports of extremal_graph(k, t)."""
+    if fmt == "json":
+        return json.dumps({"graph6": g6, "k": k, "t": t}, separators=(",", ":"))
+    if fmt == "csv":
+        return f"graph6,{g6}"
+    return f"graph6: {g6}"

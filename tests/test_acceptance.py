@@ -7,7 +7,12 @@ import time
 import numpy as np
 
 from ngspectral.bounds import run_battery, violations
-from ngspectral.constructions import a_spectrum_closed_form, construct_a, witness_check
+from ngspectral.constructions import (
+    a_spectrum_closed_form,
+    construct_a,
+    extremal_graph,
+    witness_check,
+)
 from ngspectral.eigensolver import symmetric_eigenvalues
 from ngspectral.graphs import (
     Graph,
@@ -75,7 +80,7 @@ def test_criterion_3_extremal_witnesses():
     start = time.perf_counter()
     for k in (1, 2, 3):
         for t in (1, 2, 4, 8):
-            reports = witness_check(k, t, tol=1e-9)
+            reports = witness_check(extremal_graph(k, t), k, tol=1e-9)
             assert not [r for r in reports if r.violated], (k, t)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

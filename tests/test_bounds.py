@@ -30,7 +30,7 @@ from ngspectral.graphs import (
     erdos_renyi,
     path,
 )
-from ngspectral.reporting import report_csv_row
+from ngspectral.reporting import render
 from ngspectral.search import _masks_to_stack, isomorphism_classes
 
 SQ5 = math.sqrt(5)
@@ -373,17 +373,26 @@ def test_battery_cycle5():
 
 def test_battery_deterministic():
     g = erdos_renyi(12, 0.5, 9)
-    first = [report_csv_row(r) for r in run_battery(g, 4)]
-    second = [report_csv_row(r) for r in run_battery(g, 4)]
+    first = render(run_battery(g, 4), "csv", BoundReport)
+    second = render(run_battery(g, 4), "csv", BoundReport)
     assert first == second
     # sorted by (bound_id, parameter)
     keys = [(r.bound_id, -1 if r.param is None else r.param) for r in run_battery(g, 4)]
     assert keys == sorted(keys)
 
 
-def test_battery_rejects_bad_s_max():
+def test_battery_rejects_bad_s_max(monkeypatch):
     with pytest.raises(ValueError):
         run_battery(complete(3), 0)
+    # above the order cap every s is inapplicable to every graph accepted, and
+    # the padded prefix sums would grow quadratically in s_max
+    monkeypatch.setenv("NG_MAX_ORDER", "8")
+    assert len(run_battery(complete(4), 8)) > 0
+    with pytest.raises(ValueError, match="exceeds the graph-order cap 8"):
+        run_battery(complete(4), 9)
+    w = np.zeros((1, 4))
+    with pytest.raises(ValueError, match="exceeds the graph-order cap 8"):
+        evaluate(w, w, 9)
 
 
 def test_battery_report_keys_at_the_edges():

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, deterministic machine output."""
 
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import ngspectral.cli
+import ngspectral.constructions
 from ngspectral.cli import build_parser, main
 from ngspectral.graph6 import emit_graph6
 from ngspectral.graphs import complete_bipartite, path
@@ -107,6 +110,299 @@ def test_spectrum_output_pinned(capsys, spec, fmt):
     assert out == SPECTRUM_PINNED[spec, fmt]
 
 
+# `check`, `search --table` and `construct` bytes in the formats the tests
+# above leave open; the order-1 graph has NaN sides, null in json
+CLI_PINNED = {
+    ("check --generate cycle:5", "json"): (
+        '{"bound_id":"bottom_abs_sum","n":5,"s_or_k":1,"applicable":true,"strict":false,'
+        '"lhs":3.2360679775,"rhs":4.94974746831,"margin":1.71367949081,"satisfied":true,'
+        '"tol":1e-08}\n'
+        '{"bound_id":"bottom_abs_sum","n":5,"s_or_k":2,"applicable":true,"strict":false,'
+        '"lhs":6.472135955,"rhs":9,"margin":2.527864045,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"bottom_abs_sum","n":5,"s_or_k":3,"applicable":false,"strict":false,'
+        '"lhs":7.7082039325,"rhs":13.4721935853,"margin":5.76398965281,"satisfied":true,'
+        '"tol":1e-08}\n'
+        '{"bound_id":"bottom_pair_squares","n":5,"s_or_k":1,"applicable":true,"strict":false,'
+        '"lhs":5.2360679775,"rhs":12.25,"margin":7.0139320225,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"bottom_pair_squares","n":5,"s_or_k":2,"applicable":false,'
+        '"strict":false,"lhs":5.2360679775,"rhs":10.125,"margin":4.8889320225,'
+        '"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"bottom_pair_squares","n":5,"s_or_k":3,"applicable":false,'
+        '"strict":false,"lhs":0.7639320225,"rhs":10.0833333333,"margin":9.31940131083,'
+        '"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"bottom_sum_squares","n":5,"s_or_k":1,"applicable":true,"strict":false,'
+        '"lhs":5.2360679775,"rhs":12.25,"margin":7.0139320225,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"bottom_sum_squares","n":5,"s_or_k":2,"applicable":true,"strict":false,'
+        '"lhs":10.472135955,"rhs":20.25,"margin":9.777864045,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"bottom_sum_squares","n":5,"s_or_k":3,"applicable":false,"strict":false,'
+        '"lhs":11.2360679775,"rhs":30.25,"margin":19.0139320225,"satisfied":true,'
+        '"tol":1e-08}\n'
+        '{"bound_id":"csikvari_terpai","n":5,"s_or_k":null,"applicable":true,"strict":false,'
+        '"lhs":4,"rhs":5.66666666667,"margin":1.66666666667,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"fns_upper","n":5,"s_or_k":1,"applicable":true,"strict":false,'
+        '"lhs":3.2360679775,"rhs":4.53553390593,"margin":1.29946592843,"satisfied":true,'
+        '"tol":1e-08}\n'
+        '{"bound_id":"fns_upper","n":5,"s_or_k":2,"applicable":false,"strict":false,'
+        '"lhs":3.2360679775,"rhs":3.5,"margin":0.2639320225,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"fns_upper","n":5,"s_or_k":3,"applicable":false,"strict":false,'
+        '"lhs":1.2360679775,"rhs":3.04124145232,"margin":1.80517347482,"satisfied":true,'
+        '"tol":1e-08}\n'
+        '{"bound_id":"fs_upper","n":5,"s_or_k":2,"applicable":false,"strict":false,'
+        '"lhs":1.2360679775,"rhs":2.53553390593,"margin":1.29946592843,"satisfied":true,'
+        '"tol":1e-08}\n'
+        '{"bound_id":"fs_upper","n":5,"s_or_k":3,"applicable":false,"strict":false,'
+        '"lhs":1.2360679775,"rhs":1.5,"margin":0.2639320225,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"nonpositive_eigenvalue","n":5,"s_or_k":2,"applicable":false,'
+        '"strict":false,"lhs":0.61803398875,"rhs":1.25,"margin":0.63196601125,'
+        '"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"nonpositive_eigenvalue","n":5,"s_or_k":3,"applicable":false,'
+        '"strict":false,"lhs":0.61803398875,"rhs":1.44337567297,"margin":0.825341684224,'
+        '"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"nosal_lower","n":5,"s_or_k":null,"applicable":true,"strict":false,'
+        '"lhs":4,"rhs":4,"margin":-1.33226762955e-15,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"nosal_upper","n":5,"s_or_k":null,"applicable":true,"strict":true,'
+        '"lhs":4,"rhs":5.65685424949,"margin":1.65685424949,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"ramsey_sign","n":5,"s_or_k":0,"applicable":false,"strict":false,'
+        '"lhs":null,"rhs":0,"margin":null,"satisfied":false,"tol":1e-08}\n'
+        '{"bound_id":"ramsey_sign","n":5,"s_or_k":1,"applicable":true,"strict":false,'
+        '"lhs":-0.61803398875,"rhs":0,"margin":0.61803398875,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"subset_squares","n":5,"s_or_k":4,"applicable":true,"strict":false,'
+        '"lhs":6,"rhs":6.25,"margin":0.25,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"top_abs_sum","n":5,"s_or_k":2,"applicable":true,"strict":true,'
+        '"lhs":1.2360679775,"rhs":3.53553390593,"margin":2.29946592843,"satisfied":true,'
+        '"tol":1e-08}\n'
+        '{"bound_id":"top_abs_sum","n":5,"s_or_k":3,"applicable":false,"strict":true,'
+        '"lhs":2.472135955,"rhs":5,"margin":2.527864045,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"top_pair_squares","n":5,"s_or_k":2,"applicable":true,"strict":true,'
+        '"lhs":0.7639320225,"rhs":6.25,"margin":5.4860679775,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"top_pair_squares","n":5,"s_or_k":3,"applicable":false,"strict":true,'
+        '"lhs":0.7639320225,"rhs":3.125,"margin":2.3610679775,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"top_sum_squares","n":5,"s_or_k":2,"applicable":true,"strict":true,'
+        '"lhs":0.7639320225,"rhs":6.25,"margin":5.4860679775,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"top_sum_squares","n":5,"s_or_k":3,"applicable":false,"strict":true,'
+        '"lhs":1.527864045,"rhs":6.25,"margin":4.722135955,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"weyl_lower","n":5,"s_or_k":2,"applicable":true,"strict":false,"lhs":-1,'
+        '"rhs":-1,"margin":6.66133814775e-16,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"weyl_lower","n":5,"s_or_k":3,"applicable":true,"strict":false,"lhs":-1,'
+        '"rhs":1.2360679775,"margin":2.2360679775,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"weyl_lower","n":5,"s_or_k":4,"applicable":true,"strict":false,"lhs":-1,'
+        '"rhs":-1,"margin":7.77156117238e-16,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"weyl_lower","n":5,"s_or_k":5,"applicable":true,"strict":false,"lhs":-1,'
+        '"rhs":0.38196601125,"margin":1.38196601125,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"weyl_upper","n":5,"s_or_k":2,"applicable":true,"strict":false,"lhs":-1,'
+        '"rhs":-1,"margin":-2.22044604925e-16,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"weyl_upper","n":5,"s_or_k":3,"applicable":true,"strict":false,"lhs":-1,'
+        '"rhs":-1,"margin":0,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"weyl_upper","n":5,"s_or_k":4,"applicable":true,"strict":false,"lhs":-1,'
+        '"rhs":-1,"margin":-6.66133814775e-16,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"weyl_upper","n":5,"s_or_k":5,"applicable":true,"strict":false,"lhs":-1,'
+        '"rhs":-1,"margin":-1.11022302463e-16,"satisfied":true,"tol":1e-08}\n'
+    ),
+    ("check --generate cycle:5", "text"): (
+        "OK        bottom_abs_sum         n=5 param=1 3.2360679775 <= 4.94974746831 "
+        "margin=1.71367949081\n"
+        "OK        bottom_abs_sum         n=5 param=2 6.472135955 <= 9 margin=2.527864045\n"
+        "SKIP      bottom_abs_sum         n=5 param=3 7.7082039325 <= 13.4721935853 "
+        "margin=5.76398965281\n"
+        "OK        bottom_pair_squares    n=5 param=1 5.2360679775 <= 12.25 "
+        "margin=7.0139320225\n"
+        "SKIP      bottom_pair_squares    n=5 param=2 5.2360679775 <= 10.125 "
+        "margin=4.8889320225\n"
+        "SKIP      bottom_pair_squares    n=5 param=3 0.7639320225 <= 10.0833333333 "
+        "margin=9.31940131083\n"
+        "OK        bottom_sum_squares     n=5 param=1 5.2360679775 <= 12.25 "
+        "margin=7.0139320225\n"
+        "OK        bottom_sum_squares     n=5 param=2 10.472135955 <= 20.25 "
+        "margin=9.777864045\n"
+        "SKIP      bottom_sum_squares     n=5 param=3 11.2360679775 <= 30.25 "
+        "margin=19.0139320225\n"
+        "OK        csikvari_terpai        n=5 param=- 4 <= 5.66666666667 "
+        "margin=1.66666666667\n"
+        "OK        fns_upper              n=5 param=1 3.2360679775 <= 4.53553390593 "
+        "margin=1.29946592843\n"
+        "SKIP      fns_upper              n=5 param=2 3.2360679775 <= 3.5 "
+        "margin=0.2639320225\n"
+        "SKIP      fns_upper              n=5 param=3 1.2360679775 <= 3.04124145232 "
+        "margin=1.80517347482\n"
+        "SKIP      fs_upper               n=5 param=2 1.2360679775 <= 2.53553390593 "
+        "margin=1.29946592843\n"
+        "SKIP      fs_upper               n=5 param=3 1.2360679775 <= 1.5 "
+        "margin=0.2639320225\n"
+        "SKIP      nonpositive_eigenvalue n=5 param=2 0.61803398875 <= 1.25 "
+        "margin=0.63196601125\n"
+        "SKIP      nonpositive_eigenvalue n=5 param=3 0.61803398875 <= 1.44337567297 "
+        "margin=0.825341684224\n"
+        "OK        nosal_lower            n=5 param=- 4 <= 4 margin=-1.33226762955e-15\n"
+        "OK        nosal_upper            n=5 param=- 4 < 5.65685424949 margin=1.65685424949\n"
+        "SKIP      ramsey_sign            n=5 param=0 nan <= 0 margin=nan\n"
+        "OK        ramsey_sign            n=5 param=1 -0.61803398875 <= 0 "
+        "margin=0.61803398875\n"
+        "OK        subset_squares         n=5 param=4 6 <= 6.25 margin=0.25\n"
+        "OK        top_abs_sum            n=5 param=2 1.2360679775 < 3.53553390593 "
+        "margin=2.29946592843\n"
+        "SKIP      top_abs_sum            n=5 param=3 2.472135955 < 5 margin=2.527864045\n"
+        "OK        top_pair_squares       n=5 param=2 0.7639320225 < 6.25 "
+        "margin=5.4860679775\n"
+        "SKIP      top_pair_squares       n=5 param=3 0.7639320225 < 3.125 "
+        "margin=2.3610679775\n"
+        "OK        top_sum_squares        n=5 param=2 0.7639320225 < 6.25 "
+        "margin=5.4860679775\n"
+        "SKIP      top_sum_squares        n=5 param=3 1.527864045 < 6.25 margin=4.722135955\n"
+        "OK        weyl_lower             n=5 param=2 -1 <= -1 margin=6.66133814775e-16\n"
+        "OK        weyl_lower             n=5 param=3 -1 <= 1.2360679775 margin=2.2360679775\n"
+        "OK        weyl_lower             n=5 param=4 -1 <= -1 margin=7.77156117238e-16\n"
+        "OK        weyl_lower             n=5 param=5 -1 <= 0.38196601125 "
+        "margin=1.38196601125\n"
+        "OK        weyl_upper             n=5 param=2 -1 <= -1 margin=-2.22044604925e-16\n"
+        "OK        weyl_upper             n=5 param=3 -1 <= -1 margin=0\n"
+        "OK        weyl_upper             n=5 param=4 -1 <= -1 margin=-6.66133814775e-16\n"
+        "OK        weyl_upper             n=5 param=5 -1 <= -1 margin=-1.11022302463e-16\n"
+    ),
+    ("check --graph6 @", "json"): (
+        '{"bound_id":"bottom_abs_sum","n":1,"s_or_k":1,"applicable":false,"strict":false,'
+        '"lhs":0,"rhs":2.12132034356,"margin":2.12132034356,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"bottom_abs_sum","n":1,"s_or_k":2,"applicable":false,"strict":false,'
+        '"lhs":null,"rhs":5,"margin":null,"satisfied":false,"tol":1e-08}\n'
+        '{"bound_id":"bottom_abs_sum","n":1,"s_or_k":3,"applicable":false,"strict":false,'
+        '"lhs":null,"rhs":8.57321409974,"margin":null,"satisfied":false,"tol":1e-08}\n'
+        '{"bound_id":"bottom_pair_squares","n":1,"s_or_k":1,"applicable":false,'
+        '"strict":false,"lhs":0,"rhs":2.25,"margin":2.25,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"bottom_pair_squares","n":1,"s_or_k":2,"applicable":false,'
+        '"strict":false,"lhs":null,"rhs":3.125,"margin":null,"satisfied":false,"tol":1e-08}\n'
+        '{"bound_id":"bottom_pair_squares","n":1,"s_or_k":3,"applicable":false,'
+        '"strict":false,"lhs":null,"rhs":4.08333333333,"margin":null,"satisfied":false,'
+        '"tol":1e-08}\n'
+        '{"bound_id":"bottom_sum_squares","n":1,"s_or_k":1,"applicable":false,"strict":false,'
+        '"lhs":0,"rhs":2.25,"margin":2.25,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"bottom_sum_squares","n":1,"s_or_k":2,"applicable":false,"strict":false,'
+        '"lhs":null,"rhs":6.25,"margin":null,"satisfied":false,"tol":1e-08}\n'
+        '{"bound_id":"bottom_sum_squares","n":1,"s_or_k":3,"applicable":false,"strict":false,'
+        '"lhs":null,"rhs":12.25,"margin":null,"satisfied":false,"tol":1e-08}\n'
+        '{"bound_id":"csikvari_terpai","n":1,"s_or_k":null,"applicable":true,"strict":false,'
+        '"lhs":0,"rhs":0.333333333333,"margin":0.333333333333,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"fns_upper","n":1,"s_or_k":1,"applicable":false,"strict":false,"lhs":0,'
+        '"rhs":1.70710678119,"margin":1.70710678119,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"fns_upper","n":1,"s_or_k":2,"applicable":false,"strict":false,'
+        '"lhs":null,"rhs":1.5,"margin":null,"satisfied":false,"tol":1e-08}\n'
+        '{"bound_id":"fns_upper","n":1,"s_or_k":3,"applicable":false,"strict":false,'
+        '"lhs":null,"rhs":1.40824829046,"margin":null,"satisfied":false,"tol":1e-08}\n'
+        '{"bound_id":"fs_upper","n":1,"s_or_k":2,"applicable":false,"strict":false,'
+        '"lhs":null,"rhs":-0.292893218813,"margin":null,"satisfied":false,"tol":1e-08}\n'
+        '{"bound_id":"fs_upper","n":1,"s_or_k":3,"applicable":false,"strict":false,'
+        '"lhs":null,"rhs":-0.5,"margin":null,"satisfied":false,"tol":1e-08}\n'
+        '{"bound_id":"nosal_lower","n":1,"s_or_k":null,"applicable":true,"strict":false,'
+        '"lhs":0,"rhs":0,"margin":0,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"nosal_upper","n":1,"s_or_k":null,"applicable":true,"strict":true,'
+        '"lhs":0,"rhs":0,"margin":0,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"ramsey_sign","n":1,"s_or_k":0,"applicable":false,"strict":false,'
+        '"lhs":null,"rhs":0,"margin":null,"satisfied":false,"tol":1e-08}\n'
+        '{"bound_id":"subset_squares","n":1,"s_or_k":0,"applicable":true,"strict":false,'
+        '"lhs":0,"rhs":0.25,"margin":0.25,"satisfied":true,"tol":1e-08}\n'
+        '{"bound_id":"top_abs_sum","n":1,"s_or_k":2,"applicable":false,"strict":true,'
+        '"lhs":null,"rhs":0.707106781187,"margin":null,"satisfied":false,"tol":1e-08}\n'
+        '{"bound_id":"top_abs_sum","n":1,"s_or_k":3,"applicable":false,"strict":true,'
+        '"lhs":null,"rhs":1,"margin":null,"satisfied":false,"tol":1e-08}\n'
+        '{"bound_id":"top_pair_squares","n":1,"s_or_k":2,"applicable":false,"strict":true,'
+        '"lhs":null,"rhs":0.25,"margin":null,"satisfied":false,"tol":1e-08}\n'
+        '{"bound_id":"top_pair_squares","n":1,"s_or_k":3,"applicable":false,"strict":true,'
+        '"lhs":null,"rhs":0.125,"margin":null,"satisfied":false,"tol":1e-08}\n'
+        '{"bound_id":"top_sum_squares","n":1,"s_or_k":2,"applicable":false,"strict":true,'
+        '"lhs":null,"rhs":0.25,"margin":null,"satisfied":false,"tol":1e-08}\n'
+        '{"bound_id":"top_sum_squares","n":1,"s_or_k":3,"applicable":false,"strict":true,'
+        '"lhs":null,"rhs":0.25,"margin":null,"satisfied":false,"tol":1e-08}\n'
+    ),
+    ("check --graph6 @", "text"): (
+        "SKIP      bottom_abs_sum         n=1 param=1 0 <= 2.12132034356 "
+        "margin=2.12132034356\n"
+        "SKIP      bottom_abs_sum         n=1 param=2 nan <= 5 margin=nan\n"
+        "SKIP      bottom_abs_sum         n=1 param=3 nan <= 8.57321409974 margin=nan\n"
+        "SKIP      bottom_pair_squares    n=1 param=1 0 <= 2.25 margin=2.25\n"
+        "SKIP      bottom_pair_squares    n=1 param=2 nan <= 3.125 margin=nan\n"
+        "SKIP      bottom_pair_squares    n=1 param=3 nan <= 4.08333333333 margin=nan\n"
+        "SKIP      bottom_sum_squares     n=1 param=1 0 <= 2.25 margin=2.25\n"
+        "SKIP      bottom_sum_squares     n=1 param=2 nan <= 6.25 margin=nan\n"
+        "SKIP      bottom_sum_squares     n=1 param=3 nan <= 12.25 margin=nan\n"
+        "OK        csikvari_terpai        n=1 param=- 0 <= 0.333333333333 "
+        "margin=0.333333333333\n"
+        "SKIP      fns_upper              n=1 param=1 0 <= 1.70710678119 "
+        "margin=1.70710678119\n"
+        "SKIP      fns_upper              n=1 param=2 nan <= 1.5 margin=nan\n"
+        "SKIP      fns_upper              n=1 param=3 nan <= 1.40824829046 margin=nan\n"
+        "SKIP      fs_upper               n=1 param=2 nan <= -0.292893218813 margin=nan\n"
+        "SKIP      fs_upper               n=1 param=3 nan <= -0.5 margin=nan\n"
+        "OK        nosal_lower            n=1 param=- 0 <= 0 margin=0\n"
+        "OK        nosal_upper            n=1 param=- 0 < 0 margin=0\n"
+        "SKIP      ramsey_sign            n=1 param=0 nan <= 0 margin=nan\n"
+        "OK        subset_squares         n=1 param=0 0 <= 0.25 margin=0.25\n"
+        "SKIP      top_abs_sum            n=1 param=2 nan < 0.707106781187 margin=nan\n"
+        "SKIP      top_abs_sum            n=1 param=3 nan < 1 margin=nan\n"
+        "SKIP      top_pair_squares       n=1 param=2 nan < 0.25 margin=nan\n"
+        "SKIP      top_pair_squares       n=1 param=3 nan < 0.125 margin=nan\n"
+        "SKIP      top_sum_squares        n=1 param=2 nan < 0.25 margin=nan\n"
+        "SKIP      top_sum_squares        n=1 param=3 nan < 0.25 margin=nan\n"
+    ),
+    ("search --table --n-list 4,5 --s 2 --family top", "csv"): (
+        "n,value,ratio,target,gap,method\n"
+        "4,1.2360679775,0.309016994375,0.707106781187,0.398089786812,exhaustive\n"
+        "5,1.68889218253,0.337778436507,0.707106781187,0.36932834468,exhaustive\n"
+    ),
+    ("search --table --n-list 4,5 --s 2 --family top", "json"): (
+        '{"n":4,"value":1.2360679775,"ratio":0.309016994375,"target":0.707106781187,'
+        '"gap":0.398089786812,"method":"exhaustive"}\n'
+        '{"n":5,"value":1.68889218253,"ratio":0.337778436507,"target":0.707106781187,'
+        '"gap":0.36932834468,"method":"exhaustive"}\n'
+    ),
+    ("search --table --n-list 4,5 --s 2 --family top", "text"): (
+        "n=4: value=1.2360679775 value/n=0.309016994375 target=0.707106781187 "
+        "gap=0.398089786812 [exhaustive]\n"
+        "n=5: value=1.68889218253 value/n=0.337778436507 target=0.707106781187 "
+        "gap=0.36932834468 [exhaustive]\n"
+    ),
+    ("construct --a-matrix 2", "csv"): (
+        "1,0,0,1\n"
+        "0,0,1,1\n"
+        "0,1,1,0\n"
+        "1,1,0,0\n"
+    ),
+    ("construct --a-matrix 2", "json"): (
+        '{"order":4,"rows":["1001","0011","0110","1100"]}\n'
+    ),
+    ("construct --extremal --k 1 --t 1", "json"): (
+        '{"graph6":"CM","k":1,"t":1}\n'
+        '{"bound_id":"witness_top","n":4,"s_or_k":2,"applicable":true,"strict":false,'
+        '"lhs":0.414213562373,"rhs":0.61803398875,"margin":0.203820426377,"satisfied":true,'
+        '"tol":1e-09}\n'
+        '{"bound_id":"witness_top_complement","n":4,"s_or_k":2,"applicable":true,'
+        '"strict":false,"lhs":0.414213562373,"rhs":0.61803398875,"margin":0.203820426377,'
+        '"satisfied":true,"tol":1e-09}\n'
+        '{"bound_id":"witness_bottom","n":4,"s_or_k":2,"applicable":true,"strict":false,'
+        '"lhs":-1.61803398875,"rhs":-1.41421356237,"margin":0.203820426377,"satisfied":true,'
+        '"tol":1e-09}\n'
+        '{"bound_id":"witness_bottom_complement","n":4,"s_or_k":2,"applicable":true,'
+        '"strict":false,"lhs":-1.61803398875,"rhs":-1.41421356237,"margin":0.203820426377,'
+        '"satisfied":true,"tol":1e-09}\n'
+    ),
+    ("construct --extremal --k 1 --t 1", "text"): (
+        "graph6: CM\n"
+        "OK        witness_top            n=4 param=2 0.414213562373 <= 0.61803398875 "
+        "margin=0.203820426377\n"
+        "OK        witness_top_complement n=4 param=2 0.414213562373 <= 0.61803398875 "
+        "margin=0.203820426377\n"
+        "OK        witness_bottom         n=4 param=2 -1.61803398875 <= -1.41421356237 "
+        "margin=0.203820426377\n"
+        "OK        witness_bottom_complement n=4 param=2 -1.61803398875 <= -1.41421356237 "
+        "margin=0.203820426377\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(CLI_PINNED))
+def test_cli_output_pinned(capsys, command, fmt):
+    code, out, _ = run_cli(capsys, *command.split(), "--format", fmt)
+    assert code == 0
+    assert out == CLI_PINNED[command, fmt]
+
+
 def test_tol_leaves_spectrum_and_local_search_unchanged(capsys):
     for argv in (
         ["spectrum", "--generate", "erdos_renyi:12,0.5", "--seed", "4", "--format", "json"],
@@ -196,6 +492,21 @@ def test_construct_extremal_graph6_pinned(capsys, k, t, g6):
     code, out, _ = run_cli(capsys, "construct", "--extremal", "--k", k, "--t", t, "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == f"graph6,{g6}"
+
+
+def test_construct_extremal_builds_the_graph_once(capsys, monkeypatch):
+    calls = []
+    original = ngspectral.constructions.extremal_graph
+
+    def counting(k, t):
+        calls.append((k, t))
+        return original(k, t)
+
+    monkeypatch.setattr(ngspectral.cli, "extremal_graph", counting)
+    monkeypatch.setattr(ngspectral.constructions, "extremal_graph", counting)
+    code, _, _ = run_cli(capsys, "construct", "--extremal", "--k", "3", "--t", "2")
+    assert code == 0
+    assert calls == [(3, 2)]
 
 
 def test_construct_extremal_requires_k_t(capsys):
@@ -439,3 +750,20 @@ def test_local_search_single_vertex(capsys):
     code, out, _ = run_cli(capsys, "search", "--local", "--n", "1", "--s", "1", "--family", "bottom")
     assert code == 0
     assert "value=0 " in out and "witness=@" in out
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of the `ngspectral ...` lines in README's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("ngspectral ")]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my.g6").write_text(emit_graph6(path(5)) + "\n", encoding="utf-8")
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"spectrum", "check", "construct", "search"}
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -119,7 +119,7 @@ def test_diagonal_zeroing_perturbs_eigenvalues_by_at_most_one():
 
 
 def test_witness_check_path4_values():
-    reports = witness_check(1, 1)
+    reports = witness_check(extremal_graph(1, 1), 1)
     by_id = {(r.bound_id, r.param): r for r in reports}
     top = by_id[("witness_top", 2)]
     assert top.rhs == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-9)
@@ -133,7 +133,7 @@ def test_witness_check_path4_values():
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("t", [1, 2, 4])
 def test_witness_check_families_hold(k, t):
-    reports = witness_check(k, t)
+    reports = witness_check(extremal_graph(k, t), k)
     s = 2 ** (k - 1) + 1
     assert len(reports) == 4 * (s - 1)
     assert not [r for r in reports if r.violated]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ngspectral.bounds import run_battery
-from ngspectral.constructions import construct_a, witness_check
+from ngspectral.constructions import construct_a, extremal_graph, witness_check
 from ngspectral.eigensolver import symmetric_eigenvalues
 from ngspectral.graphs import (
     Graph,
@@ -218,7 +218,7 @@ def test_spectrum_pair_complete_bipartite_closed_form():
 # the four library calls that decide an inequality up to a tolerance
 TOL_READERS = {
     "run_battery": lambda tol: run_battery(complete(4), 2, tol=tol),
-    "witness_check": lambda tol: witness_check(1, 1, tol=tol),
+    "witness_check": lambda tol: witness_check(extremal_graph(1, 1), 1, tol=tol),
     "exhaustive_f": lambda tol: exhaustive_f(5, 2, "top", tol=tol),
     "ratio_table": lambda tol: ratio_table(2, "top", [5], tol=tol),
 }
