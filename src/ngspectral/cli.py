@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--workers", type=int, default=1, help="accepted for compatibility; has no effect"
     )
-    p_search.add_argument("--allow-n8", action="store_true", help="raise the exhaustive cap to n=8")
     p_search.add_argument("--n-list", metavar="N1,N2,...", help="orders for --table")
     _add_common(p_search)
 
@@ -189,20 +188,13 @@ def _do_search(args: argparse.Namespace) -> int:
             iterations=args.iterations,
             restarts=args.restarts,
             tol=args.tol,
-            allow_order_8=args.allow_n8,
         )
         _emit(args, render(rows, args.format, RatioRow))
         return 0
     if args.n is None:
         raise UsageError("--exact and --local require --n")
     if args.exact:
-        record = exhaustive_f(
-            args.n,
-            args.s,
-            args.family,
-            tol=args.tol,
-            allow_order_8=args.allow_n8,
-        )
+        record = exhaustive_f(args.n, args.s, args.family, tol=args.tol)
     else:
         record = local_search_f(
             args.n,

@@ -43,8 +43,10 @@ from ngspectral.spectra import DEFAULT_TOL, check_tol
 
 FAMILIES = ("top", "bottom")
 
-EXHAUSTIVE_DEFAULT_CAP = 7
-EXHAUSTIVE_HARD_CAP = 8
+# largest order of exhaustive search and of the class build; order 9
+# would build its 3.16 M one-vertex extensions (2 GB as int64 matrices) in
+# one piece, and pair masks overflow int64 from order 12
+EXHAUSTIVE_CAP = 8
 # exhaustive search: matrices per eigvalsh batch, and per relabelling block
 SCORE_CHUNK = 1 << 14
 # two labellings of one graph score the same up to rounding far below this,
@@ -228,7 +230,10 @@ def _canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
 
 def isomorphism_classes(n: int) -> np.ndarray:
     """Canonical masks of the graphs of order n, one per isomorphism class,
-    ascending.  Built level by level from the graph on no vertices."""
+    ascending, for 0 <= n <= EXHAUSTIVE_CAP.  Built level by level from the
+    graph on no vertices."""
+    if not 0 <= n <= EXHAUSTIVE_CAP:
+        raise ValueError(f"isomorphism classes need 0 <= n <= {EXHAUSTIVE_CAP}, got n={n}")
     reps = np.zeros(1, dtype=np.int64)
     for k in range(1, n + 1):
         reps = np.unique(_canonical_masks(_extensions(reps, k), k))
@@ -258,31 +263,20 @@ def _lex_min_witness(n: int, masks: Sequence[int]) -> str:
     return emit_graph6(Graph(n, best))
 
 
-def exhaustive_f(
-    n: int,
-    s: int,
-    family: str,
-    *,
-    tol: float = DEFAULT_TOL,
-    allow_order_8: bool = False,
-) -> ExtremalRecord:
+def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> ExtremalRecord:
     """Exact extremal value over all 2^(n(n-1)/2) labeled graphs.
 
-    Capped at n <= 7 by default (n <= 8 with allow_order_8).  The witness is
-    the lexicographically smallest graph6 string among all maximizers within
-    tol, complements included.  `evaluations` counts the labelled graphs
-    covered, one per complement pair.
+    Capped at n <= EXHAUSTIVE_CAP.  The witness is the lexicographically
+    smallest graph6 string among all maximizers within tol, complements
+    included.  `evaluations` counts the labelled graphs covered, one per
+    complement pair.
     """
     _validate_family(family)
     _validate_s(n, s, family)
     check_order(n)
     check_tol(tol)
-    cap = EXHAUSTIVE_HARD_CAP if allow_order_8 else EXHAUSTIVE_DEFAULT_CAP
-    if n > cap:
-        raise ValueError(
-            f"exhaustive search capped at n <= {cap}"
-            + ("" if allow_order_8 else " (pass allow_order_8 to reach 8)")
-        )
+    if n > EXHAUSTIVE_CAP:
+        raise ValueError(f"exhaustive search capped at n <= {EXHAUSTIVE_CAP}")
     m = n * (n - 1) // 2
     total = 1 if m == 0 else 1 << (m - 1)
 
@@ -618,7 +612,6 @@ def ratio_table(
     iterations: int = 50,
     restarts: int = 3,
     tol: float = DEFAULT_TOL,
-    allow_order_8: bool = False,
 ) -> list[RatioRow]:
     """Evidence rows (n, value, value/n, target slope, gap, method).
 
@@ -629,10 +622,9 @@ def ratio_table(
     check_tol(tol)
     target = target_ratio(s, family)
     rows = []
-    cap = EXHAUSTIVE_HARD_CAP if allow_order_8 else EXHAUSTIVE_DEFAULT_CAP
     for n in n_list:
-        if n <= cap:
-            rec = exhaustive_f(n, s, family, tol=tol, allow_order_8=allow_order_8)
+        if n <= EXHAUSTIVE_CAP:
+            rec = exhaustive_f(n, s, family, tol=tol)
         else:
             rec = local_search_f(n, s, family, seed, iterations, restarts)
         ratio = rec.value / n

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, deterministic machine output."""
 
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -14,8 +15,8 @@ import ngspectral.constructions
 from ngspectral.cli import build_parser, main
 from ngspectral.graph6 import emit_graph6
 from ngspectral.graphs import complete_bipartite, path
-from ngspectral.reporting import record_text
-from ngspectral.search import local_search_f
+from ngspectral.reporting import record_text, render
+from ngspectral.search import ExtremalRecord, exhaustive_f, local_search_f
 
 
 def run_cli(capsys, *argv):
@@ -352,6 +353,12 @@ CLI_PINNED = {
         '{"n":5,"value":1.68889218253,"ratio":0.337778436507,"target":0.707106781187,'
         '"gap":0.36932834468,"method":"exhaustive"}\n'
     ),
+    # n = 8 is exhaustive: the bytes the opt-in n = 8 table printed
+    ("search --table --n-list 7,8 --s 2 --family top", "csv"): (
+        "n,value,ratio,target,gap,method\n"
+        "7,3.12310562562,0.446157946517,0.707106781187,0.26094883467,exhaustive\n"
+        "8,4,0.5,0.707106781187,0.207106781187,exhaustive\n"
+    ),
     ("search --table --n-list 4,5 --s 2 --family top", "text"): (
         "n=4: value=1.2360679775 value/n=0.309016994375 target=0.707106781187 "
         "gap=0.398089786812 [exhaustive]\n"
@@ -540,6 +547,24 @@ def test_search_exact_cap_refusal(capsys):
     code, _, err = run_cli(capsys, "search", "--exact", "--n", "12", "--s", "2", "--family", "top")
     assert code == 1
     assert "cap" in err
+
+
+def test_search_exact_at_order_8(capsys):
+    # n = 8 needs no opt-in; the record is the library's
+    code, out, _ = run_cli(
+        capsys, "search", "--exact", "--n", "8", "--s", "2", "--family", "top", "--format", "json"
+    )
+    assert code == 0
+    assert out.splitlines() == render([exhaustive_f(8, 2, "top")], "json", ExtremalRecord)
+
+
+def test_allow_n8_flag(capsys):
+    # the one exhaustive cap is not raised from the command line
+    code, out, err = run_cli(
+        capsys, "search", "--exact", "--n", "8", "--s", "2", "--family", "top", "--allow-n8"
+    )
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_search_table(capsys):
@@ -767,3 +792,14 @@ def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
     for argv in commands:
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+def test_readme_flags_exist():
+    # every --flag README names, in prose too, is one some subcommand accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+    subparsers = next(
+        action for action in build_parser()._actions if action.choices and action.dest == "command"
+    )
+    accepted = {flag for sub in subparsers.choices.values() for flag in sub._option_string_actions}
+    assert named and named <= accepted, sorted(named - accepted)

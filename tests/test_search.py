@@ -13,6 +13,7 @@ from ngspectral.eigensolver import complement_pair_eigenvalues
 from ngspectral.graph6 import parse_graph6
 from ngspectral.graphs import Graph, complement, complete, complete_bipartite, empty, erdos_renyi
 from ngspectral.search import (
+    EXHAUSTIVE_CAP,
     SCREEN_SLACK,
     _canonical_masks,
     _flipped_stack,
@@ -109,6 +110,15 @@ def test_isomorphism_class_counts():
     assert counts == [1, 2, 4, 11, 34, 156, 1044]
 
 
+def test_isomorphism_classes_capped():
+    # uncapped, order 9 would canonicalize 3.16 M extensions in one piece
+    with pytest.raises(ValueError, match="n <= 8, got n=9"):
+        isomorphism_classes(9)
+    with pytest.raises(ValueError, match="got n=-1"):
+        isomorphism_classes(-1)
+    assert isomorphism_classes(0).tolist() == [0]
+
+
 def test_canonical_form_is_a_relabelling_invariant_labelling():
     rng = np.random.default_rng(5)
     for n in (5, 7, 8):
@@ -132,7 +142,7 @@ def test_canonical_form_is_a_relabelling_invariant_labelling():
 
 def test_exhaustive_order8_within_budget():
     start = time.perf_counter()
-    rec = exhaustive_f(8, 2, "top", allow_order_8=True)
+    rec = exhaustive_f(8, 2, "top")
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"exhaustive_f(8) took {elapsed:.1f} s"
     assert rec.evaluations == 1 << 27
@@ -142,10 +152,10 @@ def test_exhaustive_order8_within_budget():
 
 
 def test_exhaustive_cap():
-    with pytest.raises(ValueError):
-        exhaustive_f(9, 2, "top", allow_order_8=True)
-    with pytest.raises(ValueError):
-        exhaustive_f(8, 2, "top")
+    # n = 8 is allowed without an opt-in: test_exhaustive_order8_within_budget
+    assert EXHAUSTIVE_CAP == 8
+    with pytest.raises(ValueError, match="capped at n <= 8"):
+        exhaustive_f(9, 2, "top")
 
 
 def test_exhaustive_validation():
