@@ -219,6 +219,13 @@ class Evaluation(NamedTuple):
     applicable: np.ndarray
 
 
+def _check_s_max(s_max: int) -> None:
+    if s_max < 1:
+        raise ValueError(f"s_max must be at least 1, got {s_max}")
+    if s_max > max_order():
+        raise ValueError(f"s_max {s_max} exceeds the graph-order cap {max_order()}")
+
+
 def evaluate(
     wg: np.ndarray, wc: np.ndarray, s_max: int, tol: float = DEFAULT_TOL
 ) -> list[Evaluation]:
@@ -226,11 +233,7 @@ def evaluate(
     spectra wg, wc of shape (batch, n): the graphs and their complements.
     `tol` enters only through the gates.  s_max may not exceed the
     graph-order cap: every larger s is inapplicable to every graph accepted."""
-    if s_max < 1:
-        raise ValueError(f"s_max must be at least 1, got {s_max}")
-    cap = max_order()
-    if s_max > cap:
-        raise ValueError(f"s_max {s_max} exceeds the graph-order cap {cap}")
+    _check_s_max(s_max)
     batch, n = wg.shape
     t = np.full((2, batch, max(n, s_max) + 1), np.nan)
     t[..., 1 : n + 1] = (wg, wc)
@@ -259,6 +262,7 @@ def run_battery(g: Graph, s_max: int, *, tol: float = DEFAULT_TOL) -> list[Bound
     k), with both spectra computed once; reports sorted by (bound_id,
     parameter), since every row lists its parameters in ascending order."""
     check_tol(tol)
+    _check_s_max(s_max)  # fail before the eigensolve
     wg, wc = complement_pair_eigenvalues(g.adjacency_matrix())
     rows = sorted(evaluate(wg[None], wc[None], s_max, tol), key=lambda ev: ev.bound.bound_id)
     return [

@@ -16,10 +16,16 @@ in the number of pairs up to the order cap.
 
 Every blow-up takes one route too: `blowup` expands a looped 0/1 quotient
 `Matrix01` into parts of given sizes, cliques at its loops.
+
+Batches of graphs up to EXHAUSTIVE_CAP are int64 arrays of the same masks.
+`isomorphism_classes` extends every class by a new vertex with every
+neighbour set (`extensions`) and dedupes by a canonical form from colour
+refinement and the permutations within its cells (`canonical_masks`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -30,6 +36,13 @@ import numpy as np
 
 DEFAULT_MAX_ORDER = 4096
 MAX_ORDER_ENV = "NG_MAX_ORDER"
+
+# largest order of exhaustive search and of the class build: order 9 takes
+# about 132 s to classify, and int64 pair masks overflow from order 12
+EXHAUSTIVE_CAP = 8
+# masks per batch: matrices per eigvalsh call in exhaustive search, per
+# canonicalization in the class build, and per relabelling block
+SCORE_CHUNK = 1 << 14
 
 GENERATOR_KINDS = (
     "complete",
@@ -84,6 +97,22 @@ def _lower_triangle(n: int) -> np.ndarray:
     pair bit order, so it moves a bit array into a matrix without the index
     arrays of `pair_indices`."""
     return np.tri(n, n, -1, dtype=bool)
+
+
+def _bits_to_matrices(bits: np.ndarray, n: int, dtype) -> np.ndarray:
+    """Symmetric (..., n, n) matrices from the pair-order bit arrays `bits`
+    (..., n(n-1)/2), zero on the diagonal."""
+    a = np.zeros(bits.shape[:-1] + (n, n), dtype=dtype)
+    # numpy's boolean fast path needs a mask over every axis of `a`: a mask
+    # over the last two alone is 3-5 times slower at order 64-768, and
+    # broadcasting costs a single small matrix about 10 us
+    lower = _lower_triangle(n)
+    if a.ndim > 2:
+        lower = np.broadcast_to(lower, a.shape)
+    vals = bits.ravel()
+    a[lower] = vals
+    a.swapaxes(-1, -2)[lower] = vals
+    return a
 
 
 def mask_to_bitarray(bits: int, m: int) -> np.ndarray:
@@ -144,12 +173,7 @@ class Graph:
         return [int(x) for x in a.sum(axis=0)]
 
     def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=dtype)
-        lower = _lower_triangle(self.n)
-        vals = mask_to_bitarray(self.bits, self.pair_count)
-        a[lower] = vals
-        a.T[lower] = vals
-        return a
+        return _bits_to_matrices(mask_to_bitarray(self.bits, self.pair_count), self.n, dtype)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -324,3 +348,110 @@ def generate(kind: str, params: Sequence[float], seed: int | None = None) -> Gra
     if seed is None:
         raise ValueError("erdos_renyi requires a seed")
     return erdos_renyi(int(n), float(p), seed)
+
+
+def masks_to_stack(masks: np.ndarray, n: int, dtype=np.float64) -> np.ndarray:
+    """Adjacency matrices (B, n, n) of the order-n int64 masks (B,)."""
+    m = n * (n - 1) // 2
+    return _bits_to_matrices((masks[:, None] >> np.arange(m)) & 1, n, dtype)
+
+
+def extensions(reps: np.ndarray, k: int) -> np.ndarray:
+    """Every order-k mask whose first k-1 vertices induce one of `reps`.
+
+    The pairs of vertex k are the top k-1 bits of the pair order, so a new
+    vertex joined to a neighbour set is that set shifted above the old mask.
+    """
+    shift = (k - 1) * (k - 2) // 2
+    sets = np.arange(1 << (k - 1), dtype=np.int64) << shift
+    return (reps[:, None] | sets[None, :]).ravel()
+
+
+def _relabel(adj: np.ndarray, seq: np.ndarray) -> np.ndarray:
+    """Masks of the graphs `adj` (G, k, k) relabelled by `seq` (G or 1, P, k).
+
+    Vertex a of a relabelling is vertex seq[..., a] of the graph, so entry
+    [g, p] is the mask of adj[g][seq[g, p]][:, seq[g, p]].
+    """
+    k = adj.shape[-1]
+    i, j = pair_indices(k)
+    g = np.arange(adj.shape[0])[:, None, None]
+    bits = adj[g, seq[..., i], seq[..., j]]
+    return bits @ (np.int64(1) << np.arange(i.size, dtype=np.int64))
+
+
+def _cell_permutations(layout: np.ndarray) -> np.ndarray:
+    """Every permutation of positions that maps each run of equal values in
+    the sorted `layout` onto itself, as rows."""
+    cuts = [0, *(np.flatnonzero(np.diff(layout)) + 1).tolist(), layout.size]
+    cells = [itertools.permutations(range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+    return np.array([sum(p, ()) for p in itertools.product(*cells)], dtype=np.int64)
+
+
+def _refined_colours(adj: np.ndarray) -> np.ndarray:
+    """Stable colour refinement of each graph in `adj` (B, k, k).
+
+    A vertex's next colour is the number of vertices whose (colour,
+    neighbour count per colour) key is smaller, so colours are canonical:
+    relabelling a graph permutes its colours the same way.
+    """
+    k = adj.shape[-1]
+    place = (k + 1) ** np.arange(k, -1, -1, dtype=np.int64)
+    colour = np.zeros(adj.shape[:2], dtype=np.int64)
+    for _ in range(k):
+        counts = adj @ (colour[:, :, None] == np.arange(k)).astype(np.int64)
+        key = np.concatenate([colour[:, :, None], counts], axis=2) @ place
+        refined = (key[:, :, None] > key[:, None, :]).sum(axis=2)
+        if np.array_equal(refined, colour):
+            break
+        colour = refined
+    return colour
+
+
+def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
+    """Canonical form of each order-k mask: the smallest mask over the
+    relabellings that list the refined colour cells in colour order.
+
+    Two masks get the same canonical form exactly when their graphs are
+    isomorphic, and the form is itself a labelling of the graph.
+    """
+    adj = masks_to_stack(masks, k, dtype=np.int64)
+    colour = _refined_colours(adj)
+    order = np.argsort(colour, axis=1, kind="stable")
+    layouts, group = np.unique(
+        np.take_along_axis(colour, order, axis=1), axis=0, return_inverse=True
+    )
+    group = group.ravel()
+    canon = np.empty(masks.size, dtype=np.int64)
+    for g, layout in enumerate(layouts):
+        members = np.flatnonzero(group == g)
+        perms = _cell_permutations(layout)
+        step = max(1, SCORE_CHUNK // perms.shape[0])
+        for lo in range(0, members.size, step):
+            idx = members[lo : lo + step]
+            canon[idx] = _relabel(adj[idx], order[idx][:, perms]).min(axis=1)
+    return canon
+
+
+def isomorphism_classes(n: int) -> np.ndarray:
+    """Canonical masks of the graphs of order n, one per isomorphism class,
+    ascending, for 0 <= n <= EXHAUSTIVE_CAP.  Built level by level from the
+    graph on no vertices, canonicalizing SCORE_CHUNK extensions at a time."""
+    if not 0 <= n <= EXHAUSTIVE_CAP:
+        raise ValueError(f"isomorphism classes need 0 <= n <= {EXHAUSTIVE_CAP}, got n={n}")
+    reps = np.zeros(1, dtype=np.int64)
+    for k in range(1, n + 1):
+        ext = extensions(reps, k)
+        reps = np.unique(np.concatenate([
+            canonical_masks(ext[lo : lo + SCORE_CHUNK], k)
+            for lo in range(0, ext.size, SCORE_CHUNK)
+        ]))
+    return reps
+
+
+def labellings(classes: np.ndarray, n: int) -> np.ndarray:
+    """Distinct masks of every labelling of the given order-n graphs."""
+    perms = _cell_permutations(np.zeros(n, dtype=np.int64))[None]  # one cell: all n!
+    adj = masks_to_stack(classes, n, dtype=np.int64)
+    blocks = [_relabel(adj[c : c + 1], perms).ravel() for c in range(classes.size)]
+    return np.unique(np.concatenate(blocks))

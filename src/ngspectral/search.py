@@ -4,14 +4,11 @@ orders and certified lower bounds by seeded hill climbing for larger ones.
 The objective for the top family at index s is |mu_s(G)| + |mu_s(comp)|; the
 bottom family at index s uses mu_{n-s+1} instead.  Both depend only on the
 spectra, so they are invariant under relabelling and under swapping G with
-its complement.  The exhaustive pass therefore scores one graph per
-isomorphism class: it builds the classes of order n-1 level by level (extend
-every class by a new vertex with every neighbour set, dedupe by a canonical
-form from colour refinement and the permutations within its cells) and
-scores every one-vertex extension of them, which covers every class of
-order n.  Rounding differs between labellings of one graph, so the classes
-within tol of the best score are expanded into all their labellings and
-rescored: the value and the witness are those of the search over every
+its complement.  The exhaustive pass therefore scores every one-vertex
+extension of the isomorphism classes of order n-1, which covers every class
+of order n.  Rounding differs between labellings of one graph, so the
+classes within tol of the best score are expanded into all their labellings
+and rescored: the value and the witness are those of the search over every
 labelled graph.
 
 The hill climb takes, at every step, the single-edge flip with the best
@@ -37,18 +34,15 @@ import numpy as np
 
 from ngspectral.constructions import extremal_graph
 from ngspectral.eigensolver import complement_pair_eigenvalues, complement_pair_eigh
-from ngspectral.graph6 import emit_graph6, parse_graph6
-from ngspectral.graphs import Graph, check_order, erdos_renyi, pair_indices
+from ngspectral.graph6 import parse_graph6, smallest_graph6
+from ngspectral.graphs import (
+    EXHAUSTIVE_CAP, SCORE_CHUNK, Graph, canonical_masks, check_order, erdos_renyi, extensions,
+    isomorphism_classes, labellings, masks_to_stack,
+)
 from ngspectral.spectra import DEFAULT_TOL, check_tol
 
 FAMILIES = ("top", "bottom")
 
-# largest order of exhaustive search and of the class build; order 9
-# would build its 3.16 M one-vertex extensions (2 GB as int64 matrices) in
-# one piece, and pair masks overflow int64 from order 12
-EXHAUSTIVE_CAP = 8
-# exhaustive search: matrices per eigvalsh batch, and per relabelling block
-SCORE_CHUNK = 1 << 14
 # two labellings of one graph score the same up to rounding far below this,
 # so candidates this close to the tie band can still hold a maximizer
 RELABEL_SLACK = 1e-12
@@ -134,133 +128,12 @@ def _score_stack(stack: np.ndarray, s: int, family: str) -> np.ndarray:
     return np.abs(wg[..., col]) + np.abs(wc[..., col])
 
 
-def _masks_to_stack(masks: np.ndarray, n: int, dtype=np.float64) -> np.ndarray:
-    i, j = pair_indices(n)
-    stack = np.zeros((masks.shape[0], n, n), dtype=dtype)
-    bits = (masks[:, None] >> np.arange(i.size)) & 1
-    stack[:, i, j] = bits
-    stack[:, j, i] = bits
-    return stack
-
-
 def _score_masks(masks: np.ndarray, n: int, s: int, family: str) -> np.ndarray:
     """Objective for each mask, solved SCORE_CHUNK matrices at a time."""
     return np.concatenate([
-        _score_stack(_masks_to_stack(masks[lo : lo + SCORE_CHUNK], n), s, family)
+        _score_stack(masks_to_stack(masks[lo : lo + SCORE_CHUNK], n), s, family)
         for lo in range(0, masks.size, SCORE_CHUNK)
     ])
-
-
-def _extensions(reps: np.ndarray, k: int) -> np.ndarray:
-    """Every order-k mask whose first k-1 vertices induce one of `reps`.
-
-    The pairs of vertex k are the top k-1 bits of the pair order, so a new
-    vertex joined to a neighbour set is that set shifted above the old mask.
-    """
-    shift = (k - 1) * (k - 2) // 2
-    sets = np.arange(1 << (k - 1), dtype=np.int64) << shift
-    return (reps[:, None] | sets[None, :]).ravel()
-
-
-def _relabel(adj: np.ndarray, seq: np.ndarray) -> np.ndarray:
-    """Masks of the graphs `adj` (G, k, k) relabelled by `seq` (G or 1, P, k).
-
-    Vertex a of a relabelling is vertex seq[..., a] of the graph, so entry
-    [g, p] is the mask of adj[g][seq[g, p]][:, seq[g, p]].
-    """
-    k = adj.shape[-1]
-    i, j = pair_indices(k)
-    g = np.arange(adj.shape[0])[:, None, None]
-    bits = adj[g, seq[..., i], seq[..., j]]
-    return bits @ (np.int64(1) << np.arange(i.size, dtype=np.int64))
-
-
-def _cell_permutations(layout: np.ndarray) -> np.ndarray:
-    """Every permutation of positions that maps each run of equal values in
-    the sorted `layout` onto itself, as rows."""
-    cuts = [0, *(np.flatnonzero(np.diff(layout)) + 1).tolist(), layout.size]
-    cells = [itertools.permutations(range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
-    return np.array([sum(p, ()) for p in itertools.product(*cells)], dtype=np.int64)
-
-
-def _refined_colours(adj: np.ndarray) -> np.ndarray:
-    """Stable colour refinement of each graph in `adj` (B, k, k).
-
-    A vertex's next colour is the number of vertices whose (colour,
-    neighbour count per colour) key is smaller, so colours are canonical:
-    relabelling a graph permutes its colours the same way.
-    """
-    k = adj.shape[-1]
-    place = (k + 1) ** np.arange(k, -1, -1, dtype=np.int64)
-    colour = np.zeros(adj.shape[:2], dtype=np.int64)
-    for _ in range(k):
-        counts = adj @ (colour[:, :, None] == np.arange(k)).astype(np.int64)
-        key = np.concatenate([colour[:, :, None], counts], axis=2) @ place
-        refined = (key[:, :, None] > key[:, None, :]).sum(axis=2)
-        if np.array_equal(refined, colour):
-            break
-        colour = refined
-    return colour
-
-
-def _canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
-    """Canonical form of each order-k mask: the smallest mask over the
-    relabellings that list the refined colour cells in colour order.
-
-    Two masks get the same canonical form exactly when their graphs are
-    isomorphic, and the form is itself a labelling of the graph.
-    """
-    adj = _masks_to_stack(masks, k, dtype=np.int64)
-    colour = _refined_colours(adj)
-    order = np.argsort(colour, axis=1, kind="stable")
-    layouts, group = np.unique(
-        np.take_along_axis(colour, order, axis=1), axis=0, return_inverse=True
-    )
-    group = group.ravel()
-    canon = np.empty(masks.size, dtype=np.int64)
-    for g, layout in enumerate(layouts):
-        members = np.flatnonzero(group == g)
-        perms = _cell_permutations(layout)
-        step = max(1, SCORE_CHUNK // perms.shape[0])
-        for lo in range(0, members.size, step):
-            idx = members[lo : lo + step]
-            canon[idx] = _relabel(adj[idx], order[idx][:, perms]).min(axis=1)
-    return canon
-
-
-def isomorphism_classes(n: int) -> np.ndarray:
-    """Canonical masks of the graphs of order n, one per isomorphism class,
-    ascending, for 0 <= n <= EXHAUSTIVE_CAP.  Built level by level from the
-    graph on no vertices."""
-    if not 0 <= n <= EXHAUSTIVE_CAP:
-        raise ValueError(f"isomorphism classes need 0 <= n <= {EXHAUSTIVE_CAP}, got n={n}")
-    reps = np.zeros(1, dtype=np.int64)
-    for k in range(1, n + 1):
-        reps = np.unique(_canonical_masks(_extensions(reps, k), k))
-    return reps
-
-
-def _labellings(classes: np.ndarray, n: int) -> np.ndarray:
-    """Distinct masks of every labelling of the given order-n graphs."""
-    perms = _cell_permutations(np.zeros(n, dtype=np.int64))[None]  # one cell: all n!
-    adj = _masks_to_stack(classes, n, dtype=np.int64)
-    blocks = [_relabel(adj[c : c + 1], perms).ravel() for c in range(classes.size)]
-    return np.unique(np.concatenate(blocks))
-
-
-def _lex_min_witness(n: int, masks: Sequence[int]) -> str:
-    """Smallest graph6 string over the given masks and their complements.
-
-    At a fixed order graph6 compares as the pair bits read from bit 0 up,
-    which is the mask's m-bit binary string reversed.
-    """
-    m = n * (n - 1) // 2
-    full = (1 << m) - 1
-    best = min(
-        (cand for mask in masks for cand in (mask, mask ^ full)),
-        key=lambda mask: f"{mask:0{m}b}"[::-1],
-    )
-    return emit_graph6(Graph(n, best))
 
 
 def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> ExtremalRecord:
@@ -280,13 +153,13 @@ def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> Ex
     m = n * (n - 1) // 2
     total = 1 if m == 0 else 1 << (m - 1)
 
-    candidates = _extensions(isomorphism_classes(n - 1), n)
+    candidates = extensions(isomorphism_classes(n - 1), n)
     scores = _score_masks(candidates, n, s, family)
     near = candidates[scores >= scores.max() - tol - RELABEL_SLACK]
-    labelled = _labellings(np.unique(_canonical_masks(near, n)), n)
+    labelled = labellings(np.unique(canonical_masks(near, n)), n)
     scores = _score_masks(labelled, n, s, family)
     value = float(scores.max())
-    witness = _lex_min_witness(n, labelled[scores >= value - tol].tolist())
+    witness = smallest_graph6(n, labelled[scores >= value - tol].tolist())
     return ExtremalRecord(
         n=n,
         s=s,
@@ -588,7 +461,7 @@ def local_search_f(
         elif score > best_score - CLIMB_TIE_TOL:
             best_masks.append(bits)
 
-    witness = _lex_min_witness(n, best_masks)
+    witness = smallest_graph6(n, best_masks)
     value = objective(parse_graph6(witness), s, family)
     return ExtremalRecord(
         n=n,
@@ -621,6 +494,9 @@ def ratio_table(
     _validate_family(family)
     check_tol(tol)
     target = target_ratio(s, family)
+    for n in n_list:  # every order before the first search
+        _validate_s(n, s, family)
+        check_order(n)
     rows = []
     for n in n_list:
         if n <= EXHAUSTIVE_CAP:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ngspectral.graph6 import emit_graph6
-from ngspectral.graphs import Graph, complement
-from ngspectral.search import ExtremalRecord, _masks_to_stack, _score_stack
+from ngspectral.graphs import Graph, complement, masks_to_stack
+from ngspectral.search import ExtremalRecord, _score_stack
 from ngspectral.spectra import DEFAULT_TOL
 
 DEFAULT_SHARD_SIZE = 1 << 16
@@ -34,7 +34,7 @@ def labelled_exhaustive_f(
 
     def run_shard(lo: int, hi: int) -> tuple[float, list[int]]:
         masks = np.arange(lo, hi, dtype=np.int64)
-        scores = _score_stack(_masks_to_stack(masks, n), s, family)
+        scores = _score_stack(masks_to_stack(masks, n), s, family)
         best = float(scores.max())
         keep = np.nonzero(scores >= best - tol)[0]
         return best, [int(masks[i]) for i in keep]
@@ -44,7 +44,7 @@ def labelled_exhaustive_f(
     pool = [mask for best, masks in results if best >= value - tol for mask in masks]
     # shard-local keeps are relative to the shard maximum; re-score against the
     # global one before tie-breaking
-    scores = _score_stack(_masks_to_stack(np.array(pool, dtype=np.int64), n), s, family)
+    scores = _score_stack(masks_to_stack(np.array(pool, dtype=np.int64), n), s, family)
     final = [Graph(n, mask) for mask, score in zip(pool, scores) if score >= value - tol]
     return ExtremalRecord(
         n=n,

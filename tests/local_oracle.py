@@ -12,13 +12,12 @@ import math
 
 import numpy as np
 
-from ngspectral.graph6 import parse_graph6
+from ngspectral.graph6 import parse_graph6, smallest_graph6
 from ngspectral.graphs import Graph, check_order, erdos_renyi
 from ngspectral.search import (
     CLIMB_TIE_TOL,
     ExtremalRecord,
     _constructive_starts,
-    _lex_min_witness,
     _score_stack,
     _validate_family,
     _validate_s,
@@ -78,7 +77,7 @@ def local_oracle(
         elif score > best_score - CLIMB_TIE_TOL:
             best_masks.append(bits)
 
-    witness = _lex_min_witness(n, best_masks)
+    witness = smallest_graph6(n, best_masks)
     value = objective(parse_graph6(witness), s, family)
     return ExtremalRecord(
         n=n,

@@ -1,0 +1,45 @@
+"""Module boundaries of the package, read from its source with `ast`.
+
+One module calls LAPACK and one module owns the pair order: `np.linalg`
+appears only in `eigensolver.py`, and `pair_indices` and `tril_indices`
+only in `graphs.py`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ngspectral").glob("*.py"))
+
+# name -> the one module that may use it
+OWNERS = {"linalg": "eigensolver.py", "pair_indices": "graphs.py", "tril_indices": "graphs.py"}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier the module uses or defines, as names, attributes,
+    imported names and import paths."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.update(node.module.split("."))
+    return found
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"eigensolver.py", "graphs.py", "search.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_owned_names_stay_in_their_module(path):
+    names = _names(ast.parse(path.read_text(), filename=str(path)))
+    strays = sorted(name for name, owner in OWNERS.items() if name in names and path.name != owner)
+    assert not strays, f"{path.name} uses {strays}"

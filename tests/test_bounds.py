@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+
+import ngspectral.bounds
 from battery_oracle import battery_rows
 
 from ngspectral.bounds import (
@@ -28,10 +30,11 @@ from ngspectral.graphs import (
     cycle,
     empty,
     erdos_renyi,
+    isomorphism_classes,
+    masks_to_stack,
     path,
 )
 from ngspectral.reporting import render
-from ngspectral.search import _masks_to_stack, isomorphism_classes
 
 SQ5 = math.sqrt(5)
 
@@ -395,6 +398,18 @@ def test_battery_rejects_bad_s_max(monkeypatch):
         evaluate(w, w, 9)
 
 
+def test_battery_checks_s_max_before_the_eigensolve(monkeypatch):
+    def no_solve(stack):
+        raise AssertionError("eigensolve ran before the s_max check")
+
+    monkeypatch.setattr(ngspectral.bounds, "complement_pair_eigenvalues", no_solve)
+    with pytest.raises(ValueError, match="s_max must be at least 1, got 0"):
+        run_battery(complete(3), 0)
+    monkeypatch.setenv("NG_MAX_ORDER", "8")
+    with pytest.raises(ValueError, match="s_max 9 exceeds the graph-order cap 8"):
+        run_battery(complete(4), 9)
+
+
 def test_battery_report_keys_at_the_edges():
     # s > n gives NaN lhs; k = 0 is the inapplicable ramsey_sign row
     one = [(r.bound_id, r.param, r.applicable) for r in run_battery(Graph(1), 3)]
@@ -506,7 +521,7 @@ def test_table_sound_on_every_class_at_order_8():
     # parameter that applies at n = 8.
     classes = isomorphism_classes(8)
     assert classes.size == 12346
-    wg, wc = complement_pair_eigenvalues(_masks_to_stack(classes, 8))
+    wg, wc = complement_pair_eigenvalues(masks_to_stack(classes, 8))
     tol = 1e-8
     applicable_ids = set()
     for ev in evaluate(wg, wc, 8, tol):

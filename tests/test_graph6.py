@@ -1,9 +1,20 @@
 """graph6 codec: hand-packed goldens, round trips, malformed input."""
 
+import random
+
 import pytest
 
-from ngspectral.graph6 import emit_graph6, parse_graph6
-from ngspectral.graphs import Graph, complete, complete_bipartite, cycle, empty, erdos_renyi, path
+from ngspectral.graph6 import emit_graph6, parse_graph6, smallest_graph6
+from ngspectral.graphs import (
+    Graph,
+    complement,
+    complete,
+    complete_bipartite,
+    cycle,
+    empty,
+    erdos_renyi,
+    path,
+)
 
 
 def test_k3_hand_packed():
@@ -88,3 +99,15 @@ def test_cap_respected(monkeypatch):
     monkeypatch.setenv("NG_MAX_ORDER", "10")
     with pytest.raises(ValueError):
         parse_graph6(chr(63 + 11))
+
+
+def test_smallest_graph6_compares_as_strings():
+    # the reversed-bits order must agree with comparing the emitted strings
+    rng = random.Random(3)
+    for n in range(1, 13):
+        m = n * (n - 1) // 2
+        for size in (1, 2, 7):
+            masks = [rng.getrandbits(m) if m else 0 for _ in range(size)]
+            graphs = [Graph(n, mask) for mask in masks]
+            expected = min(emit_graph6(h) for g in graphs for h in (g, complement(g)))
+            assert smallest_graph6(n, masks) == expected

@@ -17,6 +17,7 @@ from ngspectral.graphs import (
     generate,
     induced_subgraph,
     mask_to_bitarray,
+    masks_to_stack,
     pair_bit,
     pair_indices,
     path,
@@ -83,6 +84,25 @@ def test_adjacency_matrix_matches_pair_indices_route():
             assert a.dtype == dtype
             assert np.array_equal(a, expected)
         assert Graph.from_adjacency(expected) == g
+
+
+def test_masks_to_stack_matches_adjacency_matrix():
+    # the int64 batch route and the Python-int route give the same matrices:
+    # every mask up to order 5, random masks and both extremes at 6-8
+    rng = np.random.default_rng(12)
+    for n in range(1, 9):
+        m = n * (n - 1) // 2
+        if n <= 5:
+            masks = np.arange(1 << m, dtype=np.int64)
+        else:
+            drawn = rng.integers(0, 1 << m, size=200, dtype=np.int64)
+            masks = np.concatenate([[0, (1 << m) - 1], drawn]).astype(np.int64)
+        for dtype in (np.float64, np.int64):
+            stack = masks_to_stack(masks, n, dtype)
+            assert stack.dtype == dtype and stack.shape == (masks.size, n, n)
+            for k, mask in enumerate(masks.tolist()):
+                expected = Graph(n, mask).adjacency_matrix(dtype)
+                assert np.array_equal(stack[k], expected), (n, mask)
 
 
 def test_complement_of_complete_is_empty():

@@ -6,20 +6,28 @@ import time
 import numpy as np
 import pytest
 
+import ngspectral.search
 from labelled_oracle import labelled_exhaustive_f
 from local_oracle import local_oracle
 from ngspectral.constructions import extremal_graph
 from ngspectral.eigensolver import complement_pair_eigenvalues
 from ngspectral.graph6 import parse_graph6
-from ngspectral.graphs import Graph, complement, complete, complete_bipartite, empty, erdos_renyi
-from ngspectral.search import (
+from ngspectral.graphs import (
     EXHAUSTIVE_CAP,
+    Graph,
+    canonical_masks,
+    complement,
+    complete,
+    complete_bipartite,
+    empty,
+    erdos_renyi,
+    isomorphism_classes,
+)
+from ngspectral.search import (
     SCREEN_SLACK,
-    _canonical_masks,
     _flipped_stack,
     _screen_flips,
     exhaustive_f,
-    isomorphism_classes,
     local_search_f,
     objective,
     ratio_table,
@@ -111,7 +119,7 @@ def test_isomorphism_class_counts():
 
 
 def test_isomorphism_classes_capped():
-    # uncapped, order 9 would canonicalize 3.16 M extensions in one piece
+    # order 9 would take about 132 s, and pair masks overflow int64 from order 12
     with pytest.raises(ValueError, match="n <= 8, got n=9"):
         isomorphism_classes(9)
     with pytest.raises(ValueError, match="got n=-1"):
@@ -124,12 +132,12 @@ def test_canonical_form_is_a_relabelling_invariant_labelling():
     for n in (5, 7, 8):
         m = n * (n - 1) // 2
         masks = rng.integers(0, 1 << m, size=40, dtype=np.int64)
-        canon = _canonical_masks(masks, n)
+        canon = canonical_masks(masks, n)
         for mask, form in zip(masks.tolist(), canon.tolist()):
             g = Graph(n, mask)
             perm = rng.permutation(n) + 1
             h = Graph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
-            assert _canonical_masks(np.array([h.bits]), n)[0] == form
+            assert canonical_masks(np.array([h.bits]), n)[0] == form
             # the form is a labelling of g: same degrees, same spectrum pair
             f = Graph(n, form)
             assert sorted(f.degrees()) == sorted(g.degrees())
@@ -137,7 +145,7 @@ def test_canonical_form_is_a_relabelling_invariant_labelling():
     # the regular graphs of order 7 fall in one refinement cell
     c7 = Graph.from_edges(7, [(i, i % 7 + 1) for i in range(1, 8)])
     c3c4 = Graph.from_edges(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
-    assert len(set(_canonical_masks(np.array([c7.bits, c3c4.bits]), 7).tolist())) == 2
+    assert len(set(canonical_masks(np.array([c7.bits, c3c4.bits]), 7).tolist())) == 2
 
 
 def test_exhaustive_order8_within_budget():
@@ -278,6 +286,21 @@ def test_ratio_table_exhaustive_rows():
         assert row.method == "exhaustive"
         assert row.ratio < 1 / math.sqrt(2)  # strictly below the conjectured slope
         assert row.gap == pytest.approx(row.target - row.ratio)
+
+
+def test_ratio_table_validates_every_order_before_searching(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran before every order was validated")
+
+    monkeypatch.setattr(ngspectral.search, "exhaustive_f", no_search)
+    monkeypatch.setattr(ngspectral.search, "local_search_f", no_search)
+    with pytest.raises(ValueError, match="needs 2 <= s <= n, got s=5, n=4"):
+        ratio_table(5, "top", [8, 4])
+    with pytest.raises(ValueError, match="needs 2 <= s <= n, got s=3, n=2"):
+        ratio_table(3, "top", [48, 2])
+    monkeypatch.setenv("NG_MAX_ORDER", "8")
+    with pytest.raises(ValueError, match="graph order 9 exceeds size cap 8"):
+        ratio_table(2, "top", [4, 9])
 
 
 def test_ratio_table_switches_to_local_search():
