@@ -17,9 +17,9 @@ import math
 
 import numpy as np
 
-from ngspectral.bounds import BoundReport
+from ngspectral.bounds import Bound, BoundReport, Views, table_reports
 from ngspectral.graphs import Graph, Matrix01, blowup, check_order
-from ngspectral.spectra import check_tol, mu, mu_bottom, spectrum_pair
+from ngspectral.spectra import check_tol, spectrum_pair
 
 KRONECKER_SEED = np.array([[1, -1], [-1, -1]], dtype=np.int64)  # eigenvalues +/- sqrt(2)
 
@@ -75,37 +75,34 @@ def extremal_graph(k: int, t: int) -> Graph:
     return blowup(construct_a(k + 1), [t] * 2 ** (k + 1))
 
 
-def witness_check(g: Graph, k: int, *, tol: float = WITNESS_TOL) -> list[BoundReport]:
-    """Verify on g = extremal_graph(k, t) the four eigenvalue guarantees of
-    its family.
+def _scale(v: Views) -> float:
+    """c = n / (2 sqrt(2(s-1))), with s = 2^(k-1) + 1 passed as s_max."""
+    return v.n / (2.0 * math.sqrt(2.0 * (v.s_max - 1)))
 
-    With s = 2^(k-1) + 1 and c = n / (2 sqrt(2(s-1))), every 2 <= i <= s must
-    satisfy mu_i >= c - 1 and mu_{n-i+2} <= -c, on the graph and on its
-    complement.
-    """
+
+WITNESS_ROWS: tuple[Bound, ...] = (
+    Bound("witness_top", False, lambda n, s: range(2, s + 1),
+          lambda v, i: _scale(v) - 1.0, lambda v, i: v.t[0][:, i], lambda v, i: True),
+    Bound("witness_top_complement", False, lambda n, s: range(2, s + 1),
+          lambda v, i: _scale(v) - 1.0, lambda v, i: v.t[1][:, i], lambda v, i: True),
+    Bound("witness_bottom", False, lambda n, s: range(2, s + 1),
+          lambda v, i: v.b[0][:, i - 1], lambda v, i: -_scale(v), lambda v, i: True),
+    Bound("witness_bottom_complement", False, lambda n, s: range(2, s + 1),
+          lambda v, i: v.b[1][:, i - 1], lambda v, i: -_scale(v), lambda v, i: True),
+)
+
+
+def witness_check(g: Graph, k: int, *, tol: float = WITNESS_TOL) -> list[BoundReport]:
+    """The four eigenvalue guarantees WITNESS_ROWS of g = extremal_graph(k, t),
+    as reports sorted by (i, row): with s = 2^(k-1) + 1 and
+    c = n / (2 sqrt(2(s-1))), every 2 <= i <= s has mu_i >= c - 1 and
+    mu_{n-i+2} <= -c, on the graph and on its complement.  g needs order at
+    least s."""
     check_tol(tol)
     if k < 1:
         raise ValueError(f"index must be at least 1, got {k}")
     s = 2 ** (k - 1) + 1
-    n = g.n
-    c = n / (2.0 * math.sqrt(2.0 * (s - 1)))
+    if s > g.n:
+        raise ValueError(f"index {k} needs order at least {s}, got {g.n}")
     sg, sc = spectrum_pair(g)
-    reports: list[BoundReport] = []
-    for i in range(2, s + 1):
-        reports.append(
-            BoundReport("witness_top", n, i, True, False, c - 1.0, mu(sg, i), tol)
-        )
-        reports.append(
-            BoundReport(
-                "witness_top_complement", n, i, True, False, c - 1.0, mu(sc, i), tol
-            )
-        )
-        reports.append(
-            BoundReport("witness_bottom", n, i, True, False, mu_bottom(sg, i - 1), -c, tol)
-        )
-        reports.append(
-            BoundReport(
-                "witness_bottom_complement", n, i, True, False, mu_bottom(sc, i - 1), -c, tol
-            )
-        )
-    return reports
+    return sorted(table_reports(sg, sc, s, WITNESS_ROWS, tol=tol), key=lambda r: r.param)

@@ -25,6 +25,7 @@ refinement and the permutations within its cells (`canonical_masks`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -433,19 +434,23 @@ def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
     return canon
 
 
+@functools.cache
 def isomorphism_classes(n: int) -> np.ndarray:
     """Canonical masks of the graphs of order n, one per isomorphism class,
-    ascending, for 0 <= n <= EXHAUSTIVE_CAP.  Built level by level from the
-    graph on no vertices, canonicalizing SCORE_CHUNK extensions at a time."""
+    ascending, for 0 <= n <= EXHAUSTIVE_CAP.  Built from the classes of
+    order n - 1, canonicalizing SCORE_CHUNK extensions at a time.  Each
+    order is built once per process; the shared array is read-only."""
     if not 0 <= n <= EXHAUSTIVE_CAP:
         raise ValueError(f"isomorphism classes need 0 <= n <= {EXHAUSTIVE_CAP}, got n={n}")
-    reps = np.zeros(1, dtype=np.int64)
-    for k in range(1, n + 1):
-        ext = extensions(reps, k)
+    if n == 0:
+        reps = np.zeros(1, dtype=np.int64)
+    else:
+        ext = extensions(isomorphism_classes(n - 1), n)
         reps = np.unique(np.concatenate([
-            canonical_masks(ext[lo : lo + SCORE_CHUNK], k)
+            canonical_masks(ext[lo : lo + SCORE_CHUNK], n)
             for lo in range(0, ext.size, SCORE_CHUNK)
         ]))
+    reps.flags.writeable = False
     return reps
 
 

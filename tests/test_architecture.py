@@ -2,7 +2,9 @@
 
 One module calls LAPACK and one module owns the pair order: `np.linalg`
 appears only in `eigensolver.py`, and `pair_indices` and `tril_indices`
-only in `graphs.py`.
+only in `graphs.py`.  One module judges inequalities: `BoundReport(...)` is
+called only in `bounds.py`, so every report gets its verdict from the table
+walk.
 """
 
 import ast
@@ -14,6 +16,8 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ngspectral").gl
 
 # name -> the one module that may use it
 OWNERS = {"linalg": "eigensolver.py", "pair_indices": "graphs.py", "tril_indices": "graphs.py"}
+# callee -> the one module that may call it
+CALLERS = {"BoundReport": "bounds.py"}
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -43,3 +47,20 @@ def test_owned_names_stay_in_their_module(path):
     names = _names(ast.parse(path.read_text(), filename=str(path)))
     strays = sorted(name for name, owner in OWNERS.items() if name in names and path.name != owner)
     assert not strays, f"{path.name} uses {strays}"
+
+
+def _callees(tree: ast.AST) -> set[str]:
+    """Every name or attribute that the module calls."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            found.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", ""))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_owned_calls_stay_in_their_module(path):
+    callees = _callees(ast.parse(path.read_text(), filename=str(path)))
+    strays = sorted(name for name, owner in CALLERS.items() if name in callees and path.name != owner)
+    assert not strays, f"{path.name} calls {strays}"

@@ -12,12 +12,14 @@ from battery_oracle import battery_rows
 
 from ngspectral.bounds import (
     BOUNDS,
+    Bound,
     BoundReport,
     _neighbor_masks,
     _sq,
     evaluate,
     ramsey_certificate,
     run_battery,
+    table_reports,
     violations,
 )
 from ngspectral.constructions import extremal_graph
@@ -49,6 +51,16 @@ def report(g, bound_id, param=None):
 
 def keys(g, s_max):
     return {(r.bound_id, r.param) for r in run_battery(g, s_max)}
+
+
+def judged(bound_id, n, param, strict, lhs, rhs):
+    """The applicable report that the table walk gives, at its default
+    tolerance, for one row with the given constant sides at order n."""
+    row = Bound(bound_id, strict, lambda n, s_max: [param],
+                lambda v, p: lhs, lambda v, p: rhs, lambda v, p: True)
+    w = np.zeros(n)
+    (r,) = table_reports(w, w, 1, [row])
+    return r
 
 
 def test_nosal_regular_lower_tight():
@@ -207,19 +219,19 @@ def test_subset_squares_examples():
 def test_subset_squares_tolerance_scales_with_magnitude():
     # K_{2048,2048} meets the bound with equality; eigvalsh rounding at n=4096
     # left lhs above rhs by 3.9e-8, more than the absolute tolerance 1e-8
-    r = BoundReport("subset_squares", 4096, 4095, True, False, 4194304.000000039, 4194304.0)
+    r = judged("subset_squares", 4096, 4095, False, 4194304.000000039, 4194304.0)
     assert r.margin < -r.tol
     assert r.satisfied and not r.violated
     # a relative excess well above the tolerance is still a violation
     over = 4194304.0 * (1 + 1e-6)
-    assert BoundReport("subset_squares", 4096, 4095, True, False, over, 4194304.0).violated
+    assert judged("subset_squares", 4096, 4095, False, over, 4194304.0).violated
     # below magnitude 1 the tolerance stays absolute
-    assert BoundReport("weyl_upper", 4, 2, True, False, 0.5 + 2e-8, 0.5).violated
-    assert BoundReport("nosal_upper", 4, None, True, True, 0.5 + 5e-9, 0.5).satisfied
+    assert judged("weyl_upper", 4, 2, False, 0.5 + 2e-8, 0.5).violated
+    assert judged("nosal_upper", 4, None, True, 0.5 + 5e-9, 0.5).satisfied
 
 
 def test_bound_report_is_immutable():
-    r = BoundReport("nosal_upper", 4, None, True, True, 0.5, 1.0)
+    r = judged("nosal_upper", 4, None, True, 0.5, 1.0)
     assert r.tol == 1e-8 and r.margin == 0.5
     with pytest.raises(AttributeError):
         r.lhs = 2.0
@@ -482,13 +494,14 @@ def _bits(rows):
 
 def test_battery_matches_plain_python_oracle():
     # every lhs and rhs bit, signed zeros and NaN included; s_max = 12 runs
-    # the top sums past the length where np.sum would add pairwise
+    # the top sums past the length where np.sum would add pairwise, and
+    # s_max = 40 takes the 4^s preconditions past the int64 range at n = 64
     graphs = [Graph(n, bits) for n in range(1, 5) for bits in range(1 << (n * (n - 1) // 2))]
     graphs += [complete_bipartite(3, 5), complete_bipartite(6, 6), cycle(9), extremal_graph(2, 2)]
     graphs += [erdos_renyi(n, p, n) for n in (16, 40, 64) for p in (0.1, 0.5, 0.9)]
     for g in graphs:
         wg, wc = complement_pair_eigenvalues(g.adjacency_matrix())
-        for s_max in (1, 3, 12):
+        for s_max in (1, 3, 12, 40):
             got = [(r.bound_id, r.param, r.applicable, r.strict, r.lhs, r.rhs)
                    for r in run_battery(g, s_max)]
             want = battery_rows(wg.tolist(), wc.tolist(), s_max, 1e-8)
@@ -501,15 +514,13 @@ def test_batch_evaluation_matches_battery_per_graph():
     spectra = [complement_pair_eigenvalues(g.adjacency_matrix()) for g in graphs]
     wg = np.array([pair[0] for pair in spectra])
     wc = np.array([pair[1] for pair in spectra])
-    evaluations = evaluate(wg, wc, 4)
+    ev = evaluate(wg, wc, 4)
     for b, g in enumerate(graphs):
         batched = {}
-        for ev in evaluations:
-            lhs, rhs, applicable = np.broadcast_arrays(ev.lhs, ev.rhs, ev.applicable)
-            for j, p in enumerate(ev.params):
-                batched[ev.bound.bound_id, p] = (
-                    bool(applicable[b, j]), float(lhs[b, j]).hex(), float(rhs[b, j]).hex()
-                )
+        for j, (row, p) in enumerate(zip(ev.rows, ev.params)):
+            batched[row.bound_id, p] = (
+                bool(ev.applicable[b, j]), float(ev.lhs[b, j]).hex(), float(ev.rhs[b, j]).hex()
+            )
         single = {(r.bound_id, r.param): (r.applicable, r.lhs.hex(), r.rhs.hex())
                   for r in run_battery(g, 4)}
         assert batched == single
@@ -524,14 +535,18 @@ def test_table_sound_on_every_class_at_order_8():
     wg, wc = complement_pair_eigenvalues(masks_to_stack(classes, 8))
     tol = 1e-8
     applicable_ids = set()
-    for ev in evaluate(wg, wc, 8, tol):
-        lhs, rhs, applicable = np.broadcast_arrays(ev.lhs, ev.rhs, ev.applicable)
+    ev = evaluate(wg, wc, 8, tol)
+    ids = np.array([row.bound_id for row in ev.rows])
+    for bound in BOUNDS:
+        cols = ids == bound.bound_id
+        lhs, rhs, applicable = ev.lhs[:, cols], ev.rhs[:, cols], ev.applicable[:, cols]
         margin = rhs - lhs
         slack = tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        ok = margin > -slack if ev.bound.strict else margin >= -slack
+        ok = margin > -slack if bound.strict else margin >= -slack
+        assert np.array_equal(ev.satisfied[:, cols], ok), bound.bound_id
         bad = applicable & ~ok
-        assert not bad.any(), (ev.bound.bound_id, classes[np.nonzero(bad)[0][0]])
+        assert not bad.any(), (bound.bound_id, classes[np.nonzero(bad)[0][0]])
         if applicable.any():
-            applicable_ids.add(ev.bound.bound_id)
+            applicable_ids.add(bound.bound_id)
     # fs_upper needs n >= 15 and is the only row that never applies here
     assert applicable_ids == {b.bound_id for b in BOUNDS} - {"fs_upper"}

@@ -14,7 +14,7 @@ from ngspectral.constructions import (
     extremal_graph,
     witness_check,
 )
-from ngspectral.graphs import Graph
+from ngspectral.graphs import Graph, complete
 from ngspectral.eigensolver import symmetric_eigenvalues
 
 A2_ROWS = [[1, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 0]]
@@ -137,3 +137,12 @@ def test_witness_check_families_hold(k, t):
     s = 2 ** (k - 1) + 1
     assert len(reports) == 4 * (s - 1)
     assert not [r for r in reports if r.violated]
+
+
+def test_witness_check_needs_order_at_least_s():
+    # s = 2^(k-1) + 1 indices on each side; the table walk would pad with NaN
+    with pytest.raises(ValueError, match="index 1 needs order at least 2, got 1"):
+        witness_check(Graph(1), 1)
+    with pytest.raises(ValueError, match="index 3 needs order at least 5, got 4"):
+        witness_check(complete(4), 3)
+    assert len(witness_check(complete(5), 3)) == 16

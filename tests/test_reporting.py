@@ -15,9 +15,12 @@ def test_render_edge_values():
     # two distinct NaN objects, -0.0 next to 0.0, None, a quote and a
     # backslash: equal values share one conversion, NaN never merges wrongly
     reports = [
-        BoundReport('a"b\\c', 3, None, True, False, NAN, -0.0, 1e-8),
-        BoundReport("plain", 3, 2, False, True, float("nan"), 0.0, 1e-8),
-        BoundReport("plain", 3, 0, True, True, 1.0, 2.5, 1e-8),
+        BoundReport('a"b\\c', 3, None, True, False, lhs=NAN, rhs=-0.0, margin=NAN,
+                    satisfied=False, tol=1e-8),
+        BoundReport("plain", 3, 2, False, True, lhs=float("nan"), rhs=0.0, margin=NAN,
+                    satisfied=False, tol=1e-8),
+        BoundReport("plain", 3, 0, True, True, lhs=1.0, rhs=2.5, margin=1.5,
+                    satisfied=True, tol=1e-8),
     ]
     assert render(reports, "csv", BoundReport) == [
         "bound_id,n,s_or_k,applicable,strict,lhs,rhs,margin,satisfied,tol",

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import ngspectral.graphs
 import ngspectral.search
 from labelled_oracle import labelled_exhaustive_f
 from local_oracle import local_oracle
@@ -125,6 +126,22 @@ def test_isomorphism_classes_capped():
     with pytest.raises(ValueError, match="got n=-1"):
         isomorphism_classes(-1)
     assert isomorphism_classes(0).tolist() == [0]
+
+
+def test_isomorphism_classes_built_once_and_read_only(monkeypatch):
+    first = exhaustive_f(6, 2, "top")
+    classes = isomorphism_classes(5)
+
+    def no_build(masks, k):
+        raise AssertionError("classes canonicalized again")
+
+    # search keeps its own reference for the near-best candidates
+    monkeypatch.setattr(ngspectral.graphs, "canonical_masks", no_build)
+    assert isomorphism_classes(5) is classes
+    assert exhaustive_f(6, 2, "top") == first
+    assert not classes.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        classes[0] = 1
 
 
 def test_canonical_form_is_a_relabelling_invariant_labelling():
