@@ -17,7 +17,7 @@ from ngspectral.bounds import BoundReport, run_battery
 from ngspectral.constructions import WITNESS_TOL, construct_a, extremal_graph, witness_check
 from ngspectral.graph6 import emit_graph6, parse_graph6
 from ngspectral.graphs import Graph, generate, max_order
-from ngspectral.reporting import graph6_line, matrix_lines, render, spectrum_lines
+from ngspectral.reporting import FORMATS, graph6_line, matrix_lines, render, spectrum_lines
 from ngspectral.search import ExtremalRecord, RatioRow, exhaustive_f, local_search_f, ratio_table
 from ngspectral.spectra import DEFAULT_TOL, check_tol, spectrum_pair
 
@@ -39,7 +39,7 @@ def _tolerance(text: str) -> float:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    parser.add_argument("--format", choices=FORMATS, default="text")
     parser.add_argument("--output", metavar="PATH", help="write output to PATH instead of stdout")
     parser.add_argument(
         "--tol", type=_tolerance, default=DEFAULT_TOL,

@@ -39,7 +39,7 @@ DEFAULT_MAX_ORDER = 4096
 MAX_ORDER_ENV = "NG_MAX_ORDER"
 
 # largest order of exhaustive search and of the class build: order 9 takes
-# about 132 s to classify, and int64 pair masks overflow from order 12
+# about 65 s to classify, and int64 pair masks overflow from order 12
 EXHAUSTIVE_CAP = 8
 # masks per batch: matrices per eigvalsh call in exhaustive search, per
 # canonicalization in the class build, and per relabelling block
@@ -368,16 +368,12 @@ def extensions(reps: np.ndarray, k: int) -> np.ndarray:
     return (reps[:, None] | sets[None, :]).ravel()
 
 
-def _relabel(adj: np.ndarray, seq: np.ndarray) -> np.ndarray:
-    """Masks of the graphs `adj` (G, k, k) relabelled by `seq` (G or 1, P, k).
-
-    Vertex a of a relabelling is vertex seq[..., a] of the graph, so entry
-    [g, p] is the mask of adj[g][seq[g, p]][:, seq[g, p]].
-    """
-    k = adj.shape[-1]
-    i, j = pair_indices(k)
-    g = np.arange(adj.shape[0])[:, None, None]
-    bits = adj[g, seq[..., i], seq[..., j]]
+def _relabel(adj: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Masks of the graphs `adj` (G, k, k) relabelled by each row of `perms`
+    (P, k): vertex a of relabelling p is vertex perms[p, a], so entry [g, p]
+    is the mask of adj[g][perms[p]][:, perms[p]]."""
+    i, j = pair_indices(adj.shape[-1])
+    bits = adj[:, perms[:, i], perms[:, j]]
     return bits @ (np.int64(1) << np.arange(i.size, dtype=np.int64))
 
 
@@ -392,16 +388,16 @@ def _cell_permutations(layout: np.ndarray) -> np.ndarray:
 def _refined_colours(adj: np.ndarray) -> np.ndarray:
     """Stable colour refinement of each graph in `adj` (B, k, k).
 
-    A vertex's next colour is the number of vertices whose (colour,
-    neighbour count per colour) key is smaller, so colours are canonical:
+    A vertex's key is its colour and its neighbour count per colour, read as
+    digits base k + 1 (colour c counts at place[1 + c]); its next colour is
+    the number of vertices with a smaller key.  So colours are canonical:
     relabelling a graph permutes its colours the same way.
     """
     k = adj.shape[-1]
     place = (k + 1) ** np.arange(k, -1, -1, dtype=np.int64)
     colour = np.zeros(adj.shape[:2], dtype=np.int64)
     for _ in range(k):
-        counts = adj @ (colour[:, :, None] == np.arange(k)).astype(np.int64)
-        key = np.concatenate([colour[:, :, None], counts], axis=2) @ place
+        key = colour * place[0] + np.einsum("bvu,bu->bv", adj, place[1:][colour])
         refined = (key[:, :, None] > key[:, None, :]).sum(axis=2)
         if np.array_equal(refined, colour):
             break
@@ -413,15 +409,16 @@ def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
     """Canonical form of each order-k mask: the smallest mask over the
     relabellings that list the refined colour cells in colour order.
 
+    Each adjacency matrix is put in colour order once, so the graphs with one
+    colour layout share that layout's table of permutations within cells.
     Two masks get the same canonical form exactly when their graphs are
     isomorphic, and the form is itself a labelling of the graph.
     """
     adj = masks_to_stack(masks, k, dtype=np.int64)
     colour = _refined_colours(adj)
     order = np.argsort(colour, axis=1, kind="stable")
-    layouts, group = np.unique(
-        np.take_along_axis(colour, order, axis=1), axis=0, return_inverse=True
-    )
+    adj = adj[np.arange(masks.size)[:, None, None], order[:, :, None], order[:, None, :]]
+    layouts, group = np.unique(np.sort(colour, axis=1), axis=0, return_inverse=True)
     group = group.ravel()
     canon = np.empty(masks.size, dtype=np.int64)
     for g, layout in enumerate(layouts):
@@ -430,7 +427,7 @@ def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
         step = max(1, SCORE_CHUNK // perms.shape[0])
         for lo in range(0, members.size, step):
             idx = members[lo : lo + step]
-            canon[idx] = _relabel(adj[idx], order[idx][:, perms]).min(axis=1)
+            canon[idx] = _relabel(adj[idx], perms).min(axis=1)
     return canon
 
 
@@ -456,7 +453,7 @@ def isomorphism_classes(n: int) -> np.ndarray:
 
 def labellings(classes: np.ndarray, n: int) -> np.ndarray:
     """Distinct masks of every labelling of the given order-n graphs."""
-    perms = _cell_permutations(np.zeros(n, dtype=np.int64))[None]  # one cell: all n!
+    perms = _cell_permutations(np.zeros(n, dtype=np.int64))  # one cell: all n!
     adj = masks_to_stack(classes, n, dtype=np.int64)
     blocks = [_relabel(adj[c : c + 1], perms).ravel() for c in range(classes.size)]
     return np.unique(np.concatenate(blocks))

@@ -9,7 +9,8 @@ Reports, records and ratio rows each have one column table in `COLUMNS`:
 `render` derives the csv header, the csv rows and the json lines from it,
 and calls the kind's text-line function for text.  The spectrum, the
 recursion-matrix grid and the extremal graph6 line each have one function
-that takes the format, so the CLI only passes the format on.
+that takes the format, so the CLI only passes the format on.  `FORMATS`
+lists the formats; every entry point rejects any other with a ValueError.
 """
 
 from __future__ import annotations
@@ -24,6 +25,15 @@ import numpy as np
 from ngspectral.bounds import BoundReport
 from ngspectral.graphs import Matrix01
 from ngspectral.search import ExtremalRecord, RatioRow
+
+
+FORMATS = ("text", "json", "csv")
+
+
+def _check_format(fmt: str) -> str:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown output format {fmt!r}; choose from {', '.join(FORMATS)}")
+    return fmt
 
 
 def format_real(x: float) -> str:
@@ -131,7 +141,7 @@ def render(items: Iterable, fmt: str, kind: type) -> list[str]:
     text one line per item.  Each column converts each distinct value once."""
     if kind not in COLUMNS:
         raise TypeError(f"no renderer for {kind.__name__}")
-    if fmt not in ("csv", "json"):
+    if _check_format(fmt) == "text":
         line = globals()[TEXT_LINE[kind]]
         return [line(x) for x in items]
     columns = COLUMNS[kind]
@@ -178,7 +188,7 @@ def spectrum_text_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray) -> l
 def spectrum_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray, fmt: str) -> list[str]:
     """The spectra `sg` of a graph with `n` vertices and `edges` edges and
     `sc` of its complement, in `fmt`."""
-    if fmt == "json":
+    if _check_format(fmt) == "json":
         return [spectrum_json(n, edges, sg, sc)]
     if fmt == "csv":
         return spectrum_csv_lines(n, edges, sg, sc)
@@ -189,7 +199,7 @@ def matrix_lines(matrix: Matrix01, fmt: str) -> list[str]:
     """The 0/1 grid of `matrix`: one row of digits per line (comma-separated
     in csv), or one json object with the order and the rows."""
     rows = ["".join(map(str, row)) for row in matrix.entries.tolist()]
-    if fmt == "json":
+    if _check_format(fmt) == "json":
         return [json.dumps({"order": matrix.order, "rows": rows}, separators=(",", ":"))]
     if fmt == "csv":
         return [",".join(row) for row in rows]
@@ -198,7 +208,7 @@ def matrix_lines(matrix: Matrix01, fmt: str) -> list[str]:
 
 def graph6_line(g6: str, k: int, t: int, fmt: str) -> str:
     """The graph6 line that heads the witness reports of extremal_graph(k, t)."""
-    if fmt == "json":
+    if _check_format(fmt) == "json":
         return json.dumps({"graph6": g6, "k": k, "t": t}, separators=(",", ":"))
     if fmt == "csv":
         return f"graph6,{g6}"

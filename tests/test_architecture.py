@@ -4,7 +4,9 @@ One module calls LAPACK and one module owns the pair order: `np.linalg`
 appears only in `eigensolver.py`, and `pair_indices` and `tril_indices`
 only in `graphs.py`.  One module judges inequalities: `BoundReport(...)` is
 called only in `bounds.py`, so every report gets its verdict from the table
-walk.
+walk.  One module names the output formats: the machine formats "json" and
+"csv" are string constants only in `reporting.py`, which lists them in
+`FORMATS`.
 """
 
 import ast
@@ -18,6 +20,8 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ngspectral").gl
 OWNERS = {"linalg": "eigensolver.py", "pair_indices": "graphs.py", "tril_indices": "graphs.py"}
 # callee -> the one module that may call it
 CALLERS = {"BoundReport": "bounds.py"}
+# string constant -> the one module that may spell it
+SPELLERS = {"json": "reporting.py", "csv": "reporting.py"}
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -64,3 +68,13 @@ def test_owned_calls_stay_in_their_module(path):
     callees = _callees(ast.parse(path.read_text(), filename=str(path)))
     strays = sorted(name for name, owner in CALLERS.items() if name in callees and path.name != owner)
     assert not strays, f"{path.name} calls {strays}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_format_names_stay_in_reporting(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    strays = sorted(
+        text for text, owner in SPELLERS.items() if text in constants and path.name != owner
+    )
+    assert not strays, f"{path.name} spells {strays}"

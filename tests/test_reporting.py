@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ngspectral.bounds import BoundReport
-from ngspectral.reporting import render
+from ngspectral.graphs import Matrix01
+from ngspectral.reporting import graph6_line, matrix_lines, render, spectrum_lines
 from ngspectral.search import ExtremalRecord, RatioRow
 
 NAN = math.nan
@@ -66,3 +68,21 @@ def test_render_empty_and_unknown_kind():
     assert render(iter([]), "text", RatioRow) == []
     with pytest.raises(TypeError, match="no renderer for int"):
         render([1], "csv", int)
+
+
+@pytest.mark.parametrize("fmt", ["CSV", "xml"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda fmt: render([], fmt, BoundReport),
+        lambda fmt: spectrum_lines(2, 1, np.array([1.0, -1.0]), np.array([0.0, 0.0]), fmt),
+        lambda fmt: matrix_lines(Matrix01(np.eye(2)), fmt),
+        lambda fmt: graph6_line("A_", 1, 1, fmt),
+    ],
+    ids=["render", "spectrum_lines", "matrix_lines", "graph6_line"],
+)
+def test_unknown_format_is_rejected(entry, fmt):
+    # an unknown format used to fall through to text
+    with pytest.raises(ValueError, match="unknown output format .*choose from text, json, csv"):
+        entry(fmt)
+

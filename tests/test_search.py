@@ -1,5 +1,6 @@
 """Exhaustive and hill-climbing extremal search."""
 
+import hashlib
 import math
 import time
 
@@ -23,6 +24,7 @@ from ngspectral.graphs import (
     empty,
     erdos_renyi,
     isomorphism_classes,
+    labellings,
 )
 from ngspectral.search import (
     SCREEN_SLACK,
@@ -119,8 +121,38 @@ def test_isomorphism_class_counts():
     assert counts == [1, 2, 4, 11, 34, 156, 1044]
 
 
+# order -> (class count, sum of the class masks, sha256 prefix of the masks
+# as little-endian int64).  The count and invariance tests accept any
+# canonical labelling; these pin the representatives themselves.
+CLASS_DIGESTS = {
+    0: (1, 0, "af5570f5a1810b7a"),
+    1: (1, 0, "af5570f5a1810b7a"),
+    2: (2, 1, "9d34149fbd1fe777"),
+    3: (4, 17, "4b98e917857295e3"),
+    4: (11, 459, "c7f4f5dc70c39b12"),
+    5: (34, 25372, "af3b5941164c8111"),
+    6: (156, 3746451, "8d5369c45be3dad5"),
+    7: (1044, 1643811301, "99615f42d502df29"),
+    8: (12346, 2516343922332, "2ae045ee262d592f"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(CLASS_DIGESTS))
+def test_isomorphism_class_representatives_pinned(n):
+    classes = isomorphism_classes(n)
+    digest = hashlib.sha256(classes.astype("<i8").tobytes()).hexdigest()[:16]
+    assert (classes.size, int(classes.sum()), digest) == CLASS_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_labellings_of_every_class_are_every_labelled_graph(n):
+    # each of the 2^(n(n-1)/2) labelled graphs appears exactly once
+    masks = labellings(isomorphism_classes(n), n)
+    assert np.array_equal(masks, np.arange(1 << n * (n - 1) // 2))
+
+
 def test_isomorphism_classes_capped():
-    # order 9 would take about 132 s, and pair masks overflow int64 from order 12
+    # order 9 would take about 65 s, and pair masks overflow int64 from order 12
     with pytest.raises(ValueError, match="n <= 8, got n=9"):
         isomorphism_classes(9)
     with pytest.raises(ValueError, match="got n=-1"):
