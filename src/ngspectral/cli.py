@@ -18,7 +18,9 @@ from ngspectral.constructions import WITNESS_TOL, construct_a, extremal_graph, w
 from ngspectral.graph6 import emit_graph6, parse_graph6
 from ngspectral.graphs import Graph, generate, max_order
 from ngspectral.reporting import FORMATS, graph6_line, matrix_lines, render, spectrum_lines
-from ngspectral.search import ExtremalRecord, RatioRow, exhaustive_f, local_search_f, ratio_table
+from ngspectral.search import (
+    FAMILIES, ExtremalRecord, RatioRow, exhaustive_f, local_search_f, ratio_table,
+)
 from ngspectral.spectra import DEFAULT_TOL, check_tol, spectrum_pair
 
 
@@ -91,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--table", action="store_true", help="ratio table over --n-list")
     p_search.add_argument("--n", type=int, help="graph order")
     p_search.add_argument("--s", type=int, required=True, help="index parameter")
-    p_search.add_argument("--family", choices=("top", "bottom"), required=True)
+    p_search.add_argument("--family", choices=FAMILIES, required=True)
     p_search.add_argument("--iterations", type=int, default=50)
     p_search.add_argument("--restarts", type=int, default=3)
     p_search.add_argument(

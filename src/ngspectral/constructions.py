@@ -29,23 +29,16 @@ WITNESS_TOL = 1e-9
 def construct_a(k: int) -> Matrix01:
     """k-th matrix of the recursive family, in exact integer arithmetic.
 
-    Each step is evaluated on the +/-1 matrix 2A - J, Kronecker-multiplied by
-    the seed block, then shifted and halved; landing back in {0, 1} is
-    asserted so any drift fails immediately.
+    Each step maps the +/-1 matrix S = 2A - J to S (x) B, so the k-th is
+    (J + S) / 2 with S = (2I - J) (x) B^(x)(k-1), B the seed block.
     """
     if k < 1:
         raise ValueError(f"index must be at least 1, got {k}")
     check_order(2**k)
-    a = np.eye(2, dtype=np.int64)
+    signed = 2 * np.eye(2, dtype=np.int64) - 1
     for _ in range(k - 1):
-        signed = 2 * a - 1  # entries in {-1, +1}
-        expanded = np.kron(signed, KRONECKER_SEED) + 1
-        if np.any(expanded % 2):
-            raise AssertionError("recursion left the even lattice")
-        a = expanded // 2
-        if np.any((a != 0) & (a != 1)) or not np.array_equal(a, a.T):
-            raise AssertionError("recursion left the symmetric 0/1 matrices")
-    return Matrix01(a)
+        signed = np.kron(signed, KRONECKER_SEED)
+    return Matrix01((signed + 1) // 2)
 
 
 def a_spectrum_closed_form(k: int) -> np.ndarray:

@@ -45,15 +45,6 @@ EXHAUSTIVE_CAP = 8
 # canonicalization in the class build, and per relabelling block
 SCORE_CHUNK = 1 << 14
 
-GENERATOR_KINDS = (
-    "complete",
-    "empty",
-    "path",
-    "cycle",
-    "complete_bipartite",
-    "erdos_renyi",
-)
-
 
 def max_order() -> int:
     """Hard cap on graph order.  NG_MAX_ORDER, read at each call, is its only
@@ -308,47 +299,46 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     check_order(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     m = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
     draws = rng.random(m)
     return Graph(n, bitarray_to_mask(draws < p))
 
 
+# kind -> (builder, count of its leading parameters that are integers);
+# erdos_renyi also takes its edge probability and the seed
+GENERATORS = {
+    "complete": (complete, 1),
+    "empty": (empty, 1),
+    "path": (path, 1),
+    "cycle": (cycle, 1),
+    "complete_bipartite": (complete_bipartite, 2),
+    "erdos_renyi": (erdos_renyi, 1),
+}
+
+
 def generate(kind: str, params: Sequence[float], seed: int | None = None) -> Graph:
     """Build a named graph; deterministic for fixed (kind, params, seed)."""
-    if kind not in GENERATOR_KINDS:
-        raise ValueError(f"unknown generator {kind!r}; choose from {GENERATOR_KINDS}")
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown generator {kind!r}; choose from {tuple(GENERATORS)}")
     if not all(math.isfinite(x) for x in params):
         raise ValueError(f"generator {kind} needs finite parameters, got {list(params)}")
-
-    def _ints(count: int) -> list[int]:
-        if len(params) != count:
-            raise ValueError(f"generator {kind} takes {count} parameter(s), got {len(params)}")
-        out = []
-        for x in params:
-            if float(x) != int(x):
-                raise ValueError(f"generator {kind} needs integer parameters, got {x}")
-            out.append(int(x))
-        return out
-
-    if kind == "complete":
-        return complete(*_ints(1))
-    if kind == "empty":
-        return empty(*_ints(1))
-    if kind == "path":
-        return path(*_ints(1))
-    if kind == "cycle":
-        return cycle(*_ints(1))
-    if kind == "complete_bipartite":
-        return complete_bipartite(*_ints(2))
-    if len(params) != 2:
-        raise ValueError("erdos_renyi takes parameters (n, p)")
-    n, p = params
-    if float(n) != int(n):
-        raise ValueError(f"erdos_renyi order must be an integer, got {n}")
+    builder, ints = GENERATORS[kind]
+    random = kind == "erdos_renyi"
+    count = ints + random
+    if len(params) != count:
+        raise ValueError(f"generator {kind} takes {count} parameter(s), got {len(params)}")
+    for x in params[:ints]:
+        if float(x) != int(x):
+            raise ValueError(f"generator {kind} needs integer parameters, got {x}")
+    args = [int(x) for x in params[:ints]]
+    if not random:
+        return builder(*args)
     if seed is None:
         raise ValueError("erdos_renyi requires a seed")
-    return erdos_renyi(int(n), float(p), seed)
+    return builder(*args, float(params[-1]), seed)
 
 
 def masks_to_stack(masks: np.ndarray, n: int, dtype=np.float64) -> np.ndarray:

@@ -102,6 +102,11 @@ def _validate_s(n: int, s: int, family: str) -> None:
         raise ValueError(f"family {family} needs {low} <= s <= n, got s={s}, n={n}")
 
 
+def _validate_climb(iterations: int, restarts: int) -> None:
+    if iterations < 1 or restarts < 1:
+        raise ValueError("iterations and restarts must be at least 1")
+
+
 def objective(g: Graph, s: int, family: str) -> float:
     """Score one graph through `_score_stack`."""
     _validate_family(family)
@@ -425,8 +430,7 @@ def local_search_f(
     _validate_family(family)
     _validate_s(n, s, family)
     check_order(n)
-    if iterations < 1 or restarts < 1:
-        raise ValueError("iterations and restarts must be at least 1")
+    _validate_climb(iterations, restarts)
 
     m = n * (n - 1) // 2
     iu, ju = np.triu_indices(n, 1)  # flip order; the smallest index wins ties
@@ -494,9 +498,10 @@ def ratio_table(
     _validate_family(family)
     check_tol(tol)
     target = target_ratio(s, family)
-    for n in n_list:  # every order before the first search
+    for n in n_list:  # every order, and the climb's settings, before the first search
         _validate_s(n, s, family)
         check_order(n)
+    _validate_climb(iterations, restarts)
     rows = []
     for n in n_list:
         if n <= EXHAUSTIVE_CAP:

@@ -10,7 +10,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ngspectral.eigensolver import complement_pair_eigenvalues, symmetric_eigenvalues
+from ngspectral.eigensolver import (
+    batched_symmetric_eigenvalues, complement_pair_eigenvalues, symmetric_eigenvalues,
+)
 from ngspectral.graphs import Graph, Matrix01, check_sizes
 
 DEFAULT_TOL = 1e-8
@@ -38,8 +40,10 @@ def mu_bottom(spec: np.ndarray, s: int) -> float:
 
 
 def adjacency_spectrum(g: Graph) -> np.ndarray:
-    """All adjacency eigenvalues of g, sorted descending; deterministic."""
-    return symmetric_eigenvalues(g.adjacency_matrix())
+    """All adjacency eigenvalues of g, sorted descending; deterministic.
+    A Graph's matrix is symmetric by construction, so it skips the checks of
+    `symmetric_eigenvalues`."""
+    return batched_symmetric_eigenvalues(g.adjacency_matrix())
 
 
 def spectrum_pair(g: Graph) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ import ngspectral.cli
 import ngspectral.constructions
 from ngspectral.cli import build_parser, main
 from ngspectral.graph6 import emit_graph6
-from ngspectral.graphs import complete_bipartite, path
+from ngspectral.graphs import GENERATORS, complete_bipartite, generate, path
 from ngspectral.reporting import record_text, render
 from ngspectral.search import ExtremalRecord, exhaustive_f, local_search_f
 
@@ -665,6 +665,16 @@ def test_non_finite_generator_parameters_exit1(capsys):
         assert "needs finite parameters" in err
 
 
+def test_negative_seed_exit1(capsys):
+    for argv, seed in (
+        (["spectrum", "--generate", "erdos_renyi:10,0.5", "--seed", "-1"], -1),
+        (["search", "--local", "--n", "10", "--s", "2", "--family", "top", "--seed", "-3"], -3),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: seed must be non-negative, got {seed}\n"
+
+
 def test_graph6_file_input(tmp_path, capsys):
     src = tmp_path / "g.g6"
     src.write_text(emit_graph6(path(4)) + "\n", encoding="utf-8")
@@ -794,12 +804,29 @@ def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
         assert code == 0, (argv, err)
 
 
+def _subcommands() -> dict:
+    """Subcommand name -> its parser."""
+    return next(
+        action for action in build_parser()._actions if action.choices and action.dest == "command"
+    ).choices
+
+
 def test_readme_flags_exist():
     # every --flag README names, in prose too, is one some subcommand accepts
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
-    subparsers = next(
-        action for action in build_parser()._actions if action.choices and action.dest == "command"
-    )
-    accepted = {flag for sub in subparsers.choices.values() for flag in sub._option_string_actions}
+    accepted = {flag for sub in _subcommands().values() for flag in sub._option_string_actions}
     assert named and named <= accepted, sorted(named - accepted)
+
+
+def test_generator_docs_match_the_table():
+    # README lists every kind of GENERATORS, and every kind:params example in
+    # README and in the --generate help builds
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"generators of `GENERATORS` \(([^)]*)\)", readme).group(1)
+    assert set(re.findall(r"`(\w+)`", listed)) == set(GENERATORS)
+    help_text = _subcommands()["spectrum"]._option_string_actions["--generate"].help
+    examples = re.findall(r"\b([a-z_]+):(\d(?:[\d.,]*\d)?)", readme + "\n" + help_text)
+    assert examples
+    for kind, params in examples:
+        generate(kind, [float(x) for x in params.split(",")], seed=0)

@@ -345,12 +345,25 @@ def test_generate_dispatcher():
     assert generate("complete_bipartite", [2, 2]) == complete_bipartite(2, 2)
     assert generate("erdos_renyi", [10, 0.0], seed=7) == empty(10)
     assert generate("erdos_renyi", [20, 0.5], seed=1) == generate("erdos_renyi", [20, 0.5], seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown generator 'petersen'; choose from"):
         generate("petersen", [10])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"generator complete takes 1 parameter\(s\), got 2"):
         generate("complete", [2, 3])
-    with pytest.raises(ValueError):
-        generate("erdos_renyi", [10, 0.5])  # seed required
+    with pytest.raises(ValueError, match=r"generator erdos_renyi takes 2 parameter\(s\), got 3"):
+        generate("erdos_renyi", [10, 0.5, 1], seed=0)
+    with pytest.raises(ValueError, match="generator cycle needs integer parameters, got 4.5"):
+        generate("cycle", [4.5])
+    with pytest.raises(ValueError, match="generator erdos_renyi needs integer parameters, got 4.5"):
+        generate("erdos_renyi", [4.5, 0.5], seed=0)
+    with pytest.raises(ValueError, match="erdos_renyi requires a seed"):
+        generate("erdos_renyi", [10, 0.5])
+
+
+def test_erdos_renyi_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        erdos_renyi(10, 0.5, -1)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+        generate("erdos_renyi", [10, 0.5], seed=-3)
 
 
 def test_size_cap_env(monkeypatch):

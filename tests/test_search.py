@@ -347,6 +347,10 @@ def test_ratio_table_validates_every_order_before_searching(monkeypatch):
         ratio_table(5, "top", [8, 4])
     with pytest.raises(ValueError, match="needs 2 <= s <= n, got s=3, n=2"):
         ratio_table(3, "top", [48, 2])
+    with pytest.raises(ValueError, match="iterations and restarts must be at least 1"):
+        ratio_table(2, "top", [7, 8, 12], iterations=0)
+    with pytest.raises(ValueError, match="iterations and restarts must be at least 1"):
+        ratio_table(2, "bottom", [4, 5], restarts=0)
     monkeypatch.setenv("NG_MAX_ORDER", "8")
     with pytest.raises(ValueError, match="graph order 9 exceeds size cap 8"):
         ratio_table(2, "top", [4, 9])

@@ -48,6 +48,13 @@ def test_adjacency_spectrum_examples():
     )
 
 
+def test_adjacency_spectrum_is_the_first_of_spectrum_pair():
+    graphs = [complete(1), path(7), cycle(12), complete_bipartite(5, 9)]
+    graphs += [erdos_renyi(n, 0.5, n) for n in (16, 33, 100)]
+    for g in graphs:
+        assert adjacency_spectrum(g).tobytes() == spectrum_pair(g)[0].tobytes(), g.n
+
+
 def test_mu_indexing():
     spec = adjacency_spectrum(complete(4))
     assert mu(spec, 1) == pytest.approx(3.0, abs=1e-12)
