@@ -15,12 +15,17 @@ The hill climb takes, at every step, the single-edge flip with the best
 score.  A flip is a rank-2 update of the adjacency matrix, so one
 eigendecomposition of the graph and of its complement gives the flipped
 eigenvalue of every flip through a 2x2 inertia count (`_screen_flips`).
-That screen only ranks the flips: the flips within SCREEN_SLACK of its best
-are rebuilt and rescored through eigvalsh, and those scores pick the flip
-and stop the climb, so the climb visits the graphs, and reports the scores,
-of rescoring every flip through eigvalsh.  Results are fully
-deterministic: enumeration order is fixed, local search is seed-driven, and
-value ties are broken by the lexicographically smallest graph6 string.
+That screen only ranks the flips, so it bounds and prunes: each count
+shrinks a bracket on the flipped eigenvalue, the brackets bound each
+flip's score, and a flip whose upper bound falls more than 2 SCREEN_SLACK
+below the best lower bound is dropped with that upper bound as its score.
+Only the flips that can still lead are solved to full accuracy.  The flips
+within SCREEN_SLACK of the screen's best are rebuilt and rescored through
+eigvalsh, and those scores pick the flip and stop the climb, so the climb
+visits the graphs, and reports the scores, of rescoring every flip through
+eigvalsh.  Results are fully deterministic: enumeration order is fixed,
+local search is seed-driven, and value ties are broken by the
+lexicographically smallest graph6 string.
 """
 
 from __future__ import annotations
@@ -52,12 +57,17 @@ CLIMB_TIE_TOL = 1e-12
 # local search: flips per screening block and per rescoring batch
 FLIP_CHUNK = 512
 # flips screened within this of the best screened score are rescored; it
-# exceeds twice the screen's error, so the best flip is always among them
+# exceeds twice the screen's error, so the best flip is always among them.
+# The screen prunes a flip once its score is bounded 2 SCREEN_SLACK below
+# another flip's
 SCREEN_SLACK = 1e-8
 # the screen closes each eigenvalue's bracket to 2 * SCREEN_TOL; after
 # SCREEN_NEWTON_STEPS steps it only halves brackets, so every bracket closes
 SCREEN_TOL = 1e-10
 SCREEN_NEWTON_STEPS = 40
+# each Newton step of the screen goes this times its square past its
+# target, so that the next count brackets the eigenvalue from both sides
+SCREEN_OVERSHOOT = 32.0
 # relative to the spectral radius: the screen counts no closer than this to
 # the eigenvalues next to the one it seeks, and eigenvalues closer than
 # twice this count as one
@@ -102,9 +112,11 @@ def _validate_s(n: int, s: int, family: str) -> None:
         raise ValueError(f"family {family} needs {low} <= s <= n, got s={s}, n={n}")
 
 
-def _validate_climb(iterations: int, restarts: int) -> None:
+def _validate_climb(seed: int, iterations: int, restarts: int) -> None:
     if iterations < 1 or restarts < 1:
         raise ValueError("iterations and restarts must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def objective(g: Graph, s: int, family: str) -> float:
@@ -208,20 +220,23 @@ def _flip_bracket(lam: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
-def _near_clusters(lam: np.ndarray, t: int, rho: float) -> list[np.ndarray]:
-    """Index runs of the descending spectrum `lam` that hold eigenvalue t-1,
-    t or t+1 (1-based); a run joins neighbours closer than 2 rho.
+def _near_clusters(lam: np.ndarray, t: int, rho: float) -> list[slice]:
+    """Index runs, as slices, of the descending spectrum `lam` that hold
+    eigenvalue t-1, t or t+1 (1-based); a run joins neighbours closer than
+    2 rho.
 
     Only these poles can come near a point of the bracket of eigenvalue t.
     """
     cluster = np.concatenate([[0], np.cumsum(-np.diff(lam) > 2.0 * rho)])
     ids = sorted(set(cluster[max(t - 2, 0) : t + 1].tolist()))
-    return [np.flatnonzero(cluster == c) for c in ids]
+    starts = np.searchsorted(cluster, ids).tolist()
+    stops = np.searchsorted(cluster, ids, side="right").tolist()
+    return [slice(start, stop) for start, stop in zip(starts, stops)]
 
 
 def _gram(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Entries |u|^2, u.v, |v|^2 and determinant of the Gram matrix of the
-    rows of u and v (F, r), stacked on a new axis 1.
+    rows of u and v (F, r), stacked on a new axis 0.
 
     The determinant goes through Gram-Schmidt, so it stays accurate when u
     and v are nearly parallel, and it is exactly 0 for r = 1.
@@ -232,7 +247,7 @@ def _gram(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         beta = np.divide(uv, uu, out=np.zeros_like(uu), where=uu > 0)
         rest = v - beta[:, None] * u
         det = uu * (rest * rest).sum(-1)
-    return np.stack([uu, uv, vv, det], axis=1)
+    return np.stack([uu, uv, vv, det])
 
 
 def _secular(x, far, weights, nu, near, quad, delta):
@@ -250,7 +265,8 @@ def _secular(x, far, weights, nu, near, quad, delta):
     """
     gap = nu - x[:, None]
     alpha = 1.0 / gap
-    inv = 1.0 / (far - x[:, None])
+    inv = far - x[:, None]
+    np.divide(1.0, inv, out=inv)
     fa, fb, fc = np.einsum("kcn,kn->ck", weights, inv)
     fb += delta
     na, nb, nc = np.einsum("kcj,kj->ck", near, alpha)
@@ -275,10 +291,10 @@ def _secular(x, far, weights, nu, near, quad, delta):
     return gap, (sa, sb, sc), deriv, np.minimum(large, small), np.maximum(large, small)
 
 
-def _screen_flips(a: np.ndarray, s: int, family: str) -> np.ndarray:
+def _screen_flips(a: np.ndarray, s: int, family: str) -> tuple[np.ndarray, np.ndarray]:
     """Objective of every single-edge flip of the adjacency matrix `a`, in
     `np.triu_indices` order, from one eigendecomposition of `a` and of its
-    complement.
+    complement, and which of those scores are solved (the rest are bounds).
 
     Flip (i, j) adds d = 1 - 2 a_ij at (i, j) and (j, i) of the graph and
     -d to its complement, so for each spectrum Q diag(lam) Q' it is the
@@ -289,12 +305,18 @@ def _screen_flips(a: np.ndarray, s: int, family: str) -> np.ndarray:
     its bracket (`_flip_bracket`) from that count (`_solve_flips`), starting
     at its first-order perturbation.  The runs of poles next to eigenvalue t
     (`_near_clusters`) enter det M by expansion, and the points keep a
-    distance rho from them.  The error per score is below SCREEN_SLACK / 4:
-    the screen ranks the flips, and `local_search_f` rescores the leaders.
+    distance rho from them.
+
+    The screen ranks the flips, and `local_search_f` rescores the leaders.
+    A solved score is within SCREEN_SLACK / 4 of the flip's objective.  A
+    flip whose brackets prove it more than 2 SCREEN_SLACK below another
+    flip is pruned: its score is an upper bound that lies more than
+    SCREEN_SLACK below the best score, so it is never a leader.
     """
     n = a.shape[0]
     t = s if family == "top" else n - s + 1
     lam, vec = complement_pair_eigh(a)
+    vec = np.ascontiguousarray(vec)  # each flip takes two rows
     rho = POLE_GUARD * max(1.0, float(np.abs(lam).max()))
     low0, high0 = _flip_bracket(lam, t)
 
@@ -307,58 +329,78 @@ def _screen_flips(a: np.ndarray, s: int, family: str) -> np.ndarray:
     for p, spectrum_runs in enumerate(runs):
         for slot, run in enumerate(spectrum_runs):
             nu[p, slot] = lam[p, run].mean()
-            mult[p, slot] = run.size
+            mult[p, slot] = run.stop - run.start
             far[p, run] = np.inf
-    above_near = np.array([spectrum_runs[0][0] for spectrum_runs in runs])
+    above_near = np.array([spectrum_runs[0].start for spectrum_runs in runs])
 
     iu, ju = np.triu_indices(n, 1)
     scores = np.empty(iu.size)
+    solved = np.empty(iu.size, dtype=bool)
+    best = 0.0  # the largest lower bound on any flip's score so far
     for lo in range(0, iu.size, FLIP_CHUNK):
         i, j = iu[lo : lo + FLIP_CHUNK], ju[lo : lo + FLIP_CHUNK]
         size = i.size
         # problems: the flips of the graph, then those of the complement
         p = np.repeat([0, 1], size)
-        qi, qj = vec[p, np.tile(i, 2)], vec[p, np.tile(j, 2)]
-        weights = np.stack([qi * qi, qi * qj, qj * qj], axis=1)
-        gram = np.zeros((2 * size, 4, 3))
+        qi, qj = vec.take(i, axis=1).reshape(-1, n), vec.take(j, axis=1).reshape(-1, n)
+        # the poles of the runs are inf in `far`, so their weights drop out
+        weights = np.empty((2 * size, 3, n))
+        for c, (u, v) in enumerate([(qi, qi), (qi, qj), (qj, qj)]):
+            np.multiply(u, v, out=weights[:, c])
+        # the Gram entries of each run, problems last
+        gram = np.zeros((4, 3, 2 * size))
         for spectrum, spectrum_runs in enumerate(runs):
             rows = slice(spectrum * size, (spectrum + 1) * size)
             for slot, run in enumerate(spectrum_runs):
-                gram[rows, :, slot] = _gram(qi[rows][:, run], qj[rows][:, run])
-                weights[rows, :, run] = 0.0
-        ga, gb, gc, gdet = np.moveaxis(gram, 1, 0)
+                gram[:, slot, rows] = _gram(qi[rows, run], qj[rows, run])
+        ga, gb, gc, gdet = gram
         # run pair (j, l) adds alpha_j alpha_l (a_j c_l + c_j a_l - 2 b_j b_l)
-        quad = 0.5 * (ga[:, :, None] * gc[:, None, :] + gc[:, :, None] * ga[:, None, :])
-        quad -= gb[:, :, None] * gb[:, None, :]
-        quad[:, [0, 1, 2], [0, 1, 2]] = gdet
+        quad = 0.5 * (ga[:, None] * gc[None] + gc[:, None] * ga[None]) - gb[:, None] * gb[None]
+        quad[[0, 1, 2], [0, 1, 2]] = gdet
         d = 1.0 - 2.0 * a[i, j]
         delta = np.concatenate([d, -d])
-        data = [far[p], weights, nu[p], gram[:, :3], quad, delta, mult[p], above_near[p]]
+        data = [
+            far[p], weights, nu[p], gram[:3].transpose(2, 0, 1), quad.transpose(2, 0, 1),
+            delta, mult[p], above_near[p],
+        ]
         # the first point is the first-order perturbation of eigenvalue t
         x = lam[p, t - 1] + 2.0 * delta * qi[:, t - 1] * qj[:, t - 1]
-        mu = _solve_flips(x, low0[p], high0[p], data, t, rho)
-        scores[lo : lo + size] = np.abs(mu[:size]) + np.abs(mu[size:])
-    return scores
+        block = slice(lo, lo + size)
+        scores[block], solved[block], best = _solve_flips(x, low0[p], high0[p], data, t, rho, best)
+    return scores, solved
 
 
-def _solve_flips(x, low, high, data, t, rho):
-    """Eigenvalue t of each flipped matrix of `_screen_flips`, to within
-    SCREEN_TOL, from the first points x in the brackets (low, high).
+def _solve_flips(x, low, high, data, t, rho, best):
+    """Scores of the flips of one `_screen_flips` block, whether each is
+    solved, and the largest lower bound on a score, from the first points x
+    in the brackets (low, high) of eigenvalue t.  Problem k is the graph of
+    flip k, problem k + size its complement; `best` is the largest lower
+    bound from earlier blocks.
 
     Each step counts at x and so shrinks the bracket.  The next point is
     the Newton step on the eigenvalue of M whose sign decides the count, or
     the middle of the bracket where that step leaves the bracket or is not
-    half the step before last.  A step shorter than SCREEN_TOL goes
-    SCREEN_TOL further, so the count closes the bracket around the root.
-    Problems leave the arrays as they converge.
+    half the step before last.  The Newton step goes SCREEN_OVERSHOOT
+    step^2, and at least SCREEN_TOL / 2, past its target, so the count that
+    follows closes the bracket from the other side of the root.  A problem
+    leaves the arrays once its bracket is 2 SCREEN_TOL wide, and its
+    eigenvalue is the middle of the bracket.
+
+    From the second count on, the two brackets of a flip bound its score:
+    above by the sum of their largest |end|, below by the sum of their
+    distances from 0.  A flip whose upper bound is more than 2 SCREEN_SLACK
+    below the largest lower bound is pruned: both of its problems leave the
+    arrays and its score is that upper bound.
     """
-    result = np.empty(x.size)
+    size = x.size // 2
+    lows, highs = low.copy(), high.copy()  # the bracket of every problem
+    pruned = np.zeros(size, dtype=bool)
     ids = np.arange(x.size)
     moves = [high - low] * 2  # step sizes one and two steps back
     x = np.where((x > low) & (x < high), x, 0.5 * (low + high))
     for k in itertools.count():
         far, weights, nu, near, quad, delta, mult, above_near = data
-        done = high - low <= 2.0 * SCREEN_TOL
+        keep = high - low > 2.0 * SCREEN_TOL
         # points near a pole move just below or above it, if that still
         # splits the bracket; otherwise the bracket is within rho of the pole
         hit = np.abs(nu - x[:, None]) < rho
@@ -368,15 +410,15 @@ def _solve_flips(x, low, high, data, t, rho):
             use_below = pole - rho > low
             use_above = ~use_below & (pole + rho < high)
             x = np.where(moved, np.where(use_above, pole + rho, pole - rho), x)
-            done |= moved & ~use_below & ~use_above
-        if done.any():
-            result[ids[done]] = 0.5 * (low[done] + high[done])
-            keep = ~done
-            ids, x, low, high = ids[keep], x[keep], low[keep], high[keep]
-            moves = [w[keep] for w in moves]
-            data = [arr[keep] for arr in data]
-            if not ids.size:
-                return result
+            keep &= ~moved | use_below | use_above
+        keep &= ~pruned[ids % size]
+        if not keep.all():
+            rows = np.flatnonzero(keep)
+            if not rows.size:
+                break
+            ids, x, low, high = ids[rows], x[rows], low[rows], high[rows]
+            moves = [w[rows] for w in moves]
+            data = [arr.take(rows, axis=0) for arr in data]
             far, weights, nu, near, quad, delta, mult, above_near = data
         gap, (sa, sb, sc), (da, db, dc), lo, hi = _secular(x, far, weights, nu, near, quad, delta)
         # the count is #{lam_k > x} + neg(M) - 1, so count >= t needs
@@ -384,18 +426,43 @@ def _solve_flips(x, low, high, data, t, rho):
         need = t + 1 - above_near - (mult * (gap > 0)).sum(-1)
         up = (lo < 0).astype(np.int64) + (hi < 0) >= need
         low, high = np.where(up, x, low), np.where(up, high, x)
+        lows[ids], highs[ids] = low, high
+        if k:
+            upper, lower = _score_bounds(lows, highs, size)
+            best = max(best, float(lower.max()))
+            pruned |= upper < best - 2.0 * SCREEN_SLACK
         # Newton step on the eigenvalue of M whose sign decides the count;
         # its slope is tr(adj(ev - M) M') / tr(adj(ev - M))
         ev = np.where(need == 1, lo, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):  # M = c I: no step, halve
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # M = c I: halve
             step = ev * (2.0 * ev - sa - sc) / ((sc - ev) * da - 2.0 * sb * db + (sa - ev) * dc)
-        step += np.where(np.abs(step) < SCREEN_TOL, np.copysign(SCREEN_TOL, step), 0.0)
+            step += np.copysign(np.maximum(SCREEN_OVERSHOOT * step * step, 0.5 * SCREEN_TOL), step)
         newton = x + step
         use = (need >= 1) & (need <= 2) & (newton > low) & (newton < high)
         use &= (np.abs(step) <= 0.5 * moves[1]) & (k < SCREEN_NEWTON_STEPS)
         nxt = np.where(use, newton, 0.5 * (low + high))
         moves = [np.abs(nxt - x), moves[0]]
         x = nxt
+    upper, _ = _score_bounds(lows, highs, size)
+    mu = np.abs(0.5 * (lows + highs))
+    return np.where(pruned, upper, mu[:size] + mu[size:]), ~pruned, best
+
+
+def _score_bounds(low: np.ndarray, high: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper and lower bounds on |mu_graph| + |mu_complement| of each flip
+    from the brackets [low, high] (2 size,) of its two problems."""
+    mag_low, mag_high = np.abs(low), np.abs(high)
+    upper = np.maximum(mag_low, mag_high)
+    lower = np.where((low <= 0.0) & (high >= 0.0), 0.0, np.minimum(mag_low, mag_high))
+    return upper[:size] + upper[size:], lower[:size] + lower[size:]
+
+
+def _screen_leaders(a: np.ndarray, s: int, family: str) -> np.ndarray:
+    """Indices of the flips of `a` screened within SCREEN_SLACK of the best
+    screened score: every flip whose objective is within SCREEN_SLACK / 2
+    of the best, ties included."""
+    screened, _ = _screen_flips(a, s, family)
+    return np.flatnonzero(screened >= screened.max() - SCREEN_SLACK)
 
 
 def _flipped_stack(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -419,18 +486,19 @@ def local_search_f(
 
     Starts from `restarts` seeded random graphs (seed + restart index) plus
     any matching extremal construction.  Each step screens all n(n-1)/2
-    flips (`_screen_flips`), rescores those within SCREEN_SLACK of the best
-    screened score through `_score_stack`, and takes the best of them, the
-    smallest flip index among equal scores.  That is the flip, and the
-    score, that rescoring every flip would give.  The climb stops when no
-    flip improves the score by more than CLIMB_TIE_TOL.  The returned value
-    is the witness re-scored by `objective` after its graph6 round trip,
-    hence a certified lower bound on the true extremal value.
+    flips, rescores the leaders, those within SCREEN_SLACK of the best
+    screened score (`_screen_leaders`), through `_score_stack`, and takes
+    the best of them, the smallest flip index among equal scores.  That is
+    the flip, and the score, that rescoring every flip would give.  The
+    climb stops when no flip improves the score by more than CLIMB_TIE_TOL.
+    The returned value is the witness re-scored by `objective` after its
+    graph6 round trip, hence a certified lower bound on the true extremal
+    value.
     """
     _validate_family(family)
     _validate_s(n, s, family)
     check_order(n)
-    _validate_climb(iterations, restarts)
+    _validate_climb(seed, iterations, restarts)
 
     m = n * (n - 1) // 2
     iu, ju = np.triu_indices(n, 1)  # flip order; the smallest index wins ties
@@ -445,8 +513,7 @@ def local_search_f(
         score = float(_score_stack(a[None, :, :], s, family)[0])
         evaluations += 1
         for _ in range(iterations if m else 0):  # one vertex: nothing to flip
-            screened = _screen_flips(a, s, family)
-            leaders = np.flatnonzero(screened >= screened.max() - SCREEN_SLACK)
+            leaders = _screen_leaders(a, s, family)
             rescored = np.concatenate([
                 _score_stack(_flipped_stack(a, iu[k], ju[k]), s, family)
                 for k in np.split(leaders, np.arange(FLIP_CHUNK, leaders.size, FLIP_CHUNK))
@@ -498,10 +565,10 @@ def ratio_table(
     _validate_family(family)
     check_tol(tol)
     target = target_ratio(s, family)
-    for n in n_list:  # every order, and the climb's settings, before the first search
+    for n in n_list:  # every order, the seed and the climb's settings before any search
         _validate_s(n, s, family)
         check_order(n)
-    _validate_climb(iterations, restarts)
+    _validate_climb(seed, iterations, restarts)
     rows = []
     for n in n_list:
         if n <= EXHAUSTIVE_CAP:

@@ -6,10 +6,13 @@ only in `graphs.py`.  One module judges inequalities: `BoundReport(...)` is
 called only in `bounds.py`, so every report gets its verdict from the table
 walk.  One module names the output formats: the machine formats "json" and
 "csv" are string constants only in `reporting.py`, which lists them in
-`FORMATS`.
+`FORMATS`.  The package imports only numpy, the standard library and
+itself: CI installs numpy and pytest alone, so any other import would pass
+only where it happens to be installed.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,8 @@ OWNERS = {"linalg": "eigensolver.py", "pair_indices": "graphs.py", "tril_indices
 CALLERS = {"BoundReport": "bounds.py"}
 # string constant -> the one module that may spell it
 SPELLERS = {"json": "reporting.py", "csv": "reporting.py"}
+# top-level packages the package may import besides the standard library
+DEPENDENCIES = {"numpy", "ngspectral"}
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -78,3 +83,21 @@ def test_format_names_stay_in_reporting(path):
         text for text, owner in SPELLERS.items() if text in constants and path.name != owner
     )
     assert not strays, f"{path.name} spells {strays}"
+
+
+def _imports(tree: ast.AST) -> set[str]:
+    """Top-level package of every absolute import in the module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_numpy_and_the_standard_library(path):
+    imports = _imports(ast.parse(path.read_text(), filename=str(path)))
+    strays = sorted(imports - DEPENDENCIES - set(sys.stdlib_module_names))
+    assert not strays, f"{path.name} imports {strays}"

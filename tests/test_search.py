@@ -27,9 +27,12 @@ from ngspectral.graphs import (
     labellings,
 )
 from ngspectral.search import (
+    FAMILIES,
     SCREEN_SLACK,
     _flipped_stack,
+    _score_stack,
     _screen_flips,
+    _screen_leaders,
     exhaustive_f,
     local_search_f,
     objective,
@@ -299,7 +302,9 @@ def _screen_graphs(n):
 @pytest.mark.parametrize("n", [4, 5, 6, 8, 12, 16, 24, 32, 64])
 def test_screen_matches_eigvalsh_on_every_flip(n):
     # integer and highly repeated spectra put the flipped eigenvalues on the
-    # unflipped ones and make double roots: the cases the screen must survive
+    # unflipped ones and make double roots: the cases the screen must survive.
+    # Every flip that can lead is solved; every other score bounds its flip
+    # from above and lies too far below the best to be a leader.
     iu, ju = np.triu_indices(n, 1)
     for g in _screen_graphs(n):
         a = g.adjacency_matrix()
@@ -307,10 +312,39 @@ def test_screen_matches_eigvalsh_on_every_flip(n):
         wg, wc = complement_pair_eigenvalues(_flipped_stack(a, iu, ju))
         for t in sorted({1, 2, 3, n // 2, n - 1, n}):
             exact = np.abs(wg[:, t - 1]) + np.abs(wc[:, t - 1])
+            near = exact >= exact.max() - 2 * SCREEN_SLACK
             for s, family in [(t, "top"), (n - t + 1, "bottom")]:
                 if s >= 2 or family == "bottom":
-                    error = np.abs(_screen_flips(a, s, family) - exact).max()
-                    assert error <= SCREEN_SLACK / 4, (n, g.bits, s, family, error)
+                    case = (n, g.bits, s, family)
+                    screened, solved = _screen_flips(a, s, family)
+                    assert solved[near].all(), case
+                    error = np.abs(screened - exact)[near].max()
+                    assert error <= SCREEN_SLACK / 4, (*case, error)
+                    rest = screened[~near]
+                    assert (rest >= exact[~near] - SCREEN_SLACK / 4).all(), case
+                    assert (rest < screened.max() - SCREEN_SLACK).all(), case
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_screen_prunes_most_flips(family):
+    a = erdos_renyi(32, 0.5, 0).adjacency_matrix()
+    _, solved = _screen_flips(a, 2, family)
+    assert np.count_nonzero(~solved) > solved.size / 2
+
+
+@pytest.mark.parametrize(
+    "g", [extremal_graph(1, 8), complete_bipartite(8, 8)], ids=["extremal_1_8", "K_8_8"]
+)
+@pytest.mark.parametrize("s,family", [(2, "top"), (2, "bottom")])
+def test_screen_leaders_keep_every_tied_flip(g, s, family):
+    # many flips of these graphs tie for the best score: pruning may not
+    # drop one of them, or the climb could take another flip than eigvalsh
+    a = g.adjacency_matrix()
+    iu, ju = np.triu_indices(g.n, 1)
+    exact = _score_stack(_flipped_stack(a, iu, ju), s, family)
+    best = np.flatnonzero(exact >= exact.max() - SCREEN_SLACK / 2)
+    assert best.size > 1
+    assert np.isin(best, _screen_leaders(a, s, family)).all()
 
 
 def test_local_search_validation():
@@ -351,6 +385,10 @@ def test_ratio_table_validates_every_order_before_searching(monkeypatch):
         ratio_table(2, "top", [7, 8, 12], iterations=0)
     with pytest.raises(ValueError, match="iterations and restarts must be at least 1"):
         ratio_table(2, "bottom", [4, 5], restarts=0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        ratio_table(2, "top", [7, 8, 12], seed=-1)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -2"):
+        ratio_table(2, "bottom", [4, 5], seed=-2)
     monkeypatch.setenv("NG_MAX_ORDER", "8")
     with pytest.raises(ValueError, match="graph order 9 exceeds size cap 8"):
         ratio_table(2, "top", [4, 9])
