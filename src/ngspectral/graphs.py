@@ -441,6 +441,19 @@ def isomorphism_classes(n: int) -> np.ndarray:
     return reps
 
 
+@functools.cache
+def complement_pair_classes(n: int) -> np.ndarray:
+    """The classes of `isomorphism_classes(n)` whose canonical mask is at
+    most that of their complement's class: one class per complement pair,
+    the self-complementary ones included.  Each order is built once per
+    process; the shared array is read-only."""
+    classes = isomorphism_classes(n)
+    full = (1 << n * (n - 1) // 2) - 1
+    reps = classes[classes <= canonical_masks(classes ^ full, n)]
+    reps.flags.writeable = False
+    return reps
+
+
 def labellings(classes: np.ndarray, n: int) -> np.ndarray:
     """Distinct masks of every labelling of the given order-n graphs."""
     perms = _cell_permutations(np.zeros(n, dtype=np.int64))  # one cell: all n!

@@ -4,12 +4,14 @@ orders and certified lower bounds by seeded hill climbing for larger ones.
 The objective for the top family at index s is |mu_s(G)| + |mu_s(comp)|; the
 bottom family at index s uses mu_{n-s+1} instead.  Both depend only on the
 spectra, so they are invariant under relabelling and under swapping G with
-its complement.  The exhaustive pass therefore scores every one-vertex
-extension of the isomorphism classes of order n-1, which covers every class
-of order n.  Rounding differs between labellings of one graph, so the
-classes within tol of the best score are expanded into all their labellings
-and rescored: the value and the witness are those of the search over every
-labelled graph.
+its complement; a graph and its complement even score the same bits, since
+the two eigvalsh inputs swap.  The exhaustive pass therefore scores the
+one-vertex extensions of one isomorphism class of order n-1 per complement
+pair, which cover a graph or the complement of a graph of every class of
+order n.  Rounding differs between labellings of one graph, so the classes
+within tol of the best score are expanded into all their labellings, each
+folded to the smaller of its mask and its complement's, and rescored: the
+value and the witness are those of the search over every labelled graph.
 
 The hill climb takes, at every step, the single-edge flip with the best
 score.  A flip is a rank-2 update of the adjacency matrix, so one
@@ -41,8 +43,8 @@ from ngspectral.constructions import extremal_graph
 from ngspectral.eigensolver import complement_pair_eigenvalues, complement_pair_eigh
 from ngspectral.graph6 import parse_graph6, smallest_graph6
 from ngspectral.graphs import (
-    EXHAUSTIVE_CAP, SCORE_CHUNK, Graph, canonical_masks, check_order, erdos_renyi, extensions,
-    isomorphism_classes, labellings, masks_to_stack,
+    EXHAUSTIVE_CAP, SCORE_CHUNK, Graph, canonical_masks, check_order, complement_pair_classes,
+    erdos_renyi, extensions, labellings, masks_to_stack,
 )
 from ngspectral.spectra import DEFAULT_TOL, check_tol
 
@@ -51,6 +53,10 @@ FAMILIES = ("top", "bottom")
 # two labellings of one graph score the same up to rounding far below this,
 # so candidates this close to the tie band can still hold a maximizer
 RELABEL_SLACK = 1e-12
+# exhaustive search: the most labellings of near-best classes it builds,
+# 208 classes at n = 8 and every class at n = 7.  At the default tol no
+# (n <= 8, s, family) needs more than 3 classes
+LABEL_BUDGET = 1 << 23
 # local search: scores closer than this are ties, and a flip must beat the
 # current score by more than this to count as an improvement
 CLIMB_TIE_TOL = 1e-12
@@ -153,13 +159,34 @@ def _score_masks(masks: np.ndarray, n: int, s: int, family: str) -> np.ndarray:
     ])
 
 
+def _near_classes(near: np.ndarray, n: int, tol: float) -> np.ndarray:
+    """Canonical masks of the classes of the order-n masks `near`,
+    canonicalized SCORE_CHUNK at a time.  Raises ValueError as soon as the
+    classes found, n! labellings each, pass LABEL_BUDGET masks."""
+    limit = LABEL_BUDGET // math.factorial(n)
+    classes = np.empty(0, dtype=np.int64)
+    for lo in range(0, near.size, SCORE_CHUNK):
+        classes = np.union1d(classes, canonical_masks(near[lo : lo + SCORE_CHUNK], n))
+        if classes.size > limit:
+            raise ValueError(
+                f"tol={tol} leaves more than {limit} classes of order {n} within tol of the "
+                f"best score; relabelling them, {n}! masks each, would pass {LABEL_BUDGET} "
+                "masks, so lower tol"
+            )
+    return classes
+
+
 def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> ExtremalRecord:
     """Exact extremal value over all 2^(n(n-1)/2) labeled graphs.
 
-    Capped at n <= EXHAUSTIVE_CAP.  The witness is the lexicographically
-    smallest graph6 string among all maximizers within tol, complements
-    included.  `evaluations` counts the labelled graphs covered, one per
-    complement pair.
+    Capped at n <= EXHAUSTIVE_CAP.  Scores the extensions of
+    `complement_pair_classes(n - 1)`, then every labelling of the classes
+    within tol + RELABEL_SLACK of the best, one mask per complement pair
+    (the smaller).  A tol that leaves more classes than LABEL_BUDGET masks
+    of labellings can hold raises ValueError before any is built.  The
+    witness is the lexicographically smallest graph6 string among all
+    maximizers within tol, complements included.  `evaluations` counts the
+    labelled graphs covered, one per complement pair.
     """
     _validate_family(family)
     _validate_s(n, s, family)
@@ -169,14 +196,16 @@ def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> Ex
         raise ValueError(f"exhaustive search capped at n <= {EXHAUSTIVE_CAP}")
     m = n * (n - 1) // 2
     total = 1 if m == 0 else 1 << (m - 1)
+    full = (1 << m) - 1
 
-    candidates = extensions(isomorphism_classes(n - 1), n)
+    candidates = extensions(complement_pair_classes(n - 1), n)
     scores = _score_masks(candidates, n, s, family)
     near = candidates[scores >= scores.max() - tol - RELABEL_SLACK]
-    labelled = labellings(np.unique(canonical_masks(near, n)), n)
-    scores = _score_masks(labelled, n, s, family)
+    labelled = labellings(_near_classes(near, n, tol), n)
+    folded = np.unique(np.minimum(labelled, labelled ^ full))
+    scores = _score_masks(folded, n, s, family)
     value = float(scores.max())
-    witness = smallest_graph6(n, labelled[scores >= value - tol].tolist())
+    witness = smallest_graph6(n, folded[scores >= value - tol])
     return ExtremalRecord(
         n=n,
         s=s,

@@ -5,7 +5,11 @@ enumeration of all 2^(m-1) labelled complement pairs as an oracle for it.
 It scores every bitmask below the top pair bit, which holds exactly one of
 each {G, comp} pair, in shards of `shard_size` masks, through the same
 `_score_stack` as the program, so the two values must agree bit for bit.
-The witness is the smallest graph6 string, compared as strings.
+That fold is now the program's fold too: `exhaustive_f` scores one class
+per complement pair and relabels into min(x, full ^ x), which is the mask
+below the top pair bit, relying as this oracle does on a graph and its
+complement scoring the same bits.  The witness is the smallest graph6
+string, compared as strings.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from ngspectral.graph6 import emit_graph6, parse_graph6, smallest_graph6
@@ -111,3 +112,27 @@ def test_smallest_graph6_compares_as_strings():
             graphs = [Graph(n, mask) for mask in masks]
             expected = min(emit_graph6(h) for g in graphs for h in (g, complement(g)))
             assert smallest_graph6(n, masks) == expected
+
+
+def test_smallest_graph6_array_matches_list():
+    # int64 masks are ranked in numpy, lists of ints by string; duplicates
+    # and masks given with their complements must not change the answer
+    rng = random.Random(11)
+    for n in range(1, 12):
+        m = n * (n - 1) // 2
+        full = (1 << m) - 1
+        for size in (1, 3, 40):
+            masks = [rng.getrandbits(m) if m else 0 for _ in range(size)]
+            masks += masks[: size // 2] + [mask ^ full for mask in masks[size // 3 :]]
+            rng.shuffle(masks)
+            assert smallest_graph6(n, np.array(masks, dtype=np.int64)) == smallest_graph6(n, masks)
+
+
+def test_smallest_graph6_array_path_stops_at_order_11():
+    # from order 12 a mask needs more than 62 bits: only lists hold it
+    with pytest.raises(ValueError, match="order 12 has 66"):
+        smallest_graph6(12, np.zeros(1, dtype=np.int64))
+    masks = [random.Random(12).getrandbits(66)]
+    assert smallest_graph6(12, masks) == min(
+        emit_graph6(h) for h in (Graph(12, masks[0]), complement(Graph(12, masks[0])))
+    )

@@ -19,6 +19,7 @@ from ngspectral.graphs import (
     Graph,
     canonical_masks,
     complement,
+    complement_pair_classes,
     complete,
     complete_bipartite,
     empty,
@@ -30,6 +31,7 @@ from ngspectral.search import (
     FAMILIES,
     SCREEN_SLACK,
     _flipped_stack,
+    _score_masks,
     _score_stack,
     _screen_flips,
     _screen_leaders,
@@ -116,6 +118,88 @@ def _all_cases(n):
 def test_exhaustive_matches_labelled_oracle(n, s, family):
     # == on the whole record: the value bit for bit, the witness, the counts
     assert exhaustive_f(n, s, family) == labelled_exhaustive_f(n, s, family)
+
+
+# (n, s, family) -> (value.hex(), witness, evaluations) of exhaustive_f:
+# every instance at order 7 and three at order 8, from the search that
+# scored every class of order n - 1
+EXACT_RECORDS = {
+    (7, 2, "top"): ("0x1.8fc1ecd5fda14p+1", "F@NMO", 1048576),
+    (7, 3, "top"): ("0x1.0642ec62ba524p+1", "F@Ue?", 1048576),
+    (7, 4, "top"): ("0x1.3c6ef372fe954p+0", "F@U^?", 1048576),
+    (7, 5, "top"): ("0x1.9e3779b97f4aap+1", "F@U^?", 1048576),
+    (7, 6, "top"): ("0x1.032176315d292p+2", "F@Ue?", 1048576),
+    (7, 7, "top"): ("0x1.4dbe9091fbc1ep+2", "F@rN_", 1048576),
+    (7, 1, "bottom"): ("0x1.4dbe9091fbc1ep+2", "F@rN_", 1048576),
+    (7, 2, "bottom"): ("0x1.032176315d292p+2", "F@Ue?", 1048576),
+    (7, 3, "bottom"): ("0x1.9e3779b97f4aap+1", "F@U^?", 1048576),
+    (7, 4, "bottom"): ("0x1.3c6ef372fe954p+0", "F@U^?", 1048576),
+    (7, 5, "bottom"): ("0x1.0642ec62ba524p+1", "F@Ue?", 1048576),
+    (7, 6, "bottom"): ("0x1.8fc1ecd5fda14p+1", "F@NMO", 1048576),
+    (7, 7, "bottom"): ("0x1.ece664ccfff82p+2", "F?B~w", 1048576),
+    (8, 3, "top"): ("0x1.3504f333f9decp+1", "G@Umf?", 134217728),
+    (8, 5, "top"): ("0x1.0000000000002p+1", "G?K}][", 134217728),
+    (8, 8, "bottom"): ("0x1.2000000000002p+3", "G??F~{", 134217728),
+}
+
+
+@pytest.mark.parametrize("n,s,family", sorted(EXACT_RECORDS))
+def test_exhaustive_records_pinned(n, s, family):
+    rec = exhaustive_f(n, s, family)
+    assert (rec.value.hex(), rec.witness, rec.evaluations) == EXACT_RECORDS[n, s, family]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_score_masks_complement_symmetric(n, family):
+    # the two eigvalsh inputs swap and |a| + |b| commutes: the same bits.
+    # Over every mask in order, full ^ x runs the same masks backwards
+    masks = np.arange(1 << n * (n - 1) // 2, dtype=np.int64)
+    assert np.array_equal(masks ^ masks[-1], masks[::-1])
+    for s in range(2 if family == "top" else 1, n + 1):
+        scores = _score_masks(masks, n, s, family)
+        assert np.array_equal(scores, scores[::-1])
+
+
+@pytest.mark.parametrize("s,family", [(2, "top"), (4, "top"), (1, "bottom"), (6, "bottom")])
+def test_exhaustive_scores_one_graph_per_complement_pair(monkeypatch, s, family):
+    scored = []
+
+    def recording(masks, n, s, family):
+        scored.append(masks.copy())
+        return _score_masks(masks, n, s, family)
+
+    monkeypatch.setattr(ngspectral.search, "_score_masks", recording)
+    exhaustive_f(6, s, family)
+    candidates, labelled = scored
+    # 18 of the 34 classes of order 5, one per complement pair, times 2^5
+    # neighbour sets of vertex 6
+    assert candidates.size == 576
+    # every relabelled graph is folded below the top pair bit
+    assert labelled.size and not (labelled >> 14).any()
+
+
+def test_complement_pair_classes():
+    # (A000088 + A000171) / 2: classes plus self-complementary classes, halved
+    counts = [complement_pair_classes(n).size for n in range(8)]
+    assert counts == [1, 1, 1, 2, 6, 18, 78, 522]
+    for n in range(2, 8):
+        reps, classes = complement_pair_classes(n), isomorphism_classes(n)
+        full = (1 << n * (n - 1) // 2) - 1
+        comp = canonical_masks(reps ^ full, n)
+        # each pair once: every class is a representative or the complement of one
+        assert np.isin(reps, classes).all() and (reps <= comp).all()
+        assert np.array_equal(np.union1d(reps, comp), classes)
+    assert not complement_pair_classes(5).flags.writeable
+
+
+def test_exhaustive_rejects_a_tie_band_too_wide_to_relabel(monkeypatch):
+    def no_labellings(classes, n):
+        raise AssertionError("labellings built")
+
+    monkeypatch.setattr(ngspectral.search, "labellings", no_labellings)
+    with pytest.raises(ValueError, match=r"tol=1\.0 leaves more than 208 classes of order 8"):
+        exhaustive_f(8, 2, "top", tol=1.0)
 
 
 def test_isomorphism_class_counts():
