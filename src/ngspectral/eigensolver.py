@@ -5,9 +5,9 @@ numpy.linalg.  Single matrices, stacks of matrices and graph/complement
 pairs all end in `batched_symmetric_eigenvalues`; its descending float64
 arrays are the toolkit's spectra, read 1-based by `spectra.mu`.  Local
 search also needs eigenvectors: `complement_pair_eigh` returns the
-eigenpairs of one graph and of its complement from one eigh call.  On
-integer adjacency matrices the error per eigenvalue is a small multiple of
-machine epsilon times the spectral radius.
+eigenpairs of a stack of graphs and of their complements from one eigh
+call.  On integer adjacency matrices the error per eigenvalue is a small
+multiple of machine epsilon times the spectral radius.
 
 Determinism: the same input gives byte-identical output across runs on the
 same machine with the same BLAS thread count.  A different thread count can
@@ -52,13 +52,13 @@ def complement_pair_eigenvalues(stack: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return batched_symmetric_eigenvalues(a), batched_symmetric_eigenvalues(_complement(a))
 
 
-def complement_pair_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of one adjacency matrix A (n, n) and of its complement.
+def complement_pair_eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of adjacency matrices A (..., n, n) and of their complements.
 
-    Returns eigenvalues (2, n), row 0 for A and row 1 for the complement,
-    each descending, and eigenvectors (2, n, n) whose column k belongs to
-    eigenvalue k of the same row.  Both come from one eigh call.
+    Returns eigenvalues (..., 2, n), row 0 for A and row 1 for the
+    complement, each descending, and eigenvectors (..., 2, n, n) whose column
+    k belongs to eigenvalue k of the same row.  All come from one eigh call.
     """
-    a = np.asarray(matrix, dtype=np.float64)
-    w, v = np.linalg.eigh(np.stack([a, _complement(a)]))
-    return w[:, ::-1], v[:, :, ::-1]
+    a = np.asarray(stack, dtype=np.float64)
+    w, v = np.linalg.eigh(np.stack([a, _complement(a)], axis=-3))
+    return w[..., ::-1], v[..., ::-1]

@@ -369,10 +369,21 @@ def _relabel(adj: np.ndarray, perms: np.ndarray) -> np.ndarray:
 
 def _cell_permutations(layout: np.ndarray) -> np.ndarray:
     """Every permutation of positions that maps each run of equal values in
-    the sorted `layout` onto itself, as rows."""
+    the sorted `layout` onto itself, as rows (`_cell_table`)."""
     cuts = [0, *(np.flatnonzero(np.diff(layout)) + 1).tolist(), layout.size]
-    cells = [itertools.permutations(range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
-    return np.array([sum(p, ()) for p in itertools.product(*cells)], dtype=np.int64)
+    return _cell_table(tuple(hi - lo for lo, hi in zip(cuts, cuts[1:])))
+
+
+@functools.cache
+def _cell_table(cells: tuple[int, ...]) -> np.ndarray:
+    """Every permutation of positions that maps each run of `cells[c]`
+    positions, in order, onto itself, as rows.  Each layout is built once
+    per process; the shared table is read-only."""
+    bounds = np.cumsum((0, *cells)).tolist()
+    runs = [itertools.permutations(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    table = np.array([sum(p, ()) for p in itertools.product(*runs)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def _refined_colours(adj: np.ndarray) -> np.ndarray:
@@ -400,7 +411,8 @@ def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
     relabellings that list the refined colour cells in colour order.
 
     Each adjacency matrix is put in colour order once, so the graphs with one
-    colour layout share that layout's table of permutations within cells.
+    colour layout share that layout's table of permutations within cells,
+    built once per process (`_cell_table`).
     Two masks get the same canonical form exactly when their graphs are
     isomorphic, and the form is itself a labelling of the graph.
     """

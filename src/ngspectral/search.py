@@ -20,12 +20,16 @@ eigenvalue of every flip through a 2x2 inertia count (`_screen_flips`).
 That screen only ranks the flips, so it bounds and prunes: each count
 shrinks a bracket on the flipped eigenvalue, the brackets bound each
 flip's score, and a flip whose upper bound falls more than 2 SCREEN_SLACK
-below the best lower bound is dropped with that upper bound as its score.
-Only the flips that can still lead are solved to full accuracy.  The flips
-within SCREEN_SLACK of the screen's best are rebuilt and rescored through
-eigvalsh, and those scores pick the flip and stop the climb, so the climb
-visits the graphs, and reports the scores, of rescoring every flip through
-eigvalsh.  Results are fully deterministic: enumeration order is fixed,
+below the best lower bound of its graph is dropped with that upper bound as
+its score.  Only the flips that can still lead are solved to full accuracy.
+The flips within SCREEN_SLACK of the screen's best are rebuilt and
+rescored through eigvalsh, and those scores pick the flip and stop the
+climb, so the climb visits the graphs, and reports the scores, of
+rescoring every flip through eigvalsh.  The climbs from all starts run in
+lockstep: each step solves the eigendecompositions of every climb still
+running in one call and screens all their flips in one pass, so each Newton
+step of the screen serves every climb; a climb leaves the batch when it
+stops.  Results are fully deterministic: enumeration order is fixed,
 local search is seed-driven, and value ties are broken by the
 lexicographically smallest graph6 string.
 """
@@ -60,8 +64,14 @@ LABEL_BUDGET = 1 << 23
 # local search: scores closer than this are ties, and a flip must beat the
 # current score by more than this to count as an improvement
 CLIMB_TIE_TOL = 1e-12
-# local search: flips per screening block and per rescoring batch
+# local search: leaders per rescoring batch, and problems per chunk when
+# the screen sums over the far poles or compacts its weights
 FLIP_CHUNK = 512
+# local search: the most flips, of every climb still running, that one
+# screening block solves together.  Three climbs of order 32 fit in one
+# block; its weights, 3n doubles for each flip's graph and complement, take
+# 2.4 MB there
+SCREEN_BLOCK = 3 * FLIP_CHUNK
 # flips screened within this of the best screened score are rescored; it
 # exceeds twice the screen's error, so the best flip is always among them.
 # The screen prunes a flip once its score is bounded 2 SCREEN_SLACK below
@@ -263,43 +273,63 @@ def _near_clusters(lam: np.ndarray, t: int, rho: float) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(starts, stops)]
 
 
-def _gram(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Entries |u|^2, u.v, |v|^2 and determinant of the Gram matrix of the
-    rows of u and v (F, r), stacked on a new axis 0.
-
-    The determinant goes through Gram-Schmidt, so it stays accurate when u
-    and v are nearly parallel, and it is exactly 0 for r = 1.
+def _gram_det(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Determinant of the Gram matrix of each row pair of u and v (F, r),
+    through Gram-Schmidt, so that it stays accurate when u and v are nearly
+    parallel.  For r = 1 it is exactly 0, and the screen does not call it.
     """
-    uu, uv, vv = (u * u).sum(-1), (u * v).sum(-1), (v * v).sum(-1)
-    det = np.zeros_like(uu)
-    if u.shape[-1] > 1:
-        beta = np.divide(uv, uu, out=np.zeros_like(uu), where=uu > 0)
-        rest = v - beta[:, None] * u
-        det = uu * (rest * rest).sum(-1)
-    return np.stack([uu, uv, vv, det])
+    uu = (u * u).sum(-1)
+    beta = np.divide((u * v).sum(-1), uu, out=np.zeros_like(uu), where=uu > 0)
+    rest = v - beta[:, None] * u
+    return uu * (rest * rest).sum(-1)
 
 
-def _secular(x, far, weights, nu, near, quad, delta):
+def _compact(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """arr[rows] for ascending rows, written over the start of arr a chunk
+    at a time, so that no second copy of arr is made.  Each chunk reads
+    rows at or after those it writes."""
+    for lo in range(0, rows.size, FLIP_CHUNK):
+        part = rows[lo : lo + FLIP_CHUNK]
+        arr[lo : lo + part.size] = arr[part]
+    return arr[: rows.size]
+
+
+def _far_sums(x, weights, far, spec):
+    """The three sums of `_secular` over the poles away from the bracket,
+    and their derivatives in x, each (3, K): `weights` against 1 / (far - x)
+    and its square.  They take FLIP_CHUNK problems at a time, so the one
+    (K, n) array they need is never built whole."""
+    sums = np.empty((2, 3, x.size))
+    for lo in range(0, x.size, FLIP_CHUNK):
+        part = slice(lo, lo + FLIP_CHUNK)
+        inv = far.take(spec[part], axis=0)
+        inv -= x[part, None]
+        np.reciprocal(inv, out=inv)
+        np.einsum("kcn,kn->ck", weights[part], inv, out=sums[0, :, part])
+        inv *= inv
+        np.einsum("kcn,kn->ck", weights[part], inv, out=sums[1, :, part])
+    return sums
+
+
+def _secular(x, weights, far, spec, nu, near, quad, delta):
     """The 2x2 matrix M(x) = [[a, b + d], [b + d, c]] of `_screen_flips` at
     the points x (K,), its derivative in x and its eigenvalues.
 
-    Per problem: `far` (K, n) holds the poles away from the bracket (inf in
-    place of the others) and `weights` (K, 3, n) their q_ik^2, q_ik q_jk,
-    q_jk^2.  `nu` (K, 3) holds the runs of poles next to the bracket,
-    `near` (K, 3, 3) the same three sums over each run, and `quad` (K, 3, 3)
-    the terms of det M that pair two runs (off the diagonal) or a run with
-    itself (its Gram determinant, on the diagonal).  Returns the gaps
-    nu - x, the entries of M, their derivatives, and M's eigenvalues,
-    smaller first.
+    `far` (S, n) holds the poles of each spectrum away from the bracket
+    (inf in place of the others), and per problem, of spectrum `spec`,
+    `weights` (K, 3, n) holds their q_ik^2, q_ik q_jk, q_jk^2.  `nu` (K, 3)
+    holds the runs of poles next to the bracket, `near` (K, 3, 3) the same
+    three sums over each run, and `quad` (K, 3, 3) the terms of det M that
+    pair two runs (off the diagonal) or a run with itself (its Gram
+    determinant, on the diagonal).  Returns the gaps nu - x, the entries of
+    M, their derivatives, and M's eigenvalues, smaller first.
     """
+    (fa, fb, fc), deriv = _far_sums(x, weights, far, spec)
     gap = nu - x[:, None]
     alpha = 1.0 / gap
-    inv = far - x[:, None]
-    np.divide(1.0, inv, out=inv)
-    fa, fb, fc = np.einsum("kcn,kn->ck", weights, inv)
     fb += delta
     na, nb, nc = np.einsum("kcj,kj->ck", near, alpha)
-    deriv = np.einsum("kcn,kn->ck", weights, inv * inv) + np.einsum("kcj,kj->ck", near, alpha * alpha)
+    deriv += np.einsum("kcj,kj->ck", near, alpha * alpha)
     # det M expanded over the runs next to the bracket: det M cancels the
     # square of each of their terms, and rounding cannot
     det = fa * (fc + nc) + fc * na - fb * (fb + 2.0 * nb)
@@ -320,10 +350,11 @@ def _secular(x, far, weights, nu, near, quad, delta):
     return gap, (sa, sb, sc), deriv, np.minimum(large, small), np.maximum(large, small)
 
 
-def _screen_flips(a: np.ndarray, s: int, family: str) -> tuple[np.ndarray, np.ndarray]:
-    """Objective of every single-edge flip of the adjacency matrix `a`, in
-    `np.triu_indices` order, from one eigendecomposition of `a` and of its
-    complement, and which of those scores are solved (the rest are bounds).
+def _screen_flips(stack: np.ndarray, s: int, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """Objective of every single-edge flip of each adjacency matrix in
+    `stack` (C, n, n), (C, n(n-1)/2) in `np.triu_indices` order, from one
+    eigendecomposition of each matrix and of its complement, and which of
+    those scores are solved (the rest are bounds).
 
     Flip (i, j) adds d = 1 - 2 a_ij at (i, j) and (j, i) of the graph and
     -d to its complement, so for each spectrum Q diag(lam) Q' it is the
@@ -336,24 +367,32 @@ def _screen_flips(a: np.ndarray, s: int, family: str) -> tuple[np.ndarray, np.nd
     (`_near_clusters`) enter det M by expansion, and the points keep a
     distance rho from them.
 
+    The flips of all matrices are solved together, SCREEN_BLOCK at most per
+    block, so every Newton step serves every matrix; a single graph is a
+    stack of one.  Each problem keeps to its own matrix: its spectrum, its
+    guard rho and, for pruning, its matrix's best lower bound.
+
     The screen ranks the flips, and `local_search_f` rescores the leaders.
     A solved score is within SCREEN_SLACK / 4 of the flip's objective.  A
     flip whose brackets prove it more than 2 SCREEN_SLACK below another
-    flip is pruned: its score is an upper bound that lies more than
-    SCREEN_SLACK below the best score, so it is never a leader.
+    flip of its matrix is pruned: its score is an upper bound that lies
+    more than SCREEN_SLACK below the matrix's best score, so it is never a
+    leader.
     """
-    n = a.shape[0]
+    count, n = stack.shape[0], stack.shape[-1]
     t = s if family == "top" else n - s + 1
-    lam, vec = complement_pair_eigh(a)
-    vec = np.ascontiguousarray(vec)  # each flip takes two rows
-    rho = POLE_GUARD * max(1.0, float(np.abs(lam).max()))
-    low0, high0 = _flip_bracket(lam, t)
+    lam, vec = complement_pair_eigh(stack)
+    # spectrum 2c is matrix c and spectrum 2c + 1 its complement; row
+    # (2c + p) n + i of `vec` holds vertex i of spectrum 2c + p
+    lam = lam.reshape(2 * count, n)
+    vec = vec.reshape(2 * count * n, n)
+    rho = np.repeat(POLE_GUARD * np.maximum(1.0, np.abs(lam).reshape(count, 2 * n).max(-1)), 2)
 
     # poles next to eigenvalue t: value, multiplicity and slot; the rest lie
     # outside every bracket and enter a, b, c one by one
-    runs = [_near_clusters(row, t, rho) for row in lam]
-    nu = np.full((2, 3), np.inf)
-    mult = np.zeros((2, 3))
+    runs = [_near_clusters(row, t, guard) for row, guard in zip(lam, rho)]
+    nu = np.full((2 * count, 3), np.inf)
+    mult = np.zeros((2 * count, 3))
     far = lam.copy()
     for p, spectrum_runs in enumerate(runs):
         for slot, run in enumerate(spectrum_runs):
@@ -361,66 +400,90 @@ def _screen_flips(a: np.ndarray, s: int, family: str) -> tuple[np.ndarray, np.nd
             mult[p, slot] = run.stop - run.start
             far[p, run] = np.inf
     above_near = np.array([spectrum_runs[0].start for spectrum_runs in runs])
+    spectra = (lam, vec, runs, [*_flip_bracket(lam, t), rho, nu, mult, above_near])
 
+    total = count * (n * (n - 1) // 2)
     iu, ju = np.triu_indices(n, 1)
-    scores = np.empty(iu.size)
-    solved = np.empty(iu.size, dtype=bool)
-    best = 0.0  # the largest lower bound on any flip's score so far
-    for lo in range(0, iu.size, FLIP_CHUNK):
-        i, j = iu[lo : lo + FLIP_CHUNK], ju[lo : lo + FLIP_CHUNK]
-        size = i.size
-        # problems: the flips of the graph, then those of the complement
-        p = np.repeat([0, 1], size)
-        qi, qj = vec.take(i, axis=1).reshape(-1, n), vec.take(j, axis=1).reshape(-1, n)
-        # the poles of the runs are inf in `far`, so their weights drop out
-        weights = np.empty((2 * size, 3, n))
-        for c, (u, v) in enumerate([(qi, qi), (qi, qj), (qj, qj)]):
-            np.multiply(u, v, out=weights[:, c])
-        # the Gram entries of each run, problems last
-        gram = np.zeros((4, 3, 2 * size))
-        for spectrum, spectrum_runs in enumerate(runs):
-            rows = slice(spectrum * size, (spectrum + 1) * size)
-            for slot, run in enumerate(spectrum_runs):
-                gram[:, slot, rows] = _gram(qi[rows, run], qj[rows, run])
-        ga, gb, gc, gdet = gram
-        # run pair (j, l) adds alpha_j alpha_l (a_j c_l + c_j a_l - 2 b_j b_l)
-        quad = 0.5 * (ga[:, None] * gc[None] + gc[:, None] * ga[None]) - gb[:, None] * gb[None]
-        quad[[0, 1, 2], [0, 1, 2]] = gdet
-        d = 1.0 - 2.0 * a[i, j]
-        delta = np.concatenate([d, -d])
-        data = [
-            far[p], weights, nu[p], gram[:3].transpose(2, 0, 1), quad.transpose(2, 0, 1),
-            delta, mult[p], above_near[p],
-        ]
-        # the first point is the first-order perturbation of eigenvalue t
-        x = lam[p, t - 1] + 2.0 * delta * qi[:, t - 1] * qj[:, t - 1]
-        block = slice(lo, lo + size)
-        scores[block], solved[block], best = _solve_flips(x, low0[p], high0[p], data, t, rho, best)
-    return scores, solved
+    scores = np.empty(total)
+    solved = np.empty(total, dtype=bool)
+    best = np.zeros(count)  # per matrix, the largest lower bound on a flip's score so far
+    for lo in range(0, total, SCREEN_BLOCK):
+        climb, pair = np.divmod(np.arange(lo, min(lo + SCREEN_BLOCK, total)), iu.size)
+        problems = _flip_problems(stack, climb, iu[pair], ju[pair], t, spectra)
+        block = slice(lo, lo + climb.size)
+        scores[block], solved[block] = _solve_flips(problems, far, t, climb, best)
+    return scores.reshape(count, -1), solved.reshape(count, -1)
 
 
-def _solve_flips(x, low, high, data, t, rho, best):
-    """Scores of the flips of one `_screen_flips` block, whether each is
-    solved, and the largest lower bound on a score, from the first points x
-    in the brackets (low, high) of eigenvalue t.  Problem k is the graph of
-    flip k, problem k + size its complement; `best` is the largest lower
-    bound from earlier blocks.
+def _flip_problems(stack, climb, i, j, t, spectra) -> list:
+    """The problems of the flips (i[k], j[k]) of the matrices climb[k] of
+    `stack`: the graph of flip k, then its complement.
 
-    Each step counts at x and so shrinks the bracket.  The next point is
-    the Newton step on the eigenvalue of M whose sign decides the count, or
-    the middle of the bracket where that step leaves the bracket or is not
-    half the step before last.  The Newton step goes SCREEN_OVERSHOOT
-    step^2, and at least SCREEN_TOL / 2, past its target, so the count that
-    follows closes the bracket from the other side of the root.  A problem
-    leaves the arrays once its bracket is 2 SCREEN_TOL wide, and its
-    eigenvalue is the middle of the bracket.
+    `spectra` holds, from `_screen_flips`, the spectra (S, n), their
+    eigenvectors by rows, their runs of poles next to eigenvalue t, and the
+    tables a problem reads by its spectrum: bracket ends, rho, the runs'
+    means and multiplicities, and the count of poles above them.  Returns
+    the list that `_solve_flips` takes.
+    """
+    lam, vec, runs, tables = spectra
+    n = lam.shape[1]
+    spec = np.concatenate([2 * climb, 2 * climb + 1])
+    ends = np.tile(i, 2), np.tile(j, 2)
+    vi, vj = (spec * n + end for end in ends)
+    d = 1.0 - 2.0 * stack[climb, i, j]
+    delta = np.concatenate([d, -d])
+    # the weights of the poles: q_ik^2, q_ik q_jk and q_jk^2, built in place
+    # (mode="clip" writes straight into `out`; the rows are all in range)
+    weights = np.empty((spec.size, 3, n))
+    qi, qj = weights[:, 0], weights[:, 2]
+    vec.take(vi, axis=0, out=qi, mode="clip")
+    vec.take(vj, axis=0, out=qj, mode="clip")
+    np.multiply(qi, qj, out=weights[:, 1])
+    np.square(qi, out=qi)
+    np.square(qj, out=qj)
+    # the Gram entries of each run, spectrum by spectrum: the weights summed
+    # over its columns, and its determinant where it has more than one
+    near = np.zeros((spec.size, 3, 3))
+    gdet = np.zeros((spec.size, 3))
+    cuts = [0, *(np.flatnonzero(np.diff(spec)) + 1).tolist(), spec.size]
+    for first, last in zip(cuts, cuts[1:]):
+        p = spec[first]
+        for slot, run in enumerate(runs[p]):
+            near[first:last, :, slot] = weights[first:last, :, run].sum(-1)
+            if run.stop - run.start > 1:
+                u, v = (vec[p * n + end[first:last, None], np.r_[run]] for end in ends)
+                gdet[first:last, slot] = _gram_det(u, v)
+    ga, gb, gc = near.transpose(1, 0, 2)
+    # run pair (j, l) adds alpha_j alpha_l (a_j c_l + c_j a_l - 2 b_j b_l)
+    quad = 0.5 * (ga[:, :, None] * gc[:, None] + gc[:, :, None] * ga[:, None]) - gb[:, :, None] * gb[:, None]
+    quad[:, [0, 1, 2], [0, 1, 2]] = gdet
+    # the first point is the first-order perturbation of eigenvalue t
+    x = lam[spec, t - 1] + 2.0 * delta * vec[vi, t - 1] * vec[vj, t - 1]
+    low, high, rho, nu, mult, above_near = (table[spec] for table in tables)
+    return [x, low, high, weights, spec, rho, nu, mult, above_near, near, quad, delta]
+
+
+def _solve_flips(problems, far, t, climb, best):
+    """Scores of the flips of one `_screen_flips` block, and whether each is
+    solved, from its `problems` (`_flip_problems`), which starts from the
+    first points x in the brackets (low, high) of eigenvalue t and which
+    this empties.  Problem k is the graph of flip k, problem k + size its
+    complement; flip k belongs to matrix climb[k], and `best` holds each
+    matrix's largest lower bound on a score, from earlier blocks, and is
+    raised in place.
+
+    Each step counts at x, shrinks the bracket and picks the next point
+    (`_count`).  A problem leaves the arrays once its bracket is
+    2 SCREEN_TOL wide, and its eigenvalue is the middle of the bracket.
 
     From the second count on, the two brackets of a flip bound its score:
     above by the sum of their largest |end|, below by the sum of their
     distances from 0.  A flip whose upper bound is more than 2 SCREEN_SLACK
-    below the largest lower bound is pruned: both of its problems leave the
-    arrays and its score is that upper bound.
+    below the largest lower bound of its matrix is pruned: both of its
+    problems leave the arrays and its score is that upper bound.
     """
+    x, low, high, weights, *data = problems
+    problems.clear()  # the block's first arrays go as its problems leave
     size = x.size // 2
     lows, highs = low.copy(), high.copy()  # the bracket of every problem
     pruned = np.zeros(size, dtype=bool)
@@ -428,11 +491,11 @@ def _solve_flips(x, low, high, data, t, rho, best):
     moves = [high - low] * 2  # step sizes one and two steps back
     x = np.where((x > low) & (x < high), x, 0.5 * (low + high))
     for k in itertools.count():
-        far, weights, nu, near, quad, delta, mult, above_near = data
+        rho, nu = data[1:3]
         keep = high - low > 2.0 * SCREEN_TOL
         # points near a pole move just below or above it, if that still
         # splits the bracket; otherwise the bracket is within rho of the pole
-        hit = np.abs(nu - x[:, None]) < rho
+        hit = np.abs(nu - x[:, None]) < rho[:, None]
         if hit.any():
             pole = np.where(hit, nu, 0.0).sum(-1)  # runs are 2 rho apart: one hit at most
             moved = hit.any(-1)
@@ -447,34 +510,49 @@ def _solve_flips(x, low, high, data, t, rho, best):
                 break
             ids, x, low, high = ids[rows], x[rows], low[rows], high[rows]
             moves = [w[rows] for w in moves]
+            weights = _compact(weights, rows)
             data = [arr.take(rows, axis=0) for arr in data]
-            far, weights, nu, near, quad, delta, mult, above_near = data
-        gap, (sa, sb, sc), (da, db, dc), lo, hi = _secular(x, far, weights, nu, near, quad, delta)
-        # the count is #{lam_k > x} + neg(M) - 1, so count >= t needs
-        # `need` negative eigenvalues of M
-        need = t + 1 - above_near - (mult * (gap > 0)).sum(-1)
-        up = (lo < 0).astype(np.int64) + (hi < 0) >= need
-        low, high = np.where(up, x, low), np.where(up, high, x)
+        low, high, nxt = _count(x, low, high, moves[1], k, t, weights, far, data)
         lows[ids], highs[ids] = low, high
         if k:
             upper, lower = _score_bounds(lows, highs, size)
-            best = max(best, float(lower.max()))
-            pruned |= upper < best - 2.0 * SCREEN_SLACK
-        # Newton step on the eigenvalue of M whose sign decides the count;
-        # its slope is tr(adj(ev - M) M') / tr(adj(ev - M))
-        ev = np.where(need == 1, lo, hi)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # M = c I: halve
-            step = ev * (2.0 * ev - sa - sc) / ((sc - ev) * da - 2.0 * sb * db + (sa - ev) * dc)
-            step += np.copysign(np.maximum(SCREEN_OVERSHOOT * step * step, 0.5 * SCREEN_TOL), step)
-        newton = x + step
-        use = (need >= 1) & (need <= 2) & (newton > low) & (newton < high)
-        use &= (np.abs(step) <= 0.5 * moves[1]) & (k < SCREEN_NEWTON_STEPS)
-        nxt = np.where(use, newton, 0.5 * (low + high))
+            np.maximum.at(best, climb, lower)
+            pruned |= upper < best[climb] - 2.0 * SCREEN_SLACK
         moves = [np.abs(nxt - x), moves[0]]
         x = nxt
     upper, _ = _score_bounds(lows, highs, size)
     mu = np.abs(0.5 * (lows + highs))
-    return np.where(pruned, upper, mu[:size] + mu[size:]), ~pruned, best
+    return np.where(pruned, upper, mu[:size] + mu[size:]), ~pruned
+
+
+def _count(x, low, high, before_last, k, t, weights, far, data):
+    """Count step k of `_solve_flips` at the points x: the brackets (low,
+    high) shrunk by the count, and the next point.
+
+    The next point is the Newton step on the eigenvalue of M whose sign
+    decides the count, or the middle of the bracket where that step leaves
+    the bracket or is not half the step before last.  The Newton step goes
+    SCREEN_OVERSHOOT step^2, and at least SCREEN_TOL / 2, past its target,
+    so the count that follows closes the bracket from the other side of the
+    root.
+    """
+    spec, _, nu, mult, above_near, near, quad, delta = data
+    gap, (sa, sb, sc), (da, db, dc), lo, hi = _secular(x, weights, far, spec, nu, near, quad, delta)
+    # the count is #{lam_k > x} + neg(M) - 1, so count >= t needs
+    # `need` negative eigenvalues of M
+    need = t + 1 - above_near - (mult * (gap > 0)).sum(-1)
+    up = (lo < 0).astype(np.int64) + (hi < 0) >= need
+    low, high = np.where(up, x, low), np.where(up, high, x)
+    # Newton step on the eigenvalue of M whose sign decides the count;
+    # its slope is tr(adj(ev - M) M') / tr(adj(ev - M))
+    ev = np.where(need == 1, lo, hi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # M = c I: halve
+        step = ev * (2.0 * ev - sa - sc) / ((sc - ev) * da - 2.0 * sb * db + (sa - ev) * dc)
+        step += np.copysign(np.maximum(SCREEN_OVERSHOOT * step * step, 0.5 * SCREEN_TOL), step)
+    newton = x + step
+    use = (need >= 1) & (need <= 2) & (newton > low) & (newton < high)
+    use &= (np.abs(step) <= 0.5 * before_last) & (k < SCREEN_NEWTON_STEPS)
+    return low, high, np.where(use, newton, 0.5 * (low + high))
 
 
 def _score_bounds(low: np.ndarray, high: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -486,17 +564,19 @@ def _score_bounds(low: np.ndarray, high: np.ndarray, size: int) -> tuple[np.ndar
     return upper[:size] + upper[size:], lower[:size] + lower[size:]
 
 
-def _screen_leaders(a: np.ndarray, s: int, family: str) -> np.ndarray:
-    """Indices of the flips of `a` screened within SCREEN_SLACK of the best
-    screened score: every flip whose objective is within SCREEN_SLACK / 2
-    of the best, ties included."""
-    screened, _ = _screen_flips(a, s, family)
-    return np.flatnonzero(screened >= screened.max() - SCREEN_SLACK)
+def _screen_leaders(stack: np.ndarray, s: int, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, flip) indices of the flips of each matrix in `stack` screened
+    within SCREEN_SLACK of that matrix's best screened score, matrix by
+    matrix and flips ascending: every flip whose objective is within
+    SCREEN_SLACK / 2 of its matrix's best, ties included."""
+    screened, _ = _screen_flips(stack, s, family)
+    return np.nonzero(screened >= screened.max(-1, keepdims=True) - SCREEN_SLACK)
 
 
 def _flipped_stack(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Copies of `a`, copy k with the pair (i[k], j[k]) flipped."""
-    stack = np.repeat(a[None, :, :], i.size, axis=0)
+    """Copies of the matrices `a` (K, n, n), or K copies of `a` (n, n), copy
+    k with the pair (i[k], j[k]) flipped."""
+    stack = np.array(np.broadcast_to(a, (i.size,) + a.shape[-2:]))
     rows = np.arange(i.size)
     stack[rows, i, j] = 1.0 - stack[rows, i, j]
     stack[rows, j, i] = stack[rows, i, j]
@@ -514,15 +594,17 @@ def local_search_f(
     """Steepest-ascent hill climbing over single-edge flips.
 
     Starts from `restarts` seeded random graphs (seed + restart index) plus
-    any matching extremal construction.  Each step screens all n(n-1)/2
-    flips, rescores the leaders, those within SCREEN_SLACK of the best
-    screened score (`_screen_leaders`), through `_score_stack`, and takes
-    the best of them, the smallest flip index among equal scores.  That is
-    the flip, and the score, that rescoring every flip would give.  The
-    climb stops when no flip improves the score by more than CLIMB_TIE_TOL.
-    The returned value is the witness re-scored by `objective` after its
-    graph6 round trip, hence a certified lower bound on the true extremal
-    value.
+    any matching extremal construction, and climbs from all of them in
+    lockstep.  Each step screens the n(n-1)/2 flips of every climb still
+    running in one `_screen_flips` pass, rescores each climb's leaders,
+    those within SCREEN_SLACK of its best screened score
+    (`_screen_leaders`), through `_score_stack`, and takes each climb's
+    best, the smallest flip index among equal scores.  That is the flip,
+    and the score, that rescoring every flip would give.  A climb stops, and
+    leaves the batch, when no flip improves its score by more than
+    CLIMB_TIE_TOL.  The returned value is the witness re-scored by
+    `objective` after its graph6 round trip, hence a certified lower bound
+    on the true extremal value.
     """
     _validate_family(family)
     _validate_s(n, s, family)
@@ -534,31 +616,38 @@ def local_search_f(
     starts = [erdos_renyi(n, 0.5, seed + r) for r in range(restarts)]
     starts.extend(_constructive_starts(n, s))
 
-    evaluations = 0
+    a = np.stack([start.adjacency_matrix() for start in starts])
+    score = _score_stack(a, s, family)
+    evaluations = len(starts)
+    live = np.arange(len(starts) if m else 0)  # one vertex: nothing to flip
+    for _ in range(iterations):
+        if not live.size:
+            break
+        owner, flip = _screen_leaders(a[live], s, family)
+        rescored = np.concatenate([
+            _score_stack(_flipped_stack(a[live[owner[k]]], iu[flip[k]], ju[flip[k]]), s, family)
+            for k in np.split(np.arange(flip.size), np.arange(FLIP_CHUNK, flip.size, FLIP_CHUNK))
+        ])
+        evaluations += m * live.size
+        climbing = []
+        # every climb has a leader, and its leaders are contiguous
+        for c, lead in zip(live, np.split(np.arange(flip.size), np.flatnonzero(np.diff(owner)) + 1)):
+            k = lead[np.argmax(rescored[lead])]  # ties resolve to the smallest flip index
+            if rescored[k] > score[c] + CLIMB_TIE_TOL:
+                score[c] = rescored[k]
+                i, j = iu[flip[k]], ju[flip[k]]
+                a[c, i, j] = a[c, j, i] = 1.0 - a[c, i, j]
+                climbing.append(c)
+        live = np.array(climbing, dtype=np.int64)
+
     best_score = -math.inf
     best_masks: list[int] = []
-    for start in starts:
-        a = start.adjacency_matrix()
-        score = float(_score_stack(a[None, :, :], s, family)[0])
-        evaluations += 1
-        for _ in range(iterations if m else 0):  # one vertex: nothing to flip
-            leaders = _screen_leaders(a, s, family)
-            rescored = np.concatenate([
-                _score_stack(_flipped_stack(a, iu[k], ju[k]), s, family)
-                for k in np.split(leaders, np.arange(FLIP_CHUNK, leaders.size, FLIP_CHUNK))
-            ])
-            evaluations += m
-            j = int(leaders[np.argmax(rescored)])  # ties resolve to the smallest flip index
-            if rescored.max() <= score + CLIMB_TIE_TOL:
-                break
-            score = float(rescored.max())
-            a[iu[j], ju[j]] = 1.0 - a[iu[j], ju[j]]
-            a[ju[j], iu[j]] = a[iu[j], ju[j]]
-        bits = Graph.from_adjacency(a).bits
-        if score > best_score + CLIMB_TIE_TOL:
-            best_score = score
+    for c in range(len(starts)):
+        bits = Graph.from_adjacency(a[c]).bits
+        if score[c] > best_score + CLIMB_TIE_TOL:
+            best_score = float(score[c])
             best_masks = [bits]
-        elif score > best_score - CLIMB_TIE_TOL:
+        elif score[c] > best_score - CLIMB_TIE_TOL:
             best_masks.append(bits)
 
     witness = smallest_graph6(n, best_masks)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from ngspectral.graphs import (
 )
 from ngspectral.search import (
     FAMILIES,
+    SCREEN_BLOCK,
     SCREEN_SLACK,
+    _constructive_starts,
     _flipped_stack,
     _score_masks,
     _score_stack,
@@ -263,6 +266,27 @@ def test_isomorphism_classes_built_once_and_read_only(monkeypatch):
         classes[0] = 1
 
 
+def test_permutation_tables_built_once_and_read_only(monkeypatch):
+    labelled = labellings(isomorphism_classes(5), 5)
+    table = ngspectral.graphs._cell_permutations(np.zeros(5, dtype=np.int64))
+    assert table.shape == (120, 5) and len({tuple(row) for row in table}) == 120
+
+    def no_build(*args):
+        raise AssertionError("permutations listed again")
+
+    monkeypatch.setattr(ngspectral.graphs.itertools, "permutations", no_build)
+    assert ngspectral.graphs._cell_permutations(np.zeros(5, dtype=np.int64)) is table
+    assert np.array_equal(labellings(isomorphism_classes(5), 5), labelled)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+    # cells of 2 and 3 positions: 2! 3! rows, each cell mapped onto itself
+    cells = ngspectral.graphs._cell_permutations(np.array([0, 0, 4, 4, 4]))
+    assert cells.shape == (12, 5)
+    assert (np.sort(cells[:, :2], axis=1) == [0, 1]).all()
+    assert (np.sort(cells[:, 2:], axis=1) == [2, 3, 4]).all()
+
+
 def test_canonical_form_is_a_relabelling_invariant_labelling():
     rng = np.random.default_rng(5)
     for n in (5, 7, 8):
@@ -360,6 +384,56 @@ def test_local_search_matches_oracle(args):
     assert local_search_f(*args) == local_oracle(*args)
 
 
+@pytest.mark.parametrize("args", [(12, 2, "top", 0), (20, 3, "top", 2)])
+def test_lockstep_climbs_that_stop_at_different_iterations(monkeypatch, args):
+    # each climb leaves the batch when it stops; the others go on
+    live = []
+    screen_leaders = ngspectral.search._screen_leaders
+
+    def spy(stack, s, family):
+        live.append(stack.shape[0])
+        return screen_leaders(stack, s, family)
+
+    monkeypatch.setattr(ngspectral.search, "_screen_leaders", spy)
+    rec = local_search_f(*args)
+    assert live == sorted(live, reverse=True) and len(set(live)) >= 3, live
+    assert rec == local_oracle(*args)
+
+
+@pytest.mark.parametrize("args", [(40, 2, "top", 0, 6), (48, 3, "bottom", 1, 4)])
+def test_local_search_matches_oracle_across_screen_blocks(args):
+    # three seeded starts and one construction: the flips of one step fill
+    # several screening blocks, and the blocks cut across climbs
+    n, s = args[:2]
+    flips = (3 + len(_constructive_starts(n, s))) * n * (n - 1) // 2
+    assert flips > 2 * SCREEN_BLOCK and flips % SCREEN_BLOCK
+    assert local_search_f(*args) == local_oracle(*args)
+
+
+@pytest.mark.parametrize("args", [(16, 3, "top", 1, 50, 1), (24, 2, "bottom", 3, 50, 1)])
+def test_local_search_one_restart_and_a_construction(args):
+    assert len(_constructive_starts(*args[:2])) == 1
+    assert local_search_f(*args) == local_oracle(*args)
+
+
+# tracemalloc peak of local_search_f(32, 2, "bottom", 0, 5), in bytes, at the
+# commit before the climbs ran in lockstep (numpy 2.4, Python 3.11).  Its
+# peak is the rescoring of the construction's tied leaders; the lockstep
+# screen solves the flips of up to four climbs at once and must stay below it
+PEAK_BEFORE_LOCKSTEP = 4_469_704
+
+
+def test_local_search_memory_stays_flat():
+    local_search_f(32, 2, "bottom", 0, 5)
+    tracemalloc.start()
+    try:
+        local_search_f(32, 2, "bottom", 0, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * PEAK_BEFORE_LOCKSTEP, peak
+
+
 def test_local_search_without_flips():
     # one vertex has no pair to flip: every climb stops at its start
     rec = local_search_f(1, 1, "bottom", 0)
@@ -383,36 +457,66 @@ def _screen_graphs(n):
     yield complete(n)
 
 
+def _check_screen(screened, solved, exact, case):
+    # Every flip that can lead is solved; every other score bounds its flip
+    # from above and lies too far below the best to be a leader.
+    near = exact >= exact.max() - 2 * SCREEN_SLACK
+    assert solved[near].all(), case
+    error = np.abs(screened - exact)[near].max()
+    assert error <= SCREEN_SLACK / 4, (*case, error)
+    rest = screened[~near]
+    assert (rest >= exact[~near] - SCREEN_SLACK / 4).all(), case
+    assert (rest < screened.max() - SCREEN_SLACK).all(), case
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 8, 12, 16, 24, 32, 64])
 def test_screen_matches_eigvalsh_on_every_flip(n):
     # integer and highly repeated spectra put the flipped eigenvalues on the
     # unflipped ones and make double roots: the cases the screen must survive.
-    # Every flip that can lead is solved; every other score bounds its flip
-    # from above and lies too far below the best to be a leader.
+    # Each graph is screened alone, a stack of one, and in one stack with
+    # every other graph of its order: there it keeps to its own spectra,
+    # guard and pruning bound, so it meets the same contract and keeps the
+    # leaders it has alone.
     iu, ju = np.triu_indices(n, 1)
-    for g in _screen_graphs(n):
-        a = g.adjacency_matrix()
-        # what _score_stack computes, with the spectra solved once per graph
-        wg, wc = complement_pair_eigenvalues(_flipped_stack(a, iu, ju))
-        for t in sorted({1, 2, 3, n // 2, n - 1, n}):
-            exact = np.abs(wg[:, t - 1]) + np.abs(wc[:, t - 1])
-            near = exact >= exact.max() - 2 * SCREEN_SLACK
-            for s, family in [(t, "top"), (n - t + 1, "bottom")]:
-                if s >= 2 or family == "bottom":
-                    case = (n, g.bits, s, family)
-                    screened, solved = _screen_flips(a, s, family)
-                    assert solved[near].all(), case
-                    error = np.abs(screened - exact)[near].max()
-                    assert error <= SCREEN_SLACK / 4, (*case, error)
-                    rest = screened[~near]
-                    assert (rest >= exact[~near] - SCREEN_SLACK / 4).all(), case
-                    assert (rest < screened.max() - SCREEN_SLACK).all(), case
+    graphs = list(_screen_graphs(n))
+    stack = np.stack([g.adjacency_matrix() for g in graphs])
+    # what _score_stack computes, with the spectra solved once per graph
+    exact = [complement_pair_eigenvalues(_flipped_stack(a, iu, ju)) for a in stack]
+    for t in sorted({1, 2, 3, n // 2, n - 1, n}):
+        for s, family in [(t, "top"), (n - t + 1, "bottom")]:
+            if s < 2 and family == "top":
+                continue
+            stacked, stacked_solved = _screen_flips(stack, s, family)
+            assert stacked.shape == stacked_solved.shape == (len(graphs), iu.size)
+            stacked_leaders = _leader_rows(stacked)
+            for c, (g, (wg, wc)) in enumerate(zip(graphs, exact)):
+                case = (n, g.bits, s, family)
+                flips = np.abs(wg[:, t - 1]) + np.abs(wc[:, t - 1])
+                screened, solved = (row[0] for row in _screen_flips(stack[c : c + 1], s, family))
+                _check_screen(screened, solved, flips, case)
+                _check_screen(stacked[c], stacked_solved[c], flips, case)
+                assert np.array_equal(stacked_leaders[c], _leader_rows([screened])[0]), case
+
+
+def _leader_rows(screened):
+    """The leaders of each row of a screen, as `_screen_leaders` picks them."""
+    return [np.flatnonzero(row >= row.max() - SCREEN_SLACK) for row in screened]
+
+
+def test_screen_leaders_of_a_stack_are_those_of_each_graph():
+    graphs = list(_screen_graphs(16))
+    stack = np.stack([g.adjacency_matrix() for g in graphs])
+    for s, family in [(2, "top"), (3, "bottom")]:
+        owner, flip = _screen_leaders(stack, s, family)
+        assert (np.diff(owner) >= 0).all()
+        for c in range(len(graphs)):
+            assert np.array_equal(flip[owner == c], _screen_leaders(stack[c : c + 1], s, family)[1])
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_screen_prunes_most_flips(family):
     a = erdos_renyi(32, 0.5, 0).adjacency_matrix()
-    _, solved = _screen_flips(a, 2, family)
+    _, solved = _screen_flips(a[None], 2, family)
     assert np.count_nonzero(~solved) > solved.size / 2
 
 
@@ -428,7 +532,7 @@ def test_screen_leaders_keep_every_tied_flip(g, s, family):
     exact = _score_stack(_flipped_stack(a, iu, ju), s, family)
     best = np.flatnonzero(exact >= exact.max() - SCREEN_SLACK / 2)
     assert best.size > 1
-    assert np.isin(best, _screen_leaders(a, s, family)).all()
+    assert np.isin(best, _screen_leaders(a[None], s, family)[1]).all()
 
 
 def test_local_search_validation():
