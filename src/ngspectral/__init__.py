@@ -51,7 +51,6 @@ from ngspectral.spectra import (
     blowup_spectrum,
     mu,
     mu_bottom,
-    regular_shift_spectrum,
     spectrum_pair,
 )
 

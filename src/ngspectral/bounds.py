@@ -34,9 +34,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ngspectral.eigensolver import complement_pair_eigenvalues
 from ngspectral.graphs import Graph, bitarray_to_mask, complement, max_order
-from ngspectral.spectra import DEFAULT_TOL, check_tol
+from ngspectral.spectra import DEFAULT_TOL, check_tol, spectrum_pair
 
 
 class BoundReport(NamedTuple):
@@ -271,7 +270,7 @@ def run_battery(g: Graph, s_max: int, *, tol: float = DEFAULT_TOL) -> list[Bound
     with both spectra computed once; reports sorted by (bound_id,
     parameter), since every row lists its parameters in ascending order."""
     _check_args(s_max, tol)  # fail before the eigensolve
-    wg, wc = complement_pair_eigenvalues(g.adjacency_matrix())
+    wg, wc = spectrum_pair(g)
     return table_reports(wg, wc, s_max, sorted(BOUNDS, key=attrgetter("bound_id")), tol=tol)
 
 

@@ -127,6 +127,10 @@ class Graph:
     bits: int = 0
 
     def __post_init__(self) -> None:
+        # numpy integers, as isomorphism_classes returns, become Python ints:
+        # the mask needs int.to_bytes and int.bit_count
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "bits", operator.index(self.bits))
         check_order(self.n)
         if self.bits < 0 or self.bits >> self.pair_count:
             raise ValueError("adjacency mask has bits outside the upper triangle")

@@ -64,9 +64,13 @@ LABEL_BUDGET = 1 << 23
 # local search: scores closer than this are ties, and a flip must beat the
 # current score by more than this to count as an improvement
 CLIMB_TIE_TOL = 1e-12
-# local search: leaders per rescoring batch, and problems per chunk when
-# the screen sums over the far poles or compacts its weights
+# local search: leaders per rescoring batch up to order 32, and problems
+# per chunk when the screen sums over the far poles or compacts its weights
 FLIP_CHUNK = 512
+# local search: the most matrix entries in one rescoring batch, FLIP_CHUNK
+# matrices of order 32.  Constructive starts tie thousands of flips, so a
+# batch of FLIP_CHUNK leaders would grow with n^2 (about 130 MB at n = 128)
+RESCORE_ENTRIES = FLIP_CHUNK * 32 * 32
 # local search: the most flips, of every climb still running, that one
 # screening block solves together.  Three climbs of order 32 fit in one
 # block; its weights, 3n doubles for each flip's graph and complement, take
@@ -232,13 +236,10 @@ def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> Ex
 def _constructive_starts(n: int, s: int) -> list[Graph]:
     """Extremal constructions matching (n, s), if any: order 2^(k+1) t with
     s = 2^(k-1) + 1."""
-    starts = []
-    k = 1
-    while 2 ** (k + 1) <= n:
-        if n % 2 ** (k + 1) == 0 and s == 2 ** (k - 1) + 1:
-            starts.append(extremal_graph(k, n // 2 ** (k + 1)))
-        k += 1
-    return starts
+    k = (s - 1).bit_length()  # the only k with s = 2^(k-1) + 1, if any
+    if s < 2 or s != 2 ** (k - 1) + 1 or n % 2 ** (k + 1):
+        return []
+    return [extremal_graph(k, n // 2 ** (k + 1))]
 
 
 def _flip_bracket(lam: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -620,13 +621,14 @@ def local_search_f(
     score = _score_stack(a, s, family)
     evaluations = len(starts)
     live = np.arange(len(starts) if m else 0)  # one vertex: nothing to flip
+    batch = max(1, min(FLIP_CHUNK, RESCORE_ENTRIES // (n * n)))
     for _ in range(iterations):
         if not live.size:
             break
         owner, flip = _screen_leaders(a[live], s, family)
         rescored = np.concatenate([
             _score_stack(_flipped_stack(a[live[owner[k]]], iu[flip[k]], ju[flip[k]]), s, family)
-            for k in np.split(np.arange(flip.size), np.arange(FLIP_CHUNK, flip.size, FLIP_CHUNK))
+            for k in np.split(np.arange(flip.size), np.arange(batch, flip.size, batch))
         ])
         evaluations += m * live.size
         climbing = []

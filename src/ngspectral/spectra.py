@@ -1,7 +1,7 @@
 """Adjacency spectra as the eigensolver returns them: 1-D float64 arrays,
 sorted descending, read 1-based as mu_1 >= ... >= mu_n through `mu` and
-`mu_bottom`.  Also the spectra of blow-ups from their quotient and of
-rank-one regular shifts."""
+`mu_bottom`.  Also the spectra of blow-ups from their quotient, and the
+interlacing slack between a graph and an induced subgraph."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
+# symmetric_eigenvalues is unused here, but bench/test_bench.py reads it as
+# ngspectral.spectra.symmetric_eigenvalues, an alias its tracer must rebind
 from ngspectral.eigensolver import (
     batched_symmetric_eigenvalues, complement_pair_eigenvalues, symmetric_eigenvalues,
 )
@@ -51,41 +53,18 @@ def spectrum_pair(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return complement_pair_eigenvalues(g.adjacency_matrix())
 
 
-def regular_shift_spectrum(spec: np.ndarray, r: float, a: float, b: float) -> np.ndarray:
-    """Spectrum of a*M + b*J for symmetric M with constant row-sums r.
-
-    Requires mu_1 = r (the regular top eigenvalue); the result is
-    {a*r + b*n} together with {a*mu_i : i >= 2}, re-sorted descending.
-    """
-    if len(spec) < 1:
-        raise ValueError("spectrum must be nonempty")
-    if abs(spec[0] - r) > DEFAULT_TOL:
-        raise ValueError(
-            f"top eigenvalue {spec[0]} does not match row-sum {r} within {DEFAULT_TOL}"
-        )
-    values = np.concatenate([[a * r + b * len(spec)], a * spec[1:]])
-    return np.sort(values)[::-1]
-
-
 def blowup_spectrum(base: Matrix01, sizes: Sequence[int]) -> np.ndarray:
     """Spectrum of graphs.blowup(base, sizes) from the r x r quotient, at any
     order: the parts are an equitable partition, so it is the eigenvalues of
     sqrt(T) B sqrt(T) - diag(B_ii) with T = diag(sizes), plus sizes[i] - 1
-    copies of -B_ii for each part i."""
+    copies of -B_ii for each part i.  The quotient is symmetric by
+    construction, so it skips the checks of `symmetric_eigenvalues`."""
     sizes = check_sizes(base, sizes)
     root = np.sqrt(sizes)
     loops = np.diagonal(base.entries)
-    quotient = symmetric_eigenvalues(base.entries * np.outer(root, root) - np.diag(loops))
+    quotient = batched_symmetric_eigenvalues(base.entries * np.outer(root, root) - np.diag(loops))
     extra = np.repeat(np.where(loops == 1, -1.0, 0.0), np.subtract(sizes, 1))
     return np.sort(np.concatenate([quotient, extra]))[::-1]
-
-
-def trace_checks(g: Graph, spec: np.ndarray) -> tuple[float, float]:
-    """(sum of eigenvalues, sum of squares - 2e(G)); both near zero."""
-    values = spec.tolist()
-    total = math.fsum(values)
-    squares = math.fsum(v * v for v in values)
-    return total, squares - 2.0 * g.edge_count
 
 
 def interlacing_margins(g_spec: np.ndarray, h_spec: np.ndarray) -> np.ndarray:

@@ -411,10 +411,10 @@ def test_battery_rejects_bad_s_max(monkeypatch):
 
 
 def test_battery_checks_s_max_before_the_eigensolve(monkeypatch):
-    def no_solve(stack):
+    def no_solve(g):
         raise AssertionError("eigensolve ran before the s_max check")
 
-    monkeypatch.setattr(ngspectral.bounds, "complement_pair_eigenvalues", no_solve)
+    monkeypatch.setattr(ngspectral.bounds, "spectrum_pair", no_solve)
     with pytest.raises(ValueError, match="s_max must be at least 1, got 0"):
         run_battery(complete(3), 0)
     monkeypatch.setenv("NG_MAX_ORDER", "8")

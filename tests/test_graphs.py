@@ -4,6 +4,8 @@ generators."""
 import numpy as np
 import pytest
 
+from ngspectral.bounds import run_battery
+from ngspectral.graph6 import emit_graph6
 from ngspectral.graphs import (
     Graph,
     Matrix01,
@@ -16,6 +18,7 @@ from ngspectral.graphs import (
     erdos_renyi,
     generate,
     induced_subgraph,
+    isomorphism_classes,
     mask_to_bitarray,
     masks_to_stack,
     pair_bit,
@@ -63,6 +66,21 @@ def test_graph_rejects_bad_input():
         Graph.from_adjacency(np.array([[0, 1], [0, 0]]))
     with pytest.raises(ValueError):
         Graph.from_adjacency(np.array([[1, 1], [1, 0]]))
+    for n, bits in ((3.0, 0), (3, 1.0)):
+        with pytest.raises(TypeError):
+            Graph(n, bits)
+
+
+def test_graph_takes_numpy_integers():
+    # the class masks are int64; a graph built from one must work like one
+    # built from the Python int
+    for mask in isomorphism_classes(5):
+        g, h = Graph(np.int64(5), mask), Graph(5, int(mask))
+        assert type(g.n) is int and type(g.bits) is int
+        assert g == h and hash(g) == hash(h)
+        assert np.array_equal(g.adjacency_matrix(), h.adjacency_matrix())
+        assert emit_graph6(g) == emit_graph6(h)
+        assert repr(run_battery(g, 3)) == repr(run_battery(h, 3))  # NaN sides
 
 
 def test_from_adjacency_round_trip():

@@ -30,6 +30,8 @@ from ngspectral.graphs import (
 )
 from ngspectral.search import (
     FAMILIES,
+    FLIP_CHUNK,
+    RESCORE_ENTRIES,
     SCREEN_BLOCK,
     SCREEN_SLACK,
     _constructive_starts,
@@ -432,6 +434,28 @@ def test_local_search_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * PEAK_BEFORE_LOCKSTEP, peak
+
+
+def test_rescoring_batches_are_bounded_by_entries(monkeypatch):
+    # the construction's start ties thousands of flips; each rescoring batch
+    # must hold at most RESCORE_ENTRIES entries, and the record must be the
+    # one that batches of FLIP_CHUNK leaders give
+    args = (96, 2, "top", 0, 1, 1)
+    n = args[0]
+    batches = []
+    score_stack = ngspectral.search._score_stack
+
+    def spy(stack, s, family):
+        batches.append(stack.shape[0])
+        return score_stack(stack, s, family)
+
+    monkeypatch.setattr(ngspectral.search, "_score_stack", spy)
+    rec = local_search_f(*args)
+    assert sum(batches) > 2 * FLIP_CHUNK
+    assert max(batches) * n * n <= RESCORE_ENTRIES, batches
+    assert (rec.value.hex(), rec.evaluations) == ("0x1.08b7289390862p+6", 9122)
+    monkeypatch.setattr(ngspectral.search, "RESCORE_ENTRIES", FLIP_CHUNK * n * n)
+    assert local_search_f(*args) == rec
 
 
 def test_local_search_without_flips():

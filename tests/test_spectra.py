@@ -1,5 +1,6 @@
 """Spectrum indexing, trace identities, closed-form spectra, interlacing and
-Weyl properties."""
+Weyl properties.  The trace identities and the rank-one shift of a regular
+graph are checked here against test-local formulas."""
 
 import math
 
@@ -26,9 +27,7 @@ from ngspectral.spectra import (
     interlacing_margins,
     mu,
     mu_bottom,
-    regular_shift_spectrum,
     spectrum_pair,
-    trace_checks,
 )
 from ngspectral.search import exhaustive_f, ratio_table
 
@@ -71,6 +70,14 @@ def test_mu_indexing():
             mu_bottom(spec, bad)
 
 
+def trace_checks(g: Graph, spec: np.ndarray) -> tuple[float, float]:
+    """(sum of eigenvalues, sum of squares - 2e(G)); both near zero."""
+    values = spec.tolist()
+    total = math.fsum(values)
+    squares = math.fsum(v * v for v in values)
+    return total, squares - 2.0 * g.edge_count
+
+
 def test_trace_identities_random_suite():
     for n, p, seed in RANDOM_SUITE:
         g = erdos_renyi(n, p, seed)
@@ -82,32 +89,17 @@ def test_trace_identities_random_suite():
         assert mu(spec, 1) >= 2 * g.edge_count / n - 1e-8
 
 
-def test_regular_shift_identity():
-    spec = adjacency_spectrum(cycle(6))
-    out = regular_shift_spectrum(spec, r=2.0, a=1.0, b=0.0)
-    assert out == pytest.approx(spec, abs=1e-12)
-
-
-def test_regular_shift_complete_graph():
-    # J - A(K_3) = I_3, by the shift with a=-1, b=1
-    spec = adjacency_spectrum(complete(3))
-    out = regular_shift_spectrum(spec, r=2.0, a=-1.0, b=1.0)
-    assert out == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
-
-
-def test_regular_shift_rejects_nonregular_top():
-    spec = adjacency_spectrum(path(4))  # top eigenvalue is not the row-sum
-    with pytest.raises(ValueError):
-        regular_shift_spectrum(spec, r=2.0, a=1.0, b=0.0)
-
-
 @pytest.mark.parametrize("k", [2, 3])
 def test_regular_shift_matches_direct_eigensolve(k):
-    # spectrum of 2*A - J via the shift rule equals the direct eigensolve
+    # A is 2^(k-1)-regular, so J shares its top eigenvector: 2A - J has
+    # eigenvalue 2 * 2^(k-1) - n there and 2 mu_i(A) on the rest
     a = construct_a(k).entries
     n = a.shape[0]
     spec = symmetric_eigenvalues(a)
-    shifted = regular_shift_spectrum(spec, r=float(2 ** (k - 1)), a=2.0, b=-1.0)
+    r = 2.0 ** (k - 1)
+    assert spec[0] == pytest.approx(r, abs=1e-12)
+    assert np.array_equal(a.sum(axis=1), np.full(n, r))
+    shifted = np.sort(np.concatenate([[2.0 * r - n], 2.0 * spec[1:]]))[::-1]
     direct = symmetric_eigenvalues(2 * a - np.ones((n, n), dtype=np.int64))
     assert shifted == pytest.approx(direct, abs=1e-9)
 
