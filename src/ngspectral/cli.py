@@ -114,6 +114,10 @@ def _resolve_graph(args: argparse.Namespace) -> Graph:
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read {args.graph6_file}: {exc}") from exc
+        if sum(1 for line in text.splitlines() if line.strip()) > 1:
+            raise UsageError(
+                f"{args.graph6_file} holds more than one graph6 string; give one graph per file"
+            )
         return parse_graph6(text)
     spec = args.generate
     if ":" not in spec:

@@ -8,10 +8,13 @@ its complement; a graph and its complement even score the same bits, since
 the two eigvalsh inputs swap.  The exhaustive pass therefore scores the
 one-vertex extensions of one isomorphism class of order n-1 per complement
 pair, which cover a graph or the complement of a graph of every class of
-order n.  Rounding differs between labellings of one graph, so the classes
-within tol of the best score are expanded into all their labellings, each
-folded to the smaller of its mask and its complement's, and rescored: the
-value and the witness are those of the search over every labelled graph.
+order n.  It solves them once per order and process and keeps
+|mu_i(G)| + |mu_i(comp)| for every i (`_extension_scores`), so each (s,
+family) of that order reads one column of the same table.  Rounding
+differs between labellings of one graph, so the classes within tol of the
+best score are expanded into all their labellings, each folded to the
+smaller of its mask and its complement's, and rescored: the value and the
+witness are those of the search over every labelled graph.
 
 The hill climb takes, at every step, the single-edge flip with the best
 score.  A flip is a rank-2 update of the adjacency matrix, so one
@@ -36,6 +39,7 @@ lexicographically smallest graph6 string.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -158,11 +162,22 @@ def target_ratio(s: int, family: str) -> float:
     return 1.0 / math.sqrt(2.0 * s)
 
 
-def _score_stack(stack: np.ndarray, s: int, family: str) -> np.ndarray:
-    """Objective for a stack of adjacency matrices."""
+def _column(n: int, s: int, family: str) -> int:
+    """Index, 0-based and descending, of the eigenvalue the objective reads."""
+    return s - 1 if family == "top" else n - s
+
+
+def _pair_scores(stack: np.ndarray, col=slice(None)) -> np.ndarray:
+    """|mu_i(G)| + |mu_i(comp)| of each adjacency matrix in `stack`
+    (..., n, n), at the 0-based indices `col`: every i by default."""
     wg, wc = complement_pair_eigenvalues(stack)
-    col = s - 1 if family == "top" else stack.shape[-1] - s
     return np.abs(wg[..., col]) + np.abs(wc[..., col])
+
+
+def _score_stack(stack: np.ndarray, s: int, family: str) -> np.ndarray:
+    """Objective for a stack of adjacency matrices: one column of
+    `_pair_scores`."""
+    return _pair_scores(stack, _column(stack.shape[-1], s, family))
 
 
 def _score_masks(masks: np.ndarray, n: int, s: int, family: str) -> np.ndarray:
@@ -171,6 +186,23 @@ def _score_masks(masks: np.ndarray, n: int, s: int, family: str) -> np.ndarray:
         _score_stack(masks_to_stack(masks[lo : lo + SCORE_CHUNK], n), s, family)
         for lo in range(0, masks.size, SCORE_CHUNK)
     ])
+
+
+@functools.cache
+def _extension_scores(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-n masks that `exhaustive_f` scores first, the extensions of
+    `complement_pair_classes(n - 1)`, and their `_pair_scores` (K, n), so
+    that column `_column(n, s, family)` holds the objective of every (s,
+    family).  Solved SCORE_CHUNK matrices at a time, once per order and
+    process; both shared arrays are read-only."""
+    candidates = extensions(complement_pair_classes(n - 1), n)
+    table = np.empty((candidates.size, n))
+    for lo in range(0, candidates.size, SCORE_CHUNK):
+        stack = masks_to_stack(candidates[lo : lo + SCORE_CHUNK], n)
+        table[lo : lo + SCORE_CHUNK] = _pair_scores(stack)
+    candidates.flags.writeable = False
+    table.flags.writeable = False
+    return candidates, table
 
 
 def _near_classes(near: np.ndarray, n: int, tol: float) -> np.ndarray:
@@ -193,8 +225,10 @@ def _near_classes(near: np.ndarray, n: int, tol: float) -> np.ndarray:
 def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> ExtremalRecord:
     """Exact extremal value over all 2^(n(n-1)/2) labeled graphs.
 
-    Capped at n <= EXHAUSTIVE_CAP.  Scores the extensions of
-    `complement_pair_classes(n - 1)`, then every labelling of the classes
+    Capped at n <= EXHAUSTIVE_CAP.  Reads the scores of the extensions of
+    `complement_pair_classes(n - 1)` from the order's table
+    (`_extension_scores`, built by the first call at that order, after the
+    arguments are checked), then scores every labelling of the classes
     within tol + RELABEL_SLACK of the best, one mask per complement pair
     (the smaller).  A tol that leaves more classes than LABEL_BUDGET masks
     of labellings can hold raises ValueError before any is built.  The
@@ -212,8 +246,8 @@ def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> Ex
     total = 1 if m == 0 else 1 << (m - 1)
     full = (1 << m) - 1
 
-    candidates = extensions(complement_pair_classes(n - 1), n)
-    scores = _score_masks(candidates, n, s, family)
+    candidates, table = _extension_scores(n)
+    scores = table[:, _column(n, s, family)]
     near = candidates[scores >= scores.max() - tol - RELABEL_SLACK]
     labelled = labellings(_near_classes(near, n, tol), n)
     folded = np.unique(np.minimum(labelled, labelled ^ full))

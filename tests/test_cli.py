@@ -14,7 +14,7 @@ import ngspectral.cli
 import ngspectral.constructions
 from ngspectral.cli import build_parser, main
 from ngspectral.graph6 import emit_graph6
-from ngspectral.graphs import GENERATORS, complete_bipartite, generate, path
+from ngspectral.graphs import GENERATORS, complete_bipartite, cycle, generate, path
 from ngspectral.reporting import record_text, render
 from ngspectral.search import ExtremalRecord, exhaustive_f, local_search_f
 
@@ -681,6 +681,21 @@ def test_graph6_file_input(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--graph6-file", str(src))
     assert code == 0
     assert "1.61803398875" in out
+
+
+def test_graph6_file_with_two_graphs_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "two.g6"
+    src.write_text(emit_graph6(path(4)) + "\n" + emit_graph6(cycle(5)) + "\n", encoding="utf-8")
+    for command in ("spectrum", "check"):
+        code, out, err = run_cli(capsys, command, "--graph6-file", str(src))
+        assert code == 1 and out == ""
+        assert err == f"error: {src} holds more than one graph6 string; give one graph per file\n"
+    # one line, a trailing newline and the header stay accepted
+    one = emit_graph6(path(4))
+    expected = run_cli(capsys, "spectrum", "--graph6", one)[1]
+    for text in (one, one + "\n", ">>graph6<<" + one + "\n"):
+        src.write_text(text, encoding="utf-8")
+        assert run_cli(capsys, "spectrum", "--graph6-file", str(src)) == (0, expected, "")
 
 
 def test_check_degenerate_bipartite_at_order_768(capsys):

@@ -25,6 +25,7 @@ from ngspectral.graphs import (
     complete_bipartite,
     empty,
     erdos_renyi,
+    extensions,
     isomorphism_classes,
     labellings,
 )
@@ -35,6 +36,7 @@ from ngspectral.search import (
     SCREEN_BLOCK,
     SCREEN_SLACK,
     _constructive_starts,
+    _extension_scores,
     _flipped_stack,
     _score_masks,
     _score_stack,
@@ -176,12 +178,85 @@ def test_exhaustive_scores_one_graph_per_complement_pair(monkeypatch, s, family)
 
     monkeypatch.setattr(ngspectral.search, "_score_masks", recording)
     exhaustive_f(6, s, family)
-    candidates, labelled = scored
+    (labelled,) = scored
+    candidates, table = _extension_scores(6)
     # 18 of the 34 classes of order 5, one per complement pair, times 2^5
-    # neighbour sets of vertex 6
-    assert candidates.size == 576
-    # every relabelled graph is folded below the top pair bit
+    # neighbour sets of vertex 6, each with one score per eigenvalue index
+    assert candidates.size == 576 and table.shape == (576, 6)
+    assert np.array_equal(candidates, extensions(complement_pair_classes(5), 6))
+    # the table's column is the objective, bit for bit
+    col = s - 1 if family == "top" else 6 - s
+    assert np.array_equal(table[:, col], _score_masks(candidates, 6, s, family))
+    # only the labellings went through _score_masks, each relabelled graph
+    # folded below the top pair bit
     assert labelled.size and not (labelled >> 14).any()
+
+
+def test_extension_scores_solved_once_per_order(monkeypatch):
+    solved, labelled = [], []
+
+    def counting(stack):
+        solved.append(stack.shape[0])
+        return complement_pair_eigenvalues(stack)
+
+    def recording(masks, n, s, family):
+        labelled.append(masks.size)
+        return _score_masks(masks, n, s, family)
+
+    _extension_scores.cache_clear()
+    monkeypatch.setattr(ngspectral.search, "complement_pair_eigenvalues", counting)
+    monkeypatch.setattr(ngspectral.search, "_score_masks", recording)
+    exhaustive_f(6, 2, "top")
+    # the 576 candidates, then the labellings of the near classes
+    assert sum(solved) == 576 + labelled[0]
+    solved.clear()
+    exhaustive_f(6, 1, "bottom")
+    assert sum(solved) == labelled[1]
+    assert _extension_scores.cache_info().currsize == 1
+
+
+def test_extension_scores_read_only():
+    candidates, table = _extension_scores(5)
+    assert not candidates.flags.writeable and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        candidates[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+    assert _extension_scores(5)[1] is table
+
+
+def test_rejected_exhaustive_call_builds_no_table():
+    _extension_scores.cache_clear()
+    for n, s, family, tol in [
+        (9, 2, "top", DEFAULT_TOL),
+        (6, 7, "top", DEFAULT_TOL),
+        (6, 1, "top", DEFAULT_TOL),
+        (6, 2, "middle", DEFAULT_TOL),
+        (6, 2, "top", 0.0),
+        (6, 2, "top", math.nan),
+    ]:
+        with pytest.raises(ValueError):
+            exhaustive_f(n, s, family, tol=tol)
+    assert _extension_scores.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", sorted({n for n, _, _ in EXACT_RECORDS}))
+def test_exhaustive_records_cold_and_warm(n):
+    # each pin from a cleared table, then again once every (s, family) of
+    # the order has read the same table
+    pins = {key: pin for key, pin in EXACT_RECORDS.items() if key[0] == n}
+
+    def record(s, family):
+        rec = exhaustive_f(n, s, family)
+        return rec.value.hex(), rec.witness, rec.evaluations
+
+    for (_, s, family), pin in pins.items():
+        _extension_scores.cache_clear()
+        assert record(s, family) == pin
+    for _, s, family in _all_cases(n):
+        exhaustive_f(n, s, family)
+    for (_, s, family), pin in pins.items():
+        assert record(s, family) == pin
 
 
 def test_complement_pair_classes():
