@@ -114,11 +114,17 @@ def _resolve_graph(args: argparse.Namespace) -> Graph:
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read {args.graph6_file}: {exc}") from exc
-        if sum(1 for line in text.splitlines() if line.strip()) > 1:
+        # graph6 holds no whitespace, so blank lines and the ends of the
+        # one graph's line are layout
+        lines = [line.strip() for line in text.splitlines() if line.strip()]
+        if len(lines) > 1:
             raise UsageError(
                 f"{args.graph6_file} holds more than one graph6 string; give one graph per file"
             )
-        return parse_graph6(text)
+        try:
+            return parse_graph6(lines[0] if lines else "")
+        except ValueError as exc:
+            raise UsageError(f"{args.graph6_file}: {exc}") from exc
     spec = args.generate
     if ":" not in spec:
         raise UsageError(f"generator spec must look like kind:params, got {spec!r}")

@@ -32,7 +32,10 @@ rescoring every flip through eigvalsh.  The climbs from all starts run in
 lockstep: each step solves the eigendecompositions of every climb still
 running in one call and screens all their flips in one pass, so each Newton
 step of the screen serves every climb; a climb leaves the batch when it
-stops.  Results are fully deterministic: enumeration order is fixed,
+stops.  A flip's problems keep a fixed number of values whatever n: each
+count gathers the eigenvector rows it needs, FLIP_CHUNK problems at a time,
+so one block of SCREEN_BLOCK flips holds a whole step of four climbs of
+order 32.  Results are fully deterministic: enumeration order is fixed,
 local search is seed-driven, and value ties are broken by the
 lexicographically smallest graph6 string.
 """
@@ -69,17 +72,17 @@ LABEL_BUDGET = 1 << 23
 # current score by more than this to count as an improvement
 CLIMB_TIE_TOL = 1e-12
 # local search: leaders per rescoring batch up to order 32, and problems
-# per chunk when the screen sums over the far poles or compacts its weights
+# per chunk when the screen sums over the far poles
 FLIP_CHUNK = 512
 # local search: the most matrix entries in one rescoring batch, FLIP_CHUNK
 # matrices of order 32.  Constructive starts tie thousands of flips, so a
 # batch of FLIP_CHUNK leaders would grow with n^2 (about 130 MB at n = 128)
 RESCORE_ENTRIES = FLIP_CHUNK * 32 * 32
 # local search: the most flips, of every climb still running, that one
-# screening block solves together.  Three climbs of order 32 fit in one
-# block; its weights, 3n doubles for each flip's graph and complement, take
-# 2.4 MB there
-SCREEN_BLOCK = 3 * FLIP_CHUNK
+# screening block solves together.  A flip's two problems keep 78 numbers of
+# 8 bytes whatever n, so a block takes about 1.3 MB; a step of four climbs of
+# order 32 (1984 flips) fits in one
+SCREEN_BLOCK = 4 * FLIP_CHUNK
 # flips screened within this of the best screened score are rescored; it
 # exceeds twice the screen's error, so the best flip is always among them.
 # The screen prunes a flip once its score is bounded 2 SCREEN_SLACK below
@@ -294,95 +297,79 @@ def _flip_bracket(lam: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
-def _near_clusters(lam: np.ndarray, t: int, rho: float) -> list[slice]:
-    """Index runs, as slices, of the descending spectrum `lam` that hold
-    eigenvalue t-1, t or t+1 (1-based); a run joins neighbours closer than
-    2 rho.
+def _near_runs(lam: np.ndarray, rho: np.ndarray, t: int) -> np.ndarray:
+    """Index runs [start, stop) of each descending spectrum in `lam` (S, n)
+    that hold eigenvalue t-1, t or t+1 (1-based), as starts and stops (2, S,
+    3); a run joins neighbours closer than 2 rho.  A run that holds two of
+    these eigenvalues fills the slot of the first and leaves the others
+    empty (start = stop = 0).
 
     Only these poles can come near a point of the bracket of eigenvalue t.
     """
-    cluster = np.concatenate([[0], np.cumsum(-np.diff(lam) > 2.0 * rho)])
-    ids = sorted(set(cluster[max(t - 2, 0) : t + 1].tolist()))
-    starts = np.searchsorted(cluster, ids).tolist()
-    stops = np.searchsorted(cluster, ids, side="right").tolist()
-    return [slice(start, stop) for start, stop in zip(starts, stops)]
+    count, n = lam.shape
+    index = np.arange(n)
+    # a run starts at 0 and after every gap wider than 2 rho
+    cut = np.ones((count, n + 1), dtype=bool)
+    cut[:, 1:n] = lam[:, :-1] - lam[:, 1:] > 2.0 * rho[:, None]
+    first = np.maximum.accumulate(np.where(cut[:, :n], index, 0), axis=1)
+    stop = np.minimum.accumulate(np.where(cut[:, 1:], index + 1, n)[:, ::-1], axis=1)[:, ::-1]
+    near = index[max(t - 2, 0) : t + 1]
+    runs = np.zeros((2, count, 3), dtype=np.int64)
+    runs[:, :, : near.size] = first[:, near], stop[:, near]
+    runs[:, :, 1:][:, runs[0, :, 1:] == runs[0, :, :-1]] = 0
+    return runs
 
 
 def _gram_det(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Determinant of the Gram matrix of each row pair of u and v (F, r),
+    """Determinant of the Gram matrix of u and v over their last axis,
     through Gram-Schmidt, so that it stays accurate when u and v are nearly
-    parallel.  For r = 1 it is exactly 0, and the screen does not call it.
+    parallel."""
+    uu = np.einsum("...r,...r->...", u, u)
+    uv = np.einsum("...r,...r->...", u, v)
+    beta = np.divide(uv, uu, out=np.zeros_like(uu), where=uu > 0)
+    rest = v - beta[..., None] * u
+    return uu * np.einsum("...r,...r->...", rest, rest)
+
+
+# rows of the (27, K) table of a block's problem constants: the guard rho;
+# t + 1 minus the poles above the runs next to the bracket and minus half
+# the runs' poles; the runs' means and half their multiplicities; the
+# flip's d; the three sums of `_count` over each run (component by run);
+# and the terms of det M that pair two runs
+RHO, NEED, NU, HALF, DELTA, NEAR, QUAD = 0, 1, slice(2, 5), slice(5, 8), 8, slice(9, 18), slice(18, 27)
+
+
+def _far_sums(x, ints, tables):
+    """The three sums of `_count` over the poles away from the bracket, and
+    their derivatives in x, as (2, 3, K): q_ik^2, q_ik q_jk and q_jk^2
+    against 1 / (far - x) and against its square.
+
+    They take FLIP_CHUNK problems at a time in the scratch of `tables`:
+    the rows q_i and q_j gathered from Q, 1 / (far - x), and u = q / (far -
+    x), so that a, b, c are u_i q_i, u_i q_j, u_j q_j and their derivatives
+    u_i u_i, u_i u_j, u_j u_j.  No (K, n) array is built whole, and no
+    count allocates one.
     """
-    uu = (u * u).sum(-1)
-    beta = np.divide((u * v).sum(-1), uu, out=np.zeros_like(uu), where=uu > 0)
-    rest = v - beta[:, None] * u
-    return uu * (rest * rest).sum(-1)
-
-
-def _compact(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """arr[rows] for ascending rows, written over the start of arr a chunk
-    at a time, so that no second copy of arr is made.  Each chunk reads
-    rows at or after those it writes."""
-    for lo in range(0, rows.size, FLIP_CHUNK):
-        part = rows[lo : lo + FLIP_CHUNK]
-        arr[lo : lo + part.size] = arr[part]
-    return arr[: rows.size]
-
-
-def _far_sums(x, weights, far, spec):
-    """The three sums of `_secular` over the poles away from the bracket,
-    and their derivatives in x, each (3, K): `weights` against 1 / (far - x)
-    and its square.  They take FLIP_CHUNK problems at a time, so the one
-    (K, n) array they need is never built whole."""
+    far, vec, scratch = tables
+    spec, vij = ints[0], ints[1:3]
+    n = far.shape[1]
     sums = np.empty((2, 3, x.size))
     for lo in range(0, x.size, FLIP_CHUNK):
         part = slice(lo, lo + FLIP_CHUNK)
-        inv = far.take(spec[part], axis=0)
+        m = spec[part].size * n
+        q = scratch[: 2 * m].reshape(2, -1, n)
+        u = scratch[2 * m : 4 * m].reshape(2, -1, n)
+        inv = scratch[4 * m : 5 * m].reshape(-1, n)
+        # mode="clip" writes straight into `out`; the rows are all in range
+        vec.take(vij[:, part], axis=0, out=q, mode="clip")
+        far.take(spec[part], axis=0, out=inv, mode="clip")
         inv -= x[part, None]
         np.reciprocal(inv, out=inv)
-        np.einsum("kcn,kn->ck", weights[part], inv, out=sums[0, :, part])
-        inv *= inv
-        np.einsum("kcn,kn->ck", weights[part], inv, out=sums[1, :, part])
+        np.multiply(q, inv, out=u)
+        for row, (left, right) in enumerate([(u, q), (u, u)]):
+            np.einsum("akn,akn->ak", left, right, out=sums[row, 0::2, part])
+            np.einsum("kn,kn->k", left[0], right[1], out=sums[row, 1, part])
     return sums
-
-
-def _secular(x, weights, far, spec, nu, near, quad, delta):
-    """The 2x2 matrix M(x) = [[a, b + d], [b + d, c]] of `_screen_flips` at
-    the points x (K,), its derivative in x and its eigenvalues.
-
-    `far` (S, n) holds the poles of each spectrum away from the bracket
-    (inf in place of the others), and per problem, of spectrum `spec`,
-    `weights` (K, 3, n) holds their q_ik^2, q_ik q_jk, q_jk^2.  `nu` (K, 3)
-    holds the runs of poles next to the bracket, `near` (K, 3, 3) the same
-    three sums over each run, and `quad` (K, 3, 3) the terms of det M that
-    pair two runs (off the diagonal) or a run with itself (its Gram
-    determinant, on the diagonal).  Returns the gaps nu - x, the entries of
-    M, their derivatives, and M's eigenvalues, smaller first.
-    """
-    (fa, fb, fc), deriv = _far_sums(x, weights, far, spec)
-    gap = nu - x[:, None]
-    alpha = 1.0 / gap
-    fb += delta
-    na, nb, nc = np.einsum("kcj,kj->ck", near, alpha)
-    deriv += np.einsum("kcj,kj->ck", near, alpha * alpha)
-    # det M expanded over the runs next to the bracket: det M cancels the
-    # square of each of their terms, and rounding cannot
-    det = fa * (fc + nc) + fc * na - fb * (fb + 2.0 * nb)
-    det += (np.einsum("kjl,kl->kj", quad, alpha) * alpha).sum(-1)
-    sa, sb, sc = fa + na, fb + nb, fc + nc
-    # the eigenvalue larger in size from the trace; the other from det next
-    # to a pole, and from the trace elsewhere, where det loses its digits
-    # at a double root
-    trace = sa + sc
-    root = np.copysign(np.hypot(sa - sc, 2.0 * sb), trace)
-    large = 0.5 * (trace + root)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        small = np.where(
-            np.abs(large) > 1.0 + np.abs(fa) + np.abs(fb) + np.abs(fc),
-            det / large,
-            0.5 * (trace - root),
-        )
-    return gap, (sa, sb, sc), deriv, np.minimum(large, small), np.maximum(large, small)
 
 
 def _screen_flips(stack: np.ndarray, s: int, family: str) -> tuple[np.ndarray, np.ndarray]:
@@ -396,16 +383,21 @@ def _screen_flips(stack: np.ndarray, s: int, family: str) -> tuple[np.ndarray, n
     rank-2 update d(e_i e_j' + e_j e_i').  By Haynsworth inertia additivity
     the flipped matrix has #{lam_k > x} + neg(M) - 1 eigenvalues above x,
     where M = [[a, b + d], [b + d, c]] and a, b, c sum q_ik^2, q_ik q_jk and
-    q_jk^2 against 1 / (lam_k - x) (`_secular`).  Eigenvalue t is found in
+    q_jk^2 against 1 / (lam_k - x) (`_count`).  Eigenvalue t is found in
     its bracket (`_flip_bracket`) from that count (`_solve_flips`), starting
     at its first-order perturbation.  The runs of poles next to eigenvalue t
-    (`_near_clusters`) enter det M by expansion, and the points keep a
+    (`_near_runs`) enter det M by expansion, and the points keep a
     distance rho from them.
 
-    The flips of all matrices are solved together, SCREEN_BLOCK at most per
-    block, so every Newton step serves every matrix; a single graph is a
-    stack of one.  Each problem keeps to its own matrix: its spectrum, its
-    guard rho and, for pruning, its matrix's best lower bound.
+    The spectra are set up once per call, with array operations over all
+    of them: their runs, their poles away from the bracket and the tables
+    a problem reads by its spectrum.  Every count gathers the rows of Q its
+    problems need (`_far_sums`), so a flip's problems hold a fixed number
+    of values whatever n.  The flips of all matrices are solved together,
+    SCREEN_BLOCK at most per block, so every Newton step serves every
+    matrix; a single graph is a stack of one.  Each problem keeps to its
+    own matrix: its spectrum, its guard rho and, for pruning, its matrix's
+    best lower bound.
 
     The screen ranks the flips, and `local_search_f` rescores the leaders.
     A solved score is within SCREEN_SLACK / 4 of the flip's objective.  A
@@ -423,19 +415,25 @@ def _screen_flips(stack: np.ndarray, s: int, family: str) -> tuple[np.ndarray, n
     vec = vec.reshape(2 * count * n, n)
     rho = np.repeat(POLE_GUARD * np.maximum(1.0, np.abs(lam).reshape(count, 2 * n).max(-1)), 2)
 
-    # poles next to eigenvalue t: value, multiplicity and slot; the rest lie
-    # outside every bracket and enter a, b, c one by one
-    runs = [_near_clusters(row, t, guard) for row, guard in zip(lam, rho)]
-    nu = np.full((2 * count, 3), np.inf)
-    mult = np.zeros((2 * count, 3))
+    # the poles of the runs next to eigenvalue t, by spectrum and slot:
+    # their indices, padded to the longest run, then their mean and
+    # multiplicity.  The rest lie outside every bracket and enter a, b, c
+    # one by one
+    start, stop = _near_runs(lam, rho, t)
+    mult = stop - start
+    cols = start[..., None] + np.arange(max(1, mult.max()))
+    inside = cols < stop[..., None]
+    cols = np.minimum(cols, n - 1)
+    spectrum = np.arange(2 * count)[:, None, None]
+    nu = np.full(mult.shape, np.inf)
+    np.divide(np.where(inside, lam[spectrum, cols], 0.0).sum(-1), mult, out=nu, where=mult > 0)
     far = lam.copy()
-    for p, spectrum_runs in enumerate(runs):
-        for slot, run in enumerate(spectrum_runs):
-            nu[p, slot] = lam[p, run].mean()
-            mult[p, slot] = run.stop - run.start
-            far[p, run] = np.inf
-    above_near = np.array([spectrum_runs[0].start for spectrum_runs in runs])
-    spectra = (lam, vec, runs, [*_flip_bracket(lam, t), rho, nu, mult, above_near])
+    far[np.broadcast_to(spectrum, cols.shape)[inside], cols[inside]] = np.inf
+    spectra = (
+        lam, vec, start.T, np.stack(_flip_bracket(lam, t)),
+        np.vstack([rho, t + 1 - start[:, 0] - 0.5 * mult.sum(1), nu.T, 0.5 * mult.T]),
+    )
+    tables = (far, vec, np.empty(5 * FLIP_CHUNK * n))
 
     total = count * (n * (n - 1) // 2)
     iu, ju = np.triu_indices(n, 1)
@@ -446,156 +444,196 @@ def _screen_flips(stack: np.ndarray, s: int, family: str) -> tuple[np.ndarray, n
         climb, pair = np.divmod(np.arange(lo, min(lo + SCREEN_BLOCK, total)), iu.size)
         problems = _flip_problems(stack, climb, iu[pair], ju[pair], t, spectra)
         block = slice(lo, lo + climb.size)
-        scores[block], solved[block] = _solve_flips(problems, far, t, climb, best)
+        scores[block], solved[block] = _solve_flips(problems, tables, t, climb, best)
     return scores.reshape(count, -1), solved.reshape(count, -1)
 
 
 def _flip_problems(stack, climb, i, j, t, spectra) -> list:
     """The problems of the flips (i[k], j[k]) of the matrices climb[k] of
-    `stack`: the graph of flip k, then its complement.
+    `stack`: the graph of flip k, then its complement, along the last axis
+    of three tables.
 
     `spectra` holds, from `_screen_flips`, the spectra (S, n), their
-    eigenvectors by rows, their runs of poles next to eigenvalue t, and the
-    tables a problem reads by its spectrum: bracket ends, rho, the runs'
-    means and multiplicities, and the count of poles above them.  Returns
-    the list that `_solve_flips` takes.
+    eigenvectors by rows, the first index of each run of poles next to
+    eigenvalue t (3, S), the bracket ends (2, S) and the rows RHO to HALF
+    of the problem constants (8, S).  Returns the list that `_solve_flips`
+    takes: the points (5, K), that is the bracket's low, x, the bracket's
+    high and the step sizes one and two steps back; the constants (27, K);
+    and the indices (5, K): spectrum, rows of Q for i and j, problem and
+    flip.  The runs with more than one pole are summed over, and their Gram
+    determinants built, at most FLIP_CHUNK n entries at a time.
     """
-    lam, vec, runs, tables = spectra
+    lam, vec, start, bracket, table = spectra
     n = lam.shape[1]
-    spec = np.concatenate([2 * climb, 2 * climb + 1])
-    ends = np.tile(i, 2), np.tile(j, 2)
-    vi, vj = (spec * n + end for end in ends)
+    size = climb.size
+    ints = np.empty((5, 2 * size), dtype=np.int64)
+    spec = ints[0]
+    np.concatenate([2 * climb, 2 * climb + 1], out=spec)
+    np.add(spec * n, [np.tile(i, 2), np.tile(j, 2)], out=ints[1:3])
+    ints[3] = np.arange(2 * size)
+    ints[4, :size] = ints[4, size:] = ints[3, :size]
+    const = np.empty((27, 2 * size))
+    const[:DELTA] = table.take(spec, axis=1)
     d = 1.0 - 2.0 * stack[climb, i, j]
-    delta = np.concatenate([d, -d])
-    # the weights of the poles: q_ik^2, q_ik q_jk and q_jk^2, built in place
-    # (mode="clip" writes straight into `out`; the rows are all in range)
-    weights = np.empty((spec.size, 3, n))
-    qi, qj = weights[:, 0], weights[:, 2]
-    vec.take(vi, axis=0, out=qi, mode="clip")
-    vec.take(vj, axis=0, out=qj, mode="clip")
-    np.multiply(qi, qj, out=weights[:, 1])
-    np.square(qi, out=qi)
-    np.square(qj, out=qj)
-    # the Gram entries of each run, spectrum by spectrum: the weights summed
-    # over its columns, and its determinant where it has more than one
-    near = np.zeros((spec.size, 3, 3))
-    gdet = np.zeros((spec.size, 3))
-    cuts = [0, *(np.flatnonzero(np.diff(spec)) + 1).tolist(), spec.size]
-    for first, last in zip(cuts, cuts[1:]):
-        p = spec[first]
-        for slot, run in enumerate(runs[p]):
-            near[first:last, :, slot] = weights[first:last, :, run].sum(-1)
-            if run.stop - run.start > 1:
-                u, v = (vec[p * n + end[first:last, None], np.r_[run]] for end in ends)
-                gdet[first:last, slot] = _gram_det(u, v)
-    ga, gb, gc = near.transpose(1, 0, 2)
-    # run pair (j, l) adds alpha_j alpha_l (a_j c_l + c_j a_l - 2 b_j b_l)
-    quad = 0.5 * (ga[:, :, None] * gc[:, None] + gc[:, :, None] * ga[:, None]) - gb[:, :, None] * gb[:, None]
-    quad[:, [0, 1, 2], [0, 1, 2]] = gdet
+    const[DELTA] = np.concatenate([d, -d])
+    points = np.empty((5, 2 * size))
+    points[0:3:2] = bracket.take(spec, axis=1)
     # the first point is the first-order perturbation of eigenvalue t
-    x = lam[spec, t - 1] + 2.0 * delta * vec[vi, t - 1] * vec[vj, t - 1]
-    low, high, rho, nu, mult, above_near = (table[spec] for table in tables)
-    return [x, low, high, weights, spec, rho, nu, mult, above_near, near, quad, delta]
+    points[1] = lam[spec, t - 1] + 2.0 * const[DELTA] * vec[ints[1], t - 1] * vec[ints[2], t - 1]
+    points[3] = points[4] = points[2] - points[0]
+    # the Gram entries of each run: i with i, i with j and j with j, from
+    # its first pole (an empty run's alpha is 0, so its entries do not
+    # count), then summed over every pole, with the run's determinant,
+    # where it has more than one
+    entries = vec.reshape(-1)
+    first = start.take(spec, axis=1)
+    q = entries.take(ints[1:3, None] * n + first)
+    near = const[NEAR].reshape(3, 3, -1)
+    np.multiply(q[[0, 0, 1]], q[[0, 1, 1]], out=near)
+    gdet = np.zeros((3, 2 * size))
+    slot, row = np.nonzero(const[HALF] > 0.5)
+    if row.size:
+        width = np.arange(int(2 * const[HALF].max()))
+        chunk = FLIP_CHUNK * n // width.size
+        for lo in range(0, row.size, chunk):
+            s, k = slot[lo : lo + chunk], row[lo : lo + chunk]
+            cols = np.minimum(first[s, k, None] + width, n - 1)
+            inside = width < 2.0 * const[HALF][s, k, None]
+            u, v = (np.where(inside, entries.take(ints[end, k, None] * n + cols), 0.0) for end in (1, 2))
+            near[:, s, k] = [np.einsum("kr,kr->k", *pair) for pair in ((u, u), (u, v), (v, v))]
+            gdet[s, k] = _gram_det(u, v)
+    ga, gb, gc = near
+    # run pair (j, l) adds alpha_j alpha_l (a_j c_l + c_j a_l - 2 b_j b_l)
+    quad = const[QUAD].reshape(3, 3, -1)
+    quad[:] = 0.5 * (ga[:, None] * gc + gc[:, None] * ga) - gb[:, None] * gb
+    quad[[0, 1, 2], [0, 1, 2]] = gdet
+    return [points, const, ints]
 
 
-def _solve_flips(problems, far, t, climb, best):
+def _solve_flips(problems, tables, t, climb, best):
     """Scores of the flips of one `_screen_flips` block, and whether each is
     solved, from its `problems` (`_flip_problems`), which starts from the
     first points x in the brackets (low, high) of eigenvalue t and which
     this empties.  Problem k is the graph of flip k, problem k + size its
-    complement; flip k belongs to matrix climb[k], and `best` holds each
-    matrix's largest lower bound on a score, from earlier blocks, and is
-    raised in place.
+    complement; flip k belongs to matrix climb[k], which ascends, and
+    `best` holds each matrix's largest lower bound on a score, from earlier
+    blocks, and is raised in place.
 
     Each step counts at x, shrinks the bracket and picks the next point
-    (`_count`).  A problem leaves the arrays once its bracket is
-    2 SCREEN_TOL wide, and its eigenvalue is the middle of the bracket.
+    (`_count`).  A problem leaves its three tables, a column each, once its
+    bracket is 2 SCREEN_TOL wide, and its eigenvalue is the middle of the
+    bracket.
 
     From the second count on, the two brackets of a flip bound its score:
     above by the sum of their largest |end|, below by the sum of their
     distances from 0.  A flip whose upper bound is more than 2 SCREEN_SLACK
     below the largest lower bound of its matrix is pruned: both of its
-    problems leave the arrays and its score is that upper bound.
+    problems leave the tables and its score is that upper bound.
     """
-    x, low, high, weights, *data = problems
-    problems.clear()  # the block's first arrays go as its problems leave
-    size = x.size // 2
-    lows, highs = low.copy(), high.copy()  # the bracket of every problem
-    pruned = np.zeros(size, dtype=bool)
-    ids = np.arange(x.size)
-    moves = [high - low] * 2  # step sizes one and two steps back
-    x = np.where((x > low) & (x < high), x, 0.5 * (low + high))
-    for k in itertools.count():
-        rho, nu = data[1:3]
-        keep = high - low > 2.0 * SCREEN_TOL
-        # points near a pole move just below or above it, if that still
-        # splits the bracket; otherwise the bracket is within rho of the pole
-        hit = np.abs(nu - x[:, None]) < rho[:, None]
-        if hit.any():
-            pole = np.where(hit, nu, 0.0).sum(-1)  # runs are 2 rho apart: one hit at most
-            moved = hit.any(-1)
-            use_below = pole - rho > low
-            use_above = ~use_below & (pole + rho < high)
-            x = np.where(moved, np.where(use_above, pole + rho, pole - rho), x)
-            keep &= ~moved | use_below | use_above
-        keep &= ~pruned[ids % size]
-        if not keep.all():
-            rows = np.flatnonzero(keep)
-            if not rows.size:
-                break
-            ids, x, low, high = ids[rows], x[rows], low[rows], high[rows]
-            moves = [w[rows] for w in moves]
-            weights = _compact(weights, rows)
-            data = [arr.take(rows, axis=0) for arr in data]
-        low, high, nxt = _count(x, low, high, moves[1], k, t, weights, far, data)
-        lows[ids], highs[ids] = low, high
-        if k:
-            upper, lower = _score_bounds(lows, highs, size)
-            np.maximum.at(best, climb, lower)
-            pruned |= upper < best[climb] - 2.0 * SCREEN_SLACK
-        moves = [np.abs(nxt - x), moves[0]]
-        x = nxt
+    points, const, ints = problems
+    problems.clear()  # the block's first tables go as its problems leave
+    size = climb.size
+    solved = np.ones(size, dtype=bool)
+    owner = np.arange(climb[0], climb[-1] + 1)
+    first = np.searchsorted(climb, owner)  # each matrix's first flip
+    lows, highs = points[0].copy(), points[2].copy()  # the bracket of every problem
+    low, x, high = points[:3]
+    x[:] = np.where((x > low) & (x < high), x, 0.5 * (low + high))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in itertools.count():
+            low, x, high = points[:3]
+            rho, nu = const[RHO], const[NU]
+            keep = high - low > 2.0 * SCREEN_TOL
+            # points near a pole move just below or above it, if that still
+            # splits the bracket; otherwise the bracket is within rho of it
+            hit = np.abs(nu - x) < rho
+            if hit.any():
+                pole = np.where(hit, nu, 0.0).sum(0)  # runs are 2 rho apart: one hit at most
+                moved = hit.any(0)
+                use_below = pole - rho > low
+                use_above = ~use_below & (pole + rho < high)
+                x[:] = np.where(moved, np.where(use_above, pole + rho, pole - rho), x)
+                keep &= ~moved | use_below | use_above
+            keep &= solved[ints[4]]
+            if not keep.all():
+                rows = np.flatnonzero(keep)
+                if not rows.size:
+                    break
+                points, const, ints = (arr.take(rows, axis=1) for arr in (points, const, ints))
+            points = _count(points, const, ints, k, t, tables)
+            lows[ints[3]], highs[ints[3]] = points[0], points[2]
+            if k:
+                upper, lower = _score_bounds(lows, highs, size)
+                best[owner] = np.maximum(best[owner], np.maximum.reduceat(lower, first))
+                solved &= upper >= best[climb] - 2.0 * SCREEN_SLACK
     upper, _ = _score_bounds(lows, highs, size)
     mu = np.abs(0.5 * (lows + highs))
-    return np.where(pruned, upper, mu[:size] + mu[size:]), ~pruned
+    return np.where(solved, mu[:size] + mu[size:], upper), solved
 
 
-def _count(x, low, high, before_last, k, t, weights, far, data):
-    """Count step k of `_solve_flips` at the points x: the brackets (low,
-    high) shrunk by the count, and the next point.
+def _count(points, const, ints, k, t, tables):
+    """Count step k of `_solve_flips` at the points x: the next points,
+    with the brackets (low, high) shrunk by the count and the step sizes
+    moved back one step.
 
-    The next point is the Newton step on the eigenvalue of M whose sign
-    decides the count, or the middle of the bracket where that step leaves
-    the bracket or is not half the step before last.  The Newton step goes
-    SCREEN_OVERSHOOT step^2, and at least SCREEN_TOL / 2, past its target,
-    so the count that follows closes the bracket from the other side of the
-    root.
+    The count is #{lam_k > x} + neg(M) - 1 for M = [[a, b + d], [b + d,
+    c]]: the sums over the far poles (`_far_sums`), plus those over each run
+    of poles next to the bracket, whose terms of det M are expanded so that
+    det M cancels the square of each.  The next point is the Newton step on
+    the eigenvalue of M whose sign decides the count, or the middle of the
+    bracket where that step leaves the bracket or is not half the step
+    before last.  The Newton step goes SCREEN_OVERSHOOT step^2, and at
+    least SCREEN_TOL / 2, past its target, so the count that follows closes
+    the bracket from the other side of the root.
     """
-    spec, _, nu, mult, above_near, near, quad, delta = data
-    gap, (sa, sb, sc), (da, db, dc), lo, hi = _secular(x, weights, far, spec, nu, near, quad, delta)
-    # the count is #{lam_k > x} + neg(M) - 1, so count >= t needs
-    # `need` negative eigenvalues of M
-    need = t + 1 - above_near - (mult * (gap > 0)).sum(-1)
-    up = (lo < 0).astype(np.int64) + (hi < 0) >= need
-    low, high = np.where(up, x, low), np.where(up, high, x)
-    # Newton step on the eigenvalue of M whose sign decides the count;
-    # its slope is tr(adj(ev - M) M') / tr(adj(ev - M))
-    ev = np.where(need == 1, lo, hi)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # M = c I: halve
-        step = ev * (2.0 * ev - sa - sc) / ((sc - ev) * da - 2.0 * sb * db + (sa - ev) * dc)
+    _, x, _, last, before_last = points
+    far = _far_sums(x, ints, tables)
+    far[0, 1] += const[DELTA]
+    gap = const[NU] - x
+    alpha = np.empty((2,) + gap.shape)
+    np.divide(1.0, gap, out=alpha[0])
+    np.square(alpha[0], out=alpha[1])
+    near = np.einsum("cjk,djk->dck", const[NEAR].reshape(3, 3, -1), alpha)
+    (sa, sb, sc), (da, db, dc) = far + near
+    (fa, fb, fc), (na, nb, _) = far[0], near[0]
+    # det M expanded over the runs next to the bracket: det M cancels the
+    # square of each of their terms, and rounding cannot
+    det = fa * sc + fc * na - fb * (fb + 2.0 * nb)
+    det += np.einsum("jlk,jk,lk->k", const[QUAD].reshape(3, 3, -1), alpha[0], alpha[0])
+    # the eigenvalue larger in size from the trace; the other from det next
+    # to a pole, and from the trace elsewhere, where det loses its digits
+    # at a double root
+    trace = sa + sc
+    root = np.copysign(np.hypot(sa - sc, 2.0 * sb), trace)
+    large = 0.5 * (trace + root)
+    small = 0.5 * (trace - root)
+    np.divide(det, large, out=small, where=np.abs(large) > 1.0 + np.abs(far[0]).sum(0))
+    eig = np.array([np.minimum(large, small), np.maximum(large, small)])
+    # count >= t needs `need` negative eigenvalues of M; the gaps are never
+    # 0, so the runs above x hold sum(half + copysign(half, gap)) poles
+    need = const[NEED] - np.copysign(const[HALF], gap).sum(0)
+    up = (eig < 0).sum(0) >= need
+    low, high = np.where(up, points[1:3], points[0:2])
+    nxt = 0.5 * (low + high)
+    if k < SCREEN_NEWTON_STEPS:
+        # Newton step on the eigenvalue of M whose sign decides the count;
+        # its slope is tr(adj(ev - M) M') / tr(adj(ev - M)).  M = c I: halve
+        ev = np.where(need == 1, *eig)
+        step = ev * (2.0 * ev - trace) / ((sc - ev) * da - 2.0 * sb * db + (sa - ev) * dc)
         step += np.copysign(np.maximum(SCREEN_OVERSHOOT * step * step, 0.5 * SCREEN_TOL), step)
-    newton = x + step
-    use = (need >= 1) & (need <= 2) & (newton > low) & (newton < high)
-    use &= (np.abs(step) <= 0.5 * before_last) & (k < SCREEN_NEWTON_STEPS)
-    return low, high, np.where(use, newton, 0.5 * (low + high))
+        newton = x + step
+        use = (np.abs(need - 1.5) < 1.0) & (newton > low) & (newton < high)
+        use &= np.abs(step) <= 0.5 * before_last
+        nxt = np.where(use, newton, nxt)
+    return np.array([low, nxt, high, np.abs(nxt - x), last])
 
 
 def _score_bounds(low: np.ndarray, high: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Upper and lower bounds on |mu_graph| + |mu_complement| of each flip
-    from the brackets [low, high] (2 size,) of its two problems."""
-    mag_low, mag_high = np.abs(low), np.abs(high)
-    upper = np.maximum(mag_low, mag_high)
-    lower = np.where((low <= 0.0) & (high >= 0.0), 0.0, np.minimum(mag_low, mag_high))
+    from the brackets [low, high] (2 size,) of its two problems: the
+    largest |end| and the distance from 0 of each bracket."""
+    upper = np.maximum(high, -low)
+    lower = np.maximum(np.maximum(low, -high), 0.0)
     return upper[:size] + upper[size:], lower[:size] + lower[size:]
 
 

@@ -698,6 +698,24 @@ def test_graph6_file_with_two_graphs_is_a_usage_error(tmp_path, capsys):
         assert run_cli(capsys, "spectrum", "--graph6-file", str(src)) == (0, expected, "")
 
 
+def test_graph6_file_whitespace_around_the_graph(tmp_path, capsys):
+    # a blank first line, a trailing space or tab and CRLF line ends are
+    # layout: the file reads as the one graph6 string it holds
+    src = tmp_path / "g.g6"
+    expected = run_cli(capsys, "spectrum", "--graph6", "CF")[1]
+    for text in ("\nCF\n", "CF \n", "\t CF\t\r\n\n"):
+        src.write_text(text, encoding="utf-8")
+        assert run_cli(capsys, "spectrum", "--graph6-file", str(src)) == (0, expected, ""), text
+    # a bad string, or none at all, is an error that names the file
+    for text, message in (
+        ("C F\n", "graph6 characters must be in the byte range 63..126"),
+        (" \n\n", "empty graph6 string"),
+    ):
+        src.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", "--graph6-file", str(src))
+        assert (code, out, err) == (1, "", f"error: {src}: {message}\n")
+
+
 def test_check_degenerate_bipartite_at_order_768(capsys):
     # K_{384,384}: highly repeated eigenvalues at a large order
     code, out, _ = run_cli(

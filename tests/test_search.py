@@ -32,7 +32,13 @@ from ngspectral.graphs import (
 from ngspectral.search import (
     FAMILIES,
     FLIP_CHUNK,
+    HALF,
+    NEAR,
+    NEED,
+    NU,
+    QUAD,
     RESCORE_ENTRIES,
+    RHO,
     SCREEN_BLOCK,
     SCREEN_SLACK,
     _constructive_starts,
@@ -477,7 +483,7 @@ def test_lockstep_climbs_that_stop_at_different_iterations(monkeypatch, args):
     assert rec == local_oracle(*args)
 
 
-@pytest.mark.parametrize("args", [(40, 2, "top", 0, 6), (48, 3, "bottom", 1, 4)])
+@pytest.mark.parametrize("args", [(48, 2, "top", 0, 6), (48, 3, "bottom", 1, 4)])
 def test_local_search_matches_oracle_across_screen_blocks(args):
     # three seeded starts and one construction: the flips of one step fill
     # several screening blocks, and the blocks cut across climbs
@@ -509,6 +515,32 @@ def test_local_search_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * PEAK_BEFORE_LOCKSTEP, peak
+
+
+# `_count` calls of local_search_f(32, 2, "bottom", 0), measured when every
+# step first fit one screening block (916 when the step took two blocks)
+COUNTS_ONE_BLOCK_PER_STEP = 652
+
+
+def test_local_search_screens_each_step_in_one_block(monkeypatch):
+    # the four climbs of order 32 (three seeded starts and the construction)
+    # screen their 1984 flips in one block: each step builds its problems
+    # once, and the Newton counts stay at the number pinned above.  The
+    # record is the one `local_oracle` gives (pinned; the oracle takes 9 s)
+    calls = {"_screen_flips": 0, "_flip_problems": 0, "_count": 0}
+    for name in calls:
+        original = getattr(ngspectral.search, name)
+
+        def spy(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(ngspectral.search, name, spy)
+    rec = local_search_f(32, 2, "bottom", 0)
+    assert (rec.value.hex(), rec.evaluations) == ("0x1.b4f1c4a55baeap+3", 84820)
+    assert 4 * 32 * 31 // 2 <= SCREEN_BLOCK
+    assert calls["_flip_problems"] == calls["_screen_flips"] > 1, calls
+    assert calls["_count"] <= COUNTS_ONE_BLOCK_PER_STEP, calls
 
 
 def test_rescoring_batches_are_bounded_by_entries(monkeypatch):
@@ -600,6 +632,59 @@ def test_screen_matches_eigvalsh_on_every_flip(n):
 def _leader_rows(screened):
     """The leaders of each row of a screen, as `_screen_leaders` picks them."""
     return [np.flatnonzero(row >= row.max() - SCREEN_SLACK) for row in screened]
+
+
+def _runs_by_loop(row, guard, t):
+    """The runs of poles next to eigenvalue t of one descending spectrum, as
+    slices, found spectrum by spectrum: the reference for `_near_runs`."""
+    cluster = np.concatenate([[0], np.cumsum(-np.diff(row) > 2.0 * guard)])
+    return [
+        slice(int(np.searchsorted(cluster, c)), int(np.searchsorted(cluster, c, side="right")))
+        for c in sorted(set(cluster[max(t - 2, 0) : t + 1].tolist()))
+    ]
+
+
+@pytest.mark.parametrize("n", [4, 6, 16])
+def test_flip_problems_match_a_loop_over_spectra_and_runs(monkeypatch, n):
+    # the screen finds the runs next to the bracket, and sums each flip's
+    # weights over them, with array operations over every spectrum and run;
+    # a loop over spectra and runs must find the same runs and, to rounding,
+    # the same sums and Gram determinants (these graphs repeat eigenvalues)
+    blocks = []
+    flip_problems = ngspectral.search._flip_problems
+
+    def spy(stack, climb, i, j, t, spectra):
+        problems = flip_problems(stack, climb, i, j, t, spectra)
+        blocks.append((climb, i, j, t, spectra[0], spectra[1], problems[1].copy()))
+        return problems
+
+    monkeypatch.setattr(ngspectral.search, "_flip_problems", spy)
+    stack = np.stack([g.adjacency_matrix() for g in _screen_graphs(n)])
+    for s, family in [(2, "top"), (n // 2, "top"), (1, "bottom"), (2, "bottom")]:
+        _screen_flips(stack, s, family)
+    wide = 0
+    for climb, i, j, t, lam, vec, const in blocks:
+        spec = np.concatenate([2 * climb, 2 * climb + 1])
+        ends = np.tile(i, 2), np.tile(j, 2)
+        near, quad = const[NEAR].reshape(3, 3, -1), const[QUAD].reshape(3, 3, -1)
+        for p in np.unique(spec):
+            k = np.flatnonzero(spec == p)
+            runs = _runs_by_loop(lam[p], const[RHO, k[0]], t)
+            slots = np.flatnonzero(const[HALF, k[0]] > 0)
+            assert [2 * const[HALF, k[0]][m] for m in slots] == [r.stop - r.start for r in runs]
+            assert const[NEED, k[0]] == t + 1 - runs[0].start - sum(r.stop - r.start for r in runs) / 2
+            for m, run in zip(slots, runs):
+                assert np.allclose(const[NU, k][m], lam[p, run].mean(), rtol=0, atol=1e-12)
+                u, v = (vec[p * n + end[k]][:, run] for end in ends)
+                sums = [(u * u).sum(1), (u * v).sum(1), (v * v).sum(1)]
+                assert np.allclose(near[:, m][:, k], sums, rtol=1e-12, atol=1e-15)
+                # Lagrange's identity: the Gram determinant is the sum of the
+                # squared 2x2 minors of the run's columns
+                a, b = np.triu_indices(run.stop - run.start, 1)
+                gram = ((u[:, a] * v[:, b] - u[:, b] * v[:, a]) ** 2).sum(1)
+                assert np.allclose(quad[m, m, k], gram, rtol=1e-9, atol=1e-24)
+                wide += run.stop - run.start > 1
+    assert wide > 0
 
 
 def test_screen_leaders_of_a_stack_are_those_of_each_graph():
