@@ -41,8 +41,8 @@ MAX_ORDER_ENV = "NG_MAX_ORDER"
 # largest order of exhaustive search and of the class build: order 9 takes
 # about 65 s to classify, and int64 pair masks overflow from order 12
 EXHAUSTIVE_CAP = 8
-# masks per batch: matrices per eigvalsh call in exhaustive search, per
-# canonicalization in the class build, and per relabelling block
+# masks per batch of `canonical_masks`, in the class build and in
+# exhaustive search, and relabellings per block inside it
 SCORE_CHUNK = 1 << 14
 
 

@@ -16,6 +16,11 @@ best score are expanded into all their labellings, each folded to the
 smaller of its mask and its complement's, and rescored: the value and the
 witness are those of the search over every labelled graph.
 
+Both engines score through one kernel, `_pair_scores`: it makes every
+eigvalsh call of the search, on batches of at most SCORE_ENTRIES matrix
+entries.  eigvalsh solves each matrix of a batch on its own, so the batches
+never change a score.
+
 The hill climb takes, at every step, the single-edge flip with the best
 score.  A flip is a rank-2 update of the adjacency matrix, so one
 eigendecomposition of the graph and of its complement gives the flipped
@@ -71,13 +76,13 @@ LABEL_BUDGET = 1 << 23
 # local search: scores closer than this are ties, and a flip must beat the
 # current score by more than this to count as an improvement
 CLIMB_TIE_TOL = 1e-12
-# local search: leaders per rescoring batch up to order 32, and problems
-# per chunk when the screen sums over the far poles
+# the most matrix entries in one eigvalsh batch of `_pair_scores`: 8192
+# matrices of order 8, 512 of order 32.  Constructive starts tie thousands
+# of flips, so a batch of a fixed number of matrices would grow with n^2
+SCORE_ENTRIES = 1 << 19
+# local search: problems per chunk when the screen sums over the far poles
+# or over the long runs of poles next to the bracket
 FLIP_CHUNK = 512
-# local search: the most matrix entries in one rescoring batch, FLIP_CHUNK
-# matrices of order 32.  Constructive starts tie thousands of flips, so a
-# batch of FLIP_CHUNK leaders would grow with n^2 (about 130 MB at n = 128)
-RESCORE_ENTRIES = FLIP_CHUNK * 32 * 32
 # local search: the most flips, of every climb still running, that one
 # screening block solves together.  A flip's two problems keep 78 numbers of
 # 8 bytes whatever n, so a block takes about 1.3 MB; a step of four climbs of
@@ -128,15 +133,21 @@ class RatioRow:
     method: str
 
 
-def _validate_family(family: str) -> None:
+def _lowest_s(family: str) -> int:
+    """The smallest s of `family`: 2 for top, 1 for bottom.  Raises
+    ValueError for any other family."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    return 2 if family == "top" else 1
 
 
-def _validate_s(n: int, s: int, family: str) -> None:
-    low = 2 if family == "top" else 1
+def _column(n: int, s: int, family: str) -> int:
+    """Index, 0-based and descending, of the eigenvalue the objective reads.
+    Raises ValueError for an unknown family or an s out of its range."""
+    low = _lowest_s(family)
     if not low <= s <= n:
         raise ValueError(f"family {family} needs {low} <= s <= n, got s={s}, n={n}")
+    return s - 1 if family == "top" else n - s
 
 
 def _validate_climb(seed: int, iterations: int, restarts: int) -> None:
@@ -147,48 +158,34 @@ def _validate_climb(seed: int, iterations: int, restarts: int) -> None:
 
 
 def objective(g: Graph, s: int, family: str) -> float:
-    """Score one graph through `_score_stack`."""
-    _validate_family(family)
-    _validate_s(g.n, s, family)
-    return float(_score_stack(g.adjacency_matrix()[None], s, family)[0])
+    """Score one graph through `_pair_scores`."""
+    col = _column(g.n, s, family)
+    return float(_pair_scores(1, g.n, lambda lo, hi: g.adjacency_matrix()[None], col)[0])
 
 
 def target_ratio(s: int, family: str) -> float:
     """Conjectured limit of value/n: 1/sqrt(2(s-1)) (top) or 1/sqrt(2s) (bottom)."""
-    _validate_family(family)
-    if family == "top":
-        if s < 2:
-            raise ValueError(f"top family needs s >= 2, got {s}")
-        return 1.0 / math.sqrt(2.0 * (s - 1))
-    if s < 1:
-        raise ValueError(f"bottom family needs s >= 1, got {s}")
-    return 1.0 / math.sqrt(2.0 * s)
+    low = _lowest_s(family)
+    if s < low:
+        raise ValueError(f"{family} family needs s >= {low}, got {s}")
+    return 1.0 / math.sqrt(2.0 * (s - low + 1))
 
 
-def _column(n: int, s: int, family: str) -> int:
-    """Index, 0-based and descending, of the eigenvalue the objective reads."""
-    return s - 1 if family == "top" else n - s
-
-
-def _pair_scores(stack: np.ndarray, col=slice(None)) -> np.ndarray:
-    """|mu_i(G)| + |mu_i(comp)| of each adjacency matrix in `stack`
-    (..., n, n), at the 0-based indices `col`: every i by default."""
-    wg, wc = complement_pair_eigenvalues(stack)
-    return np.abs(wg[..., col]) + np.abs(wc[..., col])
-
-
-def _score_stack(stack: np.ndarray, s: int, family: str) -> np.ndarray:
-    """Objective for a stack of adjacency matrices: one column of
-    `_pair_scores`."""
-    return _pair_scores(stack, _column(stack.shape[-1], s, family))
-
-
-def _score_masks(masks: np.ndarray, n: int, s: int, family: str) -> np.ndarray:
-    """Objective for each mask, solved SCORE_CHUNK matrices at a time."""
-    return np.concatenate([
-        _score_stack(masks_to_stack(masks[lo : lo + SCORE_CHUNK], n), s, family)
-        for lo in range(0, masks.size, SCORE_CHUNK)
-    ])
+def _pair_scores(count: int, n: int, build, col: Optional[int] = None) -> np.ndarray:
+    """|mu_i(G)| + |mu_i(comp)| of `count` adjacency matrices of order n,
+    (count, n) for every i, or (count,) for the 0-based index `col`.
+    `build(lo, hi)` returns matrices lo:hi as a stack (hi - lo, n, n); they
+    are solved in batches of at most SCORE_ENTRIES matrix entries.  eigvalsh
+    solves each matrix of a stack on its own, so the batches never change
+    a bit.  This is the search's one call of `complement_pair_eigenvalues`."""
+    pick = slice(None) if col is None else col
+    scores = np.empty((count, n) if col is None else count)
+    batch = max(1, SCORE_ENTRIES // (n * n))
+    for lo in range(0, count, batch):
+        hi = min(lo + batch, count)
+        wg, wc = complement_pair_eigenvalues(build(lo, hi))
+        scores[lo:hi] = np.abs(wg[:, pick]) + np.abs(wc[:, pick])
+    return scores
 
 
 @functools.cache
@@ -196,13 +193,10 @@ def _extension_scores(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The order-n masks that `exhaustive_f` scores first, the extensions of
     `complement_pair_classes(n - 1)`, and their `_pair_scores` (K, n), so
     that column `_column(n, s, family)` holds the objective of every (s,
-    family).  Solved SCORE_CHUNK matrices at a time, once per order and
-    process; both shared arrays are read-only."""
+    family).  Solved once per order and process, in the batches of
+    `_pair_scores`; both shared arrays are read-only."""
     candidates = extensions(complement_pair_classes(n - 1), n)
-    table = np.empty((candidates.size, n))
-    for lo in range(0, candidates.size, SCORE_CHUNK):
-        stack = masks_to_stack(candidates[lo : lo + SCORE_CHUNK], n)
-        table[lo : lo + SCORE_CHUNK] = _pair_scores(stack)
+    table = _pair_scores(candidates.size, n, lambda lo, hi: masks_to_stack(candidates[lo:hi], n))
     candidates.flags.writeable = False
     table.flags.writeable = False
     return candidates, table
@@ -239,8 +233,7 @@ def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> Ex
     maximizers within tol, complements included.  `evaluations` counts the
     labelled graphs covered, one per complement pair.
     """
-    _validate_family(family)
-    _validate_s(n, s, family)
+    col = _column(n, s, family)
     check_order(n)
     check_tol(tol)
     if n > EXHAUSTIVE_CAP:
@@ -250,11 +243,11 @@ def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> Ex
     full = (1 << m) - 1
 
     candidates, table = _extension_scores(n)
-    scores = table[:, _column(n, s, family)]
+    scores = table[:, col]
     near = candidates[scores >= scores.max() - tol - RELABEL_SLACK]
     labelled = labellings(_near_classes(near, n, tol), n)
     folded = np.unique(np.minimum(labelled, labelled ^ full))
-    scores = _score_masks(folded, n, s, family)
+    scores = _pair_scores(folded.size, n, lambda lo, hi: masks_to_stack(folded[lo:hi], n), col)
     value = float(scores.max())
     witness = smallest_graph6(n, folded[scores >= value - tol])
     return ExtremalRecord(
@@ -372,11 +365,14 @@ def _far_sums(x, ints, tables):
     return sums
 
 
-def _screen_flips(stack: np.ndarray, s: int, family: str) -> tuple[np.ndarray, np.ndarray]:
+def _screen_flips(
+    stack: np.ndarray, s: int, family: str, iu: np.ndarray, ju: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Objective of every single-edge flip of each adjacency matrix in
-    `stack` (C, n, n), (C, n(n-1)/2) in `np.triu_indices` order, from one
-    eigendecomposition of each matrix and of its complement, and which of
-    those scores are solved (the rest are bounds).
+    `stack` (C, n, n), (C, n(n-1)/2) in the flip order (iu, ju) of
+    `np.triu_indices(n, 1)`, from one eigendecomposition of each matrix and
+    of its complement, and which of those scores are solved (the rest are
+    bounds).
 
     Flip (i, j) adds d = 1 - 2 a_ij at (i, j) and (j, i) of the graph and
     -d to its complement, so for each spectrum Q diag(lam) Q' it is the
@@ -407,7 +403,7 @@ def _screen_flips(stack: np.ndarray, s: int, family: str) -> tuple[np.ndarray, n
     leader.
     """
     count, n = stack.shape[0], stack.shape[-1]
-    t = s if family == "top" else n - s + 1
+    t = _column(n, s, family) + 1
     lam, vec = complement_pair_eigh(stack)
     # spectrum 2c is matrix c and spectrum 2c + 1 its complement; row
     # (2c + p) n + i of `vec` holds vertex i of spectrum 2c + p
@@ -435,8 +431,7 @@ def _screen_flips(stack: np.ndarray, s: int, family: str) -> tuple[np.ndarray, n
     )
     tables = (far, vec, np.empty(5 * FLIP_CHUNK * n))
 
-    total = count * (n * (n - 1) // 2)
-    iu, ju = np.triu_indices(n, 1)
+    total = count * iu.size
     scores = np.empty(total)
     solved = np.empty(total, dtype=bool)
     best = np.zeros(count)  # per matrix, the largest lower bound on a flip's score so far
@@ -444,7 +439,7 @@ def _screen_flips(stack: np.ndarray, s: int, family: str) -> tuple[np.ndarray, n
         climb, pair = np.divmod(np.arange(lo, min(lo + SCREEN_BLOCK, total)), iu.size)
         problems = _flip_problems(stack, climb, iu[pair], ju[pair], t, spectra)
         block = slice(lo, lo + climb.size)
-        scores[block], solved[block] = _solve_flips(problems, tables, t, climb, best)
+        scores[block], solved[block] = _solve_flips(problems, tables, climb, best)
     return scores.reshape(count, -1), solved.reshape(count, -1)
 
 
@@ -510,7 +505,7 @@ def _flip_problems(stack, climb, i, j, t, spectra) -> list:
     return [points, const, ints]
 
 
-def _solve_flips(problems, tables, t, climb, best):
+def _solve_flips(problems, tables, climb, best):
     """Scores of the flips of one `_screen_flips` block, and whether each is
     solved, from its `problems` (`_flip_problems`), which starts from the
     first points x in the brackets (low, high) of eigenvalue t and which
@@ -560,7 +555,7 @@ def _solve_flips(problems, tables, t, climb, best):
                 if not rows.size:
                     break
                 points, const, ints = (arr.take(rows, axis=1) for arr in (points, const, ints))
-            points = _count(points, const, ints, k, t, tables)
+            points = _count(points, const, ints, k, tables)
             lows[ints[3]], highs[ints[3]] = points[0], points[2]
             if k:
                 upper, lower = _score_bounds(lows, highs, size)
@@ -571,7 +566,7 @@ def _solve_flips(problems, tables, t, climb, best):
     return np.where(solved, mu[:size] + mu[size:], upper), solved
 
 
-def _count(points, const, ints, k, t, tables):
+def _count(points, const, ints, k, tables):
     """Count step k of `_solve_flips` at the points x: the next points,
     with the brackets (low, high) shrunk by the count and the step sizes
     moved back one step.
@@ -637,12 +632,14 @@ def _score_bounds(low: np.ndarray, high: np.ndarray, size: int) -> tuple[np.ndar
     return upper[:size] + upper[size:], lower[:size] + lower[size:]
 
 
-def _screen_leaders(stack: np.ndarray, s: int, family: str) -> tuple[np.ndarray, np.ndarray]:
-    """(matrix, flip) indices of the flips of each matrix in `stack` screened
-    within SCREEN_SLACK of that matrix's best screened score, matrix by
-    matrix and flips ascending: every flip whose objective is within
-    SCREEN_SLACK / 2 of its matrix's best, ties included."""
-    screened, _ = _screen_flips(stack, s, family)
+def _screen_leaders(
+    stack: np.ndarray, s: int, family: str, iu: np.ndarray, ju: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, flip) indices of the flips (iu, ju) of each matrix in
+    `stack` screened within SCREEN_SLACK of that matrix's best screened
+    score, matrix by matrix and flips ascending: every flip whose objective
+    is within SCREEN_SLACK / 2 of its matrix's best, ties included."""
+    screened, _ = _screen_flips(stack, s, family, iu, ju)
     return np.nonzero(screened >= screened.max(-1, keepdims=True) - SCREEN_SLACK)
 
 
@@ -671,7 +668,7 @@ def local_search_f(
     lockstep.  Each step screens the n(n-1)/2 flips of every climb still
     running in one `_screen_flips` pass, rescores each climb's leaders,
     those within SCREEN_SLACK of its best screened score
-    (`_screen_leaders`), through `_score_stack`, and takes each climb's
+    (`_screen_leaders`), through `_pair_scores`, and takes each climb's
     best, the smallest flip index among equal scores.  That is the flip,
     and the score, that rescoring every flip would give.  A climb stops, and
     leaves the batch, when no flip improves its score by more than
@@ -679,8 +676,7 @@ def local_search_f(
     `objective` after its graph6 round trip, hence a certified lower bound
     on the true extremal value.
     """
-    _validate_family(family)
-    _validate_s(n, s, family)
+    col = _column(n, s, family)
     check_order(n)
     _validate_climb(seed, iterations, restarts)
 
@@ -690,18 +686,18 @@ def local_search_f(
     starts.extend(_constructive_starts(n, s))
 
     a = np.stack([start.adjacency_matrix() for start in starts])
-    score = _score_stack(a, s, family)
+    score = _pair_scores(len(starts), n, lambda lo, hi: a[lo:hi], col)
     evaluations = len(starts)
     live = np.arange(len(starts) if m else 0)  # one vertex: nothing to flip
-    batch = max(1, min(FLIP_CHUNK, RESCORE_ENTRIES // (n * n)))
     for _ in range(iterations):
         if not live.size:
             break
-        owner, flip = _screen_leaders(a[live], s, family)
-        rescored = np.concatenate([
-            _score_stack(_flipped_stack(a[live[owner[k]]], iu[flip[k]], ju[flip[k]]), s, family)
-            for k in np.split(np.arange(flip.size), np.arange(batch, flip.size, batch))
-        ])
+        owner, flip = _screen_leaders(a[live], s, family, iu, ju)
+
+        def leaders(lo, hi):
+            return _flipped_stack(a[live[owner[lo:hi]]], iu[flip[lo:hi]], ju[flip[lo:hi]])
+
+        rescored = _pair_scores(flip.size, n, leaders, col)
         evaluations += m * live.size
         climbing = []
         # every climb has a leader, and its leaders are contiguous
@@ -754,11 +750,11 @@ def ratio_table(
     Exhaustive where the cap allows, hill climbing beyond; presents scaling
     evidence only and never claims a limit.
     """
-    _validate_family(family)
+    _lowest_s(family)
     check_tol(tol)
     target = target_ratio(s, family)
     for n in n_list:  # every order, the seed and the climb's settings before any search
-        _validate_s(n, s, family)
+        _column(n, s, family)
         check_order(n)
     _validate_climb(seed, iterations, restarts)
     rows = []

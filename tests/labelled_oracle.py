@@ -4,7 +4,7 @@ The program scores one graph per isomorphism class; the tests use this
 enumeration of all 2^(m-1) labelled complement pairs as an oracle for it.
 It scores every bitmask below the top pair bit, which holds exactly one of
 each {G, comp} pair, in shards of `shard_size` masks, through the same
-`_score_stack` as the program, so the two values must agree bit for bit.
+`_pair_scores` as the program, so the two values must agree bit for bit.
 That fold is now the program's fold too: `exhaustive_f` scores one class
 per complement pair and relabels into min(x, full ^ x), which is the mask
 below the top pair bit, relying as this oracle does on a graph and its
@@ -18,7 +18,7 @@ import numpy as np
 
 from ngspectral.graph6 import emit_graph6
 from ngspectral.graphs import Graph, complement, masks_to_stack
-from ngspectral.search import ExtremalRecord, _score_stack
+from ngspectral.search import ExtremalRecord, _column, _pair_scores
 from ngspectral.spectra import DEFAULT_TOL
 
 DEFAULT_SHARD_SIZE = 1 << 16
@@ -34,11 +34,12 @@ def labelled_exhaustive_f(
 ) -> ExtremalRecord:
     """The record `exhaustive_f(n, s, family)` must return, by brute force."""
     m = n * (n - 1) // 2
+    col = _column(n, s, family)
     total = 1 if m == 0 else 1 << (m - 1)
 
     def run_shard(lo: int, hi: int) -> tuple[float, list[int]]:
         masks = np.arange(lo, hi, dtype=np.int64)
-        scores = _score_stack(masks_to_stack(masks, n), s, family)
+        scores = _pair_scores(masks.size, n, lambda b, e: masks_to_stack(masks[b:e], n), col)
         best = float(scores.max())
         keep = np.nonzero(scores >= best - tol)[0]
         return best, [int(masks[i]) for i in keep]
@@ -48,7 +49,8 @@ def labelled_exhaustive_f(
     pool = [mask for best, masks in results if best >= value - tol for mask in masks]
     # shard-local keeps are relative to the shard maximum; re-score against the
     # global one before tie-breaking
-    scores = _score_stack(masks_to_stack(np.array(pool, dtype=np.int64), n), s, family)
+    pool_masks = np.array(pool, dtype=np.int64)
+    scores = _pair_scores(pool_masks.size, n, lambda b, e: masks_to_stack(pool_masks[b:e], n), col)
     final = [Graph(n, mask) for mask, score in zip(pool, scores) if score >= value - tol]
     return ExtremalRecord(
         n=n,

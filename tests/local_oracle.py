@@ -3,7 +3,7 @@
 The program screens the flips of each step from one eigendecomposition and
 rescores only the leaders; the tests use this climb, which builds and solves
 all n(n-1)/2 flipped matrices at every step, as an oracle for it.  Both
-score through the same `_score_stack`, so the records must agree bit for bit.
+score through the same `_pair_scores`, so the records must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from ngspectral.search import (
     CLIMB_TIE_TOL,
     ExtremalRecord,
     _constructive_starts,
-    _score_stack,
-    _validate_family,
-    _validate_s,
+    _column,
+    _pair_scores,
     objective,
 )
 
@@ -36,8 +35,7 @@ def local_oracle(
     flip_chunk: int = 512,
 ) -> ExtremalRecord:
     """The record `local_search_f(n, s, family, seed, ...)` must return."""
-    _validate_family(family)
-    _validate_s(n, s, family)
+    col = _column(n, s, family)
     check_order(n)
     if iterations < 1 or restarts < 1:
         raise ValueError("iterations and restarts must be at least 1")
@@ -52,7 +50,7 @@ def local_oracle(
     best_masks: list[int] = []
     for start in starts:
         a = start.adjacency_matrix()
-        score = float(_score_stack(a[None, :, :], s, family)[0])
+        score = float(_pair_scores(1, n, lambda lo, hi: a[None, :, :], col)[0])
         evaluations += 1
         for _ in range(iterations):
             flip_scores = np.empty(m)
@@ -62,7 +60,7 @@ def local_oracle(
                 rows = np.arange(hi - lo)
                 stack[rows, iu[lo:hi], ju[lo:hi]] = 1.0 - stack[rows, iu[lo:hi], ju[lo:hi]]
                 stack[rows, ju[lo:hi], iu[lo:hi]] = 1.0 - stack[rows, ju[lo:hi], iu[lo:hi]]
-                flip_scores[lo:hi] = _score_stack(stack, s, family)
+                flip_scores[lo:hi] = _pair_scores(hi - lo, n, lambda b, e: stack[b:e], col)
             evaluations += m
             j = int(np.argmax(flip_scores))  # ties resolve to the smallest flip index
             if flip_scores[j] <= score + CLIMB_TIE_TOL:

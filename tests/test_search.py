@@ -28,24 +28,24 @@ from ngspectral.graphs import (
     extensions,
     isomorphism_classes,
     labellings,
+    masks_to_stack,
 )
 from ngspectral.search import (
     FAMILIES,
-    FLIP_CHUNK,
     HALF,
     NEAR,
     NEED,
     NU,
     QUAD,
-    RESCORE_ENTRIES,
     RHO,
+    SCORE_ENTRIES,
     SCREEN_BLOCK,
     SCREEN_SLACK,
+    _column,
     _constructive_starts,
     _extension_scores,
     _flipped_stack,
-    _score_masks,
-    _score_stack,
+    _pair_scores,
     _screen_flips,
     _screen_leaders,
     exhaustive_f,
@@ -57,6 +57,12 @@ from ngspectral.search import (
 from ngspectral.spectra import DEFAULT_TOL
 
 SQ5 = math.sqrt(5)
+
+
+def _mask_scores(masks, n, s, family):
+    """The objective of each order-n mask, through the search's kernel."""
+    col = _column(n, s, family)
+    return _pair_scores(masks.size, n, lambda lo, hi: masks_to_stack(masks[lo:hi], n), col)
 
 
 def test_objective_complement_symmetry():
@@ -170,54 +176,54 @@ def test_score_masks_complement_symmetric(n, family):
     masks = np.arange(1 << n * (n - 1) // 2, dtype=np.int64)
     assert np.array_equal(masks ^ masks[-1], masks[::-1])
     for s in range(2 if family == "top" else 1, n + 1):
-        scores = _score_masks(masks, n, s, family)
+        scores = _mask_scores(masks, n, s, family)
         assert np.array_equal(scores, scores[::-1])
 
 
 @pytest.mark.parametrize("s,family", [(2, "top"), (4, "top"), (1, "bottom"), (6, "bottom")])
 def test_exhaustive_scores_one_graph_per_complement_pair(monkeypatch, s, family):
+    candidates, table = _extension_scores(6)
     scored = []
 
-    def recording(masks, n, s, family):
-        scored.append(masks.copy())
-        return _score_masks(masks, n, s, family)
+    def recording(count, n, build, col=None):
+        scored.append(np.array([Graph.from_adjacency(a).bits for a in build(0, count)]))
+        return _pair_scores(count, n, build, col)
 
-    monkeypatch.setattr(ngspectral.search, "_score_masks", recording)
+    monkeypatch.setattr(ngspectral.search, "_pair_scores", recording)
     exhaustive_f(6, s, family)
     (labelled,) = scored
-    candidates, table = _extension_scores(6)
     # 18 of the 34 classes of order 5, one per complement pair, times 2^5
     # neighbour sets of vertex 6, each with one score per eigenvalue index
     assert candidates.size == 576 and table.shape == (576, 6)
     assert np.array_equal(candidates, extensions(complement_pair_classes(5), 6))
     # the table's column is the objective, bit for bit
     col = s - 1 if family == "top" else 6 - s
-    assert np.array_equal(table[:, col], _score_masks(candidates, 6, s, family))
-    # only the labellings went through _score_masks, each relabelled graph
-    # folded below the top pair bit
+    assert np.array_equal(table[:, col], _mask_scores(candidates, 6, s, family))
+    # with the order's table built, only the labellings went through the
+    # kernel, each relabelled graph folded below the top pair bit
     assert labelled.size and not (labelled >> 14).any()
 
 
 def test_extension_scores_solved_once_per_order(monkeypatch):
-    solved, labelled = [], []
+    solved, scored = [], []
 
     def counting(stack):
         solved.append(stack.shape[0])
         return complement_pair_eigenvalues(stack)
 
-    def recording(masks, n, s, family):
-        labelled.append(masks.size)
-        return _score_masks(masks, n, s, family)
+    def recording(count, n, build, col=None):
+        scored.append(count)
+        return _pair_scores(count, n, build, col)
 
     _extension_scores.cache_clear()
     monkeypatch.setattr(ngspectral.search, "complement_pair_eigenvalues", counting)
-    monkeypatch.setattr(ngspectral.search, "_score_masks", recording)
+    monkeypatch.setattr(ngspectral.search, "_pair_scores", recording)
     exhaustive_f(6, 2, "top")
     # the 576 candidates, then the labellings of the near classes
-    assert sum(solved) == 576 + labelled[0]
+    assert scored[0] == 576 and sum(solved) == 576 + scored[1]
     solved.clear()
     exhaustive_f(6, 1, "bottom")
-    assert sum(solved) == labelled[1]
+    assert len(scored) == 3 and sum(solved) == scored[2]
     assert _extension_scores.cache_info().currsize == 1
 
 
@@ -473,9 +479,9 @@ def test_lockstep_climbs_that_stop_at_different_iterations(monkeypatch, args):
     live = []
     screen_leaders = ngspectral.search._screen_leaders
 
-    def spy(stack, s, family):
+    def spy(stack, *args):
         live.append(stack.shape[0])
-        return screen_leaders(stack, s, family)
+        return screen_leaders(stack, *args)
 
     monkeypatch.setattr(ngspectral.search, "_screen_leaders", spy)
     rec = local_search_f(*args)
@@ -544,25 +550,49 @@ def test_local_search_screens_each_step_in_one_block(monkeypatch):
 
 
 def test_rescoring_batches_are_bounded_by_entries(monkeypatch):
-    # the construction's start ties thousands of flips; each rescoring batch
-    # must hold at most RESCORE_ENTRIES entries, and the record must be the
-    # one that batches of FLIP_CHUNK leaders give
+    # the construction's start ties thousands of flips; each eigvalsh batch
+    # of the kernel must hold at most SCORE_ENTRIES entries, and the record
+    # must be the one that batches eight times larger give
     args = (96, 2, "top", 0, 1, 1)
     n = args[0]
     batches = []
-    score_stack = ngspectral.search._score_stack
 
-    def spy(stack, s, family):
+    def spy(stack):
         batches.append(stack.shape[0])
-        return score_stack(stack, s, family)
+        return complement_pair_eigenvalues(stack)
 
-    monkeypatch.setattr(ngspectral.search, "_score_stack", spy)
+    monkeypatch.setattr(ngspectral.search, "complement_pair_eigenvalues", spy)
     rec = local_search_f(*args)
-    assert sum(batches) > 2 * FLIP_CHUNK
-    assert max(batches) * n * n <= RESCORE_ENTRIES, batches
+    assert sum(batches) > 2 * (SCORE_ENTRIES // (n * n))
+    assert max(batches) * n * n <= SCORE_ENTRIES, batches
     assert (rec.value.hex(), rec.evaluations) == ("0x1.08b7289390862p+6", 9122)
-    monkeypatch.setattr(ngspectral.search, "RESCORE_ENTRIES", FLIP_CHUNK * n * n)
+    monkeypatch.setattr(ngspectral.search, "SCORE_ENTRIES", 8 * SCORE_ENTRIES)
     assert local_search_f(*args) == rec
+
+
+def test_score_batches_keep_every_bit(monkeypatch):
+    # eigvalsh solves each matrix of a batch on its own: batches of a few
+    # matrices (48 of order 6, 35 of order 7, 3 of order 24) give the bits
+    # of whole batches, in both engines
+    batches = []
+
+    def spy(stack):
+        batches.append(stack.shape[0] * stack.shape[-1] ** 2)
+        return complement_pair_eigenvalues(stack)
+
+    def run():
+        batches.clear()
+        _extension_scores.cache_clear()
+        table = _extension_scores(6)[1]
+        return table, exhaustive_f(7, 2, "top"), local_search_f(24, 2, "top", 0)
+
+    monkeypatch.setattr(ngspectral.search, "complement_pair_eigenvalues", spy)
+    whole = run()
+    calls = len(batches)
+    monkeypatch.setattr(ngspectral.search, "SCORE_ENTRIES", 3 * 24 * 24)
+    split = run()
+    assert max(batches) <= 3 * 24 * 24 and len(batches) > calls, (calls, len(batches))
+    assert np.array_equal(split[0], whole[0]) and split[1:] == whole[1:]
 
 
 def test_local_search_without_flips():
@@ -611,19 +641,20 @@ def test_screen_matches_eigvalsh_on_every_flip(n):
     iu, ju = np.triu_indices(n, 1)
     graphs = list(_screen_graphs(n))
     stack = np.stack([g.adjacency_matrix() for g in graphs])
-    # what _score_stack computes, with the spectra solved once per graph
+    # what _pair_scores computes, with the spectra solved once per graph
     exact = [complement_pair_eigenvalues(_flipped_stack(a, iu, ju)) for a in stack]
     for t in sorted({1, 2, 3, n // 2, n - 1, n}):
         for s, family in [(t, "top"), (n - t + 1, "bottom")]:
             if s < 2 and family == "top":
                 continue
-            stacked, stacked_solved = _screen_flips(stack, s, family)
+            stacked, stacked_solved = _screen_flips(stack, s, family, iu, ju)
             assert stacked.shape == stacked_solved.shape == (len(graphs), iu.size)
             stacked_leaders = _leader_rows(stacked)
             for c, (g, (wg, wc)) in enumerate(zip(graphs, exact)):
                 case = (n, g.bits, s, family)
                 flips = np.abs(wg[:, t - 1]) + np.abs(wc[:, t - 1])
-                screened, solved = (row[0] for row in _screen_flips(stack[c : c + 1], s, family))
+                single = _screen_flips(stack[c : c + 1], s, family, iu, ju)
+                screened, solved = (row[0] for row in single)
                 _check_screen(screened, solved, flips, case)
                 _check_screen(stacked[c], stacked_solved[c], flips, case)
                 assert np.array_equal(stacked_leaders[c], _leader_rows([screened])[0]), case
@@ -661,7 +692,7 @@ def test_flip_problems_match_a_loop_over_spectra_and_runs(monkeypatch, n):
     monkeypatch.setattr(ngspectral.search, "_flip_problems", spy)
     stack = np.stack([g.adjacency_matrix() for g in _screen_graphs(n)])
     for s, family in [(2, "top"), (n // 2, "top"), (1, "bottom"), (2, "bottom")]:
-        _screen_flips(stack, s, family)
+        _screen_flips(stack, s, family, *np.triu_indices(n, 1))
     wide = 0
     for climb, i, j, t, lam, vec, const in blocks:
         spec = np.concatenate([2 * climb, 2 * climb + 1])
@@ -690,17 +721,19 @@ def test_flip_problems_match_a_loop_over_spectra_and_runs(monkeypatch, n):
 def test_screen_leaders_of_a_stack_are_those_of_each_graph():
     graphs = list(_screen_graphs(16))
     stack = np.stack([g.adjacency_matrix() for g in graphs])
+    pairs = np.triu_indices(16, 1)
     for s, family in [(2, "top"), (3, "bottom")]:
-        owner, flip = _screen_leaders(stack, s, family)
+        owner, flip = _screen_leaders(stack, s, family, *pairs)
         assert (np.diff(owner) >= 0).all()
         for c in range(len(graphs)):
-            assert np.array_equal(flip[owner == c], _screen_leaders(stack[c : c + 1], s, family)[1])
+            alone = _screen_leaders(stack[c : c + 1], s, family, *pairs)[1]
+            assert np.array_equal(flip[owner == c], alone)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_screen_prunes_most_flips(family):
     a = erdos_renyi(32, 0.5, 0).adjacency_matrix()
-    _, solved = _screen_flips(a[None], 2, family)
+    _, solved = _screen_flips(a[None], 2, family, *np.triu_indices(32, 1))
     assert np.count_nonzero(~solved) > solved.size / 2
 
 
@@ -713,10 +746,11 @@ def test_screen_leaders_keep_every_tied_flip(g, s, family):
     # drop one of them, or the climb could take another flip than eigvalsh
     a = g.adjacency_matrix()
     iu, ju = np.triu_indices(g.n, 1)
-    exact = _score_stack(_flipped_stack(a, iu, ju), s, family)
+    col = _column(g.n, s, family)
+    exact = _pair_scores(iu.size, g.n, lambda lo, hi: _flipped_stack(a, iu[lo:hi], ju[lo:hi]), col)
     best = np.flatnonzero(exact >= exact.max() - SCREEN_SLACK / 2)
     assert best.size > 1
-    assert np.isin(best, _screen_leaders(a[None], s, family)[1]).all()
+    assert np.isin(best, _screen_leaders(a[None], s, family, iu, ju)[1]).all()
 
 
 def test_local_search_validation():
