@@ -6,9 +6,12 @@ The family starts from the 2x2 identity; each step maps A to
 has order 2^k, constant row-sums 2^{k-1}, and a four-valued spectrum that is
 known in closed form.  Read as a looped quotient, A blows up through
 `graphs.blowup` into parts of size t (cliques at the diagonal ones), whose
-adjacency matrix is A (x) J_t with the diagonal zeroed.  Those graphs have
-eigenvalues mu_i and mu_{n-i+2} (for 2 <= i <= 2^{k-1}+1) within 1 of
-+/- n / (2 sqrt(2(s-1))), on the graph and on its complement alike.
+adjacency matrix is A (x) J_t with the diagonal zeroed.  With q = 2^(k-1)
+and c = n / (2 sqrt(2q)), the blow-up extremal_graph(k, t) of order n has
+mu_i in [c - 1, c] and mu_{n-i+2} in [-c - 1, -c] for 2 <= i <= q + 1, on
+the graph and on its complement alike.  So it meets the slope 1/sqrt(2q) of
+`search.target_ratio`: it scores at least n / sqrt(2q) - 2 at top s = q + 1
+and at least n / sqrt(2q) at bottom s = q.
 """
 
 from __future__ import annotations
@@ -86,11 +89,9 @@ WITNESS_ROWS: tuple[Bound, ...] = (
 
 
 def witness_check(g: Graph, k: int, *, tol: float = WITNESS_TOL) -> list[BoundReport]:
-    """The four eigenvalue guarantees WITNESS_ROWS of g = extremal_graph(k, t),
-    as reports sorted by (i, row): with s = 2^(k-1) + 1 and
-    c = n / (2 sqrt(2(s-1))), every 2 <= i <= s has mu_i >= c - 1 and
-    mu_{n-i+2} <= -c, on the graph and on its complement.  g needs order at
-    least s."""
+    """Reports of WITNESS_ROWS on g = extremal_graph(k, t), sorted by (i,
+    row): mu_i >= c - 1 and mu_{n-i+2} <= -c, on g and its complement, for
+    every 2 <= i <= s = 2^(k-1) + 1 (module docstring); g needs order >= s."""
     check_tol(tol)
     if k < 1:
         raise ValueError(f"index must be at least 1, got {k}")

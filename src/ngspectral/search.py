@@ -263,13 +263,14 @@ def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> Ex
     )
 
 
-def _constructive_starts(n: int, s: int) -> list[Graph]:
-    """Extremal constructions matching (n, s), if any: order 2^(k+1) t with
-    s = 2^(k-1) + 1."""
-    k = (s - 1).bit_length()  # the only k with s = 2^(k-1) + 1, if any
-    if s < 2 or s != 2 ** (k - 1) + 1 or n % 2 ** (k + 1):
-        return []
-    return [extremal_graph(k, n // 2 ** (k + 1))]
+def _constructive_starts(n: int, s: int, family: str) -> list[Graph]:
+    """[`extremal_graph(k, n / 2^(k+1))`] if q = s - `_lowest_s(family)` + 1,
+    the q of `target_ratio`, is 2^(k-1) and 2^(k+1) divides n, else []: the
+    construction of slope 1/sqrt(2q), at top s = q + 1 and bottom s = q."""
+    q = s - _lowest_s(family) + 1
+    k = q.bit_length()  # the only k with q = 2^(k-1), if any
+    fits = q == 2 ** (k - 1) and n % 2 ** (k + 1) == 0
+    return [extremal_graph(k, n // 2 ** (k + 1))] if fits else []
 
 
 def _flip_bracket(lam: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -366,13 +367,13 @@ def _far_sums(x, ints, tables):
 
 
 def _screen_flips(
-    stack: np.ndarray, s: int, family: str, iu: np.ndarray, ju: np.ndarray
+    stack: np.ndarray, t: int, iu: np.ndarray, ju: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Objective of every single-edge flip of each adjacency matrix in
-    `stack` (C, n, n), (C, n(n-1)/2) in the flip order (iu, ju) of
-    `np.triu_indices(n, 1)`, from one eigendecomposition of each matrix and
-    of its complement, and which of those scores are solved (the rest are
-    bounds).
+    """|mu_t(G)| + |mu_t(comp)|, t 1-based and descending, of every
+    single-edge flip G of each adjacency matrix in `stack` (C, n, n), (C,
+    n(n-1)/2) in the flip order (iu, ju) of `np.triu_indices(n, 1)`, from
+    one eigendecomposition of each matrix and of its complement, and which
+    of those scores are solved (the rest are bounds).
 
     Flip (i, j) adds d = 1 - 2 a_ij at (i, j) and (j, i) of the graph and
     -d to its complement, so for each spectrum Q diag(lam) Q' it is the
@@ -403,7 +404,6 @@ def _screen_flips(
     leader.
     """
     count, n = stack.shape[0], stack.shape[-1]
-    t = _column(n, s, family) + 1
     lam, vec = complement_pair_eigh(stack)
     # spectrum 2c is matrix c and spectrum 2c + 1 its complement; row
     # (2c + p) n + i of `vec` holds vertex i of spectrum 2c + p
@@ -633,13 +633,13 @@ def _score_bounds(low: np.ndarray, high: np.ndarray, size: int) -> tuple[np.ndar
 
 
 def _screen_leaders(
-    stack: np.ndarray, s: int, family: str, iu: np.ndarray, ju: np.ndarray
+    stack: np.ndarray, t: int, iu: np.ndarray, ju: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(matrix, flip) indices of the flips (iu, ju) of each matrix in
-    `stack` screened within SCREEN_SLACK of that matrix's best screened
-    score, matrix by matrix and flips ascending: every flip whose objective
-    is within SCREEN_SLACK / 2 of its matrix's best, ties included."""
-    screened, _ = _screen_flips(stack, s, family, iu, ju)
+    `stack` screened at t (`_screen_flips`) within SCREEN_SLACK of that
+    matrix's best, matrix by matrix and flips ascending: every flip whose
+    score is within SCREEN_SLACK / 2 of its matrix's best, ties included."""
+    screened, _ = _screen_flips(stack, t, iu, ju)
     return np.nonzero(screened >= screened.max(-1, keepdims=True) - SCREEN_SLACK)
 
 
@@ -664,17 +664,17 @@ def local_search_f(
     """Steepest-ascent hill climbing over single-edge flips.
 
     Starts from `restarts` seeded random graphs (seed + restart index) plus
-    any matching extremal construction, and climbs from all of them in
-    lockstep.  Each step screens the n(n-1)/2 flips of every climb still
-    running in one `_screen_flips` pass, rescores each climb's leaders,
-    those within SCREEN_SLACK of its best screened score
-    (`_screen_leaders`), through `_pair_scores`, and takes each climb's
-    best, the smallest flip index among equal scores.  That is the flip,
-    and the score, that rescoring every flip would give.  A climb stops, and
-    leaves the batch, when no flip improves its score by more than
-    CLIMB_TIE_TOL.  The returned value is the witness re-scored by
-    `objective` after its graph6 round trip, hence a certified lower bound
-    on the true extremal value.
+    the construction matching (n, s, family), if any (`_constructive_starts`),
+    and climbs from all of them in lockstep.  Each step screens eigenvalue
+    `_column(n, s, family)` + 1 of the n(n-1)/2 flips of every running climb
+    in one `_screen_flips` pass, rescores each climb's leaders, those within
+    SCREEN_SLACK of its best screened score (`_screen_leaders`), through
+    `_pair_scores`, and takes each climb's best, the smallest flip index
+    among equal scores: the flip, and the score, that rescoring every flip
+    would give.  A climb stops, and leaves the batch, when no flip improves
+    its score by more than CLIMB_TIE_TOL.  The returned value is the witness
+    re-scored by `objective` after its graph6 round trip, hence a certified
+    lower bound on the true extremal value.
     """
     col = _column(n, s, family)
     check_order(n)
@@ -682,8 +682,7 @@ def local_search_f(
 
     m = n * (n - 1) // 2
     iu, ju = np.triu_indices(n, 1)  # flip order; the smallest index wins ties
-    starts = [erdos_renyi(n, 0.5, seed + r) for r in range(restarts)]
-    starts.extend(_constructive_starts(n, s))
+    starts = [erdos_renyi(n, 0.5, seed + r) for r in range(restarts)] + _constructive_starts(n, s, family)
 
     a = np.stack([start.adjacency_matrix() for start in starts])
     score = _pair_scores(len(starts), n, lambda lo, hi: a[lo:hi], col)
@@ -692,7 +691,7 @@ def local_search_f(
     for _ in range(iterations):
         if not live.size:
             break
-        owner, flip = _screen_leaders(a[live], s, family, iu, ju)
+        owner, flip = _screen_leaders(a[live], col + 1, iu, ju)
 
         def leaders(lo, hi):
             return _flipped_stack(a[live[owner[lo:hi]]], iu[flip[lo:hi]], ju[flip[lo:hi]])

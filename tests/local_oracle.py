@@ -43,7 +43,7 @@ def local_oracle(
     m = n * (n - 1) // 2
     iu, ju = np.triu_indices(n, 1)  # flip order; the smallest index wins ties
     starts = [erdos_renyi(n, 0.5, seed + r) for r in range(restarts)]
-    starts.extend(_constructive_starts(n, s))
+    starts.extend(_constructive_starts(n, s, family))
 
     evaluations = 0
     best_score = -math.inf

@@ -489,26 +489,46 @@ def test_lockstep_climbs_that_stop_at_different_iterations(monkeypatch, args):
     assert rec == local_oracle(*args)
 
 
-@pytest.mark.parametrize("args", [(48, 2, "top", 0, 6), (48, 3, "bottom", 1, 4)])
+@pytest.mark.parametrize("args", [(48, 2, "top", 0, 6), (48, 4, "bottom", 1, 4)])
 def test_local_search_matches_oracle_across_screen_blocks(args):
     # three seeded starts and one construction: the flips of one step fill
     # several screening blocks, and the blocks cut across climbs
-    n, s = args[:2]
-    flips = (3 + len(_constructive_starts(n, s))) * n * (n - 1) // 2
+    n, s, family = args[:3]
+    flips = (3 + len(_constructive_starts(n, s, family))) * n * (n - 1) // 2
     assert flips > 2 * SCREEN_BLOCK and flips % SCREEN_BLOCK
     assert local_search_f(*args) == local_oracle(*args)
 
 
 @pytest.mark.parametrize("args", [(16, 3, "top", 1, 50, 1), (24, 2, "bottom", 3, 50, 1)])
 def test_local_search_one_restart_and_a_construction(args):
-    assert len(_constructive_starts(*args[:2])) == 1
+    assert len(_constructive_starts(*args[:3])) == 1
     assert local_search_f(*args) == local_oracle(*args)
+
+
+def test_each_family_starts_from_its_construction():
+    # extremal_graph(k, t) reaches the slope 1/sqrt(2q) of q = 2^(k-1), the
+    # q of target_ratio: at top s = q + 1 to within 2 and at bottom s = q
+    # (constructions.witness_check).  Climbs of both families start from
+    # it; no other (n, s, family) gets a start
+    for k in (1, 2, 3):
+        q = 2 ** (k - 1)
+        for n in range(2 ** (k + 1), 65, 2 ** (k + 1)):
+            g = extremal_graph(k, n // 2 ** (k + 1))
+            for s, family, slack in [(q + 1, "top", 2.0), (q, "bottom", 0.0)]:
+                case = (n, s, family)
+                assert _constructive_starts(n, s, family) == [g], case
+                assert objective(g, s, family) >= n / math.sqrt(2**k) - slack - 1e-9, case
+    for n in range(4, 65):
+        assert _constructive_starts(n, 3, "bottom") == _constructive_starts(n, 4, "top") == [], n
+    assert _constructive_starts(20, 2, "bottom") == []
 
 
 # tracemalloc peak of local_search_f(32, 2, "bottom", 0, 5), in bytes, at the
 # commit before the climbs ran in lockstep (numpy 2.4, Python 3.11).  Its
-# peak is the rescoring of the construction's tied leaders; the lockstep
-# screen solves the flips of up to four climbs at once and must stay below it
+# peak is the rescoring of the construction's 256 tied leaders (the start
+# was extremal_graph(1, 8) then; extremal_graph(2, 4) ties 256 as well);
+# the lockstep screen solves the flips of up to four climbs at once and must
+# stay below it
 PEAK_BEFORE_LOCKSTEP = 4_469_704
 
 
@@ -543,7 +563,7 @@ def test_local_search_screens_each_step_in_one_block(monkeypatch):
 
         monkeypatch.setattr(ngspectral.search, name, spy)
     rec = local_search_f(32, 2, "bottom", 0)
-    assert (rec.value.hex(), rec.evaluations) == ("0x1.b4f1c4a55baeap+3", 84820)
+    assert (rec.value.hex(), rec.evaluations) == ("0x1.0336114f9b940p+4", 63988)
     assert 4 * 32 * 31 // 2 <= SCREEN_BLOCK
     assert calls["_flip_problems"] == calls["_screen_flips"] > 1, calls
     assert calls["_count"] <= COUNTS_ONE_BLOCK_PER_STEP, calls
@@ -644,20 +664,17 @@ def test_screen_matches_eigvalsh_on_every_flip(n):
     # what _pair_scores computes, with the spectra solved once per graph
     exact = [complement_pair_eigenvalues(_flipped_stack(a, iu, ju)) for a in stack]
     for t in sorted({1, 2, 3, n // 2, n - 1, n}):
-        for s, family in [(t, "top"), (n - t + 1, "bottom")]:
-            if s < 2 and family == "top":
-                continue
-            stacked, stacked_solved = _screen_flips(stack, s, family, iu, ju)
-            assert stacked.shape == stacked_solved.shape == (len(graphs), iu.size)
-            stacked_leaders = _leader_rows(stacked)
-            for c, (g, (wg, wc)) in enumerate(zip(graphs, exact)):
-                case = (n, g.bits, s, family)
-                flips = np.abs(wg[:, t - 1]) + np.abs(wc[:, t - 1])
-                single = _screen_flips(stack[c : c + 1], s, family, iu, ju)
-                screened, solved = (row[0] for row in single)
-                _check_screen(screened, solved, flips, case)
-                _check_screen(stacked[c], stacked_solved[c], flips, case)
-                assert np.array_equal(stacked_leaders[c], _leader_rows([screened])[0]), case
+        stacked, stacked_solved = _screen_flips(stack, t, iu, ju)
+        assert stacked.shape == stacked_solved.shape == (len(graphs), iu.size)
+        stacked_leaders = _leader_rows(stacked)
+        for c, (g, (wg, wc)) in enumerate(zip(graphs, exact)):
+            case = (n, g.bits, t)
+            flips = np.abs(wg[:, t - 1]) + np.abs(wc[:, t - 1])
+            single = _screen_flips(stack[c : c + 1], t, iu, ju)
+            screened, solved = (row[0] for row in single)
+            _check_screen(screened, solved, flips, case)
+            _check_screen(stacked[c], stacked_solved[c], flips, case)
+            assert np.array_equal(stacked_leaders[c], _leader_rows([screened])[0]), case
 
 
 def _leader_rows(screened):
@@ -691,8 +708,8 @@ def test_flip_problems_match_a_loop_over_spectra_and_runs(monkeypatch, n):
 
     monkeypatch.setattr(ngspectral.search, "_flip_problems", spy)
     stack = np.stack([g.adjacency_matrix() for g in _screen_graphs(n)])
-    for s, family in [(2, "top"), (n // 2, "top"), (1, "bottom"), (2, "bottom")]:
-        _screen_flips(stack, s, family, *np.triu_indices(n, 1))
+    for t in (2, n // 2, n, n - 1):
+        _screen_flips(stack, t, *np.triu_indices(n, 1))
     wide = 0
     for climb, i, j, t, lam, vec, const in blocks:
         spec = np.concatenate([2 * climb, 2 * climb + 1])
@@ -722,18 +739,18 @@ def test_screen_leaders_of_a_stack_are_those_of_each_graph():
     graphs = list(_screen_graphs(16))
     stack = np.stack([g.adjacency_matrix() for g in graphs])
     pairs = np.triu_indices(16, 1)
-    for s, family in [(2, "top"), (3, "bottom")]:
-        owner, flip = _screen_leaders(stack, s, family, *pairs)
+    for t in (2, 14):
+        owner, flip = _screen_leaders(stack, t, *pairs)
         assert (np.diff(owner) >= 0).all()
         for c in range(len(graphs)):
-            alone = _screen_leaders(stack[c : c + 1], s, family, *pairs)[1]
+            alone = _screen_leaders(stack[c : c + 1], t, *pairs)[1]
             assert np.array_equal(flip[owner == c], alone)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_screen_prunes_most_flips(family):
     a = erdos_renyi(32, 0.5, 0).adjacency_matrix()
-    _, solved = _screen_flips(a[None], 2, family, *np.triu_indices(32, 1))
+    _, solved = _screen_flips(a[None], _column(32, 2, family) + 1, *np.triu_indices(32, 1))
     assert np.count_nonzero(~solved) > solved.size / 2
 
 
@@ -750,7 +767,7 @@ def test_screen_leaders_keep_every_tied_flip(g, s, family):
     exact = _pair_scores(iu.size, g.n, lambda lo, hi: _flipped_stack(a, iu[lo:hi], ju[lo:hi]), col)
     best = np.flatnonzero(exact >= exact.max() - SCREEN_SLACK / 2)
     assert best.size > 1
-    assert np.isin(best, _screen_leaders(a[None], s, family, iu, ju)[1]).all()
+    assert np.isin(best, _screen_leaders(a[None], col + 1, iu, ju)[1]).all()
 
 
 def test_local_search_validation():
