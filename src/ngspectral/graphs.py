@@ -41,9 +41,11 @@ MAX_ORDER_ENV = "NG_MAX_ORDER"
 # largest order of exhaustive search and of the class build: order 9 takes
 # about 65 s to classify, and int64 pair masks overflow from order 12
 EXHAUSTIVE_CAP = 8
-# masks per batch of `canonical_masks`, in the class build and in
-# exhaustive search, and relabellings per block inside it
-SCORE_CHUNK = 1 << 14
+# the package's memory budget: the most entries in the largest array of a
+# batch, be it the pair bits of a `_relabel` block, the masks of
+# `canonical_masks` or an eigvalsh stack of search, so that no batch grows
+# with n^2 or n! (8192 matrices of order 8, 512 of order 32)
+SCORE_ENTRIES = 1 << 19
 
 
 def max_order() -> int:
@@ -363,19 +365,23 @@ def extensions(reps: np.ndarray, k: int) -> np.ndarray:
 
 
 def _relabel(adj: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Masks of the graphs `adj` (G, k, k) relabelled by each row of `perms`
-    (P, k): vertex a of relabelling p is vertex perms[p, a], so entry [g, p]
-    is the mask of adj[g][perms[p]][:, perms[p]]."""
-    i, j = pair_indices(adj.shape[-1])
-    bits = adj[:, perms[:, i], perms[:, j]]
-    return bits @ (np.int64(1) << np.arange(i.size, dtype=np.int64))
-
-
-def _cell_permutations(layout: np.ndarray) -> np.ndarray:
-    """Every permutation of positions that maps each run of equal values in
-    the sorted `layout` onto itself, as rows (`_cell_table`)."""
-    cuts = [0, *(np.flatnonzero(np.diff(layout)) + 1).tolist(), layout.size]
-    return _cell_table(tuple(hi - lo for lo, hi in zip(cuts, cuts[1:])))
+    """Masks (G, P) of the graphs `adj` (G, k, k) relabelled by each row of
+    `perms` (P, k): entry [g, p] is the mask of adj[g][perms[p]][:, perms[p]].
+    Built in blocks of at most SCORE_ENTRIES pair bits (graphs x relabellings
+    x pairs), which split `perms` when one graph's relabellings pass it."""
+    k = adj.shape[-1]
+    i, j = pair_indices(k)
+    weights = np.int64(1) << np.arange(i.size, dtype=np.int64)
+    block = max(1, SCORE_ENTRIES // max(1, i.size))  # graphs x relabellings
+    flat, graphs = adj.reshape(adj.shape[0], k * k), max(1, block // perms.shape[0])
+    out = np.empty((adj.shape[0], perms.shape[0]), dtype=np.int64)
+    for p in range(0, perms.shape[0], block):
+        entry = perms[p : p + block, i]  # the flat entry of each pair, relabelled
+        entry *= k
+        entry += perms[p : p + block, j]
+        for g in range(0, adj.shape[0], graphs):
+            out[g : g + graphs, p : p + block] = flat[g : g + graphs, entry] @ weights
+    return out
 
 
 @functools.cache
@@ -415,25 +421,27 @@ def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
     relabellings that list the refined colour cells in colour order.
 
     Each adjacency matrix is put in colour order once, so the graphs with one
-    colour layout share that layout's table of permutations within cells,
-    built once per process (`_cell_table`).
-    Two masks get the same canonical form exactly when their graphs are
-    isomorphic, and the form is itself a labelling of the graph.
+    colour layout share its table of P permutations within cells, built once
+    per process (`_cell_table`).  Masks go SCORE_ENTRIES // k^2, and a
+    layout's graphs SCORE_ENTRIES // P, at a time.  Two masks get the same
+    canonical form exactly when their graphs are isomorphic, and the form is
+    itself a labelling of the graph.
     """
-    adj = masks_to_stack(masks, k, dtype=np.int64)
-    colour = _refined_colours(adj)
-    order = np.argsort(colour, axis=1, kind="stable")
-    adj = adj[np.arange(masks.size)[:, None, None], order[:, :, None], order[:, None, :]]
-    layouts, group = np.unique(np.sort(colour, axis=1), axis=0, return_inverse=True)
-    group = group.ravel()
+    chunk = SCORE_ENTRIES // max(1, k * k)
     canon = np.empty(masks.size, dtype=np.int64)
-    for g, layout in enumerate(layouts):
-        members = np.flatnonzero(group == g)
-        perms = _cell_permutations(layout)
-        step = max(1, SCORE_CHUNK // perms.shape[0])
-        for lo in range(0, members.size, step):
-            idx = members[lo : lo + step]
-            canon[idx] = _relabel(adj[idx], perms).min(axis=1)
+    for lo in range(0, masks.size, chunk):
+        adj = masks_to_stack(masks[lo : lo + chunk], k, dtype=np.int64)
+        colour = _refined_colours(adj)
+        order = np.argsort(colour, axis=1, kind="stable")
+        adj = adj[np.arange(adj.shape[0])[:, None, None], order[:, :, None], order[:, None, :]]
+        layouts, group = np.unique(np.sort(colour, axis=1), axis=0, return_inverse=True)
+        for g, layout in enumerate(layouts):
+            members = np.flatnonzero(group == g)
+            perms = _cell_table(tuple(np.unique(layout, return_counts=True)[1].tolist()))
+            step = max(1, SCORE_ENTRIES // perms.shape[0])
+            for first in range(0, members.size, step):
+                idx = members[first : first + step]
+                canon[lo + idx] = _relabel(adj[idx], perms).min(axis=1)
     return canon
 
 
@@ -441,18 +449,14 @@ def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
 def isomorphism_classes(n: int) -> np.ndarray:
     """Canonical masks of the graphs of order n, one per isomorphism class,
     ascending, for 0 <= n <= EXHAUSTIVE_CAP.  Built from the classes of
-    order n - 1, canonicalizing SCORE_CHUNK extensions at a time.  Each
-    order is built once per process; the shared array is read-only."""
+    order n - 1 by one `canonical_masks` call.  Each order is built once per
+    process; the shared array is read-only."""
     if not 0 <= n <= EXHAUSTIVE_CAP:
         raise ValueError(f"isomorphism classes need 0 <= n <= {EXHAUSTIVE_CAP}, got n={n}")
     if n == 0:
         reps = np.zeros(1, dtype=np.int64)
     else:
-        ext = extensions(isomorphism_classes(n - 1), n)
-        reps = np.unique(np.concatenate([
-            canonical_masks(ext[lo : lo + SCORE_CHUNK], n)
-            for lo in range(0, ext.size, SCORE_CHUNK)
-        ]))
+        reps = np.unique(canonical_masks(extensions(isomorphism_classes(n - 1), n), n))
     reps.flags.writeable = False
     return reps
 
@@ -471,8 +475,6 @@ def complement_pair_classes(n: int) -> np.ndarray:
 
 
 def labellings(classes: np.ndarray, n: int) -> np.ndarray:
-    """Distinct masks of every labelling of the given order-n graphs."""
-    perms = _cell_permutations(np.zeros(n, dtype=np.int64))  # one cell: all n!
-    adj = masks_to_stack(classes, n, dtype=np.int64)
-    blocks = [_relabel(adj[c : c + 1], perms).ravel() for c in range(classes.size)]
-    return np.unique(np.concatenate(blocks))
+    """Distinct masks of every labelling of the given order-n graphs, from
+    one `_relabel` call: only its (classes, n!) masks are built whole."""
+    return np.unique(_relabel(masks_to_stack(classes, n, dtype=np.int64), _cell_table((n,))))

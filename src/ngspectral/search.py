@@ -16,10 +16,11 @@ best score are expanded into all their labellings, each folded to the
 smaller of its mask and its complement's, and rescored: the value and the
 witness are those of the search over every labelled graph.
 
-Both engines score through one kernel, `_pair_scores`: it makes every
-eigvalsh call of the search, on batches of at most SCORE_ENTRIES matrix
-entries.  eigvalsh solves each matrix of a batch on its own, so the batches
-never change a score.
+Every batch is bounded by the entries of its largest array: the masks
+canonicalized and the eigvalsh stacks of `_pair_scores`, the one kernel of
+both engines, by the memory budget `graphs.SCORE_ENTRIES`, and the chunks
+of the flip screen by the cache budget SCREEN_ENTRIES.  Batches solve each
+matrix, mask or problem on its own, so they never change a bit.
 
 The hill climb takes, at every step, the single-edge flip with the best
 score.  A flip is a rank-2 update of the adjacency matrix, so one
@@ -37,12 +38,11 @@ rescoring every flip through eigvalsh.  The climbs from all starts run in
 lockstep: each step solves the eigendecompositions of every climb still
 running in one call and screens all their flips in one pass, so each Newton
 step of the screen serves every climb; a climb leaves the batch when it
-stops.  A flip's problems keep a fixed number of values whatever n: each
-count gathers the eigenvector rows it needs, FLIP_CHUNK problems at a time,
-so one block of SCREEN_BLOCK flips holds a whole step of four climbs of
-order 32.  Results are fully deterministic: enumeration order is fixed,
-local search is seed-driven, and value ties are broken by the
-lexicographically smallest graph6 string.
+stops.  A flip's problems keep a fixed number of values whatever n (each
+count gathers the eigenvector rows it needs), so one block of SCREEN_BLOCK
+flips holds a whole step of four climbs of order 32.  Results are fully
+deterministic: enumeration order is fixed, local search is seed-driven,
+and value ties are broken by the lexicographically smallest graph6 string.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from ngspectral.constructions import extremal_graph
 from ngspectral.eigensolver import complement_pair_eigenvalues, complement_pair_eigh
 from ngspectral.graph6 import parse_graph6, smallest_graph6
 from ngspectral.graphs import (
-    EXHAUSTIVE_CAP, SCORE_CHUNK, Graph, canonical_masks, check_order, complement_pair_classes,
+    EXHAUSTIVE_CAP, SCORE_ENTRIES, Graph, canonical_masks, check_order, complement_pair_classes,
     erdos_renyi, extensions, labellings, masks_to_stack,
 )
 from ngspectral.spectra import DEFAULT_TOL, check_tol
@@ -76,18 +76,14 @@ LABEL_BUDGET = 1 << 23
 # local search: scores closer than this are ties, and a flip must beat the
 # current score by more than this to count as an improvement
 CLIMB_TIE_TOL = 1e-12
-# the most matrix entries in one eigvalsh batch of `_pair_scores`: 8192
-# matrices of order 8, 512 of order 32.  Constructive starts tie thousands
-# of flips, so a batch of a fixed number of matrices would grow with n^2
-SCORE_ENTRIES = 1 << 19
-# local search: problems per chunk when the screen sums over the far poles
-# or over the long runs of poles next to the bracket
-FLIP_CHUNK = 512
+# local search: the most entries (problems x n, or x run width) of a chunk
+# of the screen's sums, to stay in cache: 512 problems of order 32, 1024 of 16
+SCREEN_ENTRIES = 1 << 14
 # local search: the most flips, of every climb still running, that one
 # screening block solves together.  A flip's two problems keep 78 numbers of
 # 8 bytes whatever n, so a block takes about 1.3 MB; a step of four climbs of
 # order 32 (1984 flips) fits in one
-SCREEN_BLOCK = 4 * FLIP_CHUNK
+SCREEN_BLOCK = 2048
 # flips screened within this of the best screened score are rescored; it
 # exceeds twice the screen's error, so the best flip is always among them.
 # The screen prunes a flip once its score is bounded 2 SCREEN_SLACK below
@@ -204,12 +200,13 @@ def _extension_scores(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _near_classes(near: np.ndarray, n: int, tol: float) -> np.ndarray:
     """Canonical masks of the classes of the order-n masks `near`,
-    canonicalized SCORE_CHUNK at a time.  Raises ValueError as soon as the
+    SCORE_ENTRIES // n^2 at a time.  Raises ValueError as soon as the
     classes found, n! labellings each, pass LABEL_BUDGET masks."""
     limit = LABEL_BUDGET // math.factorial(n)
+    chunk = SCORE_ENTRIES // (n * n)
     classes = np.empty(0, dtype=np.int64)
-    for lo in range(0, near.size, SCORE_CHUNK):
-        classes = np.union1d(classes, canonical_masks(near[lo : lo + SCORE_CHUNK], n))
+    for lo in range(0, near.size, chunk):
+        classes = np.union1d(classes, canonical_masks(near[lo : lo + chunk], n))
         if classes.size > limit:
             raise ValueError(
                 f"tol={tol} leaves more than {limit} classes of order {n} within tol of the "
@@ -338,18 +335,19 @@ def _far_sums(x, ints, tables):
     their derivatives in x, as (2, 3, K): q_ik^2, q_ik q_jk and q_jk^2
     against 1 / (far - x) and against its square.
 
-    They take FLIP_CHUNK problems at a time in the scratch of `tables`:
-    the rows q_i and q_j gathered from Q, 1 / (far - x), and u = q / (far -
-    x), so that a, b, c are u_i q_i, u_i q_j, u_j q_j and their derivatives
-    u_i u_i, u_i u_j, u_j u_j.  No (K, n) array is built whole, and no
-    count allocates one.
+    They take SCREEN_ENTRIES // n problems at a time in the scratch of
+    `tables`: the rows q_i and q_j gathered from Q, 1 / (far - x), and u =
+    q / (far - x), so that a, b, c are u_i q_i, u_i q_j, u_j q_j and their
+    derivatives u_i u_i, u_i u_j, u_j u_j.  No (K, n) array is built whole,
+    and no count allocates one.
     """
     far, vec, scratch = tables
     spec, vij = ints[0], ints[1:3]
     n = far.shape[1]
+    chunk = max(1, SCREEN_ENTRIES // n)
     sums = np.empty((2, 3, x.size))
-    for lo in range(0, x.size, FLIP_CHUNK):
-        part = slice(lo, lo + FLIP_CHUNK)
+    for lo in range(0, x.size, chunk):
+        part = slice(lo, lo + chunk)
         m = spec[part].size * n
         q = scratch[: 2 * m].reshape(2, -1, n)
         u = scratch[2 * m : 4 * m].reshape(2, -1, n)
@@ -429,7 +427,7 @@ def _screen_flips(
         lam, vec, start.T, np.stack(_flip_bracket(lam, t)),
         np.vstack([rho, t + 1 - start[:, 0] - 0.5 * mult.sum(1), nu.T, 0.5 * mult.T]),
     )
-    tables = (far, vec, np.empty(5 * FLIP_CHUNK * n))
+    tables = (far, vec, np.empty(5 * max(n, SCREEN_ENTRIES)))  # scratch of `_far_sums`
 
     total = count * iu.size
     scores = np.empty(total)
@@ -456,7 +454,7 @@ def _flip_problems(stack, climb, i, j, t, spectra) -> list:
     high and the step sizes one and two steps back; the constants (27, K);
     and the indices (5, K): spectrum, rows of Q for i and j, problem and
     flip.  The runs with more than one pole are summed over, and their Gram
-    determinants built, at most FLIP_CHUNK n entries at a time.
+    determinants built, SCREEN_ENTRIES // run width problems at a time.
     """
     lam, vec, start, bracket, table = spectra
     n = lam.shape[1]
@@ -489,7 +487,7 @@ def _flip_problems(stack, climb, i, j, t, spectra) -> list:
     slot, row = np.nonzero(const[HALF] > 0.5)
     if row.size:
         width = np.arange(int(2 * const[HALF].max()))
-        chunk = FLIP_CHUNK * n // width.size
+        chunk = max(1, SCREEN_ENTRIES // width.size)
         for lo in range(0, row.size, chunk):
             s, k = slot[lo : lo + chunk], row[lo : lo + chunk]
             cols = np.minimum(first[s, k, None] + width, n - 1)

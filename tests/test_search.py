@@ -23,6 +23,7 @@ from ngspectral.graphs import (
     complement_pair_classes,
     complete,
     complete_bipartite,
+    cycle,
     empty,
     erdos_renyi,
     extensions,
@@ -357,20 +358,20 @@ def test_isomorphism_classes_built_once_and_read_only(monkeypatch):
 
 def test_permutation_tables_built_once_and_read_only(monkeypatch):
     labelled = labellings(isomorphism_classes(5), 5)
-    table = ngspectral.graphs._cell_permutations(np.zeros(5, dtype=np.int64))
+    table = ngspectral.graphs._cell_table((5,))
     assert table.shape == (120, 5) and len({tuple(row) for row in table}) == 120
 
     def no_build(*args):
         raise AssertionError("permutations listed again")
 
     monkeypatch.setattr(ngspectral.graphs.itertools, "permutations", no_build)
-    assert ngspectral.graphs._cell_permutations(np.zeros(5, dtype=np.int64)) is table
+    assert ngspectral.graphs._cell_table((5,)) is table
     assert np.array_equal(labellings(isomorphism_classes(5), 5), labelled)
     assert not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 1
     # cells of 2 and 3 positions: 2! 3! rows, each cell mapped onto itself
-    cells = ngspectral.graphs._cell_permutations(np.array([0, 0, 4, 4, 4]))
+    cells = ngspectral.graphs._cell_table((2, 3))
     assert cells.shape == (12, 5)
     assert (np.sort(cells[:, :2], axis=1) == [0, 1]).all()
     assert (np.sort(cells[:, 2:], axis=1) == [2, 3, 4]).all()
@@ -591,28 +592,70 @@ def test_rescoring_batches_are_bounded_by_entries(monkeypatch):
 
 
 def test_score_batches_keep_every_bit(monkeypatch):
-    # eigvalsh solves each matrix of a batch on its own: batches of a few
-    # matrices (48 of order 6, 35 of order 7, 3 of order 24) give the bits
-    # of whole batches, in both engines
-    batches = []
+    # each matrix, mask and screen problem of a batch is solved on its own:
+    # eigvalsh batches of a few matrices (48 of order 6, 35 of order 7, 3 of
+    # order 24), relabellings in blocks of 1000 // m (100, 66 and 47 of the
+    # 5!, 6! and 7! tables), canonical forms of 1000 // k^2 masks and screen
+    # chunks of 4 problems give the bits of whole batches, in the class
+    # build and in both engines
+    batches, stacks = [], []
 
     def spy(stack):
         batches.append(stack.shape[0] * stack.shape[-1] ** 2)
         return complement_pair_eigenvalues(stack)
 
+    def stack_spy(masks, n, dtype=np.float64):
+        stacks.append(masks.size * n * n)
+        return masks_to_stack(masks, n, dtype)
+
     def run():
         batches.clear()
-        _extension_scores.cache_clear()
-        table = _extension_scores(6)[1]
-        return table, exhaustive_f(7, 2, "top"), local_search_f(24, 2, "top", 0)
+        stacks.clear()
+        for cache in (isomorphism_classes, complement_pair_classes, _extension_scores):
+            cache.cache_clear()
+        arrays = [isomorphism_classes(n) for n in range(1, 7)]
+        arrays += [labellings(isomorphism_classes(5), 5), _extension_scores(6)[1]]
+        return arrays, exhaustive_f(7, 2, "top"), local_search_f(24, 2, "top", 0)
 
     monkeypatch.setattr(ngspectral.search, "complement_pair_eigenvalues", spy)
+    monkeypatch.setattr(ngspectral.graphs, "masks_to_stack", stack_spy)
     whole = run()
-    calls = len(batches)
+    calls, builds = len(batches), len(stacks)
     monkeypatch.setattr(ngspectral.search, "SCORE_ENTRIES", 3 * 24 * 24)
+    monkeypatch.setattr(ngspectral.graphs, "SCORE_ENTRIES", 1000)
+    monkeypatch.setattr(ngspectral.search, "SCREEN_ENTRIES", 4 * 24)
     split = run()
     assert max(batches) <= 3 * 24 * 24 and len(batches) > calls, (calls, len(batches))
-    assert np.array_equal(split[0], whole[0]) and split[1:] == whole[1:]
+    assert max(stacks) <= 1000 and len(stacks) > builds, (builds, len(stacks))
+    assert all(np.array_equal(a, b) for a, b in zip(split[0], whole[0], strict=True))
+    assert split[1:] == whole[1:]
+
+
+# tracemalloc peaks of `labellings(isomorphism_classes(8)[:3], 8)` and of
+# the canonical forms of three regular graphs of order 8 were 27.7 and 27.1
+# MB when each graph's 8! relabellings were built in one block (numpy 2.4,
+# Python 3.11).  A block now holds at most SCORE_ENTRIES pair bits, and its
+# index and bit arrays, two of SCORE_ENTRIES int64 entries, are the largest
+# live at once: 9.5 MB for both calls
+RELABEL_PEAK_BOUND = 3 * 8 * SCORE_ENTRIES
+
+
+def test_relabelling_memory_is_bounded():
+    # C8, the cube and K_{4,4} are regular: one refinement cell, so their
+    # canonical forms take all 8! relabellings, like every labelling
+    cube = Graph.from_edges(8, [(a + 1, (a ^ d) + 1) for a in range(8) for d in (1, 2, 4) if a < a ^ d])
+    regular = np.array([cycle(8).bits, cube.bits, complete_bipartite(4, 4).bits], dtype=np.int64)
+    classes = isomorphism_classes(8)[:3]
+    for call in (lambda: labellings(classes, 8), lambda: canonical_masks(regular, 8)):
+        expected = call()  # builds the permutation table, kept for the process
+        tracemalloc.start()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(result, expected)
+        assert peak <= RELABEL_PEAK_BOUND, peak
 
 
 def test_local_search_without_flips():
