@@ -257,12 +257,11 @@ def table_reports(
 ) -> list[BoundReport]:
     """One BoundReport per (row, parameter) of `table`, in table order, on
     the descending spectra wg, wc of one graph and its complement."""
-    ev, n = evaluate(wg[None], wc[None], s_max, tol, table), len(wg)
-    columns = zip(ev.rows, ev.params, *(x[0].tolist() for x in ev[2:]))
-    return [
-        BoundReport(bound.bound_id, n, p, applicable, bound.strict, *sides, tol)
-        for bound, p, applicable, *sides in columns
-    ]
+    ev, n = evaluate(wg[None], wc[None], s_max, tol, table), itertools.repeat(len(wg))
+    ids, strict = [bound.bound_id for bound in ev.rows], [bound.strict for bound in ev.rows]
+    applicable, lhs, rhs, margin, satisfied = (x[0].tolist() for x in ev[2:])
+    columns = ids, n, ev.params, applicable, strict, lhs, rhs, margin, satisfied, itertools.repeat(tol)
+    return list(map(BoundReport._make, zip(*columns)))
 
 
 def run_battery(g: Graph, s_max: int, *, tol: float = DEFAULT_TOL) -> list[BoundReport]:

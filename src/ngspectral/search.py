@@ -29,11 +29,16 @@ eigenvalue of every flip through a 2x2 inertia count (`_screen_flips`).
 That screen only ranks the flips, so it bounds and prunes: each count
 shrinks a bracket on the flipped eigenvalue, the brackets bound each
 flip's score, and a flip whose upper bound falls more than 2 SCREEN_SLACK
-below the best lower bound of its graph is dropped with that upper bound as
-its score.  Only the flips that can still lead are solved to full accuracy.
-The flips within SCREEN_SLACK of the screen's best are rebuilt and
+below its climb's current score, or below the best lower bound of another
+flip, is dropped with that upper bound as its score; the first count aims
+at the current score, so most flips that cannot beat it leave after one
+count.  Only the flips that can still lead are solved to full accuracy,
+and the last few of a block, whose counts would cost more than solving
+them, are left undecided.  The solved flips within SCREEN_SLACK of the
+screen's best, and the undecided ones that may reach it, are rebuilt and
 rescored through eigvalsh, and those scores pick the flip and stop the
-climb, so the climb visits the graphs, and reports the scores, of
+climb; a climb with no such flip stops without rescoring, since none beats
+its score.  So the climb visits the graphs, and reports the scores, of
 rescoring every flip through eigvalsh.  The climbs from all starts run in
 lockstep: each step solves the eigendecompositions of every climb still
 running in one call and screens all their flips in one pass, so each Newton
@@ -100,6 +105,14 @@ SCREEN_OVERSHOOT = 32.0
 # the eigenvalues next to the one it seeks, and eigenvalues closer than
 # twice this count as one
 POLE_GUARD = 1e-13
+# after its second count, a screening block stops counting once its open
+# problems times n^3 are at most this, and leaves their flips undecided for
+# the rescoring batch: 4 problems at n = 32, 32 at n = 16, 606 at n = 6.  A
+# count of a few problems costs about 0.3 ms whatever n, and rescoring a
+# flip 32, 70 and 124 us at n = 16, 24 and 32 (4-8 ns n^3).  Timed over the
+# six climbs of the search_local benchmark, 2^16 was 8% slower, 2^18 1% and
+# 2^19 4% (2 cores, 1 BLAS thread, 10 interleaved rounds)
+SCREEN_HANDOFF = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -365,13 +378,14 @@ def _far_sums(x, ints, tables):
 
 
 def _screen_flips(
-    stack: np.ndarray, t: int, iu: np.ndarray, ju: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    stack: np.ndarray, t: int, iu: np.ndarray, ju: np.ndarray, floor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|mu_t(G)| + |mu_t(comp)|, t 1-based and descending, of every
     single-edge flip G of each adjacency matrix in `stack` (C, n, n), (C,
     n(n-1)/2) in the flip order (iu, ju) of `np.triu_indices(n, 1)`, from
-    one eigendecomposition of each matrix and of its complement, and which
-    of those scores are solved (the rest are bounds).
+    one eigendecomposition of each matrix and of its complement, and two
+    masks of the same shape: the flips solved and the flips pruned.  The
+    rest are undecided.
 
     Flip (i, j) adds d = 1 - 2 a_ij at (i, j) and (j, i) of the graph and
     -d to its complement, so for each spectrum Q diag(lam) Q' it is the
@@ -392,14 +406,17 @@ def _screen_flips(
     SCREEN_BLOCK at most per block, so every Newton step serves every
     matrix; a single graph is a stack of one.  Each problem keeps to its
     own matrix: its spectrum, its guard rho and, for pruning, its matrix's
-    best lower bound.
+    floor and best lower bound.
 
     The screen ranks the flips, and `local_search_f` rescores the leaders.
-    A solved score is within SCREEN_SLACK / 4 of the flip's objective.  A
-    flip whose brackets prove it more than 2 SCREEN_SLACK below another
-    flip of its matrix is pruned: its score is an upper bound that lies
-    more than SCREEN_SLACK below the matrix's best score, so it is never a
-    leader.
+    `floor` (C,) holds the score each matrix's flips must beat, a climb's
+    current score (0 asks only for a ranking).  A solved score is within
+    SCREEN_SLACK / 4 of the flip's objective.  A flip whose brackets prove
+    it more than 2 SCREEN_SLACK below its matrix's floor, or below another
+    flip of its matrix, is pruned: its score is an upper bound that lies
+    more than SCREEN_SLACK below that floor or that flip, so it neither
+    beats the floor nor leads.  An undecided flip is one the screen stopped
+    counting (SCREEN_HANDOFF): its score is an upper bound, and it may lead.
     """
     count, n = stack.shape[0], stack.shape[-1]
     lam, vec = complement_pair_eigh(stack)
@@ -431,14 +448,15 @@ def _screen_flips(
 
     total = count * iu.size
     scores = np.empty(total)
-    solved = np.empty(total, dtype=bool)
-    best = np.zeros(count)  # per matrix, the largest lower bound on a flip's score so far
+    state = np.empty((2, total), dtype=bool)
+    best = np.array(floor, dtype=np.float64)  # per matrix, its floor or a flip's larger lower bound
     for lo in range(0, total, SCREEN_BLOCK):
         climb, pair = np.divmod(np.arange(lo, min(lo + SCREEN_BLOCK, total)), iu.size)
         problems = _flip_problems(stack, climb, iu[pair], ju[pair], t, spectra)
         block = slice(lo, lo + climb.size)
-        scores[block], solved[block] = _solve_flips(problems, tables, climb, best)
-    return scores.reshape(count, -1), solved.reshape(count, -1)
+        scores[block], state[:, block] = _solve_flips(problems, tables, climb, best)
+    solved, pruned = state.reshape(2, count, -1)
+    return scores.reshape(count, -1), solved, pruned
 
 
 def _flip_problems(stack, climb, i, j, t, spectra) -> list:
@@ -504,33 +522,42 @@ def _flip_problems(stack, climb, i, j, t, spectra) -> list:
 
 
 def _solve_flips(problems, tables, climb, best):
-    """Scores of the flips of one `_screen_flips` block, and whether each is
-    solved, from its `problems` (`_flip_problems`), which starts from the
-    first points x in the brackets (low, high) of eigenvalue t and which
-    this empties.  Problem k is the graph of flip k, problem k + size its
-    complement; flip k belongs to matrix climb[k], which ascends, and
-    `best` holds each matrix's largest lower bound on a score, from earlier
-    blocks, and is raised in place.
+    """Scores of the flips of one `_screen_flips` block, and which are
+    solved and which pruned, from its `problems` (`_flip_problems`), which
+    starts from the first points x in the brackets (low, high) of
+    eigenvalue t and which this empties.  Problem k is the graph of flip k,
+    problem k + size its complement; flip k belongs to matrix climb[k],
+    which ascends, and `best` holds each matrix's floor, or a larger lower
+    bound on a score from earlier blocks, and is raised in place.
 
-    Each step counts at x, shrinks the bracket and picks the next point
-    (`_count`).  A problem leaves its three tables, a column each, once its
-    bracket is 2 SCREEN_TOL wide, and its eigenvalue is the middle of the
-    bracket.
+    The first count of each flip aims at that bound: both of its first
+    points move away from 0 until their sizes sum to 3 SCREEN_SLACK below
+    it, so a flip whose two eigenvalues lie nearer 0 than its points is
+    pruned by that count.  Each step counts at x, shrinks the bracket and
+    picks the next point (`_count`).  A problem leaves its three tables, a
+    column each, once its bracket is 2 SCREEN_TOL wide, and its eigenvalue
+    is the middle of the bracket.
 
-    From the second count on, the two brackets of a flip bound its score:
-    above by the sum of their largest |end|, below by the sum of their
-    distances from 0.  A flip whose upper bound is more than 2 SCREEN_SLACK
-    below the largest lower bound of its matrix is pruned: both of its
-    problems leave the tables and its score is that upper bound.
+    After every count, the two brackets of a flip bound its score: above by
+    the sum of their largest |end|, below by the sum of their distances
+    from 0.  A flip whose upper bound is more than 2 SCREEN_SLACK below
+    `best` of its matrix is pruned: both of its problems leave the tables
+    and its score is that upper bound.  After the second count, once the
+    open problems times n^3 are at most SCREEN_HANDOFF, counting stops: the
+    flips still open are undecided, and their score is that upper bound too.
     """
     points, const, ints = problems
     problems.clear()  # the block's first tables go as its problems leave
     size = climb.size
-    solved = np.ones(size, dtype=bool)
+    cubes = tables[0].shape[1] ** 3
+    pruned = np.zeros(size, dtype=bool)
+    undecided = np.zeros(size, dtype=bool)
     owner = np.arange(climb[0], climb[-1] + 1)
     first = np.searchsorted(climb, owner)  # each matrix's first flip
     lows, highs = points[0].copy(), points[2].copy()  # the bracket of every problem
     low, x, high = points[:3]
+    aim = 0.5 * np.maximum(0.0, best[climb] - 3.0 * SCREEN_SLACK - np.abs(x[:size]) - np.abs(x[size:]))
+    x += np.copysign(np.concatenate([aim, aim]), x)
     x[:] = np.where((x > low) & (x < high), x, 0.5 * (low + high))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in itertools.count():
@@ -547,21 +574,24 @@ def _solve_flips(problems, tables, climb, best):
                 use_above = ~use_below & (pole + rho < high)
                 x[:] = np.where(moved, np.where(use_above, pole + rho, pole - rho), x)
                 keep &= ~moved | use_below | use_above
-            keep &= solved[ints[4]]
+            keep &= ~pruned[ints[4]]
             if not keep.all():
                 rows = np.flatnonzero(keep)
                 if not rows.size:
                     break
                 points, const, ints = (arr.take(rows, axis=1) for arr in (points, const, ints))
+            if k >= 2 and ints.shape[1] * cubes <= SCREEN_HANDOFF:
+                undecided[ints[4]] = True
+                break
             points = _count(points, const, ints, k, tables)
             lows[ints[3]], highs[ints[3]] = points[0], points[2]
-            if k:
-                upper, lower = _score_bounds(lows, highs, size)
-                best[owner] = np.maximum(best[owner], np.maximum.reduceat(lower, first))
-                solved &= upper >= best[climb] - 2.0 * SCREEN_SLACK
+            upper, lower = _score_bounds(lows, highs, size)
+            best[owner] = np.maximum(best[owner], np.maximum.reduceat(lower, first))
+            pruned |= upper < best[climb] - 2.0 * SCREEN_SLACK
     upper, _ = _score_bounds(lows, highs, size)
     mu = np.abs(0.5 * (lows + highs))
-    return np.where(solved, mu[:size] + mu[size:], upper), solved
+    solved = ~pruned & ~undecided
+    return np.where(solved, mu[:size] + mu[size:], upper), (solved, pruned)
 
 
 def _count(points, const, ints, k, tables):
@@ -631,14 +661,19 @@ def _score_bounds(low: np.ndarray, high: np.ndarray, size: int) -> tuple[np.ndar
 
 
 def _screen_leaders(
-    stack: np.ndarray, t: int, iu: np.ndarray, ju: np.ndarray
+    stack: np.ndarray, t: int, iu: np.ndarray, ju: np.ndarray, floor: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(matrix, flip) indices of the flips (iu, ju) of each matrix in
-    `stack` screened at t (`_screen_flips`) within SCREEN_SLACK of that
-    matrix's best, matrix by matrix and flips ascending: every flip whose
-    score is within SCREEN_SLACK / 2 of its matrix's best, ties included."""
-    screened, _ = _screen_flips(stack, t, iu, ju)
-    return np.nonzero(screened >= screened.max(-1, keepdims=True) - SCREEN_SLACK)
+    """(matrix, flip) indices of the leaders among the flips (iu, ju) of
+    each matrix in `stack`, screened at t against `floor` (`_screen_flips`),
+    matrix by matrix and flips ascending: the solved flips within
+    SCREEN_SLACK of the best solved score of their matrix, and the
+    undecided flips whose bound reaches that far.  Whenever the best flip
+    of a matrix reaches its floor, they hold every flip within SCREEN_SLACK
+    / 2 of that best, ties included.  A matrix whose flips are all pruned
+    has no leader: none of its flips beats its floor."""
+    screened, solved, pruned = _screen_flips(stack, t, iu, ju, floor)
+    top = np.where(solved, screened, -np.inf).max(-1, keepdims=True)
+    return np.nonzero(~pruned & (screened >= top - SCREEN_SLACK))
 
 
 def _flipped_stack(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -665,12 +700,14 @@ def local_search_f(
     the construction matching (n, s, family), if any (`_constructive_starts`),
     and climbs from all of them in lockstep.  Each step screens eigenvalue
     `_column(n, s, family)` + 1 of the n(n-1)/2 flips of every running climb
-    in one `_screen_flips` pass, rescores each climb's leaders, those within
-    SCREEN_SLACK of its best screened score (`_screen_leaders`), through
-    `_pair_scores`, and takes each climb's best, the smallest flip index
-    among equal scores: the flip, and the score, that rescoring every flip
-    would give.  A climb stops, and leaves the batch, when no flip improves
-    its score by more than CLIMB_TIE_TOL.  The returned value is the witness
+    in one `_screen_flips` pass against each climb's current score, rescores
+    each climb's leaders, those that may be within SCREEN_SLACK of its best
+    flip (`_screen_leaders`), through `_pair_scores`, and takes each climb's
+    best, the smallest flip index among equal scores: the flip, and the
+    score, that rescoring every flip would give.  A climb stops, and leaves
+    the batch, when no flip improves its score by more than CLIMB_TIE_TOL,
+    or when the screen proves that none can and leaves it no leader.  The
+    returned value is the witness
     re-scored by `objective` after its graph6 round trip, hence a certified
     lower bound on the true extremal value.
     """
@@ -689,7 +726,7 @@ def local_search_f(
     for _ in range(iterations):
         if not live.size:
             break
-        owner, flip = _screen_leaders(a[live], col + 1, iu, ju)
+        owner, flip = _screen_leaders(a[live], col + 1, iu, ju, score[live])
 
         def leaders(lo, hi):
             return _flipped_stack(a[live[owner[lo:hi]]], iu[flip[lo:hi]], ju[flip[lo:hi]])
@@ -697,9 +734,12 @@ def local_search_f(
         rescored = _pair_scores(flip.size, n, leaders, col)
         evaluations += m * live.size
         climbing = []
-        # every climb has a leader, and its leaders are contiguous
-        for c, lead in zip(live, np.split(np.arange(flip.size), np.flatnonzero(np.diff(owner)) + 1)):
-            k = lead[np.argmax(rescored[lead])]  # ties resolve to the smallest flip index
+        # each climb's leaders are contiguous; a climb with none stops
+        ends = np.searchsorted(owner, np.arange(live.size + 1))
+        for c, lo, hi in zip(live, ends[:-1], ends[1:]):
+            if lo == hi:
+                continue
+            k = lo + np.argmax(rescored[lo:hi])  # ties resolve to the smallest flip index
             if rescored[k] > score[c] + CLIMB_TIE_TOL:
                 score[c] = rescored[k]
                 i, j = iu[flip[k]], ju[flip[k]]

@@ -41,6 +41,7 @@ from ngspectral.search import (
     RHO,
     SCORE_ENTRIES,
     SCREEN_BLOCK,
+    SCREEN_HANDOFF,
     SCREEN_SLACK,
     _column,
     _constructive_starts,
@@ -571,10 +572,10 @@ def test_local_search_screens_each_step_in_one_block(monkeypatch):
 
 
 def test_rescoring_batches_are_bounded_by_entries(monkeypatch):
-    # the construction's start ties thousands of flips; each eigvalsh batch
-    # of the kernel must hold at most SCORE_ENTRIES entries, and the record
-    # must be the one that batches eight times larger give
-    args = (96, 2, "top", 0, 1, 1)
+    # the construction's start ties 1024 flips that beat it; each eigvalsh
+    # batch of the kernel must hold at most SCORE_ENTRIES entries, and the
+    # record must be the one that batches eight times larger give
+    args = (64, 2, "bottom", 0, 2, 1)
     n = args[0]
     batches = []
 
@@ -586,7 +587,7 @@ def test_rescoring_batches_are_bounded_by_entries(monkeypatch):
     rec = local_search_f(*args)
     assert sum(batches) > 2 * (SCORE_ENTRIES // (n * n))
     assert max(batches) * n * n <= SCORE_ENTRIES, batches
-    assert (rec.value.hex(), rec.evaluations) == ("0x1.08b7289390862p+6", 9122)
+    assert (rec.value.hex(), rec.evaluations) == ("0x1.00109309dd0e8p+5", 8066)
     monkeypatch.setattr(ngspectral.search, "SCORE_ENTRIES", 8 * SCORE_ENTRIES)
     assert local_search_f(*args) == rec
 
@@ -681,48 +682,77 @@ def _screen_graphs(n):
     yield complete(n)
 
 
-def _check_screen(screened, solved, exact, case):
-    # Every flip that can lead is solved; every other score bounds its flip
-    # from above and lies too far below the best to be a leader.
-    near = exact >= exact.max() - 2 * SCREEN_SLACK
-    assert solved[near].all(), case
-    error = np.abs(screened - exact)[near].max()
-    assert error <= SCREEN_SLACK / 4, (*case, error)
-    rest = screened[~near]
-    assert (rest >= exact[~near] - SCREEN_SLACK / 4).all(), case
-    assert (rest < screened.max() - SCREEN_SLACK).all(), case
+def _check_screen(screened, solved, pruned, exact, floor, case):
+    # Each flip is solved, pruned or undecided.  A solved score is within
+    # SCREEN_SLACK / 4 of eigvalsh; a pruned or undecided score bounds its
+    # flip from above.  No flip that can lead or beat the floor is pruned:
+    # each pruned flip scores more than 2 SCREEN_SLACK below the floor or
+    # the best flip.  Where the best flip is solved, every other solved
+    # score lies too far below it to be a leader.
+    assert not (solved & pruned).any(), case
+    error = np.abs(screened - exact)[solved]
+    assert (error <= SCREEN_SLACK / 4).all(), (*case, error.max())
+    bounded = ~solved
+    assert (screened[bounded] >= exact[bounded] - SCREEN_SLACK / 4).all(), case
+    near = exact >= max(floor, exact.max()) - 2 * SCREEN_SLACK
+    assert not pruned[near].any(), case
+    if solved[np.argmax(exact)]:
+        rest = solved & (exact < exact.max() - 2 * SCREEN_SLACK)
+        assert (screened[rest] < screened[solved].max() - SCREEN_SLACK).all(), case
+
+
+def _check_leaders(leaders, exact, floor, case):
+    # the leaders hold every flip within SCREEN_SLACK / 2 of the best, ties
+    # included, whenever the best reaches the floor
+    if exact.max() >= floor:
+        assert np.isin(np.flatnonzero(exact >= exact.max() - SCREEN_SLACK / 2), leaders).all(), case
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 8, 12, 16, 24, 32, 64])
-def test_screen_matches_eigvalsh_on_every_flip(n):
+def test_screen_matches_eigvalsh_on_every_flip(monkeypatch, n):
     # integer and highly repeated spectra put the flipped eigenvalues on the
     # unflipped ones and make double roots: the cases the screen must survive.
     # Each graph is screened alone, a stack of one, and in one stack with
     # every other graph of its order: there it keeps to its own spectra,
-    # guard and pruning bound, so it meets the same contract and keeps the
-    # leaders it has alone.
+    # guard, floor and pruning bound, so it meets the same contract.  The
+    # floors are 0, a ranking, and each graph's own score, the floor of a
+    # climb at that graph.  Without the handoff, each graph keeps the
+    # leaders it has alone; with it (below n = 51, where n^3 passes
+    # SCREEN_HANDOFF), a block of fewer problems may hand off sooner
     iu, ju = np.triu_indices(n, 1)
     graphs = list(_screen_graphs(n))
     stack = np.stack([g.adjacency_matrix() for g in graphs])
     # what _pair_scores computes, with the spectra solved once per graph
     exact = [complement_pair_eigenvalues(_flipped_stack(a, iu, ju)) for a in stack]
-    for t in sorted({1, 2, 3, n // 2, n - 1, n}):
-        stacked, stacked_solved = _screen_flips(stack, t, iu, ju)
-        assert stacked.shape == stacked_solved.shape == (len(graphs), iu.size)
-        stacked_leaders = _leader_rows(stacked)
-        for c, (g, (wg, wc)) in enumerate(zip(graphs, exact)):
-            case = (n, g.bits, t)
-            flips = np.abs(wg[:, t - 1]) + np.abs(wc[:, t - 1])
-            single = _screen_flips(stack[c : c + 1], t, iu, ju)
-            screened, solved = (row[0] for row in single)
-            _check_screen(screened, solved, flips, case)
-            _check_screen(stacked[c], stacked_solved[c], flips, case)
-            assert np.array_equal(stacked_leaders[c], _leader_rows([screened])[0]), case
+    own = complement_pair_eigenvalues(stack)
+    for handoff in [0] + [SCREEN_HANDOFF] * (n**3 <= SCREEN_HANDOFF):
+        monkeypatch.setattr(ngspectral.search, "SCREEN_HANDOFF", handoff)
+        undecided = 0
+        for t in sorted({1, 2, 3, n // 2, n - 1, n}):
+            scores = np.abs(own[0][:, t - 1]) + np.abs(own[1][:, t - 1])
+            for floors in (np.zeros(len(graphs)), scores):
+                stacked = _screen_flips(stack, t, iu, ju, floors)
+                assert all(part.shape == (len(graphs), iu.size) for part in stacked)
+                stacked_leaders = _leader_rows(*stacked)
+                for c, (g, (wg, wc)) in enumerate(zip(graphs, exact)):
+                    case = (n, g.bits, t, floors[c], handoff)
+                    flips = np.abs(wg[:, t - 1]) + np.abs(wc[:, t - 1])
+                    single = _screen_flips(stack[c : c + 1], t, iu, ju, floors[c : c + 1])
+                    alone = _leader_rows(*single)[0]
+                    _check_screen(*(row[0] for row in single), flips, floors[c], case)
+                    _check_screen(*(part[c] for part in stacked), flips, floors[c], case)
+                    _check_leaders(alone, flips, floors[c], case)
+                    _check_leaders(stacked_leaders[c], flips, floors[c], case)
+                    if not handoff:
+                        assert np.array_equal(stacked_leaders[c], alone), case
+                    undecided += np.count_nonzero(~single[1] & ~single[2])
+        assert (undecided > 0) == (handoff > 0), (handoff, undecided)
 
 
-def _leader_rows(screened):
+def _leader_rows(screened, solved, pruned):
     """The leaders of each row of a screen, as `_screen_leaders` picks them."""
-    return [np.flatnonzero(row >= row.max() - SCREEN_SLACK) for row in screened]
+    top = np.where(solved, screened, -np.inf).max(-1, keepdims=True)
+    return [np.flatnonzero(row) for row in ~pruned & (screened >= top - SCREEN_SLACK)]
 
 
 def _runs_by_loop(row, guard, t):
@@ -752,7 +782,7 @@ def test_flip_problems_match_a_loop_over_spectra_and_runs(monkeypatch, n):
     monkeypatch.setattr(ngspectral.search, "_flip_problems", spy)
     stack = np.stack([g.adjacency_matrix() for g in _screen_graphs(n)])
     for t in (2, n // 2, n, n - 1):
-        _screen_flips(stack, t, *np.triu_indices(n, 1))
+        _screen_flips(stack, t, *np.triu_indices(n, 1), np.zeros(len(stack)))
     wide = 0
     for climb, i, j, t, lam, vec, const in blocks:
         spec = np.concatenate([2 * climb, 2 * climb + 1])
@@ -778,23 +808,31 @@ def test_flip_problems_match_a_loop_over_spectra_and_runs(monkeypatch, n):
     assert wide > 0
 
 
-def test_screen_leaders_of_a_stack_are_those_of_each_graph():
+def test_screen_leaders_of_a_stack_are_those_of_each_graph(monkeypatch):
+    # without the handoff, which a block of fewer problems may take sooner
+    monkeypatch.setattr(ngspectral.search, "SCREEN_HANDOFF", 0)
     graphs = list(_screen_graphs(16))
     stack = np.stack([g.adjacency_matrix() for g in graphs])
     pairs = np.triu_indices(16, 1)
     for t in (2, 14):
-        owner, flip = _screen_leaders(stack, t, *pairs)
-        assert (np.diff(owner) >= 0).all()
-        for c in range(len(graphs)):
-            alone = _screen_leaders(stack[c : c + 1], t, *pairs)[1]
-            assert np.array_equal(flip[owner == c], alone)
+        own = complement_pair_eigenvalues(stack)
+        for floors in (np.zeros(len(graphs)), np.abs(own[0][:, t - 1]) + np.abs(own[1][:, t - 1])):
+            owner, flip = _screen_leaders(stack, t, *pairs, floors)
+            assert (np.diff(owner) >= 0).all()
+            for c in range(len(graphs)):
+                alone = _screen_leaders(stack[c : c + 1], t, *pairs, floors[c : c + 1])[1]
+                assert np.array_equal(flip[owner == c], alone)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_screen_prunes_most_flips(family):
+    # against a floor of 0, the flips prune each other; against the graph's
+    # own score, most leave after one count
     a = erdos_renyi(32, 0.5, 0).adjacency_matrix()
-    _, solved = _screen_flips(a[None], _column(32, 2, family) + 1, *np.triu_indices(32, 1))
-    assert np.count_nonzero(~solved) > solved.size / 2
+    col = _column(32, 2, family)
+    for floor in (0.0, _pair_scores(1, 32, lambda lo, hi: a[None], col)[0]):
+        _, solved, pruned = _screen_flips(a[None], col + 1, *np.triu_indices(32, 1), np.array([floor]))
+        assert np.count_nonzero(pruned) > solved.size / 2
 
 
 @pytest.mark.parametrize(
@@ -810,7 +848,88 @@ def test_screen_leaders_keep_every_tied_flip(g, s, family):
     exact = _pair_scores(iu.size, g.n, lambda lo, hi: _flipped_stack(a, iu[lo:hi], ju[lo:hi]), col)
     best = np.flatnonzero(exact >= exact.max() - SCREEN_SLACK / 2)
     assert best.size > 1
-    assert np.isin(best, _screen_leaders(a[None], col + 1, iu, ju)[1]).all()
+    assert np.isin(best, _screen_leaders(a[None], col + 1, iu, ju, np.zeros(1))[1]).all()
+
+
+@pytest.mark.parametrize(
+    "args,record",
+    [
+        ((32, 2, "top", 0), ("0x1.4ee84b0d1f876p+4", 74900)),
+        # 2048 tied flips of the start, none of which beats it: every one
+        # was rescored through eigvalsh before the screen took the floor
+        ((128, 2, "top", 0, 1, 1), ("0x1.6338ac5f9a113p+6", 16258)),
+    ],
+)
+def test_climb_from_a_strict_local_maximum_rescores_no_leader(monkeypatch, args, record):
+    # the construction's start beats every one of its flips, so the screen
+    # prunes them all against the climb's score: that climb stops at its
+    # first step with no leader, and no flip of it reaches eigvalsh
+    n, s, family = args[:3]
+    start = _constructive_starts(n, s, family)[0].adjacency_matrix()
+    rescored = []
+
+    def spy(count, order, build, col=None):
+        rescored.extend(build(lo, min(lo + 64, count)) for lo in range(0, count, 64))
+        return _pair_scores(count, order, build, col)
+
+    monkeypatch.setattr(ngspectral.search, "_pair_scores", spy)
+    rec = local_search_f(*args)
+    assert (rec.value.hex(), rec.evaluations) == record
+    matrices = np.concatenate(rescored)
+    # a flip of the start differs from it in two entries, (i, j) and (j, i)
+    assert (np.count_nonzero(matrices != start, axis=(1, 2)) != 2).all(), matrices.shape
+
+
+def test_screen_leaves_no_leader_when_every_flip_is_pruned():
+    # against its own score, every flip of the construction is pruned, so it
+    # has no leader, while a random graph stacked with it keeps its own
+    n, t = 32, 2
+    stack = np.stack([extremal_graph(1, 8).adjacency_matrix(), erdos_renyi(n, 0.5, 0).adjacency_matrix()])
+    wg, wc = complement_pair_eigenvalues(stack)
+    floors = np.abs(wg[:, t - 1]) + np.abs(wc[:, t - 1])
+    iu, ju = np.triu_indices(n, 1)
+    _, _, pruned = _screen_flips(stack, t, iu, ju, floors)
+    assert pruned[0].all() and not pruned[1].all()
+    owner, flip = _screen_leaders(stack, t, iu, ju, floors)
+    assert flip.size and (owner == 1).all()
+    exact = _pair_scores(iu.size, n, lambda lo, hi: _flipped_stack(stack[0], iu[lo:hi], ju[lo:hi]), t - 1)
+    assert exact.max() < floors[0] - 2 * SCREEN_SLACK
+
+
+def test_undecided_flips_reach_the_rescoring_batch(monkeypatch):
+    # a grid case whose screens leave flips undecided, each bounded above by
+    # its score, which the rescoring batch solves; the climb still visits
+    # the oracle's graphs
+    args = (16, 3, "top", 1)
+    undecided, leading = [], []
+    screen_flips, screen_leaders = _screen_flips, _screen_leaders
+
+    def flips_spy(*call):
+        screened, solved, pruned = screen_flips(*call)
+        undecided.append(~solved & ~pruned)
+        return screened, solved, pruned
+
+    def leaders_spy(*call):
+        owner, flip = screen_leaders(*call)
+        leading.append(np.count_nonzero(undecided[-1][owner, flip]))
+        return owner, flip
+
+    monkeypatch.setattr(ngspectral.search, "_screen_flips", flips_spy)
+    monkeypatch.setattr(ngspectral.search, "_screen_leaders", leaders_spy)
+    rec = local_search_f(*args)
+    assert sum(leading) > 0, leading
+    assert rec == local_oracle(*args)
+
+
+def test_local_search_calls_no_unique(monkeypatch):
+    # np.unique costs 13-18 ms at its first call in a process (numpy 2.4),
+    # which a one-shot `search --local` would pay; the climbs need none
+    def unique(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", unique)
+    for args in [(6, 2, "top", 0, 2, 1), (16, 3, "top", 1)]:
+        local_search_f(*args)
 
 
 def test_local_search_validation():
