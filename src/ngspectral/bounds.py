@@ -4,8 +4,14 @@ Each row of BOUNDS is one inequality lhs <= rhs, or lhs < rhs when strict:
 its bound id, its strictness, its parameters at order n for a given s_max,
 and three numpy sides, lhs, rhs and `applies` (the precondition), which all
 read the same `Views` and parameter array.  `evaluate` walks a table over
-the spectra of a batch of graphs and their complements; `table_reports`
-turns the walk over one graph into BoundReports.
+the spectra of a batch of graphs and their complements, with the table's
+layout at (n, s_max) (columns, parameter arrays, strictness) built once and
+memoized.  `table_columns` gives the walk over one graph as columns, one
+per BoundReport field; `check` hands those columns (`battery_columns`)
+straight to `reporting.render_columns`, which formats the whole table with
+one '%', and takes its exit code from `any_violated`, so it builds no
+BoundReport.  `table_reports` and `run_battery` make BoundReports of the
+same columns.
 
 A verdict reads only the margin rhs - lhs, the strictness and the slack
 tol * max(1, |lhs|, |rhs|), because eigenvalue rounding grows with the sides
@@ -26,8 +32,10 @@ is x*x, which differs in the last bit for about one value in a thousand).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -60,6 +68,9 @@ class BoundReport(NamedTuple):
 
 def violations(reports: Iterable[BoundReport]) -> list[BoundReport]:
     return [r for r in reports if r.violated]
+
+
+_APPLICABLE, _SATISFIED = map(BoundReport._fields.index, ("applicable", "satisfied"))
 
 
 class Views(NamedTuple):
@@ -198,19 +209,55 @@ BOUNDS: tuple[Bound, ...] = (
           lambda v, k: -1.0, lambda v, k: v.t[0][:, k] + v.b[1][:, k], _always),
 )
 
+# BOUNDS in the order of `run_battery`'s reports
+BATTERY = tuple(sorted(BOUNDS, key=attrgetter("bound_id")))
+
 
 class Evaluation(NamedTuple):
     """A table over a batch, one column per (row, parameter) in table
     order: column j is row rows[j] at parameter params[j], and each array
     has shape (batch, columns)."""
 
-    rows: list[Bound]
-    params: list[Optional[int]]
+    rows: tuple[Bound, ...]
+    params: tuple[Optional[int], ...]
     applicable: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
     margin: np.ndarray
     satisfied: np.ndarray
+
+
+class _Layout(NamedTuple):
+    """What `evaluate` reads of a table at one (n, s_max), besides the
+    spectra: per column its row, parameter, bound id and strictness, and per
+    row its parameter array and column slice.  Shared by every call, so the
+    arrays are read-only."""
+
+    rows: tuple[Bound, ...]
+    params: tuple[Optional[int], ...]
+    ids: tuple[str, ...]
+    strict: tuple[bool, ...]
+    strict_mask: np.ndarray
+    spans: tuple[tuple[Bound, np.ndarray, slice], ...]
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(table: tuple[Bound, ...], n: int, s_max: int) -> _Layout:
+    """The layout of `table` at (n, s_max), built once per key; an entry
+    holds O(n) references, and the memo keeps the last 256."""
+    per_row = [tuple(bound.params(n, s_max)) for bound in table]
+    spans = []
+    for bound, row, end in zip(table, per_row, itertools.accumulate(map(len, per_row))):
+        # an empty list would give a float array, which cannot index
+        p = np.array(row) if row else np.zeros(0, dtype=np.int64)
+        p.flags.writeable = False
+        spans.append((bound, p, slice(end - len(row), end)))
+    rows = tuple(bound for bound, row in zip(table, per_row) for _ in row)
+    strict = tuple(bound.strict for bound in rows)
+    strict_mask = np.array(strict, dtype=bool)
+    strict_mask.flags.writeable = False
+    params = tuple(p for row in per_row for p in row)
+    return _Layout(rows, params, tuple(b.bound_id for b in rows), strict, strict_mask, tuple(spans))
 
 
 def _check_args(s_max: int, tol: float) -> None:
@@ -219,6 +266,26 @@ def _check_args(s_max: int, tol: float) -> None:
         raise ValueError(f"s_max must be at least 1, got {s_max}")
     if s_max > max_order():
         raise ValueError(f"s_max {s_max} exceeds the graph-order cap {max_order()}")
+
+
+def _evaluate(
+    wg: np.ndarray, wc: np.ndarray, s_max: int, tol: float, layout: _Layout
+) -> Evaluation:
+    batch, n = wg.shape
+    t = np.full((2, batch, max(n, s_max) + 1), np.nan)
+    t[..., 1 : n + 1] = (wg, wc)
+    b = np.full_like(t, np.nan)
+    b[..., 1 : n + 1] = t[..., n:0:-1]
+    views = Views(t, b, n, s_max, tol)
+    applicable = np.empty((batch, len(layout.rows)), dtype=bool)
+    lhs, rhs = np.empty((2, batch, len(layout.rows)))
+    for bound, p, cols in layout.spans:
+        for out, side in ((applicable, bound.applies), (lhs, bound.lhs), (rhs, bound.rhs)):
+            out[:, cols] = side(views, p)
+    margin = rhs - lhs
+    slack = tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    satisfied = np.where(layout.strict_mask, margin > -slack, margin >= -slack)
+    return Evaluation(layout.rows, layout.params, applicable, lhs, rhs, margin, satisfied)
 
 
 def evaluate(
@@ -230,26 +297,32 @@ def evaluate(
     sides row by row, then every verdict at once.  s_max may not exceed the
     order cap, above which every s is inapplicable to every graph accepted."""
     _check_args(s_max, tol)
-    batch, n = wg.shape
-    t = np.full((2, batch, max(n, s_max) + 1), np.nan)
-    t[..., 1 : n + 1] = (wg, wc)
-    b = np.full_like(t, np.nan)
-    b[..., 1 : n + 1] = t[..., n:0:-1]
-    views = Views(t, b, n, s_max, tol)
-    per_row = [list(bound.params(n, s_max)) for bound in table]
-    rows = [bound for bound, row in zip(table, per_row) for _ in row]
-    applicable = np.empty((batch, len(rows)), dtype=bool)
-    lhs, rhs = np.empty((2, batch, len(rows)))
-    for bound, row, end in zip(table, per_row, itertools.accumulate(map(len, per_row))):
-        # an empty list would give a float array, which cannot index
-        p = np.array(row) if row else np.zeros(0, dtype=np.int64)
-        for out, side in ((applicable, bound.applies), (lhs, bound.lhs), (rhs, bound.rhs)):
-            out[:, end - len(row) : end] = side(views, p)
-    margin = rhs - lhs
-    slack = tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    satisfied = np.where([bound.strict for bound in rows], margin > -slack, margin >= -slack)
-    params = [p for row in per_row for p in row]
-    return Evaluation(rows, params, applicable, lhs, rhs, margin, satisfied)
+    return _evaluate(wg, wc, s_max, tol, _layout(tuple(table), wg.shape[1], s_max))
+
+
+def table_columns(
+    wg: np.ndarray, wc: np.ndarray, s_max: int, table: Sequence[Bound], *, tol: float = DEFAULT_TOL
+) -> tuple[Sequence, ...]:
+    """The reports of `table` on the descending spectra wg, wc of one graph
+    and its complement, as columns in BoundReport field order: column f
+    holds field f of every (row, parameter), in table order."""
+    _check_args(s_max, tol)
+    layout = _layout(tuple(table), len(wg), s_max)
+    ev = _evaluate(wg[None], wc[None], s_max, tol, layout)
+    applicable, lhs, rhs, margin, satisfied = (x[0].tolist() for x in ev[2:])
+    m = len(layout.rows)
+    return (layout.ids, [len(wg)] * m, layout.params, applicable, layout.strict,
+            lhs, rhs, margin, satisfied, [tol] * m)
+
+
+def any_violated(columns: Sequence[Sequence]) -> bool:
+    """Whether a report of `columns` (as `table_columns` gives them) is
+    applicable but not satisfied."""
+    return any(map(operator.gt, columns[_APPLICABLE], columns[_SATISFIED]))
+
+
+def _reports(columns: Sequence[Sequence]) -> list[BoundReport]:
+    return list(map(BoundReport._make, zip(*columns)))
 
 
 def table_reports(
@@ -257,20 +330,21 @@ def table_reports(
 ) -> list[BoundReport]:
     """One BoundReport per (row, parameter) of `table`, in table order, on
     the descending spectra wg, wc of one graph and its complement."""
-    ev, n = evaluate(wg[None], wc[None], s_max, tol, table), itertools.repeat(len(wg))
-    ids, strict = [bound.bound_id for bound in ev.rows], [bound.strict for bound in ev.rows]
-    applicable, lhs, rhs, margin, satisfied = (x[0].tolist() for x in ev[2:])
-    columns = ids, n, ev.params, applicable, strict, lhs, rhs, margin, satisfied, itertools.repeat(tol)
-    return list(map(BoundReport._make, zip(*columns)))
+    return _reports(table_columns(wg, wc, s_max, table, tol=tol))
+
+
+def battery_columns(g: Graph, s_max: int, *, tol: float = DEFAULT_TOL) -> tuple[Sequence, ...]:
+    """`run_battery`'s reports as columns, in BoundReport field order."""
+    _check_args(s_max, tol)  # fail before the eigensolve
+    wg, wc = spectrum_pair(g)
+    return table_columns(wg, wc, s_max, BATTERY, tol=tol)
 
 
 def run_battery(g: Graph, s_max: int, *, tol: float = DEFAULT_TOL) -> list[BoundReport]:
     """Every row of BOUNDS over all its parameters (s <= s_max, and all k),
     with both spectra computed once; reports sorted by (bound_id,
     parameter), since every row lists its parameters in ascending order."""
-    _check_args(s_max, tol)  # fail before the eigensolve
-    wg, wc = spectrum_pair(g)
-    return table_reports(wg, wc, s_max, sorted(BOUNDS, key=attrgetter("bound_id")), tol=tol)
+    return _reports(battery_columns(g, s_max, tol=tol))
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,13 @@ import functools
 import sys
 from typing import Optional, Sequence
 
-from ngspectral.bounds import BoundReport, run_battery
+from ngspectral.bounds import BoundReport, any_violated, battery_columns
 from ngspectral.constructions import WITNESS_TOL, construct_a, extremal_graph, witness_check
 from ngspectral.graph6 import emit_graph6, parse_graph6
 from ngspectral.graphs import Graph, generate, max_order
-from ngspectral.reporting import FORMATS, graph6_line, matrix_lines, render, spectrum_lines
+from ngspectral.reporting import (
+    FORMATS, graph6_line, matrix_lines, render, render_columns, spectrum_lines,
+)
 from ngspectral.search import (
     FAMILIES, ExtremalRecord, RatioRow, exhaustive_f, local_search_f, ratio_table,
 )
@@ -136,8 +138,11 @@ def _resolve_graph(args: argparse.Namespace) -> Graph:
     return generate(kind, values, seed=args.seed)
 
 
-def _emit(args: argparse.Namespace, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n" if lines else ""
+def _lines(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def _emit(args: argparse.Namespace, text: str) -> None:
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -151,7 +156,7 @@ def _emit(args: argparse.Namespace, lines: list[str]) -> None:
 def _do_spectrum(args: argparse.Namespace) -> int:
     g = _resolve_graph(args)
     sg, sc = spectrum_pair(g)
-    _emit(args, spectrum_lines(g.n, g.edge_count, sg, sc, args.format))
+    _emit(args, _lines(spectrum_lines(g.n, g.edge_count, sg, sc, args.format)))
     return 0
 
 
@@ -162,16 +167,16 @@ def _do_check(args: argparse.Namespace) -> int:
     if args.s_max > cap:  # every s above the cap is inapplicable to every graph accepted
         raise UsageError(f"--s-max {args.s_max} exceeds the graph-order cap {cap}")
     g = _resolve_graph(args)
-    reports = run_battery(g, args.s_max, tol=args.tol)
-    _emit(args, render(reports, args.format, BoundReport))
-    return 2 if any(r.violated for r in reports) else 0
+    columns = battery_columns(g, args.s_max, tol=args.tol)
+    _emit(args, render_columns(columns, args.format, BoundReport))
+    return 2 if any_violated(columns) else 0
 
 
 def _do_construct(args: argparse.Namespace) -> int:
     if args.a_matrix is not None:
         if args.a_matrix < 1:
             raise UsageError(f"--a-matrix index must be at least 1, got {args.a_matrix}")
-        _emit(args, matrix_lines(construct_a(args.a_matrix), args.format))
+        _emit(args, _lines(matrix_lines(construct_a(args.a_matrix), args.format)))
         return 0
     if args.k is None or args.t is None:
         raise UsageError("--extremal requires --k and --t")
@@ -180,7 +185,7 @@ def _do_construct(args: argparse.Namespace) -> int:
     g = extremal_graph(args.k, args.t)
     reports = witness_check(g, args.k, tol=args.tol)
     header = graph6_line(emit_graph6(g), args.k, args.t, args.format)
-    _emit(args, [header] + render(reports, args.format, BoundReport))
+    _emit(args, _lines([header] + render(reports, args.format, BoundReport)))
     return 2 if any(r.violated for r in reports) else 0
 
 
@@ -201,7 +206,7 @@ def _do_search(args: argparse.Namespace) -> int:
             restarts=args.restarts,
             tol=args.tol,
         )
-        _emit(args, render(rows, args.format, RatioRow))
+        _emit(args, _lines(render(rows, args.format, RatioRow)))
         return 0
     if args.n is None:
         raise UsageError("--exact and --local require --n")
@@ -216,7 +221,7 @@ def _do_search(args: argparse.Namespace) -> int:
             args.iterations,
             args.restarts,
         )
-    _emit(args, render([record], args.format, ExtremalRecord))
+    _emit(args, _lines(render([record], args.format, ExtremalRecord)))
     return 0
 
 

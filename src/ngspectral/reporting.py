@@ -5,20 +5,31 @@ rendered with 12 significant digits (IEEE round-half-even), -0.0 normalizes
 to 0, field order is fixed, and rows end with a bare newline.  NaN renders as
 "nan" in CSV/text and as null in JSON.
 
-Reports, records and ratio rows each have one column table in `COLUMNS`:
-`render` derives the csv header, the csv rows and the json lines from it,
-and calls the kind's text-line function for text.  The spectrum, the
-recursion-matrix grid and the extremal graph6 line each have one function
-that takes the format, so the CLI only passes the format on.  `FORMATS`
-lists the formats; every entry point rejects any other with a ValueError.
+Tables are formatted from columns, in bulk.  Reports, records and ratio rows
+each have one column table in `COLUMNS`, in the field order of their kind,
+and one text row in `TEXT_ROWS`.  `render_columns` takes a table as columns
+(`check` hands it `bounds.battery_columns`, straight from `bounds.evaluate`)
+and builds a row template of % specs from the column table.  A real is
+REAL, "%.12g", which calls the same PyOS_double_to_string as
+format(x, ".12g"); -0.0 is folded in numpy first, and in json a row with a
+NaN real gets a template with null in that cell.  Other values are mapped
+once per distinct value, and a cell with one value in every row is written
+into the template.  One '%' then formats the whole table (`_fill`).
+`render` transposes a list of items into the same call, and the spectrum
+lines go through `_fill` too; `format_real` is the rule for one real that
+the bulk formatter must match.  The recursion-matrix grid and the extremal
+graph6 line each have one function that takes the format, so the CLI only
+passes the format on.  `FORMATS` lists the formats; every entry point
+rejects any other with a ValueError.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +48,8 @@ def _check_format(fmt: str) -> str:
 
 
 def format_real(x: float) -> str:
+    """One real as every bulk-formatted cell prints it (NaN as nan); the
+    rule that `_fill` must match, kept as the tests' scalar oracle."""
     if math.isnan(x):
         return "nan"
     if x == 0.0:
@@ -44,28 +57,82 @@ def format_real(x: float) -> str:
     return format(x, ".12g")
 
 
-def _json_real(x: float) -> str:
-    return "null" if math.isnan(x) else format_real(x)
+REAL = "%.12g"  # '%' calls PyOS_double_to_string, as format(x, ".12g") does
+NULL = "null%.0s"  # a NaN real in json: takes the value, prints null
+
+
+def _fill(cells: Sequence[tuple[str, str, Sequence]], sep: str, tail: str = "",
+          null_nan: bool = False) -> str:
+    """The rows of a table, joined by `sep`, formatted by one '%'.  Each cell
+    is (the text before it, its % spec, its value in every row); each row is
+    its cells, then `tail`.  The values of a REAL cell are reals: -0.0 is
+    folded to 0 in numpy, and, with `null_nan`, the rows where one is NaN get
+    a row template with NULL in its place.  A cell with one value in every
+    row is formatted once, into the template."""
+    sep, tail = sep.replace("%", "%%"), tail.replace("%", "%%")  # literal text
+    rows = len(cells[0][2])
+    specs, args, nans = [], [], []
+    for before, spec, values in cells:
+        nan = None
+        if spec == REAL:
+            x = np.asarray(values, dtype=np.float64)
+            x = np.where(x == 0.0, 0.0, x)  # like + 0.0, quiet on any NaN bits
+            values = x.tolist()
+            if null_nan and np.isnan(x).any():
+                nan = np.isnan(x)
+        if nan is not None:
+            nans.append((len(specs), nan))
+        elif rows and values.count(values[0]) == rows:
+            spec, values = (spec % values[0]).replace("%", "%%"), None
+        specs.append((before.replace("%", "%%"), spec))
+        if values is not None:
+            args.append(values)
+
+    def row(nulls: frozenset = frozenset()) -> str:
+        cells = (b + (NULL if j in nulls else spec) for j, (b, spec) in enumerate(specs))
+        return "".join(cells) + tail
+
+    if nans:
+        # one row template per pattern of NaN cells
+        code = sum(nan.astype(np.int64) << bit for bit, (_, nan) in enumerate(nans)).tolist()
+        variants = {c: row(frozenset(j for bit, (j, _) in enumerate(nans) if c >> bit & 1))
+                    for c in set(code)}
+        template = sep.join(map(variants.__getitem__, code))
+    else:
+        template = sep.join([row()] * rows)
+    return template % tuple(itertools.chain.from_iterable(zip(*args)))
+
+
+def _words(values: Sequence, word: Callable[..., str]) -> Sequence:
+    """Each value as `word` writes it, converting each distinct value once;
+    str is left to '%s'."""
+    if word is str:
+        return values
+    text = {v: word(v) for v in set(values)}
+    return list(map(text.__getitem__, values))
 
 
 def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-# A value type: how one value becomes a csv cell and a json value.
+# A value type: how one value becomes a csv cell and a json value.  A real
+# is formatted by '%' itself (REAL, NULL).
 STR = (str, json.dumps)
 INT = (str, str)
 BOOL = (_bool, _bool)
-FLOAT = (format_real, _json_real)
+FLOAT = None
 OPT_INT = (lambda v: "" if v is None else str(v), lambda v: "null" if v is None else str(v))
 
 
 class Column(NamedTuple):
     name: str  # csv header and json key
     attr: str
-    type: tuple[Callable[..., str], Callable[..., str]]
+    type: Optional[tuple[Callable[..., str], Callable[..., str]]]
 
 
+# One column per field of the kind, in field order, so a table's columns
+# are its fields
 COLUMNS = {
     BoundReport: (
         Column("bound_id", "bound_id", STR),
@@ -100,89 +167,113 @@ COLUMNS = {
     ),
 }
 
-# kind -> name of its text-line function, looked up at each call so that a
-# wrapper bound to that name sees every item
-TEXT_LINE = {BoundReport: "report_text_line", ExtremalRecord: "record_text", RatioRow: "ratio_text"}
+# (applicable, satisfied) -> status
+_STATUS = {(True, True): "OK", (True, False): "VIOLATION", (False, True): "SKIP",
+           (False, False): "SKIP"}
 
 
-def report_text_line(r: BoundReport) -> str:
-    param = "-" if r.param is None else str(r.param)
-    if not r.applicable:
-        status = "SKIP"
-    elif r.satisfied:
-        status = "OK"
+def _report_text(bound_id, n, param, applicable, strict, lhs, rhs, margin, satisfied, tol):
+    status = list(map(_STATUS.__getitem__, zip(applicable, satisfied)))
+    return [
+        ("", "%-9s", status),
+        (" ", "%-22s", bound_id),
+        (" n=", "%s", n),
+        (" param=", "%s", _words(param, lambda p: "-" if p is None else str(p))),
+        (" ", REAL, lhs),
+        (" ", "%s", _words(strict, lambda x: "<" if x else "<=")),
+        (" ", REAL, rhs),
+        (" margin=", REAL, margin),
+    ], ""
+
+
+def _record_text(n, s, family, value, witness, method, exact, evaluations, seed):
+    return [
+        ("n=", "%s", n),
+        (" s=", "%s", s),
+        (" family=", "%s", family),
+        (": value=", REAL, value),
+        (" (", "%s", _words(exact, lambda x: "exact" if x else "lower bound")),
+        (", ", "%s", method),
+        (", ", "%s", evaluations),
+        (" evaluations) witness=", "%s", witness),
+    ], ""
+
+
+def _ratio_text(n, value, ratio, target, gap, method):
+    return [
+        ("n=", "%s", n),
+        (": value=", REAL, value),
+        (" value/n=", REAL, ratio),
+        (" target=", REAL, target),
+        (" gap=", REAL, gap),
+        (" [", "%s", method),
+    ], "]"
+
+
+# kind -> its text row: (cells, tail) from the columns
+TEXT_ROWS = {BoundReport: _report_text, ExtremalRecord: _record_text, RatioRow: _ratio_text}
+
+
+def _columns_of(kind: type) -> tuple[Column, ...]:
+    if kind not in COLUMNS:
+        raise TypeError(f"no renderer for {kind.__name__}")
+    return COLUMNS[kind]
+
+
+def render_columns(columns: Sequence[Sequence], fmt: str, kind: type) -> str:
+    """The output of a table of `kind` (BoundReport, ExtremalRecord or
+    RatioRow) in `fmt`, each line ending in a newline: csv is a header then
+    one row per item, json and text one line per item.  columns[j] holds
+    field j of the kind for every item (`COLUMNS`), and one '%' formats the
+    whole table."""
+    fields = _columns_of(kind)
+    if _check_format(fmt) == "text":
+        cells, tail = TEXT_ROWS[kind](*columns)
     else:
-        status = "VIOLATION"
-    rel = "<" if r.strict else "<="
-    return (
-        f"{status:9s} {r.bound_id:22s} n={r.n} param={param} "
-        f"{format_real(r.lhs)} {rel} {format_real(r.rhs)} margin={format_real(r.margin)}"
-    )
-
-
-def record_text(rec: ExtremalRecord) -> str:
-    exact = "exact" if rec.exact else "lower bound"
-    return (
-        f"n={rec.n} s={rec.s} family={rec.family}: value={format_real(rec.value)} "
-        f"({exact}, {rec.method}, {rec.evaluations} evaluations) witness={rec.witness}"
-    )
-
-
-def ratio_text(row: RatioRow) -> str:
-    return (
-        f"n={row.n}: value={format_real(row.value)} value/n={format_real(row.ratio)} "
-        f"target={format_real(row.target)} gap={format_real(row.gap)} [{row.method}]"
-    )
+        cells, tail = [], "}" if fmt == "json" else ""
+        for j, ((name, _, vtype), values) in enumerate(zip(fields, columns)):
+            before = "," if j else ""
+            if fmt == "json":
+                before = (before or "{") + json.dumps(name) + ":"
+            if vtype is FLOAT:
+                cells.append((before, REAL, values))
+            else:
+                cells.append((before, "%s", _words(values, vtype[fmt == "json"])))
+    head = ",".join(c.name for c in fields) + "\n" if fmt == "csv" else ""
+    return head + _fill(cells, "", tail + "\n", null_nan=fmt == "json")
 
 
 def render(items: Iterable, fmt: str, kind: type) -> list[str]:
-    """Lines of `items`, all of `kind` (BoundReport, ExtremalRecord or
-    RatioRow), in `fmt`: csv is a header then one row per item, json and
-    text one line per item.  Each column converts each distinct value once."""
-    if kind not in COLUMNS:
-        raise TypeError(f"no renderer for {kind.__name__}")
-    if _check_format(fmt) == "text":
-        line = globals()[TEXT_LINE[kind]]
-        return [line(x) for x in items]
-    columns = COLUMNS[kind]
-    items = list(items)
-    cells = []
-    for name, attr, (csv_cell, json_value) in columns:
-        values = list(map(attrgetter(attr), items))
-        if fmt == "csv":
-            text = {v: csv_cell(v) for v in set(values)}
-        else:
-            key = json.dumps(name) + ":"
-            text = {v: key + json_value(v) for v in set(values)}
-        cells.append(map(text.__getitem__, values))
-    if fmt == "csv":
-        return [",".join(c.name for c in columns)] + list(map(",".join, zip(*cells)))
-    return ["{" + ",".join(row) + "}" for row in zip(*cells)]
+    """Lines of `items`, all of `kind`, in `fmt`: `render_columns` on the
+    items' fields, split at its newlines (so a string cell that holds a
+    newline splits its line)."""
+    fields, items = _columns_of(kind), list(items)
+    columns = [list(map(attrgetter(c.attr), items)) for c in fields]
+    return render_columns(columns, fmt, kind).split("\n")[:-1]
+
+
+def _reals(x: np.ndarray, sep: str, null_nan: bool = False) -> str:
+    return _fill([("", REAL, x)], sep, null_nan=null_nan)
 
 
 def spectrum_csv_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray) -> list[str]:
-    lines = ["n,e,i,mu_g,mu_complement"]
-    for i, (g, c) in enumerate(zip(sg.tolist(), sc.tolist()), start=1):
-        lines.append(f"{n},{edges},{i},{format_real(g)},{format_real(c)}")
-    return lines
+    index = range(1, len(sg) + 1)
+    rows = _fill([(f"{n},{edges},", "%s", index), (",", REAL, sg), (",", REAL, sc)], "\n")
+    return ["n,e,i,mu_g,mu_complement"] + rows.splitlines()
 
 
 def spectrum_json(n: int, edges: int, sg: np.ndarray, sc: np.ndarray) -> str:
-    g_vals = ",".join(_json_real(v) for v in sg.tolist())
-    c_vals = ",".join(_json_real(v) for v in sc.tolist())
     return (
         "{"
         f'"n":{n},"e":{edges},'
-        f'"spectrum":[{g_vals}],'
-        f'"complement_spectrum":[{c_vals}]'
+        f'"spectrum":[{_reals(sg, ",", True)}],'
+        f'"complement_spectrum":[{_reals(sc, ",", True)}]'
         "}"
     )
 
 
 def spectrum_text_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray) -> list[str]:
-    g_vals = ", ".join(format_real(v) for v in sg.tolist())
-    c_vals = ", ".join(format_real(v) for v in sc.tolist())
-    return [f"n={n} e={edges}", f"G: {g_vals}", f"complement: {c_vals}"]
+    return [f"n={n} e={edges}", f"G: {_reals(sg, ', ')}", f"complement: {_reals(sc, ', ')}"]
 
 
 def spectrum_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray, fmt: str) -> list[str]:

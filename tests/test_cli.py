@@ -15,7 +15,7 @@ import ngspectral.constructions
 from ngspectral.cli import build_parser, main
 from ngspectral.graph6 import emit_graph6
 from ngspectral.graphs import GENERATORS, complete_bipartite, cycle, generate, path
-from ngspectral.reporting import record_text, render
+from ngspectral.reporting import render
 from ngspectral.search import ExtremalRecord, exhaustive_f, local_search_f
 
 
@@ -755,7 +755,8 @@ def test_parser_is_reused_without_leaking_values(capsys):
     )
     assert code == 0
     # defaults, not the first call's values: seed 0 and text format
-    assert out == record_text(local_search_f(6, 3, "bottom", 0, 3, 1)) + "\n"
+    record = local_search_f(6, 3, "bottom", 0, 3, 1)
+    assert out.splitlines() == render([record], "text", ExtremalRecord)
 
 
 def test_csv_byte_identical_per_blas_thread_count():

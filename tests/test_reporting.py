@@ -7,7 +7,9 @@ import pytest
 
 from ngspectral.bounds import BoundReport
 from ngspectral.graphs import Matrix01
-from ngspectral.reporting import graph6_line, matrix_lines, render, spectrum_lines
+from ngspectral.reporting import (
+    REAL, _fill, format_real, graph6_line, matrix_lines, render, spectrum_lines,
+)
 from ngspectral.search import ExtremalRecord, RatioRow
 
 NAN = math.nan
@@ -23,12 +25,16 @@ def test_render_edge_values():
                     satisfied=False, tol=1e-8),
         BoundReport("plain", 3, 0, True, True, lhs=1.0, rhs=2.5, margin=1.5,
                     satisfied=True, tol=1e-8),
+        # NaN becomes null cell by cell, never by replacing text in the line
+        BoundReport('x":nan,nan}', 3, 1, True, True, lhs=0.5, rhs=NAN, margin=NAN,
+                    satisfied=False, tol=1e-8),
     ]
     assert render(reports, "csv", BoundReport) == [
         "bound_id,n,s_or_k,applicable,strict,lhs,rhs,margin,satisfied,tol",
         'a"b\\c,3,,true,false,nan,0,nan,false,1e-08',
         "plain,3,2,false,true,nan,0,nan,false,1e-08",
         "plain,3,0,true,true,1,2.5,1.5,true,1e-08",
+        'x":nan,nan},3,1,true,true,0.5,nan,nan,false,1e-08',
     ]
     assert render(reports, "json", BoundReport) == [
         '{"bound_id":"a\\"b\\\\c","n":3,"s_or_k":null,"applicable":true,"strict":false,'
@@ -37,6 +43,14 @@ def test_render_edge_values():
         '"lhs":null,"rhs":0,"margin":null,"satisfied":false,"tol":1e-08}',
         '{"bound_id":"plain","n":3,"s_or_k":0,"applicable":true,"strict":true,'
         '"lhs":1,"rhs":2.5,"margin":1.5,"satisfied":true,"tol":1e-08}',
+        '{"bound_id":"x\\":nan,nan}","n":3,"s_or_k":1,"applicable":true,"strict":true,'
+        '"lhs":0.5,"rhs":null,"margin":null,"satisfied":false,"tol":1e-08}',
+    ]
+    assert render(reports, "text", BoundReport) == [
+        "VIOLATION a\"b\\c                  n=3 param=- nan <= 0 margin=nan",
+        "SKIP      plain                  n=3 param=2 nan < 0 margin=nan",
+        "OK        plain                  n=3 param=0 1 < 2.5 margin=1.5",
+        'VIOLATION x":nan,nan}            n=3 param=1 0.5 < nan margin=nan',
     ]
     records = [
         ExtremalRecord(5, 2, "top", 1.0 / 3.0, "D\\w", "exhaustive", True, 12, None),
@@ -53,6 +67,10 @@ def test_render_edge_values():
         '{"n":5,"s":2,"family":"top","value":0,"witness":"D??",'
         '"method":"local_search","exact":false,"evaluations":0,"seed":7}',
     ]
+    assert render(records, "text", ExtremalRecord) == [
+        "n=5 s=2 family=top: value=0.333333333333 (exact, exhaustive, 12 evaluations) witness=D\\w",
+        "n=5 s=2 family=top: value=0 (lower bound, local_search, 0 evaluations) witness=D??",
+    ]
     rows = [RatioRow(4, NAN, NAN, 0.5, NAN, "exhaustive")]
     assert render(rows, "csv", RatioRow) == [
         "n,value,ratio,target,gap,method", "4,nan,nan,0.5,nan,exhaustive"
@@ -60,6 +78,53 @@ def test_render_edge_values():
     assert render(rows, "json", RatioRow) == [
         '{"n":4,"value":null,"ratio":null,"target":0.5,"gap":null,"method":"exhaustive"}'
     ]
+    assert render(rows, "text", RatioRow) == [
+        "n=4: value=nan value/n=nan target=0.5 gap=nan [exhaustive]"
+    ]
+
+
+def _hard_reals(rng) -> np.ndarray:
+    """Reals whose 12-digit text is easy to get wrong: random bit patterns
+    (subnormals and huge exponents among them), ties at the 12th digit,
+    signed zeros, NaN, infinities and the ends of the double range."""
+    bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 308, size=2000)
+    ties = np.round(rng.random(500), 12) + 5e-13
+    special = [0.0, -0.0, NAN, -NAN, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, 0.1, 1e-8, 123456789012.5]
+    return np.concatenate([bits, scaled, ties, special])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bulk_reals_match_format_real(seed):
+    x = _hard_reals(np.random.default_rng(seed))
+    want = [format_real(v) for v in x.tolist()]
+    assert _fill([("", REAL, x)], "|").split("|") == want
+    assert _fill([("", REAL, x.tolist())], "|", null_nan=True).split("|") == [
+        "null" if w == "nan" else w for w in want
+    ]
+    # as table cells: spectrum lines and report columns, in every format
+    sg = x[:300]
+    assert spectrum_lines(300, 0, sg, sg, "text")[1] == "G: " + ", ".join(want[:300])
+    assert [line.split(",")[3] for line in spectrum_lines(300, 0, sg, sg, "csv")[1:]] == want[:300]
+    reports = [BoundReport("r", 3, None, True, False, v, -v, v, True, 1e-8)
+               for v in x[:500].tolist()]
+    lhs = [line.split(",")[5] for line in render(reports, "csv", BoundReport)[1:]]
+    rhs = [format_real(-v) for v in x[:500].tolist()]
+    assert lhs == want[:500]
+    json_lines = render(reports, "json", BoundReport)
+    json_rhs = [line.split('"rhs":')[1].split(",")[0] for line in json_lines]
+    assert json_rhs == ["null" if r == "nan" else r for r in rhs]
+
+
+def test_constant_cells_are_formatted_once_into_the_template():
+    # a cell equal in every row moves into the row template; its text
+    # must still be escaped, and a NaN in json still prints null
+    assert _fill([("", "%s", ["100%"] * 3), (" ", REAL, [1.5, 1.5, 1.5])], ";") == (
+        "100% 1.5;100% 1.5;100% 1.5"
+    )
+    assert _fill([("%", REAL, [NAN])], ";", null_nan=True) == "%null"
+    assert _fill([("", REAL, [NAN, NAN])], ";") == "nan;nan"
 
 
 def test_render_empty_and_unknown_kind():
