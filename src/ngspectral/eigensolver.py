@@ -34,9 +34,10 @@ def batched_symmetric_eigenvalues(stack: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stack)[..., ::-1]
 
 
-def _complement(a: np.ndarray) -> np.ndarray:
-    """1 - A with a zero diagonal, on the last two axes."""
-    comp = 1.0 - a
+def _complement(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 - A with a zero diagonal, on the last two axes, written to `out`
+    when given (which may be `a` itself)."""
+    comp = np.subtract(1.0, a, out=out)
     idx = np.arange(a.shape[-1])
     comp[..., idx, idx] = 0.0
     return comp

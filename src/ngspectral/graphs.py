@@ -18,15 +18,15 @@ Every blow-up takes one route too: `blowup` expands a looped 0/1 quotient
 `Matrix01` into parts of given sizes, cliques at its loops.
 
 Batches of graphs up to EXHAUSTIVE_CAP are int64 arrays of the same masks.
-`isomorphism_classes` extends every class by a new vertex with every
-neighbour set (`extensions`) and dedupes by a canonical form from colour
-refinement and the permutations within its cells (`canonical_masks`).
+`complement_pair_classes` keeps one class per complement pair: the smaller
+canonical form (`canonical_masks`: colour refinement, then permutations
+within its cells) of each one-vertex extension of the pairs of the order
+below (`extensions`) and of its complement.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import os
@@ -39,7 +39,7 @@ DEFAULT_MAX_ORDER = 4096
 MAX_ORDER_ENV = "NG_MAX_ORDER"
 
 # largest order of exhaustive search and of the class build: order 9 takes
-# about 65 s to classify, and int64 pair masks overflow from order 12
+# about 38 s to classify, and int64 pair masks overflow from order 12
 EXHAUSTIVE_CAP = 8
 # the package's memory budget: the most entries in the largest array of a
 # batch, be it the pair bits of a `_relabel` block, the masks of
@@ -129,7 +129,7 @@ class Graph:
     bits: int = 0
 
     def __post_init__(self) -> None:
-        # numpy integers, as isomorphism_classes returns, become Python ints:
+        # numpy integers, as complement_pair_classes returns, become Python ints:
         # the mask needs int.to_bytes and int.bit_count
         object.__setattr__(self, "n", operator.index(self.n))
         object.__setattr__(self, "bits", operator.index(self.bits))
@@ -142,10 +142,6 @@ class Graph:
         return self.n * (self.n - 1) // 2
 
     @property
-    def full_mask(self) -> int:
-        return (1 << self.pair_count) - 1
-
-    @property
     def edge_count(self) -> int:
         return self.bits.bit_count()
 
@@ -156,9 +152,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        if u == v:
-            return False
-        return bool(self.bits >> pair_bit(u, v) & 1)
+        return u != v and bool(self.bits >> pair_bit(u, v) & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges (i, j) with i < j, in ascending bit order."""
@@ -167,8 +161,7 @@ class Graph:
         yield from zip((i[on] + 1).tolist(), (j[on] + 1).tolist())
 
     def degrees(self) -> list[int]:
-        a = self.adjacency_matrix(dtype=np.int64)
-        return [int(x) for x in a.sum(axis=0)]
+        return [int(x) for x in self.adjacency_matrix(dtype=np.int64).sum(axis=0)]
 
     def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
         return _bits_to_matrices(mask_to_bitarray(self.bits, self.pair_count), self.n, dtype)
@@ -236,7 +229,7 @@ class Matrix01:
 
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices with edges exactly where g has none."""
-    return Graph(g.n, g.bits ^ g.full_mask)
+    return Graph(g.n, g.bits ^ ((1 << g.pair_count) - 1))
 
 
 def check_sizes(base: Matrix01, sizes: Sequence[int]) -> list[int]:
@@ -384,14 +377,29 @@ def _relabel(adj: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return out
 
 
+def _permutations(m: int) -> np.ndarray:
+    """Every permutation of range(m) as rows, in the lexicographic order of
+    itertools.permutations: each first entry f of range(k), then the rows
+    of range(k - 1) with their entries from f up raised by one."""
+    table = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, m + 1):
+        rows = np.empty((k, len(table), k), dtype=np.int64)
+        rows[..., 0] = np.arange(k)[:, None]
+        rows[..., 1:] = table + (table >= rows[..., :1])
+        table = rows.reshape(-1, k)
+    return table
+
+
 @functools.cache
 def _cell_table(cells: tuple[int, ...]) -> np.ndarray:
     """Every permutation of positions that maps each run of `cells[c]`
-    positions, in order, onto itself, as rows.  Each layout is built once
-    per process; the shared table is read-only."""
-    bounds = np.cumsum((0, *cells)).tolist()
-    runs = [itertools.permutations(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    table = np.array([sum(p, ()) for p in itertools.product(*runs)], dtype=np.int64)
+    positions, in order, onto itself, as rows, ordered as itertools.product
+    of each run's `_permutations`.  Each layout is built once per process;
+    the shared table is read-only."""
+    table = np.zeros((1, 0), dtype=np.int64)
+    for lo, size in zip(np.cumsum((0, *cells)).tolist(), cells):
+        perms = _permutations(size) + lo
+        table = np.hstack([np.repeat(table, len(perms), axis=0), np.tile(perms, (len(table), 1))])
     table.flags.writeable = False
     return table
 
@@ -446,30 +454,20 @@ def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
 
 
 @functools.cache
-def isomorphism_classes(n: int) -> np.ndarray:
-    """Canonical masks of the graphs of order n, one per isomorphism class,
-    ascending, for 0 <= n <= EXHAUSTIVE_CAP.  Built from the classes of
-    order n - 1 by one `canonical_masks` call.  Each order is built once per
-    process; the shared array is read-only."""
+def complement_pair_classes(n: int) -> np.ndarray:
+    """Canonical masks of the graphs of order n, one per complement pair (the
+    smaller of its classes' masks), ascending, for 0 <= n <= EXHAUSTIVE_CAP.
+    Deleting the last vertex of a graph or of its complement leaves one of
+    the pairs of order n - 1, so the extensions of those pairs meet every
+    pair.  Each order is built once per process; the array is read-only."""
     if not 0 <= n <= EXHAUSTIVE_CAP:
-        raise ValueError(f"isomorphism classes need 0 <= n <= {EXHAUSTIVE_CAP}, got n={n}")
+        raise ValueError(f"complement pair classes need 0 <= n <= {EXHAUSTIVE_CAP}, got n={n}")
     if n == 0:
         reps = np.zeros(1, dtype=np.int64)
     else:
-        reps = np.unique(canonical_masks(extensions(isomorphism_classes(n - 1), n), n))
-    reps.flags.writeable = False
-    return reps
-
-
-@functools.cache
-def complement_pair_classes(n: int) -> np.ndarray:
-    """The classes of `isomorphism_classes(n)` whose canonical mask is at
-    most that of their complement's class: one class per complement pair,
-    the self-complementary ones included.  Each order is built once per
-    process; the shared array is read-only."""
-    classes = isomorphism_classes(n)
-    full = (1 << n * (n - 1) // 2) - 1
-    reps = classes[classes <= canonical_masks(classes ^ full, n)]
+        ext = extensions(complement_pair_classes(n - 1), n)
+        full = (1 << n * (n - 1) // 2) - 1
+        reps = np.unique(np.minimum(canonical_masks(ext, n), canonical_masks(ext ^ full, n)))
     reps.flags.writeable = False
     return reps
 

@@ -6,9 +6,9 @@ bottom family at index s uses mu_{n-s+1} instead.  Both depend only on the
 spectra, so they are invariant under relabelling and under swapping G with
 its complement; a graph and its complement even score the same bits, since
 the two eigvalsh inputs swap.  The exhaustive pass therefore scores the
-one-vertex extensions of one isomorphism class of order n-1 per complement
-pair, which cover a graph or the complement of a graph of every class of
-order n.  It solves them once per order and process and keeps
+one-vertex extensions of `graphs.complement_pair_classes(n - 1)`, one class
+per complement pair, which cover a graph or the complement of a graph of
+every class of order n.  It solves them once per order and process and keeps
 |mu_i(G)| + |mu_i(comp)| for every i (`_extension_scores`), so each (s,
 family) of that order reads one column of the same table.  Rounding
 differs between labellings of one graph, so the classes within tol of the

@@ -9,6 +9,7 @@ import pytest
 
 import ngspectral.bounds
 from battery_oracle import battery_rows
+from class_oracle import all_classes
 
 from ngspectral.bounds import (
     BOUNDS,
@@ -32,7 +33,6 @@ from ngspectral.graphs import (
     cycle,
     empty,
     erdos_renyi,
-    isomorphism_classes,
     masks_to_stack,
     path,
 )
@@ -530,7 +530,7 @@ def test_table_sound_on_every_class_at_order_8():
     # every isomorphism class of order 8; the set is closed under
     # complement, so one orientation covers both.  s_max = 8 reaches every
     # parameter that applies at n = 8.
-    classes = isomorphism_classes(8)
+    classes = all_classes(8)
     assert classes.size == 12346
     wg, wc = complement_pair_eigenvalues(masks_to_stack(classes, 8))
     tol = 1e-8

@@ -1,6 +1,7 @@
 """Exhaustive and hill-climbing extremal search."""
 
 import hashlib
+import itertools
 import math
 import time
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 
 import ngspectral.graphs
 import ngspectral.search
+from class_oracle import all_classes, brute_force_pair_classes
 from labelled_oracle import labelled_exhaustive_f
 from local_oracle import local_oracle
 from ngspectral.constructions import extremal_graph
@@ -27,7 +29,6 @@ from ngspectral.graphs import (
     empty,
     erdos_renyi,
     extensions,
-    isomorphism_classes,
     labellings,
     masks_to_stack,
 )
@@ -275,17 +276,24 @@ def test_exhaustive_records_cold_and_warm(n):
 
 
 def test_complement_pair_classes():
-    # (A000088 + A000171) / 2: classes plus self-complementary classes, halved
-    counts = [complement_pair_classes(n).size for n in range(8)]
-    assert counts == [1, 1, 1, 2, 6, 18, 78, 522]
-    for n in range(2, 8):
-        reps, classes = complement_pair_classes(n), isomorphism_classes(n)
+    # OEIS A007869, (A000088 + A000171) / 2: classes plus self-complementary
+    # classes, halved
+    counts = [complement_pair_classes(n).size for n in range(9)]
+    assert counts == [1, 1, 1, 2, 6, 18, 78, 522, 6178]
+    for n in range(2, 9):
+        reps = complement_pair_classes(n)
         full = (1 << n * (n - 1) // 2) - 1
-        comp = canonical_masks(reps ^ full, n)
-        # each pair once: every class is a representative or the complement of one
-        assert np.isin(reps, classes).all() and (reps <= comp).all()
-        assert np.array_equal(np.union1d(reps, comp), classes)
+        # each pair once, by the smaller canonical mask of its two classes
+        assert np.array_equal(canonical_masks(reps, n), reps)
+        assert (reps <= canonical_masks(reps ^ full, n)).all()
+        assert (np.diff(reps) > 0).all()
     assert not complement_pair_classes(5).flags.writeable
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_complement_pair_classes_match_brute_force(n):
+    # every labelled graph of order n and its complement, canonicalized
+    assert np.array_equal(complement_pair_classes(n), brute_force_pair_classes(n))
 
 
 def test_exhaustive_rejects_a_tie_band_too_wide_to_relabel(monkeypatch):
@@ -299,12 +307,13 @@ def test_exhaustive_rejects_a_tie_band_too_wide_to_relabel(monkeypatch):
 
 def test_isomorphism_class_counts():
     # OEIS A000088: graphs on n unlabelled vertices
-    counts = [isomorphism_classes(n).size for n in range(1, 8)]
+    counts = [all_classes(n).size for n in range(1, 8)]
     assert counts == [1, 2, 4, 11, 34, 156, 1044]
 
 
 # order -> (class count, sum of the class masks, sha256 prefix of the masks
-# as little-endian int64).  The count and invariance tests accept any
+# as little-endian int64), over every class: the pair classes and their
+# complements' canonical forms.  The count and invariance tests accept any
 # canonical labelling; these pin the representatives themselves.
 CLASS_DIGESTS = {
     0: (1, 0, "af5570f5a1810b7a"),
@@ -321,7 +330,7 @@ CLASS_DIGESTS = {
 
 @pytest.mark.parametrize("n", sorted(CLASS_DIGESTS))
 def test_isomorphism_class_representatives_pinned(n):
-    classes = isomorphism_classes(n)
+    classes = all_classes(n)
     digest = hashlib.sha256(classes.astype("<i8").tobytes()).hexdigest()[:16]
     assert (classes.size, int(classes.sum()), digest) == CLASS_DIGESTS[n]
 
@@ -329,29 +338,29 @@ def test_isomorphism_class_representatives_pinned(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_labellings_of_every_class_are_every_labelled_graph(n):
     # each of the 2^(n(n-1)/2) labelled graphs appears exactly once
-    masks = labellings(isomorphism_classes(n), n)
+    masks = labellings(all_classes(n), n)
     assert np.array_equal(masks, np.arange(1 << n * (n - 1) // 2))
 
 
 def test_isomorphism_classes_capped():
-    # order 9 would take about 65 s, and pair masks overflow int64 from order 12
+    # order 9 would take about 38 s, and pair masks overflow int64 from order 12
     with pytest.raises(ValueError, match="n <= 8, got n=9"):
-        isomorphism_classes(9)
+        complement_pair_classes(9)
     with pytest.raises(ValueError, match="got n=-1"):
-        isomorphism_classes(-1)
-    assert isomorphism_classes(0).tolist() == [0]
+        complement_pair_classes(-1)
+    assert complement_pair_classes(0).tolist() == [0]
 
 
 def test_isomorphism_classes_built_once_and_read_only(monkeypatch):
     first = exhaustive_f(6, 2, "top")
-    classes = isomorphism_classes(5)
+    classes = complement_pair_classes(5)
 
     def no_build(masks, k):
         raise AssertionError("classes canonicalized again")
 
     # search keeps its own reference for the near-best candidates
     monkeypatch.setattr(ngspectral.graphs, "canonical_masks", no_build)
-    assert isomorphism_classes(5) is classes
+    assert complement_pair_classes(5) is classes
     assert exhaustive_f(6, 2, "top") == first
     assert not classes.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -359,16 +368,16 @@ def test_isomorphism_classes_built_once_and_read_only(monkeypatch):
 
 
 def test_permutation_tables_built_once_and_read_only(monkeypatch):
-    labelled = labellings(isomorphism_classes(5), 5)
+    labelled = labellings(all_classes(5), 5)
     table = ngspectral.graphs._cell_table((5,))
     assert table.shape == (120, 5) and len({tuple(row) for row in table}) == 120
 
     def no_build(*args):
         raise AssertionError("permutations listed again")
 
-    monkeypatch.setattr(ngspectral.graphs.itertools, "permutations", no_build)
+    monkeypatch.setattr(ngspectral.graphs, "_permutations", no_build)
     assert ngspectral.graphs._cell_table((5,)) is table
-    assert np.array_equal(labellings(isomorphism_classes(5), 5), labelled)
+    assert np.array_equal(labellings(all_classes(5), 5), labelled)
     assert not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 1
@@ -377,6 +386,15 @@ def test_permutation_tables_built_once_and_read_only(monkeypatch):
     assert cells.shape == (12, 5)
     assert (np.sort(cells[:, :2], axis=1) == [0, 1]).all()
     assert (np.sort(cells[:, 2:], axis=1) == [2, 3, 4]).all()
+
+
+@pytest.mark.parametrize("cells", [(5,), (2, 3), (1, 2, 2), (7,)])
+def test_cell_table_rows_in_itertools_order(cells):
+    # the product of each cell's permutations, row for row, in order
+    bounds = np.cumsum((0, *cells)).tolist()
+    runs = [itertools.permutations(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    expected = [list(sum(p, ())) for p in itertools.product(*runs)]
+    assert ngspectral.graphs._cell_table(cells).tolist() == expected
 
 
 def test_canonical_form_is_a_relabelling_invariant_labelling():
@@ -613,10 +631,10 @@ def test_score_batches_keep_every_bit(monkeypatch):
     def run():
         batches.clear()
         stacks.clear()
-        for cache in (isomorphism_classes, complement_pair_classes, _extension_scores):
+        for cache in (complement_pair_classes, _extension_scores):
             cache.cache_clear()
-        arrays = [isomorphism_classes(n) for n in range(1, 7)]
-        arrays += [labellings(isomorphism_classes(5), 5), _extension_scores(6)[1]]
+        arrays = [all_classes(n) for n in range(1, 7)]
+        arrays += [labellings(all_classes(5), 5), _extension_scores(6)[1]]
         return arrays, exhaustive_f(7, 2, "top"), local_search_f(24, 2, "top", 0)
 
     monkeypatch.setattr(ngspectral.search, "complement_pair_eigenvalues", spy)
@@ -633,7 +651,7 @@ def test_score_batches_keep_every_bit(monkeypatch):
     assert split[1:] == whole[1:]
 
 
-# tracemalloc peaks of `labellings(isomorphism_classes(8)[:3], 8)` and of
+# tracemalloc peaks of `labellings(all_classes(8)[:3], 8)` and of
 # the canonical forms of three regular graphs of order 8 were 27.7 and 27.1
 # MB when each graph's 8! relabellings were built in one block (numpy 2.4,
 # Python 3.11).  A block now holds at most SCORE_ENTRIES pair bits, and its
@@ -647,7 +665,7 @@ def test_relabelling_memory_is_bounded():
     # canonical forms take all 8! relabellings, like every labelling
     cube = Graph.from_edges(8, [(a + 1, (a ^ d) + 1) for a in range(8) for d in (1, 2, 4) if a < a ^ d])
     regular = np.array([cycle(8).bits, cube.bits, complete_bipartite(4, 4).bits], dtype=np.int64)
-    classes = isomorphism_classes(8)[:3]
+    classes = all_classes(8)[:3]
     for call in (lambda: labellings(classes, 8), lambda: canonical_masks(regular, 8)):
         expected = call()  # builds the permutation table, kept for the process
         tracemalloc.start()
