@@ -10,11 +10,13 @@ one-vertex extensions of `graphs.complement_pair_classes(n - 1)`, one class
 per complement pair, which cover a graph or the complement of a graph of
 every class of order n.  It solves them once per order and process and keeps
 |mu_i(G)| + |mu_i(comp)| for every i (`_extension_scores`), so each (s,
-family) of that order reads one column of the same table.  Rounding
-differs between labellings of one graph, so the classes within tol of the
-best score are expanded into all their labellings, each folded to the
-smaller of its mask and its complement's, and rescored: the value and the
-witness are those of the search over every labelled graph.
+family) of that order reads one column of the same table.  The witness is
+the smallest graph6 string among every labelling, complements included, of
+the classes with an extension within tol of the best score.  Both engines
+follow one value rule: a record's value is its witness scored by
+`objective`, so the printed witness re-scores to the printed value bit for
+bit.  Rounding differs between labellings of one graph, so that value may
+differ from the best extension's score in the last bits.
 
 Every batch is bounded by the entries of its largest array: the masks
 canonicalized and the eigvalsh stacks of `_pair_scores`, the one kernel of
@@ -71,12 +73,10 @@ from ngspectral.spectra import DEFAULT_TOL, check_tol
 
 FAMILIES = ("top", "bottom")
 
-# two labellings of one graph score the same up to rounding far below this,
-# so candidates this close to the tie band can still hold a maximizer
-RELABEL_SLACK = 1e-12
 # exhaustive search: the most labellings of near-best classes it builds,
-# 208 classes at n = 8 and every class at n = 7.  At the default tol no
-# (n <= 8, s, family) needs more than 3 classes
+# 208 classes at n = 8 and every class at n = 7.  At the default tol the
+# widest tie band holds 10 classes (n = 6, top s = 3), and none at n = 8
+# more than 3
 LABEL_BUDGET = 1 << 23
 # local search: scores closer than this are ties, and a flip must beat the
 # current score by more than this to count as an improvement
@@ -235,12 +235,14 @@ def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> Ex
     Capped at n <= EXHAUSTIVE_CAP.  Reads the scores of the extensions of
     `complement_pair_classes(n - 1)` from the order's table
     (`_extension_scores`, built by the first call at that order, after the
-    arguments are checked), then scores every labelling of the classes
-    within tol + RELABEL_SLACK of the best, one mask per complement pair
-    (the smaller).  A tol that leaves more classes than LABEL_BUDGET masks
-    of labellings can hold raises ValueError before any is built.  The
-    witness is the lexicographically smallest graph6 string among all
-    maximizers within tol, complements included.  `evaluations` counts the
+    arguments are checked), then builds every labelling of the classes with
+    an extension within tol of the best.  A tol that leaves more classes
+    than LABEL_BUDGET masks of labellings can hold raises ValueError before
+    any is built.  The witness is the lexicographically smallest graph6
+    string among those labellings and their complements, and the value is
+    the witness scored by `objective`, as in `local_search_f`: it lies
+    within tol of the best score over every labelled graph, up to the
+    rounding between labellings of one graph.  `evaluations` counts the
     labelled graphs covered, one per complement pair.
     """
     col = _column(n, s, family)
@@ -250,16 +252,12 @@ def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> Ex
         raise ValueError(f"exhaustive search capped at n <= {EXHAUSTIVE_CAP}")
     m = n * (n - 1) // 2
     total = 1 if m == 0 else 1 << (m - 1)
-    full = (1 << m) - 1
 
     candidates, table = _extension_scores(n)
     scores = table[:, col]
-    near = candidates[scores >= scores.max() - tol - RELABEL_SLACK]
-    labelled = labellings(_near_classes(near, n, tol), n)
-    folded = np.unique(np.minimum(labelled, labelled ^ full))
-    scores = _pair_scores(folded.size, n, lambda lo, hi: masks_to_stack(folded[lo:hi], n), col)
-    value = float(scores.max())
-    witness = smallest_graph6(n, folded[scores >= value - tol])
+    near = candidates[scores >= scores.max() - tol]
+    witness = smallest_graph6(n, labellings(_near_classes(near, n, tol), n))
+    value = objective(parse_graph6(witness), s, family)
     return ExtremalRecord(
         n=n,
         s=s,

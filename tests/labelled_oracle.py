@@ -4,14 +4,13 @@ The program scores one graph per isomorphism class; the tests use this
 enumeration of all 2^(m-1) labelled complement pairs as an oracle for it.
 It scores every bitmask below the top pair bit, which holds exactly one of
 each {G, comp} pair, in shards of `shard_size` masks, through the same
-`_pair_scores` as the program, so the two values must agree bit for bit.
-One pass scores every eigenvalue index, so it gives the records of every
-(s, family) of its order at once.
-That fold is now the program's fold too: `exhaustive_f` scores one class
-per complement pair and relabels into min(x, full ^ x), which is the mask
-below the top pair bit, relying as this oracle does on a graph and its
-complement scoring the same bits.  The witness is the smallest graph6
-string, compared as strings.
+`_pair_scores` as the program, relying as the program does on a graph and
+its complement scoring the same bits.  One pass scores every eigenvalue
+index, so it gives the records of every (s, family) of its order at once.
+The witness is the smallest graph6 string, compared as strings, among the
+graphs within tol of the best score, and the value is the witness scored by
+`objective`, so the two records must agree bit for bit.  That value must
+lie within tol below the best score over every labelled graph.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ import functools
 
 import numpy as np
 
-from ngspectral.graph6 import emit_graph6
+from ngspectral.graph6 import emit_graph6, parse_graph6
 from ngspectral.graphs import Graph, complement, masks_to_stack
-from ngspectral.search import FAMILIES, ExtremalRecord, _column, _lowest_s, _pair_scores
+from ngspectral.search import FAMILIES, ExtremalRecord, _column, _lowest_s, _pair_scores, objective
 from ngspectral.spectra import DEFAULT_TOL
 
 DEFAULT_SHARD_SIZE = 1 << 16
@@ -59,16 +58,18 @@ def labelled_records(
         shards.append([(best[c], masks[k], scores[k, c]) for c, k in enumerate(keep)])
     witnesses = {}
     for c in range(n):
-        value = max(float(shard[c][0]) for shard in shards)
+        best = max(float(shard[c][0]) for shard in shards)
         # shard-local keeps are relative to the shard maximum; filter them
         # against the global one before tie-breaking
         final = [Graph(n, int(mask)) for shard in shards
-                 for mask, score in zip(*shard[c][1:]) if score >= value - tol]
-        witnesses[c] = value, min(emit_graph6(h) for g in final for h in (g, complement(g)))
+                 for mask, score in zip(*shard[c][1:]) if score >= best - tol]
+        witnesses[c] = best, min(emit_graph6(h) for g in final for h in (g, complement(g)))
     records = {}
     for family in FAMILIES:
         for s in range(_lowest_s(family), n + 1):
-            value, witness = witnesses[_column(n, s, family)]
+            best, witness = witnesses[_column(n, s, family)]
+            value = objective(parse_graph6(witness), s, family)
+            assert best - tol <= value <= best, (n, s, family, value, best)
             records[s, family] = ExtremalRecord(
                 n=n, s=s, family=family, value=value, witness=witness, method="exhaustive",
                 exact=True, evaluations=total, seed=None,
