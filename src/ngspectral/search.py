@@ -13,10 +13,10 @@ every class of order n.  It solves them once per order and process and keeps
 family) of that order reads one column of the same table.  The witness is
 the smallest graph6 string among every labelling, complements included, of
 the classes with an extension within tol of the best score.  Both engines
-follow one value rule: a record's value is its witness scored by
-`objective`, so the printed witness re-scores to the printed value bit for
-bit.  Rounding differs between labellings of one graph, so that value may
-differ from the best extension's score in the last bits.
+follow one value rule (`_record`): a record's value is its witness scored
+by `objective`, so the printed witness re-scores to the printed value bit
+for bit.  Rounding differs between labellings of one graph, so that value
+may differ from the best extension's score in the last bits.
 
 Every batch is bounded by the entries of its largest array: the masks
 canonicalized and the eigvalsh stacks of `_pair_scores`, the one kernel of
@@ -26,20 +26,18 @@ matrix, mask or problem on its own, so they never change a bit.
 
 The hill climb takes, at every step, the single-edge flip with the best
 score.  A flip is a rank-2 update of the adjacency matrix, so one
-eigendecomposition of the graph and of its complement gives the flipped
-eigenvalue of every flip through a 2x2 inertia count (`_screen_flips`).
-That screen only ranks the flips, so it bounds and prunes: each count
-shrinks a bracket on the flipped eigenvalue, the brackets bound each
-flip's score, and a flip whose upper bound falls more than 2 SCREEN_SLACK
-below its climb's current score, or below the best lower bound of another
-flip, is dropped with that upper bound as its score; the first count aims
-at the current score, so most flips that cannot beat it leave after one
-count.  Only the flips that can still lead are solved to full accuracy,
-and the last few of a block, whose counts would cost more than solving
-them, are left undecided.  The solved flips within SCREEN_SLACK of the
-screen's best, and the undecided ones that may reach it, are rebuilt and
-rescored through eigvalsh, and those scores pick the flip and stop the
-climb; a climb with no such flip stops without rescoring, since none beats
+eigendecomposition of the graph and of its complement bounds the flipped
+eigenvalue of every flip through 2x2 inertia counts (`_screen_flips`).
+That screen only prunes: each count shrinks a bracket on the flipped
+eigenvalue, the brackets bound each flip's score, and a flip whose upper
+bound falls more than 2 SCREEN_SLACK below its climb's current score, or
+below the best lower bound of another flip, is dropped; the first count
+aims at the current score, so most flips that cannot beat it leave after
+one count.  The screen counts on the flips that can still lead until their
+brackets close, except the last few of a block, whose counts would cost
+more than solving them.  Every flip it keeps is rebuilt and rescored
+through eigvalsh, and those scores pick the flip and stop the climb; a
+climb whose flips are all pruned stops without rescoring, since none beats
 its score.  So the climb visits the graphs, and reports the scores, of
 rescoring every flip through eigvalsh.  The climbs from all starts run in
 lockstep: each step solves the eigendecompositions of every climb still
@@ -89,10 +87,10 @@ SCREEN_ENTRIES = 1 << 14
 # 8 bytes whatever n, so a block takes about 1.3 MB; a step of four climbs of
 # order 32 (1984 flips) fits in one
 SCREEN_BLOCK = 2048
-# flips screened within this of the best screened score are rescored; it
-# exceeds twice the screen's error, so the best flip is always among them.
-# The screen prunes a flip once its score is bounded 2 SCREEN_SLACK below
-# another flip's
+# the screen prunes a flip once its score is bounded more than 2
+# SCREEN_SLACK below its climb's score or another flip's lower bound: far
+# above the rounding of the brackets, so no flip that can beat that score,
+# or lead, is pruned
 SCREEN_SLACK = 1e-8
 # the screen closes each eigenvalue's bracket to 2 * SCREEN_TOL; after
 # SCREEN_NEWTON_STEPS steps it only halves brackets, so every bracket closes
@@ -106,8 +104,8 @@ SCREEN_OVERSHOOT = 32.0
 # twice this count as one
 POLE_GUARD = 1e-13
 # after its second count, a screening block stops counting once its open
-# problems times n^3 are at most this, and leaves their flips undecided for
-# the rescoring batch: 4 problems at n = 32, 32 at n = 16, 606 at n = 6.  A
+# problems times n^3 are at most this, and leaves their flips unpruned, for
+# eigvalsh to rescore: 4 problems at n = 32, 32 at n = 16, 606 at n = 6.  A
 # count of a few problems costs about 0.3 ms whatever n, and rescoring a
 # flip 32, 70 and 124 us at n = 16, 24 and 32 (4-8 ns n^3).  Timed over the
 # six climbs of the search_local benchmark, 2^16 was 8% slower, 2^18 1% and
@@ -170,6 +168,18 @@ def objective(g: Graph, s: int, family: str) -> float:
     """Score one graph through `_pair_scores`."""
     col = _column(g.n, s, family)
     return float(_pair_scores(1, g.n, lambda lo, hi: g.adjacency_matrix()[None], col)[0])
+
+
+def _record(
+    n: int, s: int, family: str, masks, *, method: str, exact: bool, evaluations: int,
+    seed: Optional[int] = None,
+) -> ExtremalRecord:
+    """The record of (n, s, family) whose witness is the smallest graph6
+    string among the order-n `masks` and whose value is that witness scored
+    by `objective`: the value rule of both engines."""
+    witness = smallest_graph6(n, masks)
+    value = objective(parse_graph6(witness), s, family)
+    return ExtremalRecord(n, s, family, value, witness, method, exact, evaluations, seed)
 
 
 def target_ratio(s: int, family: str) -> float:
@@ -256,19 +266,8 @@ def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> Ex
     candidates, table = _extension_scores(n)
     scores = table[:, col]
     near = candidates[scores >= scores.max() - tol]
-    witness = smallest_graph6(n, labellings(_near_classes(near, n, tol), n))
-    value = objective(parse_graph6(witness), s, family)
-    return ExtremalRecord(
-        n=n,
-        s=s,
-        family=family,
-        value=value,
-        witness=witness,
-        method="exhaustive",
-        exact=True,
-        evaluations=total,
-        seed=None,
-    )
+    masks = labellings(_near_classes(near, n, tol), n)
+    return _record(n, s, family, masks, method="exhaustive", exact=True, evaluations=total)
 
 
 def _constructive_starts(n: int, s: int, family: str) -> list[Graph]:
@@ -377,22 +376,22 @@ def _far_sums(x, ints, tables):
 
 def _screen_flips(
     stack: np.ndarray, t: int, iu: np.ndarray, ju: np.ndarray, floor: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|mu_t(G)| + |mu_t(comp)|, t 1-based and descending, of every
-    single-edge flip G of each adjacency matrix in `stack` (C, n, n), (C,
-    n(n-1)/2) in the flip order (iu, ju) of `np.triu_indices(n, 1)`, from
-    one eigendecomposition of each matrix and of its complement, and two
-    masks of the same shape: the flips solved and the flips pruned.  The
-    rest are undecided.
+) -> np.ndarray:
+    """Which single-edge flips G of each adjacency matrix in `stack` (C, n,
+    n) are pruned: a mask (C, n(n-1)/2) in the flip order (iu, ju) of
+    `np.triu_indices(n, 1)`, true where brackets on eigenvalue t (1-based,
+    descending) of G and of its complement prove |mu_t(G)| + |mu_t(comp)|
+    too far below the floor or another flip to matter.  The brackets come
+    from one eigendecomposition of each matrix and of its complement.
 
     Flip (i, j) adds d = 1 - 2 a_ij at (i, j) and (j, i) of the graph and
     -d to its complement, so for each spectrum Q diag(lam) Q' it is the
     rank-2 update d(e_i e_j' + e_j e_i').  By Haynsworth inertia additivity
     the flipped matrix has #{lam_k > x} + neg(M) - 1 eigenvalues above x,
     where M = [[a, b + d], [b + d, c]] and a, b, c sum q_ik^2, q_ik q_jk and
-    q_jk^2 against 1 / (lam_k - x) (`_count`).  Eigenvalue t is found in
-    its bracket (`_flip_bracket`) from that count (`_solve_flips`), starting
-    at its first-order perturbation.  The runs of poles next to eigenvalue t
+    q_jk^2 against 1 / (lam_k - x) (`_count`).  That count shrinks the
+    bracket of eigenvalue t (`_flip_bracket`, `_solve_flips`), starting at
+    its first-order perturbation.  The runs of poles next to eigenvalue t
     (`_near_runs`) enter det M by expansion, and the points keep a
     distance rho from them.
 
@@ -400,21 +399,19 @@ def _screen_flips(
     of them: their runs, their poles away from the bracket and the tables
     a problem reads by its spectrum.  Every count gathers the rows of Q its
     problems need (`_far_sums`), so a flip's problems hold a fixed number
-    of values whatever n.  The flips of all matrices are solved together,
+    of values whatever n.  The flips of all matrices are screened together,
     SCREEN_BLOCK at most per block, so every Newton step serves every
     matrix; a single graph is a stack of one.  Each problem keeps to its
     own matrix: its spectrum, its guard rho and, for pruning, its matrix's
     floor and best lower bound.
 
-    The screen ranks the flips, and `local_search_f` rescores the leaders.
-    `floor` (C,) holds the score each matrix's flips must beat, a climb's
-    current score (0 asks only for a ranking).  A solved score is within
-    SCREEN_SLACK / 4 of the flip's objective.  A flip whose brackets prove
-    it more than 2 SCREEN_SLACK below its matrix's floor, or below another
-    flip of its matrix, is pruned: its score is an upper bound that lies
-    more than SCREEN_SLACK below that floor or that flip, so it neither
-    beats the floor nor leads.  An undecided flip is one the screen stopped
-    counting (SCREEN_HANDOFF): its score is an upper bound, and it may lead.
+    The screen only prunes, and `local_search_f` rescores every flip it
+    keeps.  `floor` (C,) holds the score each matrix's flips must beat, a
+    climb's current score (0 keeps every flip that may lead).  A flip whose
+    brackets prove it more than 2 SCREEN_SLACK below its matrix's floor, or
+    below another flip of its matrix, is pruned, so it neither beats the
+    floor nor leads.  The flips the screen stops counting (SCREEN_HANDOFF)
+    stay unpruned.
     """
     count, n = stack.shape[0], stack.shape[-1]
     lam, vec = complement_pair_eigh(stack)
@@ -445,16 +442,13 @@ def _screen_flips(
     tables = (far, vec, np.empty(5 * max(n, SCREEN_ENTRIES)))  # scratch of `_far_sums`
 
     total = count * iu.size
-    scores = np.empty(total)
-    state = np.empty((2, total), dtype=bool)
+    pruned = np.empty(total, dtype=bool)
     best = np.array(floor, dtype=np.float64)  # per matrix, its floor or a flip's larger lower bound
     for lo in range(0, total, SCREEN_BLOCK):
         climb, pair = np.divmod(np.arange(lo, min(lo + SCREEN_BLOCK, total)), iu.size)
         problems = _flip_problems(stack, climb, iu[pair], ju[pair], t, spectra)
-        block = slice(lo, lo + climb.size)
-        scores[block], state[:, block] = _solve_flips(problems, tables, climb, best)
-    solved, pruned = state.reshape(2, count, -1)
-    return scores.reshape(count, -1), solved, pruned
+        pruned[lo : lo + climb.size] = _solve_flips(problems, tables, climb, best)
+    return pruned.reshape(count, -1)
 
 
 def _flip_problems(stack, climb, i, j, t, spectra) -> list:
@@ -520,36 +514,33 @@ def _flip_problems(stack, climb, i, j, t, spectra) -> list:
 
 
 def _solve_flips(problems, tables, climb, best):
-    """Scores of the flips of one `_screen_flips` block, and which are
-    solved and which pruned, from its `problems` (`_flip_problems`), which
-    starts from the first points x in the brackets (low, high) of
-    eigenvalue t and which this empties.  Problem k is the graph of flip k,
-    problem k + size its complement; flip k belongs to matrix climb[k],
-    which ascends, and `best` holds each matrix's floor, or a larger lower
-    bound on a score from earlier blocks, and is raised in place.
+    """Which flips of one `_screen_flips` block are pruned, a mask (size,),
+    from its `problems` (`_flip_problems`), which starts from the first
+    points x in the brackets (low, high) of eigenvalue t and which this
+    empties.  Problem k is the graph of flip k, problem k + size its
+    complement; flip k belongs to matrix climb[k], which ascends, and
+    `best` holds each matrix's floor, or a larger lower bound on a score
+    from earlier blocks, and is raised in place.
 
     The first count of each flip aims at that bound: both of its first
     points move away from 0 until their sizes sum to 3 SCREEN_SLACK below
     it, so a flip whose two eigenvalues lie nearer 0 than its points is
     pruned by that count.  Each step counts at x, shrinks the bracket and
     picks the next point (`_count`).  A problem leaves its three tables, a
-    column each, once its bracket is 2 SCREEN_TOL wide, and its eigenvalue
-    is the middle of the bracket.
+    column each, once its bracket is 2 SCREEN_TOL wide.
 
     After every count, the two brackets of a flip bound its score: above by
     the sum of their largest |end|, below by the sum of their distances
     from 0.  A flip whose upper bound is more than 2 SCREEN_SLACK below
-    `best` of its matrix is pruned: both of its problems leave the tables
-    and its score is that upper bound.  After the second count, once the
-    open problems times n^3 are at most SCREEN_HANDOFF, counting stops: the
-    flips still open are undecided, and their score is that upper bound too.
+    `best` of its matrix is pruned: both of its problems leave the tables.
+    After the second count, once the open problems times n^3 are at most
+    SCREEN_HANDOFF, counting stops, and the flips still open stay unpruned.
     """
     points, const, ints = problems
     problems.clear()  # the block's first tables go as its problems leave
     size = climb.size
     cubes = tables[0].shape[1] ** 3
     pruned = np.zeros(size, dtype=bool)
-    undecided = np.zeros(size, dtype=bool)
     owner = np.arange(climb[0], climb[-1] + 1)
     first = np.searchsorted(climb, owner)  # each matrix's first flip
     lows, highs = points[0].copy(), points[2].copy()  # the bracket of every problem
@@ -579,17 +570,13 @@ def _solve_flips(problems, tables, climb, best):
                     break
                 points, const, ints = (arr.take(rows, axis=1) for arr in (points, const, ints))
             if k >= 2 and ints.shape[1] * cubes <= SCREEN_HANDOFF:
-                undecided[ints[4]] = True
                 break
             points = _count(points, const, ints, k, tables)
             lows[ints[3]], highs[ints[3]] = points[0], points[2]
             upper, lower = _score_bounds(lows, highs, size)
             best[owner] = np.maximum(best[owner], np.maximum.reduceat(lower, first))
             pruned |= upper < best[climb] - 2.0 * SCREEN_SLACK
-    upper, _ = _score_bounds(lows, highs, size)
-    mu = np.abs(0.5 * (lows + highs))
-    solved = ~pruned & ~undecided
-    return np.where(solved, mu[:size] + mu[size:], upper), (solved, pruned)
+    return pruned
 
 
 def _count(points, const, ints, k, tables):
@@ -658,22 +645,6 @@ def _score_bounds(low: np.ndarray, high: np.ndarray, size: int) -> tuple[np.ndar
     return upper[:size] + upper[size:], lower[:size] + lower[size:]
 
 
-def _screen_leaders(
-    stack: np.ndarray, t: int, iu: np.ndarray, ju: np.ndarray, floor: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(matrix, flip) indices of the leaders among the flips (iu, ju) of
-    each matrix in `stack`, screened at t against `floor` (`_screen_flips`),
-    matrix by matrix and flips ascending: the solved flips within
-    SCREEN_SLACK of the best solved score of their matrix, and the
-    undecided flips whose bound reaches that far.  Whenever the best flip
-    of a matrix reaches its floor, they hold every flip within SCREEN_SLACK
-    / 2 of that best, ties included.  A matrix whose flips are all pruned
-    has no leader: none of its flips beats its floor."""
-    screened, solved, pruned = _screen_flips(stack, t, iu, ju, floor)
-    top = np.where(solved, screened, -np.inf).max(-1, keepdims=True)
-    return np.nonzero(~pruned & (screened >= top - SCREEN_SLACK))
-
-
 def _flipped_stack(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Copies of the matrices `a` (K, n, n), or K copies of `a` (n, n), copy
     k with the pair (i[k], j[k]) flipped."""
@@ -699,15 +670,14 @@ def local_search_f(
     and climbs from all of them in lockstep.  Each step screens eigenvalue
     `_column(n, s, family)` + 1 of the n(n-1)/2 flips of every running climb
     in one `_screen_flips` pass against each climb's current score, rescores
-    each climb's leaders, those that may be within SCREEN_SLACK of its best
-    flip (`_screen_leaders`), through `_pair_scores`, and takes each climb's
-    best, the smallest flip index among equal scores: the flip, and the
-    score, that rescoring every flip would give.  A climb stops, and leaves
-    the batch, when no flip improves its score by more than CLIMB_TIE_TOL,
-    or when the screen proves that none can and leaves it no leader.  The
-    returned value is the witness
-    re-scored by `objective` after its graph6 round trip, hence a certified
-    lower bound on the true extremal value.
+    each climb's leaders, the flips the screen does not prune, through
+    `_pair_scores`, and takes each climb's best, the smallest flip index
+    among equal scores: the flip, and the score, that rescoring every flip
+    would give.  A climb stops, and leaves the batch, when no flip improves
+    its score by more than CLIMB_TIE_TOL, or when the screen prunes all its
+    flips, which proves that none can.  The returned value is the witness
+    re-scored by `objective` after its graph6 round trip (`_record`), hence
+    a certified lower bound on the true extremal value.
     """
     col = _column(n, s, family)
     check_order(n)
@@ -724,7 +694,7 @@ def local_search_f(
     for _ in range(iterations):
         if not live.size:
             break
-        owner, flip = _screen_leaders(a[live], col + 1, iu, ju, score[live])
+        owner, flip = np.nonzero(~_screen_flips(a[live], col + 1, iu, ju, score[live]))
 
         def leaders(lo, hi):
             return _flipped_stack(a[live[owner[lo:hi]]], iu[flip[lo:hi]], ju[flip[lo:hi]])
@@ -732,7 +702,7 @@ def local_search_f(
         rescored = _pair_scores(flip.size, n, leaders, col)
         evaluations += m * live.size
         climbing = []
-        # each climb's leaders are contiguous; a climb with none stops
+        # each climb's leaders, its unpruned flips, are contiguous; a climb with none stops
         ends = np.searchsorted(owner, np.arange(live.size + 1))
         for c, lo, hi in zip(live, ends[:-1], ends[1:]):
             if lo == hi:
@@ -755,18 +725,8 @@ def local_search_f(
         elif score[c] > best_score - CLIMB_TIE_TOL:
             best_masks.append(bits)
 
-    witness = smallest_graph6(n, best_masks)
-    value = objective(parse_graph6(witness), s, family)
-    return ExtremalRecord(
-        n=n,
-        s=s,
-        family=family,
-        value=value,
-        witness=witness,
-        method="local_search",
-        exact=False,
-        evaluations=evaluations,
-        seed=seed,
+    return _record(
+        n, s, family, best_masks, method="local_search", exact=False, evaluations=evaluations, seed=seed
     )
 
 

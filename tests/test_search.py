@@ -44,13 +44,13 @@ from ngspectral.search import (
     SCREEN_BLOCK,
     SCREEN_HANDOFF,
     SCREEN_SLACK,
+    SCREEN_TOL,
     _column,
     _constructive_starts,
     _extension_scores,
     _flipped_stack,
     _pair_scores,
     _screen_flips,
-    _screen_leaders,
     exhaustive_f,
     local_search_f,
     objective,
@@ -521,13 +521,12 @@ def test_local_search_matches_oracle(args):
 def test_lockstep_climbs_that_stop_at_different_iterations(monkeypatch, args):
     # each climb leaves the batch when it stops; the others go on
     live = []
-    screen_leaders = ngspectral.search._screen_leaders
 
     def spy(stack, *args):
         live.append(stack.shape[0])
-        return screen_leaders(stack, *args)
+        return _screen_flips(stack, *args)
 
-    monkeypatch.setattr(ngspectral.search, "_screen_leaders", spy)
+    monkeypatch.setattr(ngspectral.search, "_screen_flips", spy)
     rec = local_search_f(*args)
     assert live == sorted(live, reverse=True) and len(set(live)) >= 3, live
     assert rec == local_oracle(*args)
@@ -728,44 +727,36 @@ def _screen_graphs(n):
     yield complete(n)
 
 
-def _check_screen(screened, solved, pruned, exact, floor, case):
-    # Each flip is solved, pruned or undecided.  A solved score is within
-    # SCREEN_SLACK / 4 of eigvalsh; a pruned or undecided score bounds its
-    # flip from above.  No flip that can lead or beat the floor is pruned:
-    # each pruned flip scores more than 2 SCREEN_SLACK below the floor or
-    # the best flip.  Where the best flip is solved, every other solved
-    # score lies too far below it to be a leader.
-    assert not (solved & pruned).any(), case
-    error = np.abs(screened - exact)[solved]
-    assert (error <= SCREEN_SLACK / 4).all(), (*case, error.max())
-    bounded = ~solved
-    assert (screened[bounded] >= exact[bounded] - SCREEN_SLACK / 4).all(), case
+def _check_screen(pruned, exact, floor, case):
+    # no flip that can lead or beat the floor is pruned: each pruned flip
+    # scores more than 2 SCREEN_SLACK below the floor or the best flip
     near = exact >= max(floor, exact.max()) - 2 * SCREEN_SLACK
     assert not pruned[near].any(), case
-    if solved[np.argmax(exact)]:
-        rest = solved & (exact < exact.max() - 2 * SCREEN_SLACK)
-        assert (screened[rest] < screened[solved].max() - SCREEN_SLACK).all(), case
 
 
-def _check_leaders(leaders, exact, floor, case):
-    # the leaders hold every flip within SCREEN_SLACK / 2 of the best, ties
-    # included, whenever the best reaches the floor
-    if exact.max() >= floor:
-        assert np.isin(np.flatnonzero(exact >= exact.max() - SCREEN_SLACK / 2), leaders).all(), case
+def _check_kept(pruned, exact, floor, case):
+    # without the handoff, the screen of one matrix in one block closes the
+    # brackets of every flip it keeps and of the best flip, so it keeps
+    # exactly the flips within 2 SCREEN_SLACK of max(floor, best), up to the
+    # width of two flips' brackets, two problems of 2 SCREEN_TOL each
+    line = max(floor, exact.max()) - 2 * SCREEN_SLACK
+    assert (exact[~pruned] >= line - 8 * SCREEN_TOL).all(), (*case, line - exact[~pruned].min())
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 8, 12, 16, 24, 32, 64])
 def test_screen_matches_eigvalsh_on_every_flip(monkeypatch, n):
-    # integer and highly repeated spectra put the flipped eigenvalues on the
+    # the screen's pruning is checked against eigvalsh's score of every flip.
+    # Integer and highly repeated spectra put the flipped eigenvalues on the
     # unflipped ones and make double roots: the cases the screen must survive.
     # Each graph is screened alone, a stack of one, and in one stack with
     # every other graph of its order: there it keeps to its own spectra,
-    # guard, floor and pruning bound, so it meets the same contract.  The
-    # floors are 0, a ranking, and each graph's own score, the floor of a
-    # climb at that graph.  Without the handoff, each graph keeps the
-    # leaders it has alone; with it (below n = 51, where n^3 passes
-    # SCREEN_HANDOFF), a block of fewer problems may hand off sooner
+    # guard, floor and pruning bound, so it meets the same contract, though
+    # the shared blocks may prune other flips.  The floors are 0, a ranking,
+    # and each graph's own score, the floor of a climb at that graph.  The
+    # screen runs without the handoff and, below n = 51, where n^3 passes
+    # SCREEN_HANDOFF, with it
     iu, ju = np.triu_indices(n, 1)
+    assert iu.size <= SCREEN_BLOCK  # a graph screened alone takes one block
     graphs = list(_screen_graphs(n))
     stack = np.stack([g.adjacency_matrix() for g in graphs])
     # what _pair_scores computes, with the spectra solved once per graph
@@ -773,32 +764,19 @@ def test_screen_matches_eigvalsh_on_every_flip(monkeypatch, n):
     own = complement_pair_eigenvalues(stack)
     for handoff in [0] + [SCREEN_HANDOFF] * (n**3 <= SCREEN_HANDOFF):
         monkeypatch.setattr(ngspectral.search, "SCREEN_HANDOFF", handoff)
-        undecided = 0
         for t in sorted({1, 2, 3, n // 2, n - 1, n}):
             scores = np.abs(own[0][:, t - 1]) + np.abs(own[1][:, t - 1])
             for floors in (np.zeros(len(graphs)), scores):
                 stacked = _screen_flips(stack, t, iu, ju, floors)
-                assert all(part.shape == (len(graphs), iu.size) for part in stacked)
-                stacked_leaders = _leader_rows(*stacked)
+                assert stacked.shape == (len(graphs), iu.size) and stacked.dtype == bool
                 for c, (g, (wg, wc)) in enumerate(zip(graphs, exact)):
                     case = (n, g.bits, t, floors[c], handoff)
                     flips = np.abs(wg[:, t - 1]) + np.abs(wc[:, t - 1])
-                    single = _screen_flips(stack[c : c + 1], t, iu, ju, floors[c : c + 1])
-                    alone = _leader_rows(*single)[0]
-                    _check_screen(*(row[0] for row in single), flips, floors[c], case)
-                    _check_screen(*(part[c] for part in stacked), flips, floors[c], case)
-                    _check_leaders(alone, flips, floors[c], case)
-                    _check_leaders(stacked_leaders[c], flips, floors[c], case)
+                    alone = _screen_flips(stack[c : c + 1], t, iu, ju, floors[c : c + 1])[0]
+                    _check_screen(alone, flips, floors[c], case)
+                    _check_screen(stacked[c], flips, floors[c], case)
                     if not handoff:
-                        assert np.array_equal(stacked_leaders[c], alone), case
-                    undecided += np.count_nonzero(~single[1] & ~single[2])
-        assert (undecided > 0) == (handoff > 0), (handoff, undecided)
-
-
-def _leader_rows(screened, solved, pruned):
-    """The leaders of each row of a screen, as `_screen_leaders` picks them."""
-    top = np.where(solved, screened, -np.inf).max(-1, keepdims=True)
-    return [np.flatnonzero(row) for row in ~pruned & (screened >= top - SCREEN_SLACK)]
+                        _check_kept(alone, flips, floors[c], case)
 
 
 def _runs_by_loop(row, guard, t):
@@ -854,22 +832,6 @@ def test_flip_problems_match_a_loop_over_spectra_and_runs(monkeypatch, n):
     assert wide > 0
 
 
-def test_screen_leaders_of_a_stack_are_those_of_each_graph(monkeypatch):
-    # without the handoff, which a block of fewer problems may take sooner
-    monkeypatch.setattr(ngspectral.search, "SCREEN_HANDOFF", 0)
-    graphs = list(_screen_graphs(16))
-    stack = np.stack([g.adjacency_matrix() for g in graphs])
-    pairs = np.triu_indices(16, 1)
-    for t in (2, 14):
-        own = complement_pair_eigenvalues(stack)
-        for floors in (np.zeros(len(graphs)), np.abs(own[0][:, t - 1]) + np.abs(own[1][:, t - 1])):
-            owner, flip = _screen_leaders(stack, t, *pairs, floors)
-            assert (np.diff(owner) >= 0).all()
-            for c in range(len(graphs)):
-                alone = _screen_leaders(stack[c : c + 1], t, *pairs, floors[c : c + 1])[1]
-                assert np.array_equal(flip[owner == c], alone)
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 def test_screen_prunes_most_flips(family):
     # against a floor of 0, the flips prune each other; against the graph's
@@ -877,8 +839,8 @@ def test_screen_prunes_most_flips(family):
     a = erdos_renyi(32, 0.5, 0).adjacency_matrix()
     col = _column(32, 2, family)
     for floor in (0.0, _pair_scores(1, 32, lambda lo, hi: a[None], col)[0]):
-        _, solved, pruned = _screen_flips(a[None], col + 1, *np.triu_indices(32, 1), np.array([floor]))
-        assert np.count_nonzero(pruned) > solved.size / 2
+        pruned = _screen_flips(a[None], col + 1, *np.triu_indices(32, 1), np.array([floor]))
+        assert np.count_nonzero(pruned) > pruned.size / 2
 
 
 @pytest.mark.parametrize(
@@ -894,7 +856,7 @@ def test_screen_leaders_keep_every_tied_flip(g, s, family):
     exact = _pair_scores(iu.size, g.n, lambda lo, hi: _flipped_stack(a, iu[lo:hi], ju[lo:hi]), col)
     best = np.flatnonzero(exact >= exact.max() - SCREEN_SLACK / 2)
     assert best.size > 1
-    assert np.isin(best, _screen_leaders(a[None], col + 1, iu, ju, np.zeros(1))[1]).all()
+    assert not _screen_flips(a[None], col + 1, iu, ju, np.zeros(1))[0, best].any()
 
 
 @pytest.mark.parametrize(
@@ -934,37 +896,32 @@ def test_screen_leaves_no_leader_when_every_flip_is_pruned():
     wg, wc = complement_pair_eigenvalues(stack)
     floors = np.abs(wg[:, t - 1]) + np.abs(wc[:, t - 1])
     iu, ju = np.triu_indices(n, 1)
-    _, _, pruned = _screen_flips(stack, t, iu, ju, floors)
+    pruned = _screen_flips(stack, t, iu, ju, floors)
     assert pruned[0].all() and not pruned[1].all()
-    owner, flip = _screen_leaders(stack, t, iu, ju, floors)
-    assert flip.size and (owner == 1).all()
     exact = _pair_scores(iu.size, n, lambda lo, hi: _flipped_stack(stack[0], iu[lo:hi], ju[lo:hi]), t - 1)
     assert exact.max() < floors[0] - 2 * SCREEN_SLACK
 
 
-def test_undecided_flips_reach_the_rescoring_batch(monkeypatch):
-    # a grid case whose screens leave flips undecided, each bounded above by
-    # its score, which the rescoring batch solves; the climb still visits
-    # the oracle's graphs
+def test_flips_open_at_the_handoff_reach_the_rescoring_batch(monkeypatch):
+    # the flips whose problems are still open when a block hands off stay
+    # unpruned, so a larger SCREEN_HANDOFF, which stops counting sooner,
+    # rescores more flips through eigvalsh; the climb still visits the
+    # oracle's graphs, up to a handoff right after every block's second count
     args = (16, 3, "top", 1)
-    undecided, leading = [], []
-    screen_flips, screen_leaders = _screen_flips, _screen_leaders
+    oracle = local_oracle(*args)
+    kept = []
 
-    def flips_spy(*call):
-        screened, solved, pruned = screen_flips(*call)
-        undecided.append(~solved & ~pruned)
-        return screened, solved, pruned
+    def spy(*call):
+        pruned = _screen_flips(*call)
+        kept[-1] += np.count_nonzero(~pruned)
+        return pruned
 
-    def leaders_spy(*call):
-        owner, flip = screen_leaders(*call)
-        leading.append(np.count_nonzero(undecided[-1][owner, flip]))
-        return owner, flip
-
-    monkeypatch.setattr(ngspectral.search, "_screen_flips", flips_spy)
-    monkeypatch.setattr(ngspectral.search, "_screen_leaders", leaders_spy)
-    rec = local_search_f(*args)
-    assert sum(leading) > 0, leading
-    assert rec == local_oracle(*args)
+    monkeypatch.setattr(ngspectral.search, "_screen_flips", spy)
+    for handoff in (0, SCREEN_HANDOFF, 1 << 62):
+        monkeypatch.setattr(ngspectral.search, "SCREEN_HANDOFF", handoff)
+        kept.append(0)
+        assert local_search_f(*args) == oracle, handoff
+    assert kept[0] < kept[1] < kept[2], kept
 
 
 def test_local_search_calls_no_unique(monkeypatch):
