@@ -13,8 +13,8 @@ and builds a row template of % specs from the column table.  A real is
 REAL, "%.12g", which calls the same PyOS_double_to_string as
 format(x, ".12g"); -0.0 is folded in numpy first, and in json a row with a
 NaN real gets a template with null in that cell.  Other values are mapped
-once per distinct value, and a cell with one value in every row is written
-into the template.  One '%' then formats the whole table (`_fill`).
+to text by their column's type.  One '%' then formats the whole table
+(`_fill`).
 `render` transposes a list of items into the same call, and the spectrum
 lines go through `_fill` too; `format_real` is the rule for one real that
 the bulk formatter must match.  The recursion-matrix grid and the extremal
@@ -67,26 +67,19 @@ def _fill(cells: Sequence[tuple[str, str, Sequence]], sep: str, tail: str = "",
     is (the text before it, its % spec, its value in every row); each row is
     its cells, then `tail`.  The values of a REAL cell are reals: -0.0 is
     folded to 0 in numpy, and, with `null_nan`, the rows where one is NaN get
-    a row template with NULL in its place.  A cell with one value in every
-    row is formatted once, into the template."""
+    a row template with NULL in its place."""
     sep, tail = sep.replace("%", "%%"), tail.replace("%", "%%")  # literal text
     rows = len(cells[0][2])
     specs, args, nans = [], [], []
     for before, spec, values in cells:
-        nan = None
         if spec == REAL:
             x = np.asarray(values, dtype=np.float64)
             x = np.where(x == 0.0, 0.0, x)  # like + 0.0, quiet on any NaN bits
             values = x.tolist()
             if null_nan and np.isnan(x).any():
-                nan = np.isnan(x)
-        if nan is not None:
-            nans.append((len(specs), nan))
-        elif rows and values.count(values[0]) == rows:
-            spec, values = (spec % values[0]).replace("%", "%%"), None
+                nans.append((len(specs), np.isnan(x)))
         specs.append((before.replace("%", "%%"), spec))
-        if values is not None:
-            args.append(values)
+        args.append(values)
 
     def row(nulls: frozenset = frozenset()) -> str:
         cells = (b + (NULL if j in nulls else spec) for j, (b, spec) in enumerate(specs))
@@ -104,12 +97,8 @@ def _fill(cells: Sequence[tuple[str, str, Sequence]], sep: str, tail: str = "",
 
 
 def _words(values: Sequence, word: Callable[..., str]) -> Sequence:
-    """Each value as `word` writes it, converting each distinct value once;
-    str is left to '%s'."""
-    if word is str:
-        return values
-    text = {v: word(v) for v in set(values)}
-    return list(map(text.__getitem__, values))
+    """Each value as `word` writes it; str is left to '%s'."""
+    return values if word is str else list(map(word, values))
 
 
 def _bool(x: bool) -> str:

@@ -34,8 +34,9 @@ bound falls more than 2 SCREEN_SLACK below its climb's current score, or
 below the best lower bound of another flip, is dropped; the first count
 aims at the current score, so most flips that cannot beat it leave after
 one count.  The screen counts on the flips that can still lead until their
-brackets close, except the last few of a block, whose counts would cost
-more than solving them.  Every flip it keeps is rebuilt and rescored
+brackets close, or until a block's open problems are so few that solving
+them costs less than counting them; a block that starts that small is not
+counted at all.  Every flip it keeps is rebuilt and rescored
 through eigvalsh, and those scores pick the flip and stop the climb; a
 climb whose flips are all pruned stops without rescoring, since none beats
 its score.  So the climb visits the graphs, and reports the scores, of
@@ -72,9 +73,10 @@ from ngspectral.spectra import DEFAULT_TOL, check_tol
 FAMILIES = ("top", "bottom")
 
 # exhaustive search: the most labellings of near-best classes it builds,
-# 208 classes at n = 8 and every class at n = 7.  At the default tol the
-# widest tie band holds 10 classes (n = 6, top s = 3), and none at n = 8
-# more than 3
+# 208 classes at n = 8 and every class at n = 7.  The classes are counted
+# after one `canonical_masks` call over every extension within tol, before
+# any labelling is built.  At the default tol the widest tie band holds 10
+# classes (n = 6, top s = 3), and none at n = 8 more than 3
 LABEL_BUDGET = 1 << 23
 # local search: scores closer than this are ties, and a flip must beat the
 # current score by more than this to count as an improvement
@@ -103,10 +105,11 @@ SCREEN_OVERSHOOT = 32.0
 # the eigenvalues next to the one it seeks, and eigenvalues closer than
 # twice this count as one
 POLE_GUARD = 1e-13
-# after its second count, a screening block stops counting once its open
-# problems times n^3 are at most this, and leaves their flips unpruned, for
-# eigvalsh to rescore: 4 problems at n = 32, 32 at n = 16, 606 at n = 6.  A
-# count of a few problems costs about 0.3 ms whatever n, and rescoring a
+# a screening block stops counting, before its first count or any later
+# one, once its open problems times n^3 are at most this, and leaves their
+# flips unpruned, for eigvalsh to rescore: 4 problems at n = 32, 32 at n =
+# 16, 606 at n = 6 (a step of three climbs of order 6 holds 90).  A count
+# of a few problems costs about 0.3 ms whatever n, and rescoring a
 # flip 32, 70 and 124 us at n = 16, 24 and 32 (4-8 ns n^3).  Timed over the
 # six climbs of the search_local benchmark, 2^16 was 8% slower, 2^18 1% and
 # 2^19 4% (2 cores, 1 BLAS thread, 10 interleaved rounds)
@@ -221,24 +224,6 @@ def _extension_scores(n: int) -> tuple[np.ndarray, np.ndarray]:
     return candidates, table
 
 
-def _near_classes(near: np.ndarray, n: int, tol: float) -> np.ndarray:
-    """Canonical masks of the classes of the order-n masks `near`,
-    SCORE_ENTRIES // n^2 at a time.  Raises ValueError as soon as the
-    classes found, n! labellings each, pass LABEL_BUDGET masks."""
-    limit = LABEL_BUDGET // math.factorial(n)
-    chunk = SCORE_ENTRIES // (n * n)
-    classes = np.empty(0, dtype=np.int64)
-    for lo in range(0, near.size, chunk):
-        classes = np.union1d(classes, canonical_masks(near[lo : lo + chunk], n))
-        if classes.size > limit:
-            raise ValueError(
-                f"tol={tol} leaves more than {limit} classes of order {n} within tol of the "
-                f"best score; relabelling them, {n}! masks each, would pass {LABEL_BUDGET} "
-                "masks, so lower tol"
-            )
-    return classes
-
-
 def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> ExtremalRecord:
     """Exact extremal value over all 2^(n(n-1)/2) labeled graphs.
 
@@ -265,8 +250,15 @@ def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> Ex
 
     candidates, table = _extension_scores(n)
     scores = table[:, col]
-    near = candidates[scores >= scores.max() - tol]
-    masks = labellings(_near_classes(near, n, tol), n)
+    classes = np.unique(canonical_masks(candidates[scores >= scores.max() - tol], n))
+    limit = LABEL_BUDGET // math.factorial(n)
+    if classes.size > limit:
+        raise ValueError(
+            f"tol={tol} leaves more than {limit} classes of order {n} within tol of the "
+            f"best score; relabelling them, {n}! masks each, would pass {LABEL_BUDGET} "
+            "masks, so lower tol"
+        )
+    masks = labellings(classes, n)
     return _record(n, s, family, masks, method="exhaustive", exact=True, evaluations=total)
 
 
@@ -345,29 +337,19 @@ def _far_sums(x, ints, tables):
     their derivatives in x, as (2, 3, K): q_ik^2, q_ik q_jk and q_jk^2
     against 1 / (far - x) and against its square.
 
-    They take SCREEN_ENTRIES // n problems at a time in the scratch of
-    `tables`: the rows q_i and q_j gathered from Q, 1 / (far - x), and u =
-    q / (far - x), so that a, b, c are u_i q_i, u_i q_j, u_j q_j and their
-    derivatives u_i u_i, u_i u_j, u_j u_j.  No (K, n) array is built whole,
-    and no count allocates one.
+    They take SCREEN_ENTRIES // n problems at a time: the rows q_i and q_j
+    gathered from Q, and u = q / (far - x), so that a, b, c are u_i q_i, u_i
+    q_j, u_j q_j and their derivatives u_i u_i, u_i u_j, u_j u_j.  No (K, n)
+    array is built whole.
     """
-    far, vec, scratch = tables
+    far, vec = tables
     spec, vij = ints[0], ints[1:3]
-    n = far.shape[1]
-    chunk = max(1, SCREEN_ENTRIES // n)
+    chunk = max(1, SCREEN_ENTRIES // far.shape[1])
     sums = np.empty((2, 3, x.size))
     for lo in range(0, x.size, chunk):
         part = slice(lo, lo + chunk)
-        m = spec[part].size * n
-        q = scratch[: 2 * m].reshape(2, -1, n)
-        u = scratch[2 * m : 4 * m].reshape(2, -1, n)
-        inv = scratch[4 * m : 5 * m].reshape(-1, n)
-        # mode="clip" writes straight into `out`; the rows are all in range
-        vec.take(vij[:, part], axis=0, out=q, mode="clip")
-        far.take(spec[part], axis=0, out=inv, mode="clip")
-        inv -= x[part, None]
-        np.reciprocal(inv, out=inv)
-        np.multiply(q, inv, out=u)
+        q = vec[vij[:, part]]
+        u = q * np.reciprocal(far[spec[part]] - x[part, None])
         for row, (left, right) in enumerate([(u, q), (u, u)]):
             np.einsum("akn,akn->ak", left, right, out=sums[row, 0::2, part])
             np.einsum("kn,kn->k", left[0], right[1], out=sums[row, 1, part])
@@ -439,7 +421,7 @@ def _screen_flips(
         lam, vec, start.T, np.stack(_flip_bracket(lam, t)),
         np.vstack([rho, t + 1 - start[:, 0] - 0.5 * mult.sum(1), nu.T, 0.5 * mult.T]),
     )
-    tables = (far, vec, np.empty(5 * max(n, SCREEN_ENTRIES)))  # scratch of `_far_sums`
+    tables = (far, vec)
 
     total = count * iu.size
     pruned = np.empty(total, dtype=bool)
@@ -533,8 +515,9 @@ def _solve_flips(problems, tables, climb, best):
     the sum of their largest |end|, below by the sum of their distances
     from 0.  A flip whose upper bound is more than 2 SCREEN_SLACK below
     `best` of its matrix is pruned: both of its problems leave the tables.
-    After the second count, once the open problems times n^3 are at most
-    SCREEN_HANDOFF, counting stops, and the flips still open stay unpruned.
+    Before each count, the first too, counting stops once the open problems
+    times n^3 are at most SCREEN_HANDOFF, and the flips still open stay
+    unpruned.
     """
     points, const, ints = problems
     problems.clear()  # the block's first tables go as its problems leave
@@ -569,7 +552,7 @@ def _solve_flips(problems, tables, climb, best):
                 if not rows.size:
                     break
                 points, const, ints = (arr.take(rows, axis=1) for arr in (points, const, ints))
-            if k >= 2 and ints.shape[1] * cubes <= SCREEN_HANDOFF:
+            if ints.shape[1] * cubes <= SCREEN_HANDOFF:
                 break
             points = _count(points, const, ints, k, tables)
             lows[ints[3]], highs[ints[3]] = points[0], points[2]

@@ -117,9 +117,9 @@ def test_bulk_reals_match_format_real(seed):
     assert json_rhs == ["null" if r == "nan" else r for r in rhs]
 
 
-def test_constant_cells_are_formatted_once_into_the_template():
-    # a cell equal in every row moves into the row template; its text
-    # must still be escaped, and a NaN in json still prints null
+def test_fill_prints_percent_literally_and_null_for_a_nan_column():
+    # '%' in a value and in the text before a cell prints as itself, a
+    # column that is NaN in every row prints null in json, nan elsewhere
     assert _fill([("", "%s", ["100%"] * 3), (" ", REAL, [1.5, 1.5, 1.5])], ";") == (
         "100% 1.5;100% 1.5;100% 1.5"
     )
