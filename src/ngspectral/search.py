@@ -20,33 +20,20 @@ may differ from the best extension's score in the last bits.
 
 Every batch is bounded by the entries of its largest array: the masks
 canonicalized and the eigvalsh stacks of `_pair_scores`, the one kernel of
-both engines, by the memory budget `graphs.SCORE_ENTRIES`, and the chunks
-of the flip screen by the cache budget SCREEN_ENTRIES.  Batches solve each
-matrix, mask or problem on its own, so they never change a bit.
+both engines, by the memory budget `graphs.SCORE_ENTRIES`.  Batches solve
+each matrix or mask on its own, so they never change a bit.
 
-The hill climb takes, at every step, the single-edge flip with the best
-score.  A flip is a rank-2 update of the adjacency matrix, so one
-eigendecomposition of the graph and of its complement bounds the flipped
-eigenvalue of every flip through 2x2 inertia counts (`_screen_flips`).
-That screen only prunes: each count shrinks a bracket on the flipped
-eigenvalue, the brackets bound each flip's score, and a flip whose upper
-bound falls more than 2 SCREEN_SLACK below its climb's current score, or
-below the best lower bound of another flip, is dropped; the first count
-aims at the current score, so most flips that cannot beat it leave after
-one count.  The screen counts on the flips that can still lead until their
-brackets close, or until a block's open problems are so few that solving
-them costs less than counting them; a block that starts that small is not
-counted at all.  Every flip it keeps is rebuilt and rescored
-through eigvalsh, and those scores pick the flip and stop the climb; a
-climb whose flips are all pruned stops without rescoring, since none beats
-its score.  So the climb visits the graphs, and reports the scores, of
-rescoring every flip through eigvalsh.  The climbs from all starts run in
+The hill climb ranks, at every step, the single-edge flips by a first-order
+estimate of their score and takes the best of the top few by exact score.
+A flip is a rank-2 update of the adjacency matrix, so one eigendecomposition
+of the graph and of its complement gives the first-order shift of the target
+eigenvalue under every flip (`_first_order_mu`); in a repeated eigenvalue it
+reads the eigenspace, not the basis eigh picks in it.  The TOP_FLIPS flips
+that rank highest are rebuilt and rescored through eigvalsh, and those
+scores pick the flip and stop the climb.  The climbs from all starts run in
 lockstep: each step solves the eigendecompositions of every climb still
-running in one call and screens all their flips in one pass, so each Newton
-step of the screen serves every climb; a climb leaves the batch when it
-stops.  A flip's problems keep a fixed number of values whatever n (each
-count gathers the eigenvector rows it needs), so one block of SCREEN_BLOCK
-flips holds a whole step of four climbs of order 32.  Results are fully
+running in one call and rescores all their top flips in one `_pair_scores`
+call; a climb leaves the batch when it stops.  Results are fully
 deterministic: enumeration order is fixed, local search is seed-driven,
 and value ties are broken by the lexicographically smallest graph6 string.
 """
@@ -54,7 +41,6 @@ and value ties are broken by the lexicographically smallest graph6 string.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -81,39 +67,9 @@ LABEL_BUDGET = 1 << 23
 # local search: scores closer than this are ties, and a flip must beat the
 # current score by more than this to count as an improvement
 CLIMB_TIE_TOL = 1e-12
-# local search: the most entries (problems x n, or x run width) of a chunk
-# of the screen's sums, to stay in cache: 512 problems of order 32, 1024 of 16
-SCREEN_ENTRIES = 1 << 14
-# local search: the most flips, of every climb still running, that one
-# screening block solves together.  A flip's two problems keep 78 numbers of
-# 8 bytes whatever n, so a block takes about 1.3 MB; a step of four climbs of
-# order 32 (1984 flips) fits in one
-SCREEN_BLOCK = 2048
-# the screen prunes a flip once its score is bounded more than 2
-# SCREEN_SLACK below its climb's score or another flip's lower bound: far
-# above the rounding of the brackets, so no flip that can beat that score,
-# or lead, is pruned
-SCREEN_SLACK = 1e-8
-# the screen closes each eigenvalue's bracket to 2 * SCREEN_TOL; after
-# SCREEN_NEWTON_STEPS steps it only halves brackets, so every bracket closes
-SCREEN_TOL = 1e-10
-SCREEN_NEWTON_STEPS = 40
-# each Newton step of the screen goes this times its square past its
-# target, so that the next count brackets the eigenvalue from both sides
-SCREEN_OVERSHOOT = 32.0
-# relative to the spectral radius: the screen counts no closer than this to
-# the eigenvalues next to the one it seeks, and eigenvalues closer than
-# twice this count as one
-POLE_GUARD = 1e-13
-# a screening block stops counting, before its first count or any later
-# one, once its open problems times n^3 are at most this, and leaves their
-# flips unpruned, for eigvalsh to rescore: 4 problems at n = 32, 32 at n =
-# 16, 606 at n = 6 (a step of three climbs of order 6 holds 90).  A count
-# of a few problems costs about 0.3 ms whatever n, and rescoring a
-# flip 32, 70 and 124 us at n = 16, 24 and 32 (4-8 ns n^3).  Timed over the
-# six climbs of the search_local benchmark, 2^16 was 8% slower, 2^18 1% and
-# 2^19 4% (2 cores, 1 BLAS thread, 10 interleaved rounds)
-SCREEN_HANDOFF = 1 << 17
+# local search: each step rescores through eigvalsh this many flips of
+# every running climb, those that rank highest to first order
+TOP_FLIPS = 16
 
 
 @dataclass(frozen=True)
@@ -272,360 +228,33 @@ def _constructive_starts(n: int, s: int, family: str) -> list[Graph]:
     return [extremal_graph(k, n // 2 ** (k + 1))] if fits else []
 
 
-def _flip_bracket(lam: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where eigenvalue t (1-based, descending) of each spectrum in `lam`
-    (P, n) can go under one edge flip.
+def _first_order_mu(a: np.ndarray, t: int, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
+    """Eigenvalue t (1-based, descending) after each flip (iu, ju) of each
+    adjacency matrix in `a` (C, n, n), to first order, on the graph and on
+    its complement: (C, 2, iu.size), from one `complement_pair_eigh` call.
 
-    A flip adds d(e_i e_j' + e_j e_i') with |d| = 1, a rank-2 update with
-    eigenvalues +1 and -1: it moves every eigenvalue by at most 1 (Weyl) and
-    keeps eigenvalue t between eigenvalues t+1 and t-1 (interlacing).
+    Flip (i, j) adds d(e_i e_j' + e_j e_i'), d = 1 - 2 a_ij, to the graph
+    and its negative to the complement.  In each spectrum, let c be the run
+    of eigenvalues within DEFAULT_TOL of mu_t, Q_c their eigenvectors, u =
+    Q_c[i] and v = Q_c[j].  To first order the flip moves the run by the
+    eigenvalues of Q_c' d(e_i e_j' + e_j e_i') Q_c: d u.v + |u||v|, d u.v -
+    |u||v| and 0 for the rest.  mu_t takes the shift at its place in the
+    run: the first, the last or 0, and 2 d q_it q_jt if it is simple.  These
+    read only the run's projector Q_c Q_c', so they do not depend on the
+    basis eigh picks inside an eigenspace.
     """
-    n = lam.shape[-1]
-    low = lam[:, t - 1] - 1.0
-    high = lam[:, t - 1] + 1.0
-    if t < n:
-        low = np.maximum(low, lam[:, t])
-    if t > 1:
-        high = np.minimum(high, lam[:, t - 2])
-    return low, high
-
-
-def _near_runs(lam: np.ndarray, rho: np.ndarray, t: int) -> np.ndarray:
-    """Index runs [start, stop) of each descending spectrum in `lam` (S, n)
-    that hold eigenvalue t-1, t or t+1 (1-based), as starts and stops (2, S,
-    3); a run joins neighbours closer than 2 rho.  A run that holds two of
-    these eigenvalues fills the slot of the first and leaves the others
-    empty (start = stop = 0).
-
-    Only these poles can come near a point of the bracket of eigenvalue t.
-    """
-    count, n = lam.shape
-    index = np.arange(n)
-    # a run starts at 0 and after every gap wider than 2 rho
-    cut = np.ones((count, n + 1), dtype=bool)
-    cut[:, 1:n] = lam[:, :-1] - lam[:, 1:] > 2.0 * rho[:, None]
-    first = np.maximum.accumulate(np.where(cut[:, :n], index, 0), axis=1)
-    stop = np.minimum.accumulate(np.where(cut[:, 1:], index + 1, n)[:, ::-1], axis=1)[:, ::-1]
-    near = index[max(t - 2, 0) : t + 1]
-    runs = np.zeros((2, count, 3), dtype=np.int64)
-    runs[:, :, : near.size] = first[:, near], stop[:, near]
-    runs[:, :, 1:][:, runs[0, :, 1:] == runs[0, :, :-1]] = 0
-    return runs
-
-
-def _gram_det(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Determinant of the Gram matrix of u and v over their last axis,
-    through Gram-Schmidt, so that it stays accurate when u and v are nearly
-    parallel."""
-    uu = np.einsum("...r,...r->...", u, u)
-    uv = np.einsum("...r,...r->...", u, v)
-    beta = np.divide(uv, uu, out=np.zeros_like(uu), where=uu > 0)
-    rest = v - beta[..., None] * u
-    return uu * np.einsum("...r,...r->...", rest, rest)
-
-
-# rows of the (27, K) table of a block's problem constants: the guard rho;
-# t + 1 minus the poles above the runs next to the bracket and minus half
-# the runs' poles; the runs' means and half their multiplicities; the
-# flip's d; the three sums of `_count` over each run (component by run);
-# and the terms of det M that pair two runs
-RHO, NEED, NU, HALF, DELTA, NEAR, QUAD = 0, 1, slice(2, 5), slice(5, 8), 8, slice(9, 18), slice(18, 27)
-
-
-def _far_sums(x, ints, tables):
-    """The three sums of `_count` over the poles away from the bracket, and
-    their derivatives in x, as (2, 3, K): q_ik^2, q_ik q_jk and q_jk^2
-    against 1 / (far - x) and against its square.
-
-    They take SCREEN_ENTRIES // n problems at a time: the rows q_i and q_j
-    gathered from Q, and u = q / (far - x), so that a, b, c are u_i q_i, u_i
-    q_j, u_j q_j and their derivatives u_i u_i, u_i u_j, u_j u_j.  No (K, n)
-    array is built whole.
-    """
-    far, vec = tables
-    spec, vij = ints[0], ints[1:3]
-    chunk = max(1, SCREEN_ENTRIES // far.shape[1])
-    sums = np.empty((2, 3, x.size))
-    for lo in range(0, x.size, chunk):
-        part = slice(lo, lo + chunk)
-        q = vec[vij[:, part]]
-        u = q * np.reciprocal(far[spec[part]] - x[part, None])
-        for row, (left, right) in enumerate([(u, q), (u, u)]):
-            np.einsum("akn,akn->ak", left, right, out=sums[row, 0::2, part])
-            np.einsum("kn,kn->k", left[0], right[1], out=sums[row, 1, part])
-    return sums
-
-
-def _screen_flips(
-    stack: np.ndarray, t: int, iu: np.ndarray, ju: np.ndarray, floor: np.ndarray
-) -> np.ndarray:
-    """Which single-edge flips G of each adjacency matrix in `stack` (C, n,
-    n) are pruned: a mask (C, n(n-1)/2) in the flip order (iu, ju) of
-    `np.triu_indices(n, 1)`, true where brackets on eigenvalue t (1-based,
-    descending) of G and of its complement prove |mu_t(G)| + |mu_t(comp)|
-    too far below the floor or another flip to matter.  The brackets come
-    from one eigendecomposition of each matrix and of its complement.
-
-    Flip (i, j) adds d = 1 - 2 a_ij at (i, j) and (j, i) of the graph and
-    -d to its complement, so for each spectrum Q diag(lam) Q' it is the
-    rank-2 update d(e_i e_j' + e_j e_i').  By Haynsworth inertia additivity
-    the flipped matrix has #{lam_k > x} + neg(M) - 1 eigenvalues above x,
-    where M = [[a, b + d], [b + d, c]] and a, b, c sum q_ik^2, q_ik q_jk and
-    q_jk^2 against 1 / (lam_k - x) (`_count`).  That count shrinks the
-    bracket of eigenvalue t (`_flip_bracket`, `_solve_flips`), starting at
-    its first-order perturbation.  The runs of poles next to eigenvalue t
-    (`_near_runs`) enter det M by expansion, and the points keep a
-    distance rho from them.
-
-    The spectra are set up once per call, with array operations over all
-    of them: their runs, their poles away from the bracket and the tables
-    a problem reads by its spectrum.  Every count gathers the rows of Q its
-    problems need (`_far_sums`), so a flip's problems hold a fixed number
-    of values whatever n.  The flips of all matrices are screened together,
-    SCREEN_BLOCK at most per block, so every Newton step serves every
-    matrix; a single graph is a stack of one.  Each problem keeps to its
-    own matrix: its spectrum, its guard rho and, for pruning, its matrix's
-    floor and best lower bound.
-
-    The screen only prunes, and `local_search_f` rescores every flip it
-    keeps.  `floor` (C,) holds the score each matrix's flips must beat, a
-    climb's current score (0 keeps every flip that may lead).  A flip whose
-    brackets prove it more than 2 SCREEN_SLACK below its matrix's floor, or
-    below another flip of its matrix, is pruned, so it neither beats the
-    floor nor leads.  The flips the screen stops counting (SCREEN_HANDOFF)
-    stay unpruned.
-    """
-    count, n = stack.shape[0], stack.shape[-1]
-    lam, vec = complement_pair_eigh(stack)
-    # spectrum 2c is matrix c and spectrum 2c + 1 its complement; row
-    # (2c + p) n + i of `vec` holds vertex i of spectrum 2c + p
-    lam = lam.reshape(2 * count, n)
-    vec = vec.reshape(2 * count * n, n)
-    rho = np.repeat(POLE_GUARD * np.maximum(1.0, np.abs(lam).reshape(count, 2 * n).max(-1)), 2)
-
-    # the poles of the runs next to eigenvalue t, by spectrum and slot:
-    # their indices, padded to the longest run, then their mean and
-    # multiplicity.  The rest lie outside every bracket and enter a, b, c
-    # one by one
-    start, stop = _near_runs(lam, rho, t)
-    mult = stop - start
-    cols = start[..., None] + np.arange(max(1, mult.max()))
-    inside = cols < stop[..., None]
-    cols = np.minimum(cols, n - 1)
-    spectrum = np.arange(2 * count)[:, None, None]
-    nu = np.full(mult.shape, np.inf)
-    np.divide(np.where(inside, lam[spectrum, cols], 0.0).sum(-1), mult, out=nu, where=mult > 0)
-    far = lam.copy()
-    far[np.broadcast_to(spectrum, cols.shape)[inside], cols[inside]] = np.inf
-    spectra = (
-        lam, vec, start.T, np.stack(_flip_bracket(lam, t)),
-        np.vstack([rho, t + 1 - start[:, 0] - 0.5 * mult.sum(1), nu.T, 0.5 * mult.T]),
-    )
-    tables = (far, vec)
-
-    total = count * iu.size
-    pruned = np.empty(total, dtype=bool)
-    best = np.array(floor, dtype=np.float64)  # per matrix, its floor or a flip's larger lower bound
-    for lo in range(0, total, SCREEN_BLOCK):
-        climb, pair = np.divmod(np.arange(lo, min(lo + SCREEN_BLOCK, total)), iu.size)
-        problems = _flip_problems(stack, climb, iu[pair], ju[pair], t, spectra)
-        pruned[lo : lo + climb.size] = _solve_flips(problems, tables, climb, best)
-    return pruned.reshape(count, -1)
-
-
-def _flip_problems(stack, climb, i, j, t, spectra) -> list:
-    """The problems of the flips (i[k], j[k]) of the matrices climb[k] of
-    `stack`: the graph of flip k, then its complement, along the last axis
-    of three tables.
-
-    `spectra` holds, from `_screen_flips`, the spectra (S, n), their
-    eigenvectors by rows, the first index of each run of poles next to
-    eigenvalue t (3, S), the bracket ends (2, S) and the rows RHO to HALF
-    of the problem constants (8, S).  Returns the list that `_solve_flips`
-    takes: the points (5, K), that is the bracket's low, x, the bracket's
-    high and the step sizes one and two steps back; the constants (27, K);
-    and the indices (5, K): spectrum, rows of Q for i and j, problem and
-    flip.  The runs with more than one pole are summed over, and their Gram
-    determinants built, SCREEN_ENTRIES // run width problems at a time.
-    """
-    lam, vec, start, bracket, table = spectra
-    n = lam.shape[1]
-    size = climb.size
-    ints = np.empty((5, 2 * size), dtype=np.int64)
-    spec = ints[0]
-    np.concatenate([2 * climb, 2 * climb + 1], out=spec)
-    np.add(spec * n, [np.tile(i, 2), np.tile(j, 2)], out=ints[1:3])
-    ints[3] = np.arange(2 * size)
-    ints[4, :size] = ints[4, size:] = ints[3, :size]
-    const = np.empty((27, 2 * size))
-    const[:DELTA] = table.take(spec, axis=1)
-    d = 1.0 - 2.0 * stack[climb, i, j]
-    const[DELTA] = np.concatenate([d, -d])
-    points = np.empty((5, 2 * size))
-    points[0:3:2] = bracket.take(spec, axis=1)
-    # the first point is the first-order perturbation of eigenvalue t
-    points[1] = lam[spec, t - 1] + 2.0 * const[DELTA] * vec[ints[1], t - 1] * vec[ints[2], t - 1]
-    points[3] = points[4] = points[2] - points[0]
-    # the Gram entries of each run: i with i, i with j and j with j, from
-    # its first pole (an empty run's alpha is 0, so its entries do not
-    # count), then summed over every pole, with the run's determinant,
-    # where it has more than one
-    entries = vec.reshape(-1)
-    first = start.take(spec, axis=1)
-    q = entries.take(ints[1:3, None] * n + first)
-    near = const[NEAR].reshape(3, 3, -1)
-    np.multiply(q[[0, 0, 1]], q[[0, 1, 1]], out=near)
-    gdet = np.zeros((3, 2 * size))
-    slot, row = np.nonzero(const[HALF] > 0.5)
-    if row.size:
-        width = np.arange(int(2 * const[HALF].max()))
-        chunk = max(1, SCREEN_ENTRIES // width.size)
-        for lo in range(0, row.size, chunk):
-            s, k = slot[lo : lo + chunk], row[lo : lo + chunk]
-            cols = np.minimum(first[s, k, None] + width, n - 1)
-            inside = width < 2.0 * const[HALF][s, k, None]
-            u, v = (np.where(inside, entries.take(ints[end, k, None] * n + cols), 0.0) for end in (1, 2))
-            near[:, s, k] = [np.einsum("kr,kr->k", *pair) for pair in ((u, u), (u, v), (v, v))]
-            gdet[s, k] = _gram_det(u, v)
-    ga, gb, gc = near
-    # run pair (j, l) adds alpha_j alpha_l (a_j c_l + c_j a_l - 2 b_j b_l)
-    quad = const[QUAD].reshape(3, 3, -1)
-    quad[:] = 0.5 * (ga[:, None] * gc + gc[:, None] * ga) - gb[:, None] * gb
-    quad[[0, 1, 2], [0, 1, 2]] = gdet
-    return [points, const, ints]
-
-
-def _solve_flips(problems, tables, climb, best):
-    """Which flips of one `_screen_flips` block are pruned, a mask (size,),
-    from its `problems` (`_flip_problems`), which starts from the first
-    points x in the brackets (low, high) of eigenvalue t and which this
-    empties.  Problem k is the graph of flip k, problem k + size its
-    complement; flip k belongs to matrix climb[k], which ascends, and
-    `best` holds each matrix's floor, or a larger lower bound on a score
-    from earlier blocks, and is raised in place.
-
-    The first count of each flip aims at that bound: both of its first
-    points move away from 0 until their sizes sum to 3 SCREEN_SLACK below
-    it, so a flip whose two eigenvalues lie nearer 0 than its points is
-    pruned by that count.  Each step counts at x, shrinks the bracket and
-    picks the next point (`_count`).  A problem leaves its three tables, a
-    column each, once its bracket is 2 SCREEN_TOL wide.
-
-    After every count, the two brackets of a flip bound its score: above by
-    the sum of their largest |end|, below by the sum of their distances
-    from 0.  A flip whose upper bound is more than 2 SCREEN_SLACK below
-    `best` of its matrix is pruned: both of its problems leave the tables.
-    Before each count, the first too, counting stops once the open problems
-    times n^3 are at most SCREEN_HANDOFF, and the flips still open stay
-    unpruned.
-    """
-    points, const, ints = problems
-    problems.clear()  # the block's first tables go as its problems leave
-    size = climb.size
-    cubes = tables[0].shape[1] ** 3
-    pruned = np.zeros(size, dtype=bool)
-    owner = np.arange(climb[0], climb[-1] + 1)
-    first = np.searchsorted(climb, owner)  # each matrix's first flip
-    lows, highs = points[0].copy(), points[2].copy()  # the bracket of every problem
-    low, x, high = points[:3]
-    aim = 0.5 * np.maximum(0.0, best[climb] - 3.0 * SCREEN_SLACK - np.abs(x[:size]) - np.abs(x[size:]))
-    x += np.copysign(np.concatenate([aim, aim]), x)
-    x[:] = np.where((x > low) & (x < high), x, 0.5 * (low + high))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in itertools.count():
-            low, x, high = points[:3]
-            rho, nu = const[RHO], const[NU]
-            keep = high - low > 2.0 * SCREEN_TOL
-            # points near a pole move just below or above it, if that still
-            # splits the bracket; otherwise the bracket is within rho of it
-            hit = np.abs(nu - x) < rho
-            if hit.any():
-                pole = np.where(hit, nu, 0.0).sum(0)  # runs are 2 rho apart: one hit at most
-                moved = hit.any(0)
-                use_below = pole - rho > low
-                use_above = ~use_below & (pole + rho < high)
-                x[:] = np.where(moved, np.where(use_above, pole + rho, pole - rho), x)
-                keep &= ~moved | use_below | use_above
-            keep &= ~pruned[ints[4]]
-            if not keep.all():
-                rows = np.flatnonzero(keep)
-                if not rows.size:
-                    break
-                points, const, ints = (arr.take(rows, axis=1) for arr in (points, const, ints))
-            if ints.shape[1] * cubes <= SCREEN_HANDOFF:
-                break
-            points = _count(points, const, ints, k, tables)
-            lows[ints[3]], highs[ints[3]] = points[0], points[2]
-            upper, lower = _score_bounds(lows, highs, size)
-            best[owner] = np.maximum(best[owner], np.maximum.reduceat(lower, first))
-            pruned |= upper < best[climb] - 2.0 * SCREEN_SLACK
-    return pruned
-
-
-def _count(points, const, ints, k, tables):
-    """Count step k of `_solve_flips` at the points x: the next points,
-    with the brackets (low, high) shrunk by the count and the step sizes
-    moved back one step.
-
-    The count is #{lam_k > x} + neg(M) - 1 for M = [[a, b + d], [b + d,
-    c]]: the sums over the far poles (`_far_sums`), plus those over each run
-    of poles next to the bracket, whose terms of det M are expanded so that
-    det M cancels the square of each.  The next point is the Newton step on
-    the eigenvalue of M whose sign decides the count, or the middle of the
-    bracket where that step leaves the bracket or is not half the step
-    before last.  The Newton step goes SCREEN_OVERSHOOT step^2, and at
-    least SCREEN_TOL / 2, past its target, so the count that follows closes
-    the bracket from the other side of the root.
-    """
-    _, x, _, last, before_last = points
-    far = _far_sums(x, ints, tables)
-    far[0, 1] += const[DELTA]
-    gap = const[NU] - x
-    alpha = np.empty((2,) + gap.shape)
-    np.divide(1.0, gap, out=alpha[0])
-    np.square(alpha[0], out=alpha[1])
-    near = np.einsum("cjk,djk->dck", const[NEAR].reshape(3, 3, -1), alpha)
-    (sa, sb, sc), (da, db, dc) = far + near
-    (fa, fb, fc), (na, nb, _) = far[0], near[0]
-    # det M expanded over the runs next to the bracket: det M cancels the
-    # square of each of their terms, and rounding cannot
-    det = fa * sc + fc * na - fb * (fb + 2.0 * nb)
-    det += np.einsum("jlk,jk,lk->k", const[QUAD].reshape(3, 3, -1), alpha[0], alpha[0])
-    # the eigenvalue larger in size from the trace; the other from det next
-    # to a pole, and from the trace elsewhere, where det loses its digits
-    # at a double root
-    trace = sa + sc
-    root = np.copysign(np.hypot(sa - sc, 2.0 * sb), trace)
-    large = 0.5 * (trace + root)
-    small = 0.5 * (trace - root)
-    np.divide(det, large, out=small, where=np.abs(large) > 1.0 + np.abs(far[0]).sum(0))
-    eig = np.array([np.minimum(large, small), np.maximum(large, small)])
-    # count >= t needs `need` negative eigenvalues of M; the gaps are never
-    # 0, so the runs above x hold sum(half + copysign(half, gap)) poles
-    need = const[NEED] - np.copysign(const[HALF], gap).sum(0)
-    up = (eig < 0).sum(0) >= need
-    low, high = np.where(up, points[1:3], points[0:2])
-    nxt = 0.5 * (low + high)
-    if k < SCREEN_NEWTON_STEPS:
-        # Newton step on the eigenvalue of M whose sign decides the count;
-        # its slope is tr(adj(ev - M) M') / tr(adj(ev - M)).  M = c I: halve
-        ev = np.where(need == 1, *eig)
-        step = ev * (2.0 * ev - trace) / ((sc - ev) * da - 2.0 * sb * db + (sa - ev) * dc)
-        step += np.copysign(np.maximum(SCREEN_OVERSHOOT * step * step, 0.5 * SCREEN_TOL), step)
-        newton = x + step
-        use = (np.abs(need - 1.5) < 1.0) & (newton > low) & (newton < high)
-        use &= np.abs(step) <= 0.5 * before_last
-        nxt = np.where(use, newton, nxt)
-    return np.array([low, nxt, high, np.abs(nxt - x), last])
-
-
-def _score_bounds(low: np.ndarray, high: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Upper and lower bounds on |mu_graph| + |mu_complement| of each flip
-    from the brackets [low, high] (2 size,) of its two problems: the
-    largest |end| and the distance from 0 of each bracket."""
-    upper = np.maximum(high, -low)
-    lower = np.maximum(np.maximum(low, -high), 0.0)
-    return upper[:size] + upper[size:], lower[:size] + lower[size:]
+    lam, vec = complement_pair_eigh(a)  # (C, 2, n) and (C, 2, n, n)
+    mu = lam[..., t - 1 : t]
+    run = np.abs(lam - mu) <= DEFAULT_TOL  # one index range: lam descends
+    vec *= run[..., None, :]  # Q_c, zero outside the run
+    proj = vec @ vec.swapaxes(-1, -2)
+    norm = np.sqrt(np.diagonal(proj, axis1=-2, axis2=-1))
+    d = 1.0 - 2.0 * a[:, iu, ju]
+    uv = np.stack([d, -d], axis=1) * proj[..., iu, ju]
+    root = norm[..., iu] * norm[..., ju]
+    place = t - 1 - np.argmax(run, axis=-1)
+    first, last = (place == 0)[..., None], (place == run.sum(-1) - 1)[..., None]
+    return mu + first * (uv + root) + last * (uv - root)
 
 
 def _flipped_stack(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -646,21 +275,28 @@ def local_search_f(
     iterations: int = 50,
     restarts: int = 3,
 ) -> ExtremalRecord:
-    """Steepest-ascent hill climbing over single-edge flips.
+    """Hill climbing over single-edge flips, ranked to first order.
 
     Starts from `restarts` seeded random graphs (seed + restart index) plus
     the construction matching (n, s, family), if any (`_constructive_starts`),
-    and climbs from all of them in lockstep.  Each step screens eigenvalue
-    `_column(n, s, family)` + 1 of the n(n-1)/2 flips of every running climb
-    in one `_screen_flips` pass against each climb's current score, rescores
-    each climb's leaders, the flips the screen does not prune, through
-    `_pair_scores`, and takes each climb's best, the smallest flip index
-    among equal scores: the flip, and the score, that rescoring every flip
-    would give.  A climb stops, and leaves the batch, when no flip improves
-    its score by more than CLIMB_TIE_TOL, or when the screen prunes all its
-    flips, which proves that none can.  The returned value is the witness
-    re-scored by `objective` after its graph6 round trip (`_record`), hence
-    a certified lower bound on the true extremal value.
+    and climbs from all of them in lockstep.  Each step ranks the n(n-1)/2
+    flips of every running climb by eigenvalue `_column(n, s, family)` + 1
+    of the flipped graph and of its complement to first order
+    (`_first_order_mu`), from one eigendecomposition of each, and rescores
+    the TOP_FLIPS flips of each climb that rank highest, ties to the smaller
+    flip index, through `_pair_scores` in one call.  Each climb takes its
+    best rescored flip, the smallest flip index among equal scores, if it
+    improves its score by more than CLIMB_TIE_TOL, and otherwise stops and
+    leaves the batch.  `evaluations` counts the starts plus n(n-1)/2 per
+    running climb per step.  The returned value is the witness re-scored by
+    `objective` after its graph6 round trip (`_record`), hence a certified
+    lower bound on the true extremal value.
+
+    A step costs one eigendecomposition of each running climb and its
+    complement and TOP_FLIPS eigvalsh rescores per climb, all O(n^3).
+    `local_search_f(n, 2, "top", 0, 1, 1)`, one step of two climbs, took
+    0.35 s at n = 256, 1.4 s at n = 512 and 10.8 s at n = 1024, with a
+    peak RSS of 246 MB (2 cores, OpenBLAS on 1 thread).
     """
     col = _column(n, s, family)
     check_order(n)
@@ -677,26 +313,22 @@ def local_search_f(
     for _ in range(iterations):
         if not live.size:
             break
-        owner, flip = np.nonzero(~_screen_flips(a[live], col + 1, iu, ju, score[live]))
+        # each climb's TOP_FLIPS best-ranked flips, ascending; equal ranks go to the smaller index
+        rank = np.abs(_first_order_mu(a[live], col + 1, iu, ju)).sum(1)
+        top = np.sort(np.argsort(-rank, axis=1, kind="stable")[:, :TOP_FLIPS], axis=1)
+        owner, flip = np.repeat(live, top.shape[1]), top.ravel()
 
-        def leaders(lo, hi):
-            return _flipped_stack(a[live[owner[lo:hi]]], iu[flip[lo:hi]], ju[flip[lo:hi]])
+        def flipped(lo, hi):
+            return _flipped_stack(a[owner[lo:hi]], iu[flip[lo:hi]], ju[flip[lo:hi]])
 
-        rescored = _pair_scores(flip.size, n, leaders, col)
+        rescored = _pair_scores(flip.size, n, flipped, col).reshape(top.shape)
         evaluations += m * live.size
-        climbing = []
-        # each climb's leaders, its unpruned flips, are contiguous; a climb with none stops
-        ends = np.searchsorted(owner, np.arange(live.size + 1))
-        for c, lo, hi in zip(live, ends[:-1], ends[1:]):
-            if lo == hi:
-                continue
-            k = lo + np.argmax(rescored[lo:hi])  # ties resolve to the smallest flip index
-            if rescored[k] > score[c] + CLIMB_TIE_TOL:
-                score[c] = rescored[k]
-                i, j = iu[flip[k]], ju[flip[k]]
-                a[c, i, j] = a[c, j, i] = 1.0 - a[c, i, j]
-                climbing.append(c)
-        live = np.array(climbing, dtype=np.int64)
+        best = np.argmax(rescored, axis=1)  # ties resolve to the smallest flip index
+        rows = np.flatnonzero(rescored[np.arange(live.size), best] > score[live] + CLIMB_TIE_TOL)
+        live, best = live[rows], best[rows]
+        score[live] = rescored[rows, best]
+        i, j = iu[top[rows, best]], ju[top[rows, best]]
+        a[live, i, j] = a[live, j, i] = 1.0 - a[live, i, j]
 
     best_score = -math.inf
     best_masks: list[int] = []

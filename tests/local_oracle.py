@@ -1,9 +1,11 @@
-"""Reference hill climb that rescores every flip through eigvalsh.
+"""Reference hill climb that runs one climb at a time.
 
-The program screens the flips of each step from one eigendecomposition and
-rescores only the leaders; the tests use this climb, which builds and solves
-all n(n-1)/2 flipped matrices at every step, as an oracle for it.  Both
-score through the same `_pair_scores`, so the records must agree bit for bit.
+The program climbs from every start in lockstep: each step ranks the flips
+of all running climbs in one `_first_order_mu` call and rescores the
+TOP_FLIPS best-ranked flips of each in one `_pair_scores` call.  The tests
+use this plain loop, which climbs from each start on its own with the same
+ranking and the same kernel, as an oracle for it, so the records must agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -12,27 +14,22 @@ import math
 
 import numpy as np
 
-from ngspectral.graph6 import parse_graph6, smallest_graph6
 from ngspectral.graphs import Graph, check_order, erdos_renyi
 from ngspectral.search import (
     CLIMB_TIE_TOL,
+    TOP_FLIPS,
     ExtremalRecord,
-    _constructive_starts,
     _column,
+    _constructive_starts,
+    _first_order_mu,
+    _flipped_stack,
     _pair_scores,
-    objective,
+    _record,
 )
 
 
 def local_oracle(
-    n: int,
-    s: int,
-    family: str,
-    seed: int,
-    iterations: int = 50,
-    restarts: int = 3,
-    *,
-    flip_chunk: int = 512,
+    n: int, s: int, family: str, seed: int, iterations: int = 50, restarts: int = 3
 ) -> ExtremalRecord:
     """The record `local_search_f(n, s, family, seed, ...)` must return."""
     col = _column(n, s, family)
@@ -41,7 +38,7 @@ def local_oracle(
         raise ValueError("iterations and restarts must be at least 1")
 
     m = n * (n - 1) // 2
-    iu, ju = np.triu_indices(n, 1)  # flip order; the smallest index wins ties
+    iu, ju = np.triu_indices(n, 1)
     starts = [erdos_renyi(n, 0.5, seed + r) for r in range(restarts)]
     starts.extend(_constructive_starts(n, s, family))
 
@@ -50,24 +47,20 @@ def local_oracle(
     best_masks: list[int] = []
     for start in starts:
         a = start.adjacency_matrix()
-        score = float(_pair_scores(1, n, lambda lo, hi: a[None, :, :], col)[0])
+        score = float(_pair_scores(1, n, lambda lo, hi: a[None], col)[0])
         evaluations += 1
-        for _ in range(iterations):
-            flip_scores = np.empty(m)
-            for lo in range(0, m, flip_chunk):
-                hi = min(lo + flip_chunk, m)
-                stack = np.repeat(a[None, :, :], hi - lo, axis=0)
-                rows = np.arange(hi - lo)
-                stack[rows, iu[lo:hi], ju[lo:hi]] = 1.0 - stack[rows, iu[lo:hi], ju[lo:hi]]
-                stack[rows, ju[lo:hi], iu[lo:hi]] = 1.0 - stack[rows, ju[lo:hi], iu[lo:hi]]
-                flip_scores[lo:hi] = _pair_scores(hi - lo, n, lambda b, e: stack[b:e], col)
+        for _ in range(iterations if m else 0):
+            rank = np.abs(_first_order_mu(a[None], col + 1, iu, ju)[0]).sum(0)
+            top = np.array(sorted(sorted(range(m), key=lambda f: (-rank[f], f))[:TOP_FLIPS]))
+            flipped = _flipped_stack(a, iu[top], ju[top])
+            flips = _pair_scores(top.size, n, lambda lo, hi: flipped[lo:hi], col)
             evaluations += m
-            j = int(np.argmax(flip_scores))  # ties resolve to the smallest flip index
-            if flip_scores[j] <= score + CLIMB_TIE_TOL:
+            k = int(np.argmax(flips))  # top ascends: ties resolve to the smallest flip index
+            if flips[k] <= score + CLIMB_TIE_TOL:
                 break
-            score = float(flip_scores[j])
-            a[iu[j], ju[j]] = 1.0 - a[iu[j], ju[j]]
-            a[ju[j], iu[j]] = a[iu[j], ju[j]]
+            score = float(flips[k])
+            i, j = iu[top[k]], ju[top[k]]
+            a[i, j] = a[j, i] = 1.0 - a[i, j]
         bits = Graph.from_adjacency(a).bits
         if score > best_score + CLIMB_TIE_TOL:
             best_score = score
@@ -75,16 +68,6 @@ def local_oracle(
         elif score > best_score - CLIMB_TIE_TOL:
             best_masks.append(bits)
 
-    witness = smallest_graph6(n, best_masks)
-    value = objective(parse_graph6(witness), s, family)
-    return ExtremalRecord(
-        n=n,
-        s=s,
-        family=family,
-        value=value,
-        witness=witness,
-        method="local_search",
-        exact=False,
-        evaluations=evaluations,
-        seed=seed,
+    return _record(
+        n, s, family, best_masks, method="local_search", exact=False, evaluations=evaluations, seed=seed
     )

@@ -15,7 +15,7 @@ from class_oracle import all_classes, brute_force_pair_classes
 from labelled_oracle import labelled_exhaustive_f
 from local_oracle import local_oracle
 from ngspectral.constructions import extremal_graph
-from ngspectral.eigensolver import complement_pair_eigenvalues
+from ngspectral.eigensolver import complement_pair_eigenvalues, complement_pair_eigh
 from ngspectral.graph6 import parse_graph6
 from ngspectral.graphs import (
     EXHAUSTIVE_CAP,
@@ -34,24 +34,14 @@ from ngspectral.graphs import (
 )
 from ngspectral.search import (
     FAMILIES,
-    HALF,
-    NEAR,
-    NEED,
-    NU,
-    QUAD,
-    RHO,
     SCORE_ENTRIES,
-    SCREEN_BLOCK,
-    SCREEN_HANDOFF,
-    SCREEN_SLACK,
-    SCREEN_TOL,
+    TOP_FLIPS,
     _column,
     _constructive_starts,
     _extension_scores,
-    _far_sums,
+    _first_order_mu,
     _flipped_stack,
     _pair_scores,
-    _screen_flips,
     exhaustive_f,
     local_search_f,
     objective,
@@ -526,11 +516,11 @@ def test_lockstep_climbs_that_stop_at_different_iterations(monkeypatch, args):
     # each climb leaves the batch when it stops; the others go on
     live = []
 
-    def spy(stack, *args):
+    def spy(stack):
         live.append(stack.shape[0])
-        return _screen_flips(stack, *args)
+        return complement_pair_eigh(stack)
 
-    monkeypatch.setattr(ngspectral.search, "_screen_flips", spy)
+    monkeypatch.setattr(ngspectral.search, "complement_pair_eigh", spy)
     rec = local_search_f(*args)
     assert live == sorted(live, reverse=True) and len(set(live)) >= 3, live
     assert rec == local_oracle(*args)
@@ -538,11 +528,10 @@ def test_lockstep_climbs_that_stop_at_different_iterations(monkeypatch, args):
 
 @pytest.mark.parametrize("args", [(48, 2, "top", 0, 6), (48, 4, "bottom", 1, 4)])
 def test_local_search_matches_oracle_across_screen_blocks(args):
-    # three seeded starts and one construction: the flips of one step fill
-    # several screening blocks, and the blocks cut across climbs
-    n, s, family = args[:3]
-    flips = (3 + len(_constructive_starts(n, s, family))) * n * (n - 1) // 2
-    assert flips > 2 * SCREEN_BLOCK and flips % SCREEN_BLOCK
+    # three seeded starts and one construction: each step ranks the 4512
+    # flips of four climbs in one block, and rescores the top flips of all
+    # four in one batch
+    assert len(_constructive_starts(*args[:3])) == 1
     assert local_search_f(*args) == local_oracle(*args)
 
 
@@ -574,7 +563,7 @@ def test_each_family_starts_from_its_construction():
 # commit before the climbs ran in lockstep (numpy 2.4, Python 3.11).  Its
 # peak is the rescoring of the construction's 256 tied leaders (the start
 # was extremal_graph(1, 8) then; extremal_graph(2, 4) ties 256 as well);
-# the lockstep screen solves the flips of up to four climbs at once and must
+# the lockstep steps rank the flips of up to four climbs at once and must
 # stay below it
 PEAK_BEFORE_LOCKSTEP = 4_469_704
 
@@ -590,36 +579,51 @@ def test_local_search_memory_stays_flat():
     assert peak <= 1.1 * PEAK_BEFORE_LOCKSTEP, peak
 
 
-# `_count` calls of local_search_f(32, 2, "bottom", 0), measured when every
-# step first fit one screening block (916 when the step took two blocks)
-COUNTS_ONE_BLOCK_PER_STEP = 652
-
-
 def test_local_search_screens_each_step_in_one_block(monkeypatch):
-    # the four climbs of order 32 (three seeded starts and the construction)
-    # screen their 1984 flips in one block: each step builds its problems
-    # once, and the Newton counts stay at the number pinned above.  The
-    # record is the one `local_oracle` gives (pinned; the oracle takes 9 s)
-    calls = {"_screen_flips": 0, "_flip_problems": 0, "_count": 0}
-    for name in calls:
-        original = getattr(ngspectral.search, name)
+    # each step ranks the flips of every running climb from one
+    # complement_pair_eigh call and rescores TOP_FLIPS flips of each in one
+    # _pair_scores call; the first call of the kernel scores the four starts
+    # of order 32 (three seeded and the construction), the last the witness
+    args = (32, 2, "bottom", 0)
+    live, rescored = [], []
 
-        def spy(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
+    def eigh_spy(stack):
+        live.append(stack.shape[0])
+        return complement_pair_eigh(stack)
 
-        monkeypatch.setattr(ngspectral.search, name, spy)
-    rec = local_search_f(32, 2, "bottom", 0)
-    assert (rec.value.hex(), rec.evaluations) == ("0x1.0336114f9b940p+4", 63988)
-    assert 4 * 32 * 31 // 2 <= SCREEN_BLOCK
-    assert calls["_flip_problems"] == calls["_screen_flips"] > 1, calls
-    assert calls["_count"] <= COUNTS_ONE_BLOCK_PER_STEP, calls
+    def score_spy(count, *call):
+        rescored.append(count)
+        return _pair_scores(count, *call)
+
+    monkeypatch.setattr(ngspectral.search, "complement_pair_eigh", eigh_spy)
+    monkeypatch.setattr(ngspectral.search, "_pair_scores", score_spy)
+    rec = local_search_f(*args)
+    assert rescored[0] == live[0] == 4 and rescored[-1] == 1, (rescored, live)
+    assert rescored[1:-1] == [TOP_FLIPS * climbs for climbs in live], (rescored, live)
+    assert rec == local_oracle(*args)
+
+
+def test_each_step_rescores_at_most_top_flips_per_climb(monkeypatch):
+    # the construction's start of order 96 ties 2304 flips for the best
+    # first-order rank; the step rescores TOP_FLIPS of them, not all
+    args = (96, 2, "bottom", 0, 1, 1)
+    rescored = []
+
+    def spy(count, *call):
+        rescored.append(count)
+        return _pair_scores(count, *call)
+
+    monkeypatch.setattr(ngspectral.search, "_pair_scores", spy)
+    rec = local_search_f(*args)
+    assert rescored == [2, 2 * TOP_FLIPS, 1], rescored  # the starts, one step, the witness
+    assert rec == local_oracle(*args)
 
 
 def test_rescoring_batches_are_bounded_by_entries(monkeypatch):
-    # the construction's start ties 1024 flips that beat it; each eigvalsh
-    # batch of the kernel must hold at most SCORE_ENTRIES entries, and the
-    # record must be the one that batches eight times larger give
+    # each eigvalsh batch of the kernel holds at most SCORE_ENTRIES entries:
+    # with room for 8 matrices of order 64, the 2 TOP_FLIPS flips of each of
+    # the two steps take four batches, and the record is the one that whole
+    # batches give
     args = (64, 2, "bottom", 0, 2, 1)
     n = args[0]
     batches = []
@@ -630,20 +634,20 @@ def test_rescoring_batches_are_bounded_by_entries(monkeypatch):
 
     monkeypatch.setattr(ngspectral.search, "complement_pair_eigenvalues", spy)
     rec = local_search_f(*args)
-    assert sum(batches) > 2 * (SCORE_ENTRIES // (n * n))
-    assert max(batches) * n * n <= SCORE_ENTRIES, batches
-    assert (rec.value.hex(), rec.evaluations) == ("0x1.00109309dd0e8p+5", 8066)
-    monkeypatch.setattr(ngspectral.search, "SCORE_ENTRIES", 8 * SCORE_ENTRIES)
+    assert max(batches) == 2 * TOP_FLIPS, batches
+    monkeypatch.setattr(ngspectral.search, "SCORE_ENTRIES", 8 * n * n)
+    batches.clear()
     assert local_search_f(*args) == rec
+    assert max(batches) == 8 and batches.count(8) == 8, batches
+    assert (rec.value.hex(), rec.evaluations) == ("0x1.00109309dd0e5p+5", 8066)
 
 
 def test_score_batches_keep_every_bit(monkeypatch):
-    # each matrix, mask and screen problem of a batch is solved on its own:
-    # eigvalsh batches of a few matrices (48 of order 6, 35 of order 7, 3 of
-    # order 24), relabellings in blocks of 1000 // m (100, 66 and 47 of the
-    # 5!, 6! and 7! tables), canonical forms of 1000 // k^2 masks and screen
-    # chunks of 4 problems give the bits of whole batches, in the class
-    # build and in both engines
+    # each matrix and mask of a batch is solved on its own: eigvalsh batches
+    # of a few matrices (48 of order 6, 35 of order 7, 3 of order 24),
+    # relabellings in blocks of 1000 // m (100, 66 and 47 of the 5!, 6! and
+    # 7! tables) and canonical forms of 1000 // k^2 masks give the bits of
+    # whole batches, in the class build and in both engines
     batches, stacks = [], []
 
     def spy(stack):
@@ -673,7 +677,6 @@ def test_score_batches_keep_every_bit(monkeypatch):
     calls, builds = len(batches), len(stacks)
     monkeypatch.setattr(ngspectral.search, "SCORE_ENTRIES", 3 * 24 * 24)
     monkeypatch.setattr(ngspectral.graphs, "SCORE_ENTRIES", 1000)
-    monkeypatch.setattr(ngspectral.search, "SCREEN_ENTRIES", 4 * 24)
     split = run()
     assert max(batches) <= 3 * 24 * 24 and len(batches) > calls, (calls, len(batches))
     assert max(stacks) <= 1000 and len(stacks) > builds, (builds, len(stacks))
@@ -720,183 +723,130 @@ def test_local_search_without_flips():
         assert rec.value == exhaustive_f(2, s, family).value
 
 
-# seeded G(n, 0.5) with a flip 79-190 SCREEN_SLACK below the best flip at
-# one t of `test_screen_matches_eigvalsh_on_every_flip` (n = 12, t = 3; n =
-# 16, t = 15; n = 24, t = 12), found by scanning seeds: `_check_kept` fails
-# on them if the screen prunes with a margin 1000 times too wide
-NEAR_MISS_SEEDS = {12: 325, 16: 415, 24: 38}
-
-
-def _screen_graphs(n):
+def _ranking_graphs(n):
+    """Graphs of order n to rank flips on: two seeded G(n, 1/2), then the
+    degenerate spectra of every extremal_graph(k, t) of order n, of
+    K_{n/2, n/2} and of the empty graph, whose complement is complete."""
     yield erdos_renyi(n, 0.5, n)
-    yield erdos_renyi(n, 0.2, n + 1)
-    if n in NEAR_MISS_SEEDS:
-        yield erdos_renyi(n, 0.5, NEAR_MISS_SEEDS[n])
+    yield erdos_renyi(n, 0.5, n + 1)
     for k in range(1, 5):
         if n % 2 ** (k + 1) == 0:
             yield extremal_graph(k, n // 2 ** (k + 1))
     yield complete_bipartite(n // 2, n - n // 2)
     yield empty(n)
-    yield complete(n)
 
 
-def _check_screen(pruned, exact, floor, case):
-    # no flip that can lead or beat the floor is pruned: each pruned flip
-    # scores more than 2 SCREEN_SLACK below the floor or the best flip
-    near = exact >= max(floor, exact.max()) - 2 * SCREEN_SLACK
-    assert not pruned[near].any(), case
-
-
-def _check_kept(pruned, exact, floor, case):
-    # without the handoff, the screen of one matrix in one block closes the
-    # brackets of every flip it keeps and of the best flip, so it keeps
-    # exactly the flips within 2 SCREEN_SLACK of max(floor, best), up to the
-    # width of two flips' brackets, two problems of 2 SCREEN_TOL each
-    line = max(floor, exact.max()) - 2 * SCREEN_SLACK
-    assert (exact[~pruned] >= line - 8 * SCREEN_TOL).all(), (*case, line - exact[~pruned].min())
+def _ranked_indices(n):
+    return sorted({1, 2, 3, n // 2, n - 1, n})
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 8, 12, 16, 24, 32, 64])
-def test_screen_matches_eigvalsh_on_every_flip(monkeypatch, n):
-    # the screen's pruning is checked against eigvalsh's score of every flip.
-    # Integer and highly repeated spectra put the flipped eigenvalues on the
-    # unflipped ones and make double roots: the cases the screen must survive.
-    # Each graph is screened alone, a stack of one, and in one stack with
-    # every other graph of its order: there it keeps to its own spectra,
-    # guard, floor and pruning bound, so it meets the same contract, though
-    # the shared blocks may prune other flips.  The floors are 0, a ranking,
-    # and each graph's own score, the floor of a climb at that graph.  The
-    # screen runs without the handoff and, below n = 51, where n^3 passes
-    # SCREEN_HANDOFF, with it
+def test_screen_matches_eigvalsh_on_every_flip(n):
+    # where eigenvalue t of a spectrum is simple, its first-order value after
+    # every flip is the slope of eigvalsh along the flip: a central
+    # difference of A + eps D and A - eps D, D the flip's update, whose
+    # complement moves by -eps D.  Only simple eigenvalues have a slope.  At
+    # n = 64 only the two G(n, 1/2) run, which keeps the test to a few seconds
+    eps = 1e-5
     iu, ju = np.triu_indices(n, 1)
-    assert iu.size <= SCREEN_BLOCK  # a graph screened alone takes one block
-    graphs = list(_screen_graphs(n))
-    stack = np.stack([g.adjacency_matrix() for g in graphs])
-    # what _pair_scores computes, with the spectra solved once per graph
-    exact = [complement_pair_eigenvalues(_flipped_stack(a, iu, ju)) for a in stack]
-    own = complement_pair_eigenvalues(stack)
-    for handoff in [0] + [SCREEN_HANDOFF] * (n**3 <= SCREEN_HANDOFF):
-        monkeypatch.setattr(ngspectral.search, "SCREEN_HANDOFF", handoff)
-        for t in sorted({1, 2, 3, n // 2, n - 1, n}):
-            scores = np.abs(own[0][:, t - 1]) + np.abs(own[1][:, t - 1])
-            for floors in (np.zeros(len(graphs)), scores):
-                stacked = _screen_flips(stack, t, iu, ju, floors)
-                assert stacked.shape == (len(graphs), iu.size) and stacked.dtype == bool
-                for c, (g, (wg, wc)) in enumerate(zip(graphs, exact)):
-                    case = (n, g.bits, t, floors[c], handoff)
-                    flips = np.abs(wg[:, t - 1]) + np.abs(wc[:, t - 1])
-                    alone = _screen_flips(stack[c : c + 1], t, iu, ju, floors[c : c + 1])[0]
-                    _check_screen(alone, flips, floors[c], case)
-                    _check_screen(stacked[c], flips, floors[c], case)
-                    if not handoff:
-                        _check_kept(alone, flips, floors[c], case)
+    checked = 0
+    for g in list(_ranking_graphs(n))[: 2 if n > 32 else None]:
+        a = g.adjacency_matrix()
+        d = 1.0 - 2.0 * a[iu, ju]
+        rows = np.arange(iu.size)
+        sides = []
+        for sign in (1.0, -1.0):
+            stack = np.repeat(a[None], iu.size, axis=0)
+            stack[rows, iu, ju] = stack[rows, ju, iu] = a[iu, ju] + sign * eps * d
+            sides.append(complement_pair_eigenvalues(stack))
+        lam = np.stack(complement_pair_eigenvalues(a))
+        gaps = np.abs(np.diff(lam, axis=-1))
+        for t in _ranked_indices(n):
+            mu = _first_order_mu(a[None], t, iu, ju)[0]
+            for p in range(2):
+                if gaps[p, max(t - 2, 0) : t].min() < 1e-2:
+                    continue
+                checked += 1
+                slope = (sides[0][p][:, t - 1] - sides[1][p][:, t - 1]) / (2 * eps)
+                assert np.allclose(mu[p], lam[p, t - 1] + slope, rtol=0, atol=1e-6), (n, g.bits, t, p)
+    assert checked > 0
 
 
-def _runs_by_loop(row, guard, t):
-    """The runs of poles next to eigenvalue t of one descending spectrum, as
-    slices, found spectrum by spectrum: the reference for `_near_runs`."""
-    cluster = np.concatenate([[0], np.cumsum(-np.diff(row) > 2.0 * guard)])
-    return [
-        slice(int(np.searchsorted(cluster, c)), int(np.searchsorted(cluster, c, side="right")))
-        for c in sorted(set(cluster[max(t - 2, 0) : t + 1].tolist()))
-    ]
+def _run(lam, t):
+    """The indices of the eigenvalues within DEFAULT_TOL of eigenvalue t of
+    the descending spectrum `lam`, found by walking out from t."""
+    lo = hi = t - 1
+    while lo > 0 and abs(lam[lo - 1] - lam[t - 1]) <= DEFAULT_TOL:
+        lo -= 1
+    while hi < lam.size - 1 and abs(lam[hi + 1] - lam[t - 1]) <= DEFAULT_TOL:
+        hi += 1
+    return np.arange(lo, hi + 1)
 
 
 @pytest.mark.parametrize("n", [4, 6, 16])
 def test_flip_problems_match_a_loop_over_spectra_and_runs(monkeypatch, n):
-    # the screen finds the runs next to the bracket, and sums each flip's
-    # weights over them, with array operations over every spectrum and run;
-    # a loop over spectra and runs must find the same runs and, to rounding,
-    # the same sums and Gram determinants (these graphs repeat eigenvalues)
-    blocks = []
-    flip_problems = ngspectral.search._flip_problems
-
-    def spy(stack, climb, i, j, t, spectra):
-        problems = flip_problems(stack, climb, i, j, t, spectra)
-        blocks.append((climb, i, j, t, spectra[0], spectra[1], problems[1].copy()))
-        return problems
-
-    monkeypatch.setattr(ngspectral.search, "_flip_problems", spy)
-    stack = np.stack([g.adjacency_matrix() for g in _screen_graphs(n)])
-    for t in (2, n // 2, n, n - 1):
-        _screen_flips(stack, t, *np.triu_indices(n, 1), np.zeros(len(stack)))
+    # each flip's first-order problem, solved spectrum by spectrum and run by
+    # run: eigenvalue t after the flip is mu_t plus eigenvalue (t's place in
+    # its run c) of the run matrix Q_c' d(e_i e_j' + e_j e_i') Q_c, by
+    # eigvalsh.  The closed form must give it within 1e-12, and must not move
+    # when a random rotation of Q_c inside each eigenspace replaces the
+    # basis eigh picked.  These spectra repeat eigenvalues
+    iu, ju = np.triu_indices(n, 1)
+    rng = np.random.default_rng(n)
     wide = 0
-    for climb, i, j, t, lam, vec, const in blocks:
-        spec = np.concatenate([2 * climb, 2 * climb + 1])
-        ends = np.tile(i, 2), np.tile(j, 2)
-        near, quad = const[NEAR].reshape(3, 3, -1), const[QUAD].reshape(3, 3, -1)
-        for p in np.unique(spec):
-            k = np.flatnonzero(spec == p)
-            runs = _runs_by_loop(lam[p], const[RHO, k[0]], t)
-            slots = np.flatnonzero(const[HALF, k[0]] > 0)
-            assert [2 * const[HALF, k[0]][m] for m in slots] == [r.stop - r.start for r in runs]
-            assert const[NEED, k[0]] == t + 1 - runs[0].start - sum(r.stop - r.start for r in runs) / 2
-            for m, run in zip(slots, runs):
-                assert np.allclose(const[NU, k][m], lam[p, run].mean(), rtol=0, atol=1e-12)
-                u, v = (vec[p * n + end[k]][:, run] for end in ends)
-                sums = [(u * u).sum(1), (u * v).sum(1), (v * v).sum(1)]
-                assert np.allclose(near[:, m][:, k], sums, rtol=1e-12, atol=1e-15)
-                # Lagrange's identity: the Gram determinant is the sum of the
-                # squared 2x2 minors of the run's columns
-                a, b = np.triu_indices(run.stop - run.start, 1)
-                gram = ((u[:, a] * v[:, b] - u[:, b] * v[:, a]) ** 2).sum(1)
-                assert np.allclose(quad[m, m, k], gram, rtol=1e-9, atol=1e-24)
-                wide += run.stop - run.start > 1
+
+    def rotated(stack):
+        lam, vec = complement_pair_eigh(stack)
+        for index in np.ndindex(lam.shape[:-1]):
+            cut = np.flatnonzero(np.diff(lam[index]) < -DEFAULT_TOL) + 1
+            for run in np.split(np.arange(n), cut):
+                turn = np.linalg.qr(rng.normal(size=(run.size, run.size)))[0]
+                vec[index][:, run] = vec[index][:, run] @ turn
+        return lam, vec
+
+    for g in _ranking_graphs(n):
+        a = g.adjacency_matrix()
+        lam, vec = complement_pair_eigh(a)
+        d = 1.0 - 2.0 * a[iu, ju]
+        for t in _ranked_indices(n):
+            mu = _first_order_mu(a[None], t, iu, ju)[0]
+            for p, sign in enumerate([d, -d]):
+                run = _run(lam[p], t)
+                wide += run.size > 1
+                u, v = vec[p][iu][:, run], vec[p][ju][:, run]
+                update = u[:, :, None] * v[:, None, :]
+                shifts = np.linalg.eigvalsh(sign[:, None, None] * (update + update.swapaxes(1, 2)))
+                expected = lam[p, t - 1] + shifts[:, ::-1][:, t - 1 - run[0]]
+                assert np.allclose(mu[p], expected, rtol=0, atol=1e-12), (n, g.bits, t, p)
+            with monkeypatch.context() as patch:
+                patch.setattr(ngspectral.search, "complement_pair_eigh", rotated)
+                turned = _first_order_mu(a[None], t, iu, ju)[0]
+            assert np.allclose(turned, mu, rtol=0, atol=1e-12), (n, g.bits, t)
     assert wide > 0
 
 
-def test_far_sums_match_a_sum_per_problem(monkeypatch):
-    # the far sums of each problem, taken in chunks of SCREEN_ENTRIES // n
-    # problems, against a direct sum over its far poles: q_ik^2, q_ik q_jk
-    # and q_jk^2 against 1 / (far - x) and against its square.  Three chunks
-    # of 7 problems and a last one of 2; an infinite pole adds nothing
-    n, size = 16, 23
-    rng = np.random.default_rng(0)
-    m = rng.normal(size=(3, n, n))
-    lam, vec = np.linalg.eigh(m + m.swapaxes(1, 2))
-    far = lam.copy()
-    far[:, 5:7] = np.inf
-    vec = vec.reshape(3 * n, n)
-    spec = rng.integers(0, 3, size)
-    ints = np.stack([spec, spec * n + rng.integers(0, n, size), spec * n + rng.integers(0, n, size)])
-    x = lam[spec, 6] + rng.uniform(-0.1, 0.1, size)
-    monkeypatch.setattr(ngspectral.search, "SCREEN_ENTRIES", 7 * n)
-    sums = _far_sums(x, ints, (far, vec))
-    for k in range(size):
-        qi, qj = vec[ints[1, k]], vec[ints[2, k]]
-        w = 1.0 / (far[spec[k]] - x[k])
-        for row, weight in enumerate([w, w * w]):
-            terms = np.array([qi * qi, qi * qj, qj * qj]) * weight
-            scale = np.abs(terms).sum(1)
-            assert np.all(np.abs(sums[row, :, k] - terms.sum(1)) <= 1e-12 * scale), (k, row)
-
-
-@pytest.mark.parametrize("args,counts", [((6, 2, "top", 0), False), ((16, 2, "top", 0), True)])
-def test_screen_counts_only_above_the_handoff(monkeypatch, args, counts):
-    # at n = 6 every step's problems times n^3 are within SCREEN_HANDOFF
-    # before the first count, so the screen makes none and eigvalsh rescores
-    # every flip; at n = 16 the screen still counts
-    calls = []
-    count = ngspectral.search._count
-
-    def spy(*call):
-        calls.append(call[2].shape[1])
-        return count(*call)
-
-    monkeypatch.setattr(ngspectral.search, "_count", spy)
-    assert local_search_f(*args) == local_oracle(*args)
-    assert bool(calls) == counts, calls
-
-
 @pytest.mark.parametrize("family", FAMILIES)
-def test_screen_prunes_most_flips(family):
-    # against a floor of 0, the flips prune each other; against the graph's
-    # own score, most leave after one count
-    a = erdos_renyi(32, 0.5, 0).adjacency_matrix()
-    col = _column(32, 2, family)
-    for floor in (0.0, _pair_scores(1, 32, lambda lo, hi: a[None], col)[0]):
-        pruned = _screen_flips(a[None], col + 1, *np.triu_indices(32, 1), np.array([floor]))
-        assert np.count_nonzero(pruned) > pruned.size / 2
+def test_screen_prunes_most_flips(monkeypatch, family):
+    # a step from G(32, 1/2) rescores TOP_FLIPS of its 496 flips, and
+    # eigvalsh's best flip is one of them
+    n = 32
+    start = erdos_renyi(n, 0.5, 0).adjacency_matrix()
+    iu, ju = np.triu_indices(n, 1)
+    col = _column(n, 2, family)
+    exact = _pair_scores(iu.size, n, lambda lo, hi: _flipped_stack(start, iu[lo:hi], ju[lo:hi]), col)
+    rescored = []
+
+    def spy(count, order, build, col=None):
+        rescored.append(build(0, count))
+        return _pair_scores(count, order, build, col)
+
+    monkeypatch.setattr(ngspectral.search, "_pair_scores", spy)
+    local_search_f(n, 2, family, 0, 1, 1)
+    matrices = rescored[1]  # after the starts: the step's flips, of the start and of the construction
+    # a flip of the start differs from it in two entries, (i, j) and (j, i)
+    flips = matrices[np.count_nonzero(matrices != start, axis=(1, 2)) == 2]
+    best = _flipped_stack(start, iu[[np.argmax(exact)]], ju[[np.argmax(exact)]])
+    assert len(flips) == TOP_FLIPS and (flips == best).all(axis=(1, 2)).any()
 
 
 @pytest.mark.parametrize(
@@ -904,81 +854,20 @@ def test_screen_prunes_most_flips(family):
 )
 @pytest.mark.parametrize("s,family", [(2, "top"), (2, "bottom")])
 def test_screen_leaders_keep_every_tied_flip(g, s, family):
-    # many flips of these graphs tie for the best score: pruning may not
-    # drop one of them, or the climb could take another flip than eigvalsh
+    # many flips of these graphs tie in eigvalsh's score, by symmetry.  The
+    # rank reads only each run's projector, not the basis eigh picks inside
+    # an eigenspace, so flips that tie in score tie in rank too, to rounding,
+    # and the screen keeps or drops them together, up to the flip index
     a = g.adjacency_matrix()
     iu, ju = np.triu_indices(g.n, 1)
     col = _column(g.n, s, family)
     exact = _pair_scores(iu.size, g.n, lambda lo, hi: _flipped_stack(a, iu[lo:hi], ju[lo:hi]), col)
-    best = np.flatnonzero(exact >= exact.max() - SCREEN_SLACK / 2)
-    assert best.size > 1
-    assert not _screen_flips(a[None], col + 1, iu, ju, np.zeros(1))[0, best].any()
-
-
-@pytest.mark.parametrize(
-    "args,record",
-    [
-        ((32, 2, "top", 0), ("0x1.4ee84b0d1f876p+4", 74900)),
-        # 2048 tied flips of the start, none of which beats it: every one
-        # was rescored through eigvalsh before the screen took the floor
-        ((128, 2, "top", 0, 1, 1), ("0x1.6338ac5f9a113p+6", 16258)),
-    ],
-)
-def test_climb_from_a_strict_local_maximum_rescores_no_leader(monkeypatch, args, record):
-    # the construction's start beats every one of its flips, so the screen
-    # prunes them all against the climb's score: that climb stops at its
-    # first step with no leader, and no flip of it reaches eigvalsh
-    n, s, family = args[:3]
-    start = _constructive_starts(n, s, family)[0].adjacency_matrix()
-    rescored = []
-
-    def spy(count, order, build, col=None):
-        rescored.extend(build(lo, min(lo + 64, count)) for lo in range(0, count, 64))
-        return _pair_scores(count, order, build, col)
-
-    monkeypatch.setattr(ngspectral.search, "_pair_scores", spy)
-    rec = local_search_f(*args)
-    assert (rec.value.hex(), rec.evaluations) == record
-    matrices = np.concatenate(rescored)
-    # a flip of the start differs from it in two entries, (i, j) and (j, i)
-    assert (np.count_nonzero(matrices != start, axis=(1, 2)) != 2).all(), matrices.shape
-
-
-def test_screen_leaves_no_leader_when_every_flip_is_pruned():
-    # against its own score, every flip of the construction is pruned, so it
-    # has no leader, while a random graph stacked with it keeps its own
-    n, t = 32, 2
-    stack = np.stack([extremal_graph(1, 8).adjacency_matrix(), erdos_renyi(n, 0.5, 0).adjacency_matrix()])
-    wg, wc = complement_pair_eigenvalues(stack)
-    floors = np.abs(wg[:, t - 1]) + np.abs(wc[:, t - 1])
-    iu, ju = np.triu_indices(n, 1)
-    pruned = _screen_flips(stack, t, iu, ju, floors)
-    assert pruned[0].all() and not pruned[1].all()
-    exact = _pair_scores(iu.size, n, lambda lo, hi: _flipped_stack(stack[0], iu[lo:hi], ju[lo:hi]), t - 1)
-    assert exact.max() < floors[0] - 2 * SCREEN_SLACK
-
-
-def test_flips_open_at_the_handoff_reach_the_rescoring_batch(monkeypatch):
-    # the flips whose problems are still open when a block hands off stay
-    # unpruned, so a larger SCREEN_HANDOFF, which stops counting sooner,
-    # rescores more flips through eigvalsh; the climb still visits the
-    # oracle's graphs, up to a handoff before every block's first count,
-    # which rescores every flip
-    args = (16, 3, "top", 1)
-    oracle = local_oracle(*args)
-    kept = []
-
-    def spy(*call):
-        pruned = _screen_flips(*call)
-        kept[-1] += np.count_nonzero(~pruned)
-        return pruned
-
-    monkeypatch.setattr(ngspectral.search, "_screen_flips", spy)
-    for handoff in (0, SCREEN_HANDOFF, 1 << 62):
-        monkeypatch.setattr(ngspectral.search, "SCREEN_HANDOFF", handoff)
-        kept.append(0)
-        assert local_search_f(*args) == oracle, handoff
-    assert kept[0] < kept[1] < kept[2], kept
+    rank = np.abs(_first_order_mu(a[None], col + 1, iu, ju)[0]).sum(0)
+    order = np.argsort(exact, kind="stable")
+    ties = np.split(order, np.flatnonzero(np.diff(exact[order]) > 1e-9) + 1)
+    assert max(tie.size for tie in ties) > TOP_FLIPS
+    for tie in ties:
+        assert np.ptp(rank[tie]) <= 1e-12, (exact[tie[0]], rank[tie])
 
 
 def test_local_search_calls_no_unique(monkeypatch):
