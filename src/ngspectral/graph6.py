@@ -82,27 +82,16 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, bitarray_to_mask(bits[:m]))
 
 
-def smallest_graph6(n: int, masks: list[int] | np.ndarray) -> str:
+def smallest_graph6(n: int, masks: list[int]) -> str:
     """Smallest graph6 string over the order-n masks and their complements.
 
     At a fixed order graph6 compares as the pair bits read from bit 0 up,
-    which is the mask's m-bit binary string reversed.  An int64 array of
-    masks (m <= 62) is ranked by that reversed mask in numpy; a list of
-    Python ints by the reversed string.
+    which is the mask's m-bit binary string reversed.
     """
     m = n * (n - 1) // 2
     full = (1 << m) - 1
-    if isinstance(masks, np.ndarray):
-        if m > 62:
-            raise ValueError(f"int64 masks hold at most 62 pairs, order {n} has {m}")
-        rev = np.zeros_like(masks)  # the reversed bits; the complement's are full ^ rev
-        for b in range(m):
-            rev |= (masks >> b & 1) << (m - 1 - b)
-        k = int(np.argmin(np.minimum(rev, rev ^ full)))
-        best = int(masks[k]) if rev[k] <= rev[k] ^ full else int(masks[k]) ^ full
-    else:
-        best = min(
-            (cand for mask in masks for cand in (mask, mask ^ full)),
-            key=lambda mask: f"{mask:0{m}b}"[::-1],
-        )
+    best = min(
+        (cand for mask in masks for cand in (mask, mask ^ full)),
+        key=lambda mask: f"{mask:0{m}b}"[::-1],
+    )
     return emit_graph6(Graph(n, best))

@@ -21,7 +21,9 @@ Batches of graphs up to EXHAUSTIVE_CAP are int64 arrays of the same masks.
 `complement_pair_classes` keeps one class per complement pair: the smaller
 canonical form (`canonical_masks`: colour refinement, then permutations
 within its cells) of each one-vertex extension of the pairs of the order
-below (`extensions`) and of its complement.
+below (`extensions`) and of its complement.  `smallest_labelling` ranks
+every relabelling of a batch and of its complements in graph6 order from
+the n! permutation table alone, with no canonical form.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ MAX_ORDER_ENV = "NG_MAX_ORDER"
 EXHAUSTIVE_CAP = 8
 # the package's memory budget: the most entries in the largest array of a
 # batch, be it the pair bits of a `_relabel` block, the masks of
-# `canonical_masks` or an eigvalsh stack of search, so that no batch grows
-# with n^2 or n! (8192 matrices of order 8, 512 of order 32)
+# `canonical_masks`, the weights and keys of a `smallest_labelling` block or
+# an eigvalsh stack of search, so that no batch grows with n^2 or n! (8192
+# matrices of order 8, 512 of order 32)
 SCORE_ENTRIES = 1 << 19
 
 
@@ -472,7 +475,39 @@ def complement_pair_classes(n: int) -> np.ndarray:
     return reps
 
 
-def labellings(classes: np.ndarray, n: int) -> np.ndarray:
-    """Distinct masks of every labelling of the given order-n graphs, from
-    one `_relabel` call: only its (classes, n!) masks are built whole."""
-    return np.unique(_relabel(masks_to_stack(classes, n, dtype=np.int64), _cell_table((n,))))
+def smallest_labelling(masks: np.ndarray | Sequence[int], n: int) -> int:
+    """The mask of the smallest graph6 string over every relabelling of the
+    order-n `masks` and of their complements, with no canonical form.
+
+    At a fixed order graph6 compares as the pair bits read from bit 0 up,
+    that is as the key that weighs pair b by 2^(m-1-b).  Relabelling vertex
+    v as perm[v] moves pair {u, v} to {perm[u], perm[v]}, so the keys of a
+    block of the n! table (`_cell_table((n,))`) are one product of the
+    masks' pair bits with the weights of each pair's image, exact in float64
+    since every key is below 2^m <= 2^28.  Complementing flips every bit, so the
+    complements' smallest key is full ^ the largest key: a running min and
+    max over the blocks give both.  A block holds at most SCORE_ENTRIES
+    weights (relabellings x pairs) and keys (masks x relabellings).
+    """
+    if not 1 <= n <= EXHAUSTIVE_CAP:
+        raise ValueError(f"relabelling needs 1 <= n <= {EXHAUSTIVE_CAP}, got n={n}")
+    masks = np.asarray(masks, dtype=np.int64)
+    i, j = pair_indices(n)
+    m = i.size
+    full = (1 << m) - 1
+    weight = np.zeros(n * n)  # graph6 weight of the pair at each flat matrix entry
+    weight[i * n + j] = weight[j * n + i] = np.ldexp(1.0, np.arange(m - 1, -1, -1))
+    perms = _cell_table((n,))
+    block = max(1, SCORE_ENTRIES // max(1, m))
+    lo, hi = full, 0
+    for p in range(0, perms.shape[0], block):
+        weights = weight[perms[p : p + block, i] * n + perms[p : p + block, j]]  # (relabellings, m)
+        graphs = max(1, SCORE_ENTRIES // weights.shape[0])
+        for g in range(0, masks.size, graphs):
+            bits = (masks[g : g + graphs, None] >> np.arange(m)) & 1
+            keys = bits.astype(np.float64) @ weights.T
+            lo, hi = min(lo, int(keys.min())), max(hi, int(keys.max()))
+            keys = None  # each array is freed before the next one is built
+        weights = None
+    best = min(lo, full ^ hi)
+    return int(f"{best:0{m}b}"[::-1], 2)

@@ -12,16 +12,19 @@ every class of order n.  It solves them once per order and process and keeps
 |mu_i(G)| + |mu_i(comp)| for every i (`_extension_scores`), so each (s,
 family) of that order reads one column of the same table.  The witness is
 the smallest graph6 string among every labelling, complements included, of
-the classes with an extension within tol of the best score.  Both engines
-follow one value rule (`_record`): a record's value is its witness scored
-by `objective`, so the printed witness re-scores to the printed value bit
-for bit.  Rounding differs between labellings of one graph, so that value
-may differ from the best extension's score in the last bits.
+the extensions within tol of the best score: the tie band.  It is a
+graph6-ordered minimum over the n! relabellings of each band mask
+(`graphs.smallest_labelling`), so the band is never canonicalized and no
+labelling is kept.  Both engines follow one value rule (`_record`): a
+record's value is its witness scored by `objective`, so the printed witness
+re-scores to the printed value bit for bit.  Rounding differs between
+labellings of one graph, so that value may differ from the best extension's
+score in the last bits.
 
-Every batch is bounded by the entries of its largest array: the masks
-canonicalized and the eigvalsh stacks of `_pair_scores`, the one kernel of
-both engines, by the memory budget `graphs.SCORE_ENTRIES`.  Batches solve
-each matrix or mask on its own, so they never change a bit.
+Every batch is bounded by the entries of its largest array: the relabelling
+blocks of the witness and the eigvalsh stacks of `_pair_scores`, the one
+kernel of both engines, by the memory budget `graphs.SCORE_ENTRIES`.
+Batches solve each matrix or mask on its own, so they never change a bit.
 
 The hill climb ranks, at every step, the single-edge flips by a first-order
 estimate of their score and takes the best of the top few by exact score.
@@ -51,19 +54,20 @@ from ngspectral.constructions import extremal_graph
 from ngspectral.eigensolver import complement_pair_eigenvalues, complement_pair_eigh
 from ngspectral.graph6 import parse_graph6, smallest_graph6
 from ngspectral.graphs import (
-    EXHAUSTIVE_CAP, SCORE_ENTRIES, Graph, canonical_masks, check_order, complement_pair_classes,
-    erdos_renyi, extensions, labellings, masks_to_stack,
+    EXHAUSTIVE_CAP, SCORE_ENTRIES, Graph, check_order, complement_pair_classes, erdos_renyi,
+    extensions, masks_to_stack, smallest_labelling,
 )
 from ngspectral.spectra import DEFAULT_TOL, check_tol
 
 FAMILIES = ("top", "bottom")
 
-# exhaustive search: the most labellings of near-best classes it builds,
-# 208 classes at n = 8 and every class at n = 7.  The classes are counted
-# after one `canonical_masks` call over every extension within tol, before
-# any labelling is built.  At the default tol the widest tie band holds 10
-# classes (n = 6, top s = 3), and none at n = 8 more than 3
-LABEL_BUDGET = 1 << 23
+# exhaustive search: the most relabellings of tie-band masks it ranks, band
+# masks x n!, counted before any is built: 1664 masks at n = 8, and every
+# extension at n = 7.  It admits every band of at most 208 classes at n = 8:
+# over every tol, the widest such band holds 1240 masks (bottom s = 8, tol
+# 0.546), ranked in about 0.15 s.  At the default tol the widest band holds
+# 49 masks (n = 6, top s = 3), and none at n = 8 more than 6
+LABEL_BUDGET = 1 << 26
 # local search: scores closer than this are ties, and a flip must beat the
 # current score by more than this to count as an improvement
 CLIMB_TIE_TOL = 1e-12
@@ -186,15 +190,15 @@ def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> Ex
     Capped at n <= EXHAUSTIVE_CAP.  Reads the scores of the extensions of
     `complement_pair_classes(n - 1)` from the order's table
     (`_extension_scores`, built by the first call at that order, after the
-    arguments are checked), then builds every labelling of the classes with
-    an extension within tol of the best.  A tol that leaves more classes
-    than LABEL_BUDGET masks of labellings can hold raises ValueError before
-    any is built.  The witness is the lexicographically smallest graph6
-    string among those labellings and their complements, and the value is
-    the witness scored by `objective`, as in `local_search_f`: it lies
-    within tol of the best score over every labelled graph, up to the
-    rounding between labellings of one graph.  `evaluations` counts the
-    labelled graphs covered, one per complement pair.
+    arguments are checked).  The tie band is the extensions within tol of
+    the best; a tol whose band has more masks than LABEL_BUDGET // n!
+    raises ValueError before any is relabelled.  The witness is the
+    lexicographically smallest graph6 string among every relabelling of the
+    band and of its complements (`smallest_labelling`), and the value is the
+    witness scored by `objective`, as in `local_search_f`: it lies within
+    tol of the best score over every labelled graph, up to the rounding
+    between labellings of one graph.  `evaluations` counts the labelled
+    graphs covered, one per complement pair.
     """
     col = _column(n, s, family)
     check_order(n)
@@ -206,16 +210,16 @@ def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> Ex
 
     candidates, table = _extension_scores(n)
     scores = table[:, col]
-    classes = np.unique(canonical_masks(candidates[scores >= scores.max() - tol], n))
+    band = candidates[scores >= scores.max() - tol]
     limit = LABEL_BUDGET // math.factorial(n)
-    if classes.size > limit:
+    if band.size > limit:
         raise ValueError(
-            f"tol={tol} leaves more than {limit} classes of order {n} within tol of the "
-            f"best score; relabelling them, {n}! masks each, would pass {LABEL_BUDGET} "
-            "masks, so lower tol"
+            f"tol={tol} leaves more than {limit} masks of order {n} within tol of the "
+            f"best score; ranking their {n}! relabellings each would pass {LABEL_BUDGET} "
+            "relabellings, so lower tol"
         )
-    masks = labellings(classes, n)
-    return _record(n, s, family, masks, method="exhaustive", exact=True, evaluations=total)
+    witness = smallest_labelling(band, n)
+    return _record(n, s, family, [witness], method="exhaustive", exact=True, evaluations=total)
 
 
 def _constructive_starts(n: int, s: int, family: str) -> list[Graph]:

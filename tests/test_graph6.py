@@ -16,6 +16,7 @@ from ngspectral.graphs import (
     erdos_renyi,
     path,
 )
+from witness_oracle import smallest_graph6_array
 
 
 def test_k3_hand_packed():
@@ -115,8 +116,9 @@ def test_smallest_graph6_compares_as_strings():
 
 
 def test_smallest_graph6_array_matches_list():
-    # int64 masks are ranked in numpy, lists of ints by string; duplicates
-    # and masks given with their complements must not change the answer
+    # the witness oracle ranks int64 masks in numpy, smallest_graph6 lists of
+    # ints by string; duplicates and masks given with their complements must
+    # not change the answer
     rng = random.Random(11)
     for n in range(1, 12):
         m = n * (n - 1) // 2
@@ -125,13 +127,14 @@ def test_smallest_graph6_array_matches_list():
             masks = [rng.getrandbits(m) if m else 0 for _ in range(size)]
             masks += masks[: size // 2] + [mask ^ full for mask in masks[size // 3 :]]
             rng.shuffle(masks)
-            assert smallest_graph6(n, np.array(masks, dtype=np.int64)) == smallest_graph6(n, masks)
+            array = np.array(masks, dtype=np.int64)
+            assert smallest_graph6_array(n, array) == smallest_graph6(n, masks)
 
 
 def test_smallest_graph6_array_path_stops_at_order_11():
     # from order 12 a mask needs more than 62 bits: only lists hold it
     with pytest.raises(ValueError, match="order 12 has 66"):
-        smallest_graph6(12, np.zeros(1, dtype=np.int64))
+        smallest_graph6_array(12, np.zeros(1, dtype=np.int64))
     masks = [random.Random(12).getrandbits(66)]
     assert smallest_graph6(12, masks) == min(
         emit_graph6(h) for h in (Graph(12, masks[0]), complement(Graph(12, masks[0])))

@@ -16,7 +16,7 @@ from labelled_oracle import labelled_exhaustive_f
 from local_oracle import local_oracle
 from ngspectral.constructions import extremal_graph
 from ngspectral.eigensolver import complement_pair_eigenvalues, complement_pair_eigh
-from ngspectral.graph6 import parse_graph6
+from ngspectral.graph6 import emit_graph6, parse_graph6
 from ngspectral.graphs import (
     EXHAUSTIVE_CAP,
     Graph,
@@ -29,8 +29,9 @@ from ngspectral.graphs import (
     empty,
     erdos_renyi,
     extensions,
-    labellings,
     masks_to_stack,
+    pair_bit,
+    smallest_labelling,
 )
 from ngspectral.search import (
     FAMILIES,
@@ -49,6 +50,7 @@ from ngspectral.search import (
     target_ratio,
 )
 from ngspectral.spectra import DEFAULT_TOL
+from witness_oracle import canonical_exhaustive_f, labellings, smallest_graph6_array
 
 SQ5 = math.sqrt(5)
 
@@ -290,14 +292,15 @@ def test_complement_pair_classes_match_brute_force(n):
 
 
 def test_exhaustive_rejects_a_tie_band_too_wide_to_relabel(monkeypatch):
-    def no_labellings(classes, n):
+    def no_labellings(masks, n):
         raise AssertionError("labellings built")
 
-    monkeypatch.setattr(ngspectral.search, "labellings", no_labellings)
-    # 1e9 puts every extension of the order in the band, all canonicalized
-    # before the classes are counted
+    monkeypatch.setattr(ngspectral.search, "smallest_labelling", no_labellings)
+    monkeypatch.setattr(ngspectral.graphs, "canonical_masks", no_labellings)
+    # 7846 band masks at tol 1.0; 1e9 puts every extension of the order in
+    # the band.  The masks are counted before any is relabelled
     for tol in (1.0, 1e9):
-        with pytest.raises(ValueError, match=rf"tol={tol} leaves more than 208 classes of order 8"):
+        with pytest.raises(ValueError, match=rf"tol={tol} leaves more than 1664 masks of order 8"):
             exhaustive_f(8, 2, "top", tol=tol)
 
 
@@ -338,6 +341,71 @@ def test_labellings_of_every_class_are_every_labelled_graph(n):
     assert np.array_equal(masks, np.arange(1 << n * (n - 1) // 2))
 
 
+def _brute_force_smallest(mask, n):
+    """The smallest graph6 string over every relabelling of the order-n mask
+    and of its complement, from itertools.permutations and emit_graph6."""
+    full = (1 << n * (n - 1) // 2) - 1
+    edges = list(Graph(n, mask).edges())
+    relabelled = {
+        sum(1 << pair_bit(perm[u - 1], perm[v - 1]) for u, v in edges)
+        for perm in itertools.permutations(range(1, n + 1))
+    }
+    return min(emit_graph6(Graph(n, x)) for r in relabelled for x in (r, r ^ full))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_smallest_labelling_matches_brute_force(n):
+    # every class of the order, alone and as its complement: the complement's
+    # relabellings must count, and graph6 order must rank them
+    full = (1 << n * (n - 1) // 2) - 1
+    for mask in all_classes(n).tolist():
+        expected = _brute_force_smallest(mask, n)
+        for given in (mask, mask ^ full):
+            assert emit_graph6(Graph(n, smallest_labelling([given], n))) == expected, (mask, given)
+
+
+def test_smallest_labelling_blocks_keep_the_minimum(monkeypatch):
+    # a band of several masks, in one block and in blocks of 1000 // 21 = 47
+    # relabellings and 1000 // 47 = 21 masks, against every labelling of the
+    # band's classes
+    masks = np.array([erdos_renyi(7, 0.5, seed).bits for seed in range(30)])
+    whole = smallest_labelling(masks, 7)
+    monkeypatch.setattr(ngspectral.graphs, "SCORE_ENTRIES", 1000)
+    assert smallest_labelling(masks, 7) == whole
+    classes = np.unique(canonical_masks(masks, 7))
+    assert emit_graph6(Graph(7, whole)) == smallest_graph6_array(7, labellings(classes, 7))
+    with pytest.raises(ValueError, match="got n=9"):
+        smallest_labelling([0], 9)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 0.1, 0.3])
+@pytest.mark.parametrize("n", range(1, EXHAUSTIVE_CAP + 1))
+def test_exhaustive_matches_canonical_witness_pass(n, tol):
+    # the whole record, against the pass that canonicalized the tie band and
+    # ranked every labelling of its classes
+    missed = [
+        (s, family)
+        for _, s, family in _all_cases(n)
+        if exhaustive_f(n, s, family, tol=tol) != canonical_exhaustive_f(n, s, family, tol)
+    ]
+    assert not missed, missed
+
+
+def test_witness_pass_builds_no_canonical_form(monkeypatch):
+    records = {case: exhaustive_f(*case) for case in _all_cases(7)}
+
+    def no_call(*args):
+        raise AssertionError("canonical form or labelling built")
+
+    # the engine of canonical_masks and of every labelling, and any name
+    # search might hold for them
+    for name in ("canonical_masks", "_relabel"):
+        monkeypatch.setattr(ngspectral.graphs, name, no_call)
+    for name in ("canonical_masks", "labellings", "_relabel"):
+        monkeypatch.setattr(ngspectral.search, name, no_call, raising=False)
+    assert {case: exhaustive_f(*case) for case in _all_cases(7)} == records
+
+
 def test_isomorphism_classes_capped():
     # order 9 would take about 38 s, and pair masks overflow int64 from order 12
     with pytest.raises(ValueError, match="n <= 8, got n=9"):
@@ -354,7 +422,7 @@ def test_isomorphism_classes_built_once_and_read_only(monkeypatch):
     def no_build(masks, k):
         raise AssertionError("classes canonicalized again")
 
-    # search keeps its own reference for the near-best candidates
+    # search never canonicalizes its tie band
     monkeypatch.setattr(ngspectral.graphs, "canonical_masks", no_build)
     assert complement_pair_classes(5) is classes
     assert exhaustive_f(6, 2, "top") == first
@@ -709,6 +777,22 @@ def test_relabelling_memory_is_bounded():
             tracemalloc.stop()
         assert np.array_equal(result, expected)
         assert peak <= RELABEL_PEAK_BOUND, peak
+
+
+def test_smallest_labelling_memory_is_bounded():
+    # a block's weights and keys, two arrays of SCORE_ENTRIES float64
+    # entries, are the largest live at once: 8.4 MB for 100 classes of
+    # order 8 through all 8! relabellings (numpy 2.4, Python 3.11)
+    masks = all_classes(8)[:100]
+    expected = smallest_labelling(masks, 8)  # the permutation table is kept
+    tracemalloc.start()
+    try:
+        result = smallest_labelling(masks, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == expected
+    assert peak <= RELABEL_PEAK_BOUND, peak
 
 
 def test_local_search_without_flips():
