@@ -22,8 +22,10 @@ Batches of graphs up to EXHAUSTIVE_CAP are int64 arrays of the same masks.
 canonical form (`canonical_masks`: colour refinement, then permutations
 within its cells) of each one-vertex extension of the pairs of the order
 below (`extensions`) and of its complement.  `smallest_labelling` ranks
-every relabelling of a batch and of its complements in graph6 order from
-the n! permutation table alone, with no canonical form.
+every relabelling of a batch and of its complements in graph6 order with
+no canonical form, by one product per block of masks with the graph6
+weights of the order's n! relabellings (`_label_weights`), kept once per
+order: 0.09 MB at n = 6, 0.85 MB at 7, 9.0 MB at 8, about 10 MB in all.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ MAX_ORDER_ENV = "NG_MAX_ORDER"
 EXHAUSTIVE_CAP = 8
 # the package's memory budget: the most entries in the largest array of a
 # batch, be it the pair bits of a `_relabel` block, the masks of
-# `canonical_masks`, the weights and keys of a `smallest_labelling` block or
-# an eigvalsh stack of search, so that no batch grows with n^2 or n! (8192
-# matrices of order 8, 512 of order 32)
+# `canonical_masks`, the keys of a `smallest_labelling` block (13 masks x 8!)
+# or an eigvalsh stack of search, so that no batch grows with n^2 or n! (8192
+# matrices of order 8, 512 of order 32).  The per-order weight table of
+# `smallest_labelling` is kept, not batched: n! x m, 9.0 MB at n = 8
 SCORE_ENTRIES = 1 << 19
 
 
@@ -475,39 +478,48 @@ def complement_pair_classes(n: int) -> np.ndarray:
     return reps
 
 
+@functools.cache
+def _label_weights(n: int) -> np.ndarray:
+    """(n!, m) graph6 weights, 2^(m-1-b) at pair b, of each pair's image
+    under each row of `_cell_table((n,))`, for 1 <= n <= EXHAUSTIVE_CAP.
+    Built a pair at a time once per order; read-only, 9.0 MB at n = 8."""
+    if not 1 <= n <= EXHAUSTIVE_CAP:
+        raise ValueError(f"relabelling needs 1 <= n <= {EXHAUSTIVE_CAP}, got n={n}")
+    i, j = pair_indices(n)
+    weight = np.zeros((n, n))
+    weight[i, j] = weight[j, i] = np.ldexp(1.0, np.arange(i.size - 1, -1, -1))
+    perms = _cell_table((n,))
+    table = np.empty((perms.shape[0], i.size))
+    for b in range(i.size):
+        table[:, b] = weight[perms[:, i[b]], perms[:, j[b]]]
+    table.flags.writeable = False
+    return table
+
+
 def smallest_labelling(masks: np.ndarray | Sequence[int], n: int) -> int:
     """The mask of the smallest graph6 string over every relabelling of the
     order-n `masks` and of their complements, with no canonical form.
 
-    At a fixed order graph6 compares as the pair bits read from bit 0 up,
-    that is as the key that weighs pair b by 2^(m-1-b).  Relabelling vertex
-    v as perm[v] moves pair {u, v} to {perm[u], perm[v]}, so the keys of a
-    block of the n! table (`_cell_table((n,))`) are one product of the
-    masks' pair bits with the weights of each pair's image, exact in float64
-    since every key is below 2^m <= 2^28.  Complementing flips every bit, so the
-    complements' smallest key is full ^ the largest key: a running min and
-    max over the blocks give both.  A block holds at most SCORE_ENTRIES
-    weights (relabellings x pairs) and keys (masks x relabellings).
+    At a fixed order graph6 compares as the key that weighs pair b by
+    2^(m-1-b), so one product of a block's pair bits with `_label_weights`
+    gives the keys of its masks under all n! relabellings, exact in float64
+    since every key is below 2^m <= 2^28.  Complementing flips every bit, so
+    the complements' smallest key is full ^ the largest key: a running min
+    and max over blocks of at most SCORE_ENTRIES keys (masks x n!, at least
+    one mask) give both.  Raises ValueError on no mask or one outside [0, 2^m).
     """
-    if not 1 <= n <= EXHAUSTIVE_CAP:
-        raise ValueError(f"relabelling needs 1 <= n <= {EXHAUSTIVE_CAP}, got n={n}")
+    weights = _label_weights(n)
+    m = weights.shape[1]
     masks = np.asarray(masks, dtype=np.int64)
-    i, j = pair_indices(n)
-    m = i.size
+    if masks.size == 0 or masks.min() < 0 or masks.max() >> m:
+        raise ValueError(f"need order-{n} masks in [0, 2^{m}), got {masks.ravel()[:3].tolist()}")
     full = (1 << m) - 1
-    weight = np.zeros(n * n)  # graph6 weight of the pair at each flat matrix entry
-    weight[i * n + j] = weight[j * n + i] = np.ldexp(1.0, np.arange(m - 1, -1, -1))
-    perms = _cell_table((n,))
-    block = max(1, SCORE_ENTRIES // max(1, m))
+    graphs = max(1, SCORE_ENTRIES // weights.shape[0])
     lo, hi = full, 0
-    for p in range(0, perms.shape[0], block):
-        weights = weight[perms[p : p + block, i] * n + perms[p : p + block, j]]  # (relabellings, m)
-        graphs = max(1, SCORE_ENTRIES // weights.shape[0])
-        for g in range(0, masks.size, graphs):
-            bits = (masks[g : g + graphs, None] >> np.arange(m)) & 1
-            keys = bits.astype(np.float64) @ weights.T
-            lo, hi = min(lo, int(keys.min())), max(hi, int(keys.max()))
-            keys = None  # each array is freed before the next one is built
-        weights = None
+    for g in range(0, masks.size, graphs):
+        bits = (masks[g : g + graphs, None] >> np.arange(m)) & 1
+        keys = bits.astype(np.float64) @ weights.T
+        lo, hi = min(lo, int(keys.min())), max(hi, int(keys.max()))
+        keys = None  # each block is freed before the next one is built
     best = min(lo, full ^ hi)
     return int(f"{best:0{m}b}"[::-1], 2)

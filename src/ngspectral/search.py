@@ -65,7 +65,7 @@ FAMILIES = ("top", "bottom")
 # masks x n!, counted before any is built: 1664 masks at n = 8, and every
 # extension at n = 7.  It admits every band of at most 208 classes at n = 8:
 # over every tol, the widest such band holds 1240 masks (bottom s = 8, tol
-# 0.546), ranked in about 0.15 s.  At the default tol the widest band holds
+# 0.546), ranked in about 0.17 s.  At the default tol the widest band holds
 # 49 masks (n = 6, top s = 3), and none at n = 8 more than 6
 LABEL_BUDGET = 1 << 26
 # local search: scores closer than this are ties, and a flip must beat the

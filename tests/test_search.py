@@ -365,17 +365,54 @@ def test_smallest_labelling_matches_brute_force(n):
 
 
 def test_smallest_labelling_blocks_keep_the_minimum(monkeypatch):
-    # a band of several masks, in one block and in blocks of 1000 // 21 = 47
-    # relabellings and 1000 // 47 = 21 masks, against every labelling of the
-    # band's classes
+    # a band of several masks, in one block and in blocks of 4 masks (the
+    # last of 2), then of 1 mask where SCORE_ENTRIES is below 7!, against
+    # every labelling of the band's classes
     masks = np.array([erdos_renyi(7, 0.5, seed).bits for seed in range(30)])
     whole = smallest_labelling(masks, 7)
+    monkeypatch.setattr(ngspectral.graphs, "SCORE_ENTRIES", 4 * 5040)
+    assert smallest_labelling(masks, 7) == whole
     monkeypatch.setattr(ngspectral.graphs, "SCORE_ENTRIES", 1000)
     assert smallest_labelling(masks, 7) == whole
     classes = np.unique(canonical_masks(masks, 7))
     assert emit_graph6(Graph(7, whole)) == smallest_graph6_array(7, labellings(classes, 7))
     with pytest.raises(ValueError, match="got n=9"):
         smallest_labelling([0], 9)
+
+
+@pytest.mark.parametrize("masks", [[], [1 << 10], [-1]], ids=["empty", "too-high", "negative"])
+def test_smallest_labelling_rejects_masks_not_of_the_order(masks):
+    # each once returned a graph not among its inputs: K4, or the empty graph
+    with pytest.raises(ValueError, match=r"order-4 masks in \[0, 2\^6\)"):
+        smallest_labelling(masks, 4)
+
+
+def test_label_weights_built_once_per_order_and_read_only(monkeypatch):
+    weights = ngspectral.graphs._label_weights
+    tables = {}
+    for n in (7, 8):
+        exhaustive_f(n, 2, "bottom")
+        tables[n] = weights(n)
+    built = weights.cache_info()
+
+    def no_gather(*args):
+        raise AssertionError("relabelling weights gathered again")
+
+    # a later (s, family) of the same order reads the table the first built
+    monkeypatch.setattr(ngspectral.graphs, "_cell_table", no_gather)
+    for n in (7, 8):
+        exhaustive_f(n, 3, "top")
+        assert weights(n) is tables[n]
+        assert tables[n].shape == (math.factorial(n), n * (n - 1) // 2)
+        assert not tables[n].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tables[n][0, 0] = 1
+    assert weights.cache_info().misses == built.misses
+    # an order outside the cap raises before any gather, and is not kept
+    for n in (0, 9):
+        with pytest.raises(ValueError, match=f"got n={n}"):
+            smallest_labelling([0], n)
+    assert weights.cache_info().currsize == built.currsize
 
 
 @pytest.mark.parametrize("tol", [1e-8, 0.1, 0.3])
@@ -780,11 +817,11 @@ def test_relabelling_memory_is_bounded():
 
 
 def test_smallest_labelling_memory_is_bounded():
-    # a block's weights and keys, two arrays of SCORE_ENTRIES float64
-    # entries, are the largest live at once: 8.4 MB for 100 classes of
-    # order 8 through all 8! relabellings (numpy 2.4, Python 3.11)
+    # a block's keys, at most SCORE_ENTRIES float64 entries, are the largest
+    # array live: 4.2 MB for 100 classes of order 8 through all 8!
+    # relabellings (numpy 2.4, Python 3.11)
     masks = all_classes(8)[:100]
-    expected = smallest_labelling(masks, 8)  # the permutation table is kept
+    expected = smallest_labelling(masks, 8)  # the weight table is kept
     tracemalloc.start()
     try:
         result = smallest_labelling(masks, 8)
