@@ -3,15 +3,20 @@
 Each row of BOUNDS is one inequality lhs <= rhs, or lhs < rhs when strict:
 its bound id, its strictness, its parameters at order n for a given s_max,
 and three numpy sides, lhs, rhs and `applies` (the precondition), which all
-read the same `Views` and parameter array.  `evaluate` walks a table over
-the spectra of a batch of graphs and their complements, with the table's
-layout at (n, s_max) (columns, parameter arrays, strictness) built once and
-memoized.  `table_columns` gives the walk over one graph as columns, one
-per BoundReport field; `check` hands those columns (`battery_columns`)
-straight to `reporting.render_columns`, which formats the whole table with
-one '%', and takes its exit code from `any_violated`, so it builds no
-BoundReport.  `table_reports` and `run_battery` make BoundReports of the
-same columns.
+read the same `Views` and parameter array.  A side that reads no spectrum,
+only n, s_max and the parameters, is marked `Fixed` in the table: most rhs,
+every `applies` but nonpositive_eigenvalue's, and the constant lhs of
+nosal_lower and weyl_lower, 31 of the 48 sides of BOUNDS.  `evaluate` walks
+a table over the spectra of a batch of graphs and their complements, with
+the table's layout at (n, s_max) built once and memoized: its columns,
+parameter arrays and strictness, and the values of every Fixed side as
+read-only arrays.  So a call starts from copies of those and calls only the
+sides that read the spectrum.  `table_columns` gives the walk over one
+graph as columns, one per BoundReport field, the reals as float64 arrays;
+`check` hands those columns (`battery_columns`) straight to
+`reporting.render_columns`, which formats the whole table with one '%', and
+takes its exit code from `any_violated`, so it builds no BoundReport.
+`table_reports` and `run_battery` make BoundReports of the same columns.
 
 A verdict reads only the margin rhs - lhs, the strictness and the slack
 tol * max(1, |lhs|, |rhs|), because eigenvalue rounding grows with the sides
@@ -78,7 +83,8 @@ class Views(NamedTuple):
     (or [None]); it returns what broadcasts to (batch, len(p)).  t and b,
     of shape (2, batch, width), are 1-based views of the graphs' spectra
     (index 0) and their complements' (1): t[..., p] is mu_p, b[..., p] is
-    mu_{n-p+1}, and an index past the spectrum (0, or above n) reads NaN."""
+    mu_{n-p+1}, and an index past the spectrum (0, or above n) reads NaN.
+    A `Fixed` side sees t, b and tol as None."""
 
     t: np.ndarray
     b: np.ndarray
@@ -87,15 +93,26 @@ class Views(NamedTuple):
     tol: float
 
 
+Side = Callable[[Views, np.ndarray], np.ndarray]
+
+
+class Fixed(NamedTuple):
+    """A side that reads no spectrum, only n, s_max and the parameters, so
+    it is evaluated once per layout (`_layout`), not once per call."""
+
+    side: Side
+
+
 class Bound(NamedTuple):
-    """One inequality lhs <= rhs (lhs < rhs when strict), asserted where `applies`."""
+    """One inequality lhs <= rhs (lhs < rhs when strict), asserted where
+    `applies`.  A side is a `Side` of the spectra or a `Fixed` one."""
 
     bound_id: str
     strict: bool
     params: Callable[[int, int], Sequence[Optional[int]]]  # (n, s_max)
-    lhs: Callable[[Views, np.ndarray], np.ndarray]
-    rhs: Callable[[Views, np.ndarray], np.ndarray]
-    applies: Callable[[Views, np.ndarray], np.ndarray]
+    lhs: Side | Fixed
+    rhs: Side | Fixed
+    applies: Side | Fixed
 
 
 def _sq(x: np.ndarray) -> np.ndarray:
@@ -131,8 +148,8 @@ def _total(v: Views, p) -> np.ndarray:
     return _both(v.t[..., 1:2])
 
 
-def _always(v: Views, p) -> bool:
-    return True
+_always = Fixed(lambda v, p: True)
+_top_gate = Fixed(lambda v, s: v.n >= 3 * s - 2)
 
 
 def _none(n: int, s_max: int) -> list[None]:
@@ -153,60 +170,64 @@ def _two_to_n(n: int, s_max: int) -> range:
 
 BOUNDS: tuple[Bound, ...] = (
     # n - 1 <= mu_1(G) + mu_1(comp) < sqrt(2)(n - 1)
-    Bound("nosal_lower", False, _none, lambda v, p: v.n - 1.0, _total, _always),
-    Bound("nosal_upper", True, _none, _total, lambda v, p: math.sqrt(2.0) * (v.n - 1), _always),
+    Bound("nosal_lower", False, _none, Fixed(lambda v, p: v.n - 1.0), _total, _always),
+    Bound("nosal_upper", True, _none, _total, Fixed(lambda v, p: math.sqrt(2.0) * (v.n - 1)),
+          _always),
     # mu_1(G) + mu_1(comp) <= 4n/3 - 1
-    Bound("csikvari_terpai", False, _none, _total, lambda v, p: 4.0 * v.n / 3.0 - 1.0, _always),
+    Bound("csikvari_terpai", False, _none, _total, Fixed(lambda v, p: 4.0 * v.n / 3.0 - 1.0),
+          _always),
     # sum_{i=2..s} (mu_i(G)^2 + mu_i(comp)^2) < n^2/4, for n >= 3s-2
     Bound("top_sum_squares", True, _top_s,
-          lambda v, s: _both(_running(_sq(v.t), s)), lambda v, s: v.n * v.n / 4.0,
-          lambda v, s: v.n >= 3 * s - 2),
+          lambda v, s: _both(_running(_sq(v.t), s)), Fixed(lambda v, s: v.n * v.n / 4.0),
+          _top_gate),
     # sum_{i=2..s} (|mu_i(G)| + |mu_i(comp)|) < n sqrt((s-1)/2), for n >= 3s-2
     Bound("top_abs_sum", True, _top_s,
-          lambda v, s: _both(_running(np.abs(v.t), s)), lambda v, s: v.n * np.sqrt((s - 1) / 2.0),
-          lambda v, s: v.n >= 3 * s - 2),
+          lambda v, s: _both(_running(np.abs(v.t), s)),
+          Fixed(lambda v, s: v.n * np.sqrt((s - 1) / 2.0)), _top_gate),
     # mu_s(G)^2 + mu_s(comp)^2 < n^2/(4(s-1)), for n >= 3s-2
     Bound("top_pair_squares", True, _top_s,
-          lambda v, s: _both(_sq(v.t[..., s])), lambda v, s: v.n * v.n / (4.0 * (s - 1)),
-          lambda v, s: v.n >= 3 * s - 2),
+          lambda v, s: _both(_sq(v.t[..., s])), Fixed(lambda v, s: v.n * v.n / (4.0 * (s - 1))),
+          _top_gate),
     # |mu_s(G)| + |mu_s(comp)| <= n/sqrt(2(s-1)) - 1, for n >= 15(s-1)
     Bound("fs_upper", False, _top_s,
-          lambda v, s: _both(np.abs(v.t[..., s])), lambda v, s: v.n / np.sqrt(2.0 * (s - 1)) - 1.0,
-          lambda v, s: v.n >= 15 * (s - 1)),
+          lambda v, s: _both(np.abs(v.t[..., s])),
+          Fixed(lambda v, s: v.n / np.sqrt(2.0 * (s - 1)) - 1.0),
+          Fixed(lambda v, s: v.n >= 15 * (s - 1))),
     # sum_{i=1..s} (mu_{n-i+1}(G)^2 + mu_{n-i+1}(comp)^2) <= (n/2 + s)^2, for n > 2s
     Bound("bottom_sum_squares", False, _bottom_s,
-          lambda v, s: _fsum_prefix(_both(_sq(v.b)), s), lambda v, s: _sq(v.n / 2.0 + s),
-          lambda v, s: v.n > 2 * s),
+          lambda v, s: _fsum_prefix(_both(_sq(v.b)), s), Fixed(lambda v, s: _sq(v.n / 2.0 + s)),
+          Fixed(lambda v, s: v.n > 2 * s)),
     # sum_{i=1..s} (|mu_{n-i+1}(G)| + |mu_{n-i+1}(comp)|) <= (n/2 + s) sqrt(2s), for n > 2s
     Bound("bottom_abs_sum", False, _bottom_s,
           lambda v, s: _fsum_prefix(_both(np.abs(v.b)), s),
-          lambda v, s: (v.n / 2.0 + s) * np.sqrt(2.0 * s), lambda v, s: v.n > 2 * s),
+          Fixed(lambda v, s: (v.n / 2.0 + s) * np.sqrt(2.0 * s)), Fixed(lambda v, s: v.n > 2 * s)),
     # mu_{n-s+1}(G)^2 + mu_{n-s+1}(comp)^2 <= (n/2 + s)^2 / s, for n > 4^s;
     # m >= 4^s exactly when 2s < m.bit_length(), and int64 4**s wraps from s = 32
     Bound("bottom_pair_squares", False, _bottom_s,
-          lambda v, s: _both(_sq(v.b[..., s])), lambda v, s: _sq(v.n / 2.0 + s) / s,
-          lambda v, s: 2 * s < (v.n - 1).bit_length()),
+          lambda v, s: _both(_sq(v.b[..., s])), Fixed(lambda v, s: _sq(v.n / 2.0 + s) / s),
+          Fixed(lambda v, s: 2 * s < (v.n - 1).bit_length())),
     # |mu_{n-s+1}(G)| + |mu_{n-s+1}(comp)| <= n/sqrt(2s) + 1, for n >= 4^s
     Bound("fns_upper", False, _bottom_s,
-          lambda v, s: _both(np.abs(v.b[..., s])), lambda v, s: v.n / np.sqrt(2.0 * s) + 1.0,
-          lambda v, s: 2 * s < v.n.bit_length()),
+          lambda v, s: _both(np.abs(v.b[..., s])), Fixed(lambda v, s: v.n / np.sqrt(2.0 * s) + 1.0),
+          Fixed(lambda v, s: 2 * s < v.n.bit_length())),
     # sum_{i=2..n} mu_i(G)^2 <= n^2/4; the parameter is the index count
     # c = n - 1, and the shifted view puts mu_2..mu_{c+1} at 1..c
     Bound("subset_squares", False, lambda n, s_max: [n - 1],
-          lambda v, c: _fsum_prefix(_sq(v.t[0, :, 1:]), c), lambda v, c: v.n * v.n / 4.0, _always),
+          lambda v, c: _fsum_prefix(_sq(v.t[0, :, 1:]), c), Fixed(lambda v, c: v.n * v.n / 4.0),
+          _always),
     # |mu_s(G)| <= n / (2 sqrt(n-s+1)), applicable when mu_s(G) <= 0
     Bound("nonpositive_eigenvalue", False, lambda n, s_max: range(2, min(s_max, n) + 1),
-          lambda v, s: np.abs(v.t[0][:, s]), lambda v, s: v.n / (2.0 * np.sqrt(v.n - s + 1)),
+          lambda v, s: np.abs(v.t[0][:, s]), Fixed(lambda v, s: v.n / (2.0 * np.sqrt(v.n - s + 1))),
           lambda v, s: v.t[0][:, s] <= v.tol),
     # for n >= 4^k one of {G, comp} has mu_{n-k+1} <= -1 and the other
     # mu_{n-k+1} <= 0; k runs over 4^k <= n, and k = 0 is never applicable
     Bound("ramsey_sign", False, lambda n, s_max: range((n.bit_length() - 1) // 2 + 1),
-          _ramsey_lhs, lambda v, k: 0.0, lambda v, k: k >= 1),
+          _ramsey_lhs, Fixed(lambda v, k: 0.0), Fixed(lambda v, k: k >= 1)),
     # mu_k(G) + mu_{n-k+2}(comp) <= -1 and mu_k(G) + mu_{n-k+1}(comp) >= -1, for 2 <= k <= n
     Bound("weyl_upper", False, _two_to_n,
-          lambda v, k: v.t[0][:, k] + v.b[1][:, k - 1], lambda v, k: -1.0, _always),
+          lambda v, k: v.t[0][:, k] + v.b[1][:, k - 1], Fixed(lambda v, k: -1.0), _always),
     Bound("weyl_lower", False, _two_to_n,
-          lambda v, k: -1.0, lambda v, k: v.t[0][:, k] + v.b[1][:, k], _always),
+          Fixed(lambda v, k: -1.0), lambda v, k: v.t[0][:, k] + v.b[1][:, k], _always),
 )
 
 # BOUNDS in the order of `run_battery`'s reports
@@ -229,35 +250,49 @@ class Evaluation(NamedTuple):
 
 class _Layout(NamedTuple):
     """What `evaluate` reads of a table at one (n, s_max), besides the
-    spectra: per column its row, parameter, bound id and strictness, and per
-    row its parameter array and column slice.  Shared by every call, so the
-    arrays are read-only."""
+    spectra: per column its row, parameter, bound id and strictness; the
+    applicable, lhs and rhs columns of every `Fixed` side (`fixed`, each of
+    shape (columns,)); and every other side as (its index in `fixed`, the
+    side, its row's parameter array, its column slice).  Shared by every
+    call, so the arrays are read-only."""
 
     rows: tuple[Bound, ...]
     params: tuple[Optional[int], ...]
     ids: tuple[str, ...]
     strict: tuple[bool, ...]
     strict_mask: np.ndarray
-    spans: tuple[tuple[Bound, np.ndarray, slice], ...]
+    fixed: tuple[np.ndarray, np.ndarray, np.ndarray]
+    sides: tuple[tuple[int, Side, np.ndarray, slice], ...]
 
 
 @functools.lru_cache(maxsize=256)
 def _layout(table: tuple[Bound, ...], n: int, s_max: int) -> _Layout:
     """The layout of `table` at (n, s_max), built once per key; an entry
-    holds O(n) references, and the memo keeps the last 256."""
+    holds O(n) references and values, and the memo keeps the last 256."""
     per_row = [tuple(bound.params(n, s_max)) for bound in table]
-    spans = []
+    width = sum(map(len, per_row))
+    # the columns of a spectrum side are written by every `_evaluate`
+    fixed = (np.zeros(width, dtype=bool), np.full(width, np.nan), np.full(width, np.nan))
+    bare = Views(None, None, n, s_max, None)
+    sides = []
     for bound, row, end in zip(table, per_row, itertools.accumulate(map(len, per_row))):
         # an empty list would give a float array, which cannot index
         p = np.array(row) if row else np.zeros(0, dtype=np.int64)
         p.flags.writeable = False
-        spans.append((bound, p, slice(end - len(row), end)))
+        cols = slice(end - len(row), end)
+        for i, side in enumerate((bound.applies, bound.lhs, bound.rhs)):
+            if isinstance(side, Fixed):
+                fixed[i][cols] = side.side(bare, p)
+            else:
+                sides.append((i, side, p, cols))
     rows = tuple(bound for bound, row in zip(table, per_row) for _ in row)
     strict = tuple(bound.strict for bound in rows)
     strict_mask = np.array(strict, dtype=bool)
-    strict_mask.flags.writeable = False
+    for x in (strict_mask, *fixed):
+        x.flags.writeable = False
     params = tuple(p for row in per_row for p in row)
-    return _Layout(rows, params, tuple(b.bound_id for b in rows), strict, strict_mask, tuple(spans))
+    ids = tuple(b.bound_id for b in rows)
+    return _Layout(rows, params, ids, strict, strict_mask, fixed, tuple(sides))
 
 
 def _check_args(s_max: int, tol: float) -> None:
@@ -277,11 +312,10 @@ def _evaluate(
     b = np.full_like(t, np.nan)
     b[..., 1 : n + 1] = t[..., n:0:-1]
     views = Views(t, b, n, s_max, tol)
-    applicable = np.empty((batch, len(layout.rows)), dtype=bool)
-    lhs, rhs = np.empty((2, batch, len(layout.rows)))
-    for bound, p, cols in layout.spans:
-        for out, side in ((applicable, bound.applies), (lhs, bound.lhs), (rhs, bound.rhs)):
-            out[:, cols] = side(views, p)
+    out = [np.tile(x, (batch, 1)) for x in layout.fixed]
+    for i, side, p, cols in layout.sides:
+        out[i][:, cols] = side(views, p)
+    applicable, lhs, rhs = out
     margin = rhs - lhs
     slack = tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     satisfied = np.where(layout.strict_mask, margin > -slack, margin >= -slack)
@@ -305,14 +339,14 @@ def table_columns(
 ) -> tuple[Sequence, ...]:
     """The reports of `table` on the descending spectra wg, wc of one graph
     and its complement, as columns in BoundReport field order: column f
-    holds field f of every (row, parameter), in table order."""
+    holds field f of every (row, parameter), in table order.  The real
+    columns (lhs, rhs, margin, tol) are float64 arrays, the others lists."""
     _check_args(s_max, tol)
     layout = _layout(tuple(table), len(wg), s_max)
     ev = _evaluate(wg[None], wc[None], s_max, tol, layout)
-    applicable, lhs, rhs, margin, satisfied = (x[0].tolist() for x in ev[2:])
     m = len(layout.rows)
-    return (layout.ids, [len(wg)] * m, layout.params, applicable, layout.strict,
-            lhs, rhs, margin, satisfied, [tol] * m)
+    return (layout.ids, [len(wg)] * m, layout.params, ev.applicable[0].tolist(), layout.strict,
+            ev.lhs[0], ev.rhs[0], ev.margin[0], ev.satisfied[0].tolist(), np.full(m, tol))
 
 
 def any_violated(columns: Sequence[Sequence]) -> bool:
@@ -322,7 +356,8 @@ def any_violated(columns: Sequence[Sequence]) -> bool:
 
 
 def _reports(columns: Sequence[Sequence]) -> list[BoundReport]:
-    return list(map(BoundReport._make, zip(*columns)))
+    lists = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns)
+    return list(map(BoundReport._make, zip(*lists)))
 
 
 def table_reports(

@@ -8,13 +8,17 @@ to 0, field order is fixed, and rows end with a bare newline.  NaN renders as
 Tables are formatted from columns, in bulk.  Reports, records and ratio rows
 each have one column table in `COLUMNS`, in the field order of their kind,
 and one text row in `TEXT_ROWS`.  `render_columns` takes a table as columns
-(`check` hands it `bounds.battery_columns`, straight from `bounds.evaluate`)
-and builds a row template of % specs from the column table.  A real is
-REAL, "%.12g", which calls the same PyOS_double_to_string as
-format(x, ".12g"); -0.0 is folded in numpy first, and in json a row with a
-NaN real gets a template with null in that cell.  Other values are mapped
-to text by their column's type.  One '%' then formats the whole table
-(`_fill`).
+(`check` hands it `bounds.battery_columns`, straight from `bounds.evaluate`,
+its reals as float64 arrays) and builds a row template of % specs from the
+column table.  A real is REAL, "%.12g", which calls the same
+PyOS_double_to_string as format(x, ".12g"); -0.0 is folded in numpy first,
+and in json a row with a NaN real gets a template with null in that cell.
+Word cells (a bool, an optional int, a json string, and the words of a
+text row) are mapped to text through a table of their column's distinct
+values.  A column whose values are all equal, such as a battery's n and
+tol, is formatted once into the row template's literal text, unless the
+table has one row or the column is NaN.  One '%' then formats the whole
+table (`_fill`).
 `render` transposes a list of items into the same call, and the spectrum
 lines go through `_fill` too; `format_real` is the rule for one real that
 the bulk formatter must match.  The recursion-matrix grid and the extremal
@@ -25,7 +29,6 @@ rejects any other with a ValueError.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from operator import attrgetter
@@ -65,21 +68,34 @@ def _fill(cells: Sequence[tuple[str, str, Sequence]], sep: str, tail: str = "",
           null_nan: bool = False) -> str:
     """The rows of a table, joined by `sep`, formatted by one '%'.  Each cell
     is (the text before it, its % spec, its value in every row); each row is
-    its cells, then `tail`.  The values of a REAL cell are reals: -0.0 is
-    folded to 0 in numpy, and, with `null_nan`, the rows where one is NaN get
-    a row template with NULL in its place."""
+    its cells, then `tail`.  The values of a REAL cell are reals (a float64
+    array is read as it is): -0.0 is folded to 0 in numpy, and, with
+    `null_nan`, the rows where one is NaN get a row template with NULL in its
+    place.  A cell whose values are all equal, in a table of two rows or
+    more, is formatted once into the row template's literal text; a NaN is
+    equal to nothing, so a NaN cell never is."""
     sep, tail = sep.replace("%", "%%"), tail.replace("%", "%%")  # literal text
     rows = len(cells[0][2])
     specs, args, nans = [], [], []
+    text = ""  # the literal text before the next cell that takes values
     for before, spec, values in cells:
+        text += before.replace("%", "%%")
         if spec == REAL:
             x = np.asarray(values, dtype=np.float64)
             x = np.where(x == 0.0, 0.0, x)  # like + 0.0, quiet on any NaN bits
+            same = rows > 1 and bool((x == x[0]).all())
             values = x.tolist()
             if null_nan and np.isnan(x).any():
                 nans.append((len(specs), np.isnan(x)))
-        specs.append((before.replace("%", "%%"), spec))
-        args.append(values)
+        else:
+            same = rows > 1 and values.count(values[0]) == rows
+        if same:
+            text += (spec % (values[0],)).replace("%", "%%")
+        else:
+            specs.append((text, spec))
+            args.append(values)
+            text = ""
+    tail = text + tail
 
     def row(nulls: frozenset = frozenset()) -> str:
         cells = (b + (NULL if j in nulls else spec) for j, (b, spec) in enumerate(specs))
@@ -93,12 +109,19 @@ def _fill(cells: Sequence[tuple[str, str, Sequence]], sep: str, tail: str = "",
         template = sep.join(map(variants.__getitem__, code))
     else:
         template = sep.join([row()] * rows)
-    return template % tuple(itertools.chain.from_iterable(zip(*args)))
+    flat = [None] * (rows * len(args))  # row by row, as the template reads them
+    for j, values in enumerate(args):
+        flat[j :: len(args)] = values
+    return template % tuple(flat)
 
 
 def _words(values: Sequence, word: Callable[..., str]) -> Sequence:
-    """Each value as `word` writes it; str is left to '%s'."""
-    return values if word is str else list(map(word, values))
+    """Each value as `word` writes it, read from a table of the column's
+    distinct values; str is left to '%s'."""
+    if word is str:
+        return values
+    table = {v: word(v) for v in set(values)}
+    return list(map(table.__getitem__, values))
 
 
 def _bool(x: bool) -> str:

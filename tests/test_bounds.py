@@ -12,9 +12,12 @@ from battery_oracle import battery_rows
 from class_oracle import all_classes
 
 from ngspectral.bounds import (
+    BATTERY,
     BOUNDS,
     Bound,
     BoundReport,
+    Fixed,
+    _layout,
     _neighbor_masks,
     _sq,
     evaluate,
@@ -550,3 +553,77 @@ def test_table_sound_on_every_class_at_order_8():
             applicable_ids.add(bound.bound_id)
     # fs_upper needs n >= 15 and is the only row that never applies here
     assert applicable_ids == {b.bound_id for b in BOUNDS} - {"fs_upper"}
+
+
+def _spied(table, calls):
+    """`table` with every side wrapped to count its calls in calls[kind],
+    kind "fixed" or "spectrum"; new sides, so a new layout."""
+    def spy(side):
+        fixed = isinstance(side, Fixed)
+        inner = side.side if fixed else side
+
+        def counted(v, p):
+            calls["fixed" if fixed else "spectrum"] += 1
+            return inner(v, p)
+        return Fixed(counted) if fixed else counted
+
+    return tuple(b._replace(lhs=spy(b.lhs), rhs=spy(b.rhs), applies=spy(b.applies)) for b in table)
+
+
+def test_layout_evaluates_spectrum_free_sides_once():
+    calls = Counter()
+    table = _spied(BATTERY, calls)
+    g = erdos_renyi(16, 0.5, 4)
+    wg, wc = complement_pair_eigenvalues(g.adjacency_matrix())
+    first = evaluate(wg[None], wc[None], 5, table=table)
+    fixed, spectral = calls["fixed"], calls["spectrum"]
+    # three sides a row; every row but nonpositive_eigenvalue reads the
+    # spectrum on one side, and it on two
+    assert (fixed, spectral) == (2 * len(BATTERY) - 1, len(BATTERY) + 1)
+    again = evaluate(wg[None], wc[None], 5, tol=1e-6, table=table)
+    assert calls == {"fixed": fixed, "spectrum": 2 * spectral}
+    plain = evaluate(wg[None], wc[None], 5, table=BATTERY)
+    for got in (first, again):
+        for name in ("lhs", "rhs", "margin"):
+            assert np.array_equal(getattr(got, name), getattr(plain, name), equal_nan=True)
+    assert np.array_equal(first.applicable, plain.applicable)
+    # another (n, s_max) is another layout
+    evaluate(wg[None], wc[None], 4, table=table)
+    assert calls["fixed"] == 2 * fixed
+
+
+def test_layout_arrays_are_read_only():
+    layout = _layout(BATTERY, 16, 5)
+    assert [x.shape for x in layout.fixed] == [(len(layout.rows),)] * 3
+    for x in (*layout.fixed, layout.strict_mask, *(p for _, _, p, _ in layout.sides)):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0
+    # what evaluate returns is its own, and writing it leaves the layout as it was
+    w = np.zeros((1, 16))
+    ev = evaluate(w, w, 5, table=BATTERY)
+    nosal_lower = [row.bound_id for row in ev.rows].index("nosal_lower")
+    ev.lhs[...] = 7.0
+    ev.applicable[...] = False
+    again = evaluate(w, w, 5, table=BATTERY)
+    assert again.lhs[0, nosal_lower] == 15.0 and again.applicable.any()
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_batched_evaluate_matches_plain_python_oracle(batch):
+    # every lhs and rhs bit of every graph of the batch, signed zeros and NaN
+    # included, with the spectrum-free sides read from the layout
+    for n, s_max in ((1, 3), (4, 2), (9, 4), (16, 12), (40, 5)):
+        graphs = [erdos_renyi(n, 0.3 + 0.1 * seed, seed) for seed in range(batch)]
+        if batch > 1 and n >= 4:  # a degenerate spectrum, with -0.0 and rounding residue
+            graphs[-1] = complete_bipartite(n // 2, n - n // 2)
+        wg, wc = map(np.array, zip(*(complement_pair_eigenvalues(g.adjacency_matrix())
+                                    for g in graphs)))
+        ev = evaluate(wg, wc, s_max, table=BATTERY)
+        for b in range(batch):
+            got = [(row.bound_id, p, bool(ev.applicable[b, j]), row.strict,
+                    float(ev.lhs[b, j]), float(ev.rhs[b, j]))
+                   for j, (row, p) in enumerate(zip(ev.rows, ev.params))]
+            want = battery_rows(wg[b].tolist(), wc[b].tolist(), s_max, 1e-8)
+            assert _bits(got) == _bits(want), (n, s_max, b)
+            assert np.array_equal((ev.rhs - ev.lhs)[b], ev.margin[b], equal_nan=True)

@@ -37,6 +37,9 @@ CASES = {
     # a tolerance cell in exponent form
     **{f"check-tol.{fmt}": ["check", "--generate", "cycle:9", "--tol", "1e-12", "--format", fmt]
        for fmt in ("csv", "json", "text")},
+    # the largest order of the check_many bench: hundreds of rows of constant n and tol
+    **{f"check-er128.{fmt}": ["check", "--generate", "erdos_renyi:128,0.9", "--seed", "5",
+                              "--s-max", "5", "--format", fmt] for fmt in ("csv", "json")},
     **{f"spectrum-c9.{fmt}": ["spectrum", "--generate", "cycle:9", "--format", fmt]
        for fmt in ("csv", "json", "text")},
     **{f"extremal.{fmt}": [*_EXTREMAL, "--format", fmt] for fmt in ("csv", "json", "text")},

@@ -1,5 +1,6 @@
 """Column-table rendering of reports, records and ratio rows."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from ngspectral.bounds import BoundReport
 from ngspectral.graphs import Matrix01
 from ngspectral.reporting import (
-    REAL, _fill, format_real, graph6_line, matrix_lines, render, spectrum_lines,
+    BOOL, COLUMNS, FLOAT, OPT_INT, REAL, STR, _fill, format_real, graph6_line, matrix_lines,
+    render, render_columns, spectrum_lines,
 )
 from ngspectral.search import ExtremalRecord, RatioRow
 
@@ -151,3 +153,104 @@ def test_unknown_format_is_rejected(entry, fmt):
     with pytest.raises(ValueError, match="unknown output format .*choose from text, json, csv"):
         entry(fmt)
 
+
+
+# ---------------------------------------------------------------- oracle
+
+def _oracle_cell(vtype, value, fmt: str) -> str:
+    """One csv or json cell of a value of column type `vtype`, on its own."""
+    if vtype is FLOAT:
+        text = format_real(value)
+        return "null" if fmt == "json" and text == "nan" else text
+    if vtype is STR:
+        return json.dumps(value) if fmt == "json" else value
+    if vtype is BOOL:
+        return "true" if value else "false"
+    if value is None:  # OPT_INT
+        return "null" if fmt == "json" else ""
+    return str(value)
+
+
+def _oracle_text(kind, item) -> str:
+    """One text line of `item`, the row of its kind spelled out."""
+    if kind is BoundReport:
+        status = ("OK" if item.satisfied else "VIOLATION") if item.applicable else "SKIP"
+        param = "-" if item.param is None else item.param
+        return (f"{status:<9} {item.bound_id:<22} n={item.n} param={param} "
+                f"{format_real(item.lhs)} {'<' if item.strict else '<='} {format_real(item.rhs)} "
+                f"margin={format_real(item.margin)}")
+    if kind is ExtremalRecord:
+        return (f"n={item.n} s={item.s} family={item.family}: value={format_real(item.value)} "
+                f"({'exact' if item.exact else 'lower bound'}, {item.method}, "
+                f"{item.evaluations} evaluations) witness={item.witness}")
+    return (f"n={item.n}: value={format_real(item.value)} value/n={format_real(item.ratio)} "
+            f"target={format_real(item.target)} gap={format_real(item.gap)} [{item.method}]")
+
+
+def _oracle(kind, items, fmt: str) -> str:
+    fields = COLUMNS[kind]
+    if fmt == "text":
+        lines = [_oracle_text(kind, item) for item in items]
+    else:
+        lines = [",".join(c.name for c in fields)] if fmt == "csv" else []
+        for item in items:
+            cells = [_oracle_cell(c.type, getattr(item, c.attr), fmt) for c in fields]
+            if fmt == "json":
+                cells = [f"{json.dumps(c.name)}:{cell}" for c, cell in zip(fields, cells)]
+            lines.append("{" + ",".join(cells) + "}" if fmt == "json" else ",".join(cells))
+    return "".join(line + "\n" for line in lines)
+
+
+_WORDS = ["a", "plain", "100%", "%s", "%%d", 'q"uote', "back\\slash", "x,y", "", "é"]
+_REALS = [NAN, -0.0, 0.0, 1e-8, 1.5, -2.25, 1e300, -math.inf, 1.0 / 3.0, 123456789012.5]
+
+
+def _values(rng, vtype, rows: int, const: bool) -> list:
+    """A random column of `rows` values of `vtype`, all equal when `const`."""
+    def one():
+        if vtype is FLOAT:
+            return float(_REALS[rng.integers(len(_REALS))] if rng.random() < 0.6
+                         else rng.standard_normal() * 10.0 ** rng.integers(-5, 5))
+        if vtype is STR:
+            return _WORDS[rng.integers(len(_WORDS))]
+        if vtype is BOOL:
+            return bool(rng.integers(2))
+        value = int(rng.integers(-3, 300))
+        return None if vtype is OPT_INT and rng.random() < 0.3 else value
+
+    if const:
+        return [one()] * rows
+    return [one() for _ in range(rows)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("rows", [0, 1, 2, 37])
+@pytest.mark.parametrize("kind", [BoundReport, ExtremalRecord, RatioRow], ids=lambda k: k.__name__)
+def test_render_columns_matches_a_per_cell_oracle(kind, rows, seed):
+    # each column constant or not at random, the constant ones among them
+    # NaN, -0.0 or a string with '%'; real columns as lists or float64 arrays
+    rng = np.random.default_rng([seed, rows, len(COLUMNS[kind])])
+    for trial in range(6):
+        const = rng.random(len(COLUMNS[kind])) < (0.2, 0.5, 0.9)[trial % 3]
+        columns = [_values(rng, c.type, rows, bool(k)) for c, k in zip(COLUMNS[kind], const)]
+        items = [kind(*row) for row in zip(*columns)]
+        columns = [np.array(values, dtype=np.float64) if c.type is FLOAT and rng.random() < 0.5
+                   else values for c, values in zip(COLUMNS[kind], columns)]
+        for fmt in ("text", "csv", "json"):
+            assert render_columns(columns, fmt, kind) == _oracle(kind, items, fmt), (fmt, trial)
+
+
+def test_constant_columns_print_as_every_row_would():
+    # the n and tol columns of a battery are constant; a constant NaN column
+    # still prints null in json, a constant -0.0 prints 0, and '%' in a
+    # constant string prints as itself
+    reports = [BoundReport("100%", 4, p, True, False, NAN, -0.0, NAN, True, 1e-12)
+               for p in (None, 1, 2)]
+    assert render(reports, "json", BoundReport) == [
+        '{"bound_id":"100%","n":4,"s_or_k":' + p + ',"applicable":true,"strict":false,'
+        '"lhs":null,"rhs":0,"margin":null,"satisfied":true,"tol":1e-12}' for p in ("null", "1", "2")
+    ]
+    assert render(reports, "csv", BoundReport)[1:] == [
+        f"100%,4,{p},true,false,nan,0,nan,true,1e-12" for p in ("", "1", "2")
+    ]
+    assert _fill([("%", "%s", ["%d"] * 2), ("%", REAL, [-0.0, 0.0])], ";", "%") == "%%d%0%;%%d%0%"
