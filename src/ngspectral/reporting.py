@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -115,11 +115,14 @@ def _fill(cells: Sequence[tuple[str, str, Sequence]], sep: str, tail: str = "",
     return template % tuple(flat)
 
 
-def _words(values: Sequence, word: Callable[..., str]) -> Sequence:
+def _words(values: Sequence, word) -> Sequence:
     """Each value as `word` writes it, read from a table of the column's
-    distinct values; str is left to '%s'."""
+    distinct values; str is left to '%s'.  A str `word` is the word of None
+    in a column of optional ints, whose ints are also left to '%s'."""
     if word is str:
         return values
+    if isinstance(word, str):
+        return [word if v is None else v for v in values]
     table = {v: word(v) for v in set(values)}
     return list(map(table.__getitem__, values))
 
@@ -128,19 +131,20 @@ def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-# A value type: how one value becomes a csv cell and a json value.  A real
-# is formatted by '%' itself (REAL, NULL).
+# A value type: how one value becomes a csv cell and a json value, a
+# function or, for an optional int, the word of None.  A real is formatted
+# by '%' itself (REAL, NULL).
 STR = (str, json.dumps)
 INT = (str, str)
 BOOL = (_bool, _bool)
 FLOAT = None
-OPT_INT = (lambda v: "" if v is None else str(v), lambda v: "null" if v is None else str(v))
+OPT_INT = ("", "null")  # the word of None; '%s' writes the ints
 
 
 class Column(NamedTuple):
     name: str  # csv header and json key
     attr: str
-    type: Optional[tuple[Callable[..., str], Callable[..., str]]]
+    type: Optional[tuple]  # a value type, or FLOAT
 
 
 # One column per field of the kind, in field order, so a table's columns
@@ -190,7 +194,7 @@ def _report_text(bound_id, n, param, applicable, strict, lhs, rhs, margin, satis
         ("", "%-9s", status),
         (" ", "%-22s", bound_id),
         (" n=", "%s", n),
-        (" param=", "%s", _words(param, lambda p: "-" if p is None else str(p))),
+        (" param=", "%s", _words(param, "-")),
         (" ", REAL, lhs),
         (" ", "%s", _words(strict, lambda x: "<" if x else "<=")),
         (" ", REAL, rhs),

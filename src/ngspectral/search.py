@@ -31,12 +31,16 @@ estimate of their score and takes the best of the top few by exact score.
 A flip is a rank-2 update of the adjacency matrix, so one eigendecomposition
 of the graph and of its complement gives the first-order shift of the target
 eigenvalue under every flip (`_first_order_mu`); in a repeated eigenvalue it
-reads the eigenspace, not the basis eigh picks in it.  The TOP_FLIPS flips
-that rank highest are rebuilt and rescored through eigvalsh, and those
-scores pick the flip and stop the climb.  The climbs from all starts run in
-lockstep: each step solves the eigendecompositions of every climb still
-running in one call and rescores all their top flips in one `_pair_scores`
-call; a climb leaves the batch when it stops.  Results are fully
+reads the eigenspace, not the basis eigh picks in it.  The same eigenpairs
+bracket the exact target eigenvalue after each of the TOP_FLIPS flips that
+rank highest, by bisection on an inertia count (`_flip_brackets`).  A top
+flip whose score bracket lies below the best lower bound among its climb's
+top flips cannot win; only the others are rebuilt and rescored through
+eigvalsh, and those scores pick the flip and stop the climb, so the prune
+never changes a record.  The climbs from all starts run in lockstep: each
+step solves the eigendecompositions of every climb still running in one
+call and rescores all their kept top flips in one `_pair_scores` call; a
+climb leaves the batch when it stops.  Results are fully
 deterministic: enumeration order is fixed, local search is seed-driven,
 and value ties are broken by the lexicographically smallest graph6 string.
 """
@@ -71,9 +75,25 @@ LABEL_BUDGET = 1 << 26
 # local search: scores closer than this are ties, and a flip must beat the
 # current score by more than this to count as an improvement
 CLIMB_TIE_TOL = 1e-12
-# local search: each step rescores through eigvalsh this many flips of
-# every running climb, those that rank highest to first order
+# local search: each step brackets this many flips of every running climb,
+# those that rank highest to first order, and rescores through eigvalsh
+# those of them that can still win
 TOP_FLIPS = 16
+# local search: bisection steps of each top flip's bracket (_flip_brackets),
+# which leave it 2^-11 wide.  On the six climbs of `search --local --s 2` at
+# n = 16, 24 and 32 (10 560 top flips), 8, 10, 12, 14 and 16 steps keep 2809,
+# 1201, 948, 865 and 836 flips for eigvalsh, and the climbs took 0.47-0.55,
+# 0.38-0.40, 0.37-0.39, 0.36 and 0.37 s (1 BLAS thread): past 12 steps the
+# bisection costs about what it saves
+BRACKET_STEPS = 12
+# local search: each bracket's widening, ten times the least distance of a
+# bisection midpoint from an eigenvalue of the step's spectra.  Over every
+# flip and t of empty, complete, cycle, star, K_{n/2,n/2}, extremal_graph,
+# Paley(13) and G(n, 1/2) graphs of orders 2 to 32, brackets missed
+# eigvalsh by at most 1.1e-14 before this widening.  With midpoints kept
+# only 1e-9 or 1e-10 off, they missed by about that distance, as a count
+# next to a pole that is also an eigenvalue of the flip can err
+BRACKET_SLACK = 1e-7
 
 
 @dataclass(frozen=True)
@@ -232,10 +252,13 @@ def _constructive_starts(n: int, s: int, family: str) -> list[Graph]:
     return [extremal_graph(k, n // 2 ** (k + 1))] if fits else []
 
 
-def _first_order_mu(a: np.ndarray, t: int, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
+def _first_order_mu(
+    a: np.ndarray, lam: np.ndarray, vec: np.ndarray, t: int, iu: np.ndarray, ju: np.ndarray
+) -> np.ndarray:
     """Eigenvalue t (1-based, descending) after each flip (iu, ju) of each
     adjacency matrix in `a` (C, n, n), to first order, on the graph and on
-    its complement: (C, 2, iu.size), from one `complement_pair_eigh` call.
+    its complement: (C, 2, iu.size), from the eigenpairs (lam, vec) of
+    `complement_pair_eigh(a)`, which it leaves as they are.
 
     Flip (i, j) adds d(e_i e_j' + e_j e_i'), d = 1 - 2 a_ij, to the graph
     and its negative to the complement.  In each spectrum, let c be the run
@@ -247,11 +270,12 @@ def _first_order_mu(a: np.ndarray, t: int, iu: np.ndarray, ju: np.ndarray) -> np
     read only the run's projector Q_c Q_c', so they do not depend on the
     basis eigh picks inside an eigenspace.
     """
-    lam, vec = complement_pair_eigh(a)  # (C, 2, n) and (C, 2, n, n)
     mu = lam[..., t - 1 : t]
     run = np.abs(lam - mu) <= DEFAULT_TOL  # one index range: lam descends
-    vec *= run[..., None, :]  # Q_c, zero outside the run
-    proj = vec @ vec.swapaxes(-1, -2)
+    # Q_c, zero outside the run, in vec's layout (eigh's columns reversed):
+    # matmul's order of summation depends on it, and the ranking keeps its bits
+    q = (vec[..., ::-1] * run[..., None, ::-1])[..., ::-1]
+    proj = q @ q.swapaxes(-1, -2)
     norm = np.sqrt(np.diagonal(proj, axis1=-2, axis2=-1))
     d = 1.0 - 2.0 * a[:, iu, ju]
     uv = np.stack([d, -d], axis=1) * proj[..., iu, ju]
@@ -259,6 +283,51 @@ def _first_order_mu(a: np.ndarray, t: int, iu: np.ndarray, ju: np.ndarray) -> np
     place = t - 1 - np.argmax(run, axis=-1)
     first, last = (place == 0)[..., None], (place == run.sum(-1) - 1)[..., None]
     return mu + first * (uv + root) + last * (uv - root)
+
+
+def _flip_brackets(
+    a: np.ndarray, lam: np.ndarray, vec: np.ndarray, t: int, i: np.ndarray, j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi), each (C, 2, K), on eigenvalue t (1-based,
+    descending) after flip (i[c, k], j[c, k]) of matrix c of `a` (C, n, n),
+    on the graph and on its complement, from the eigenpairs (lam, vec) of
+    `complement_pair_eigh(a)`.  The value eigvalsh gives lies inside.
+
+    The flip adds D = d(e_i e_j' + e_j e_i'), d = 1 - 2 a_ij, to the graph
+    and -D to the complement.  D has eigenvalues 1 and -1, so mu_t lies
+    within 1 of lam_t (Weyl), and BRACKET_STEPS bisection steps halve that
+    interval.  A step at x counts #{mu > x} = #{lam > x} + c by inertia
+    (Haynsworth): with z1 = Q[i], z2 = Q[j], g_ab = sum_k za_k zb_k / (lam_k
+    - x) and T = [[g11, g12 + d], [g12 + d, g22]], c is 0 if det T < 0 and,
+    if det T > 0, 1 when g11 < 0 and -1 otherwise.  A midpoint within
+    BRACKET_SLACK / 10 of some lam_k moves that far above the highest of
+    them: det T cancels near a pole, and the integer eigenvalues of
+    symmetric graphs sit on dyadic midpoints.  The bounds are widened by
+    BRACKET_SLACK, which covers that move and the rounding of eigh and
+    eigvalsh.
+    """
+    climb = np.arange(a.shape[0])[:, None, None]
+    side = np.arange(2)[None, :, None]
+    d = 1.0 - 2.0 * a[climb[..., 0], i, j]
+    d = np.stack([d, -d], axis=1)  # (C, 2, K)
+    z1, z2 = vec[climb, side, i[:, None]], vec[climb, side, j[:, None]]  # (C, 2, K, n)
+    weights = np.stack([z1 * z1, z2 * z2, z1 * z2], axis=-2)
+    poles = lam[:, :, None, :]
+    guard = 0.1 * BRACKET_SLACK
+    lo = np.broadcast_to(lam[..., t - 1 : t] - 1.0, d.shape)
+    hi = lo + 2.0
+    for _ in range(BRACKET_STEPS):
+        x = 0.5 * (lo + hi)
+        gap = poles - x[..., None]
+        near = np.abs(gap) < guard
+        if near.any():  # off the pole, above the highest eigenvalue near x
+            x = np.where(near.any(-1), np.where(near, poles, -np.inf).max(-1) + guard, x)
+            gap = poles - x[..., None]
+        g11, g22, g12 = np.einsum("...an,...n->a...", weights, 1.0 / gap)
+        det = g11 * g22 - (g12 + d) ** 2
+        above = (gap > 0).sum(-1) - (det > 0) * np.sign(g11) >= t
+        lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+    return lo - BRACKET_SLACK, hi + BRACKET_SLACK
 
 
 def _flipped_stack(a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -283,24 +352,29 @@ def local_search_f(
 
     Starts from `restarts` seeded random graphs (seed + restart index) plus
     the construction matching (n, s, family), if any (`_constructive_starts`),
-    and climbs from all of them in lockstep.  Each step ranks the n(n-1)/2
-    flips of every running climb by eigenvalue `_column(n, s, family)` + 1
-    of the flipped graph and of its complement to first order
-    (`_first_order_mu`), from one eigendecomposition of each, and rescores
-    the TOP_FLIPS flips of each climb that rank highest, ties to the smaller
-    flip index, through `_pair_scores` in one call.  Each climb takes its
-    best rescored flip, the smallest flip index among equal scores, if it
-    improves its score by more than CLIMB_TIE_TOL, and otherwise stops and
-    leaves the batch.  `evaluations` counts the starts plus n(n-1)/2 per
-    running climb per step.  The returned value is the witness re-scored by
-    `objective` after its graph6 round trip (`_record`), hence a certified
-    lower bound on the true extremal value.
+    and climbs from all of them in lockstep.  Each step solves one
+    eigendecomposition of every running climb and its complement, in one
+    call.  From it, it ranks the n(n-1)/2 flips of each climb by eigenvalue
+    t = `_column(n, s, family)` + 1 of the flipped graph and of its
+    complement to first order (`_first_order_mu`), takes the TOP_FLIPS that
+    rank highest, ties to the smaller flip index, and brackets the exact
+    score of each (`_flip_brackets`).  It rescores through `_pair_scores`,
+    in one call, every top flip whose upper bound reaches the best lower
+    bound among its climb's top flips; the others score below some rescored
+    flip, so they cannot win.  Each climb takes its best rescored flip, the
+    smallest flip index among equal scores, if it improves its score by
+    more than CLIMB_TIE_TOL, and otherwise stops and leaves the batch.  This
+    is the flip that rescoring every top flip would pick.  `evaluations`
+    counts the starts plus n(n-1)/2 per running climb per step.  The
+    returned value is the witness re-scored by `objective` after its graph6
+    round trip (`_record`), hence a certified lower bound on the true
+    extremal value.
 
     A step costs one eigendecomposition of each running climb and its
-    complement and TOP_FLIPS eigvalsh rescores per climb, all O(n^3).
+    complement and an eigvalsh rescore of each kept top flip, all O(n^3).
     `local_search_f(n, 2, "top", 0, 1, 1)`, one step of two climbs, took
-    0.35 s at n = 256, 1.4 s at n = 512 and 10.8 s at n = 1024, with a
-    peak RSS of 246 MB (2 cores, OpenBLAS on 1 thread).
+    0.17 s at n = 256, 0.71 s at n = 512 and 5.5-5.8 s at n = 1024, with a
+    peak RSS of 273 MB (2 cores, OpenBLAS on 1 thread).
     """
     col = _column(n, s, family)
     check_order(n)
@@ -317,15 +391,24 @@ def local_search_f(
     for _ in range(iterations):
         if not live.size:
             break
+        climbs = a[live]
+        lam, vec = complement_pair_eigh(climbs)
         # each climb's TOP_FLIPS best-ranked flips, ascending; equal ranks go to the smaller index
-        rank = np.abs(_first_order_mu(a[live], col + 1, iu, ju)).sum(1)
+        rank = np.abs(_first_order_mu(climbs, lam, vec, col + 1, iu, ju)).sum(1)
         top = np.sort(np.argsort(-rank, axis=1, kind="stable")[:, :TOP_FLIPS], axis=1)
-        owner, flip = np.repeat(live, top.shape[1]), top.ravel()
+        # bounds on each top flip's score; a flip whose upper bound is below
+        # the best lower bound of its climb cannot win, and is not rescored
+        lower, upper = _flip_brackets(climbs, lam, vec, col + 1, iu[top], ju[top])
+        low = np.maximum(np.maximum(lower, -upper), 0.0).sum(1)  # |mu| at least, both sides
+        high = np.maximum(-lower, upper).sum(1)
+        keep = high >= low.max(1, keepdims=True)
+        owner, flip = live[np.nonzero(keep)[0]], top[keep]
 
         def flipped(lo, hi):
             return _flipped_stack(a[owner[lo:hi]], iu[flip[lo:hi]], ju[flip[lo:hi]])
 
-        rescored = _pair_scores(flip.size, n, flipped, col).reshape(top.shape)
+        rescored = np.full(top.shape, -np.inf)
+        rescored[keep] = _pair_scores(flip.size, n, flipped, col)
         evaluations += m * live.size
         best = np.argmax(rescored, axis=1)  # ties resolve to the smallest flip index
         rows = np.flatnonzero(rescored[np.arange(live.size), best] > score[live] + CLIMB_TIE_TOL)

@@ -1,11 +1,12 @@
 """Reference hill climb that runs one climb at a time.
 
 The program climbs from every start in lockstep: each step ranks the flips
-of all running climbs in one `_first_order_mu` call and rescores the
-TOP_FLIPS best-ranked flips of each in one `_pair_scores` call.  The tests
-use this plain loop, which climbs from each start on its own with the same
-ranking and the same kernel, as an oracle for it, so the records must agree
-bit for bit.
+of all running climbs in one `_first_order_mu` call and rescores, in one
+`_pair_scores` call, those of the TOP_FLIPS best-ranked flips of each that
+their brackets (`_flip_brackets`) leave in the running.  The tests use this
+plain loop, which climbs from each start on its own with the same ranking
+and rescores every top flip with the same kernel, as an oracle for it, so
+the records must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from ngspectral.eigensolver import complement_pair_eigh
 from ngspectral.graphs import Graph, check_order, erdos_renyi
 from ngspectral.search import (
     CLIMB_TIE_TOL,
@@ -50,7 +52,8 @@ def local_oracle(
         score = float(_pair_scores(1, n, lambda lo, hi: a[None], col)[0])
         evaluations += 1
         for _ in range(iterations if m else 0):
-            rank = np.abs(_first_order_mu(a[None], col + 1, iu, ju)[0]).sum(0)
+            lam, vec = complement_pair_eigh(a[None])
+            rank = np.abs(_first_order_mu(a[None], lam, vec, col + 1, iu, ju)[0]).sum(0)
             top = np.array(sorted(sorted(range(m), key=lambda f: (-rank[f], f))[:TOP_FLIPS]))
             flipped = _flipped_stack(a, iu[top], ju[top])
             flips = _pair_scores(top.size, n, lambda lo, hi: flipped[lo:hi], col)

@@ -34,6 +34,8 @@ from ngspectral.graphs import (
     smallest_labelling,
 )
 from ngspectral.search import (
+    BRACKET_SLACK,
+    BRACKET_STEPS,
     FAMILIES,
     SCORE_ENTRIES,
     TOP_FLIPS,
@@ -41,6 +43,7 @@ from ngspectral.search import (
     _constructive_starts,
     _extension_scores,
     _first_order_mu,
+    _flip_brackets,
     _flipped_stack,
     _pair_scores,
     exhaustive_f,
@@ -610,7 +613,9 @@ def test_local_search_matches_oracle_small_orders(n):
 @pytest.mark.parametrize(
     "args",
     [(16, 3, "top", 1), (20, 3, "top", 2)]
-    + [(n, 2, family, 0, 8) for n in (16, 24, 32) for family in ("top", "bottom")],
+    + [(n, 2, family, 0, 8) for n in (16, 24, 32) for family in ("top", "bottom")]
+    # construction starts where 1024 flips tie for the best first-order rank
+    + [(64, 2, "bottom", 0, 2, 1), (64, 3, "top", 0, 4)],
 )
 def test_local_search_matches_oracle(args):
     assert local_search_f(*args) == local_oracle(*args)
@@ -684,51 +689,75 @@ def test_local_search_memory_stays_flat():
     assert peak <= 1.1 * PEAK_BEFORE_LOCKSTEP, peak
 
 
-def test_local_search_screens_each_step_in_one_block(monkeypatch):
-    # each step ranks the flips of every running climb from one
-    # complement_pair_eigh call and rescores TOP_FLIPS flips of each in one
-    # _pair_scores call; the first call of the kernel scores the four starts
-    # of order 32 (three seeded and the construction), the last the witness
-    args = (32, 2, "bottom", 0)
-    live, rescored = [], []
+def _spy_on_steps(monkeypatch):
+    """Lists that fill as `local_search_f` runs: the climbs that each step
+    ranks, one stack per `complement_pair_eigh` call, and the matrices that
+    each `_pair_scores` call scores."""
+    climbs, scored = [], []
 
     def eigh_spy(stack):
-        live.append(stack.shape[0])
+        climbs.append(stack.copy())
         return complement_pair_eigh(stack)
 
-    def score_spy(count, *call):
-        rescored.append(count)
-        return _pair_scores(count, *call)
+    def score_spy(count, order, build, col=None):
+        scored.append(np.array(build(0, count)))
+        return _pair_scores(count, order, build, col)
 
     monkeypatch.setattr(ngspectral.search, "complement_pair_eigh", eigh_spy)
     monkeypatch.setattr(ngspectral.search, "_pair_scores", score_spy)
+    return climbs, scored
+
+
+def _assert_best_top_flips_rescored(climbs, rescored, col):
+    """Each step rescored at most TOP_FLIPS flips of each of its climbs, and
+    among them the flip that rescoring every top flip picks, as the oracle
+    does: the best eigvalsh score, the smallest flip index among equals.
+    climbs[k] and rescored[k] are step k's climbs and rescored matrices."""
+    assert len(climbs) == len(rescored)
+    for stack, matrices in zip(climbs, rescored):
+        n = stack.shape[-1]
+        iu, ju = np.triu_indices(n, 1)
+        rank = np.abs(_first_order_mu(stack, *complement_pair_eigh(stack), col + 1, iu, ju)).sum(1)
+        for a, r in zip(stack, rank):
+            top = np.sort(np.argsort(-r, kind="stable")[:TOP_FLIPS])
+            flips = _flipped_stack(a, iu[top], ju[top])
+            best = flips[np.argmax(_pair_scores(top.size, n, lambda lo, hi: flips[lo:hi], col))]
+            # a flip of `a` differs from it in two entries, (i, j) and (j, i)
+            mine = matrices[np.count_nonzero(matrices != a, axis=(1, 2)) == 2]
+            assert 1 <= len(mine) <= TOP_FLIPS, len(mine)
+            assert (mine == best).all(axis=(1, 2)).any()
+
+
+def test_local_search_screens_each_step_in_one_block(monkeypatch):
+    # each step ranks the flips of every running climb from one
+    # complement_pair_eigh call and rescores at most TOP_FLIPS flips of each
+    # in one _pair_scores call, eigvalsh's best top flip among them; the
+    # first call of the kernel scores the four starts of order 32 (three
+    # seeded and the construction), the last the witness
+    args = (32, 2, "bottom", 0)
+    climbs, scored = _spy_on_steps(monkeypatch)
     rec = local_search_f(*args)
-    assert rescored[0] == live[0] == 4 and rescored[-1] == 1, (rescored, live)
-    assert rescored[1:-1] == [TOP_FLIPS * climbs for climbs in live], (rescored, live)
+    assert len(scored[0]) == len(climbs[0]) == 4 and len(scored[-1]) == 1
+    _assert_best_top_flips_rescored(climbs, scored[1:-1], _column(*args[:3]))
     assert rec == local_oracle(*args)
 
 
 def test_each_step_rescores_at_most_top_flips_per_climb(monkeypatch):
     # the construction's start of order 96 ties 2304 flips for the best
-    # first-order rank; the step rescores TOP_FLIPS of them, not all
+    # first-order rank; the step rescores at most TOP_FLIPS of them, not all
     args = (96, 2, "bottom", 0, 1, 1)
-    rescored = []
-
-    def spy(count, *call):
-        rescored.append(count)
-        return _pair_scores(count, *call)
-
-    monkeypatch.setattr(ngspectral.search, "_pair_scores", spy)
+    climbs, scored = _spy_on_steps(monkeypatch)
     rec = local_search_f(*args)
-    assert rescored == [2, 2 * TOP_FLIPS, 1], rescored  # the starts, one step, the witness
+    assert [len(m) for m in scored[::2]] == [2, 1] and len(scored) == 3  # the starts, a step, the witness
+    _assert_best_top_flips_rescored(climbs, scored[1:-1], _column(*args[:3]))
     assert rec == local_oracle(*args)
 
 
 def test_rescoring_batches_are_bounded_by_entries(monkeypatch):
     # each eigvalsh batch of the kernel holds at most SCORE_ENTRIES entries:
-    # with room for 8 matrices of order 64, the 2 TOP_FLIPS flips of each of
-    # the two steps take four batches, and the record is the one that whole
-    # batches give
+    # with room for 8 matrices of order 64, each of the two steps rescores
+    # more than 8 flips, in batches of 8 and the rest, and the record is the
+    # one that whole batches give
     args = (64, 2, "bottom", 0, 2, 1)
     n = args[0]
     batches = []
@@ -737,14 +766,20 @@ def test_rescoring_batches_are_bounded_by_entries(monkeypatch):
         batches.append(stack.shape[0])
         return complement_pair_eigenvalues(stack)
 
+    climbs, scored = _spy_on_steps(monkeypatch)
     monkeypatch.setattr(ngspectral.search, "complement_pair_eigenvalues", spy)
     rec = local_search_f(*args)
-    assert max(batches) == 2 * TOP_FLIPS, batches
+    assert batches == [len(m) for m in scored] and len(climbs) == 2, batches
+    _assert_best_top_flips_rescored(climbs, scored[1:-1], _column(*args[:3]))
     monkeypatch.setattr(ngspectral.search, "SCORE_ENTRIES", 8 * n * n)
     batches.clear()
+    scored.clear()
     assert local_search_f(*args) == rec
-    assert max(batches) == 8 and batches.count(8) == 8, batches
+    counts = [len(m) for m in scored]
+    assert min(counts[1:-1]) > 8, counts
+    assert batches == [min(8, k - lo) for k in counts for lo in range(0, k, 8)], (counts, batches)
     assert (rec.value.hex(), rec.evaluations) == ("0x1.00109309dd0e5p+5", 8066)
+    assert rec == local_oracle(*args)
 
 
 def test_score_batches_keep_every_bit(monkeypatch):
@@ -861,6 +896,11 @@ def _ranked_indices(n):
     return sorted({1, 2, 3, n // 2, n - 1, n})
 
 
+def _rank(a, t, iu, ju, eigh=complement_pair_eigh):
+    """`_first_order_mu` of the one adjacency matrix `a`, from `eigh(a)`."""
+    return _first_order_mu(a[None], *eigh(a[None]), t, iu, ju)[0]
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 8, 12, 16, 24, 32, 64])
 def test_screen_matches_eigvalsh_on_every_flip(n):
     # where eigenvalue t of a spectrum is simple, its first-order value after
@@ -883,7 +923,7 @@ def test_screen_matches_eigvalsh_on_every_flip(n):
         lam = np.stack(complement_pair_eigenvalues(a))
         gaps = np.abs(np.diff(lam, axis=-1))
         for t in _ranked_indices(n):
-            mu = _first_order_mu(a[None], t, iu, ju)[0]
+            mu = _rank(a, t, iu, ju)
             for p in range(2):
                 if gaps[p, max(t - 2, 0) : t].min() < 1e-2:
                     continue
@@ -905,7 +945,7 @@ def _run(lam, t):
 
 
 @pytest.mark.parametrize("n", [4, 6, 16])
-def test_flip_problems_match_a_loop_over_spectra_and_runs(monkeypatch, n):
+def test_flip_problems_match_a_loop_over_spectra_and_runs(n):
     # each flip's first-order problem, solved spectrum by spectrum and run by
     # run: eigenvalue t after the flip is mu_t plus eigenvalue (t's place in
     # its run c) of the run matrix Q_c' d(e_i e_j' + e_j e_i') Q_c, by
@@ -930,7 +970,7 @@ def test_flip_problems_match_a_loop_over_spectra_and_runs(monkeypatch, n):
         lam, vec = complement_pair_eigh(a)
         d = 1.0 - 2.0 * a[iu, ju]
         for t in _ranked_indices(n):
-            mu = _first_order_mu(a[None], t, iu, ju)[0]
+            mu = _rank(a, t, iu, ju)
             for p, sign in enumerate([d, -d]):
                 run = _run(lam[p], t)
                 wide += run.size > 1
@@ -939,35 +979,29 @@ def test_flip_problems_match_a_loop_over_spectra_and_runs(monkeypatch, n):
                 shifts = np.linalg.eigvalsh(sign[:, None, None] * (update + update.swapaxes(1, 2)))
                 expected = lam[p, t - 1] + shifts[:, ::-1][:, t - 1 - run[0]]
                 assert np.allclose(mu[p], expected, rtol=0, atol=1e-12), (n, g.bits, t, p)
-            with monkeypatch.context() as patch:
-                patch.setattr(ngspectral.search, "complement_pair_eigh", rotated)
-                turned = _first_order_mu(a[None], t, iu, ju)[0]
+            turned = _rank(a, t, iu, ju, eigh=rotated)
             assert np.allclose(turned, mu, rtol=0, atol=1e-12), (n, g.bits, t)
     assert wide > 0
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_screen_prunes_most_flips(monkeypatch, family):
-    # a step from G(32, 1/2) rescores TOP_FLIPS of its 496 flips, and
-    # eigvalsh's best flip is one of them
+    # a step from G(32, 1/2) rescores at most TOP_FLIPS of its 496 flips,
+    # and eigvalsh's best flip is one of them
     n = 32
     start = erdos_renyi(n, 0.5, 0).adjacency_matrix()
     iu, ju = np.triu_indices(n, 1)
     col = _column(n, 2, family)
     exact = _pair_scores(iu.size, n, lambda lo, hi: _flipped_stack(start, iu[lo:hi], ju[lo:hi]), col)
-    rescored = []
-
-    def spy(count, order, build, col=None):
-        rescored.append(build(0, count))
-        return _pair_scores(count, order, build, col)
-
-    monkeypatch.setattr(ngspectral.search, "_pair_scores", spy)
-    local_search_f(n, 2, family, 0, 1, 1)
-    matrices = rescored[1]  # after the starts: the step's flips, of the start and of the construction
+    climbs, scored = _spy_on_steps(monkeypatch)
+    rec = local_search_f(n, 2, family, 0, 1, 1)
+    matrices = scored[1]  # after the starts: the step's flips, of the start and of the construction
     # a flip of the start differs from it in two entries, (i, j) and (j, i)
     flips = matrices[np.count_nonzero(matrices != start, axis=(1, 2)) == 2]
     best = _flipped_stack(start, iu[[np.argmax(exact)]], ju[[np.argmax(exact)]])
-    assert len(flips) == TOP_FLIPS and (flips == best).all(axis=(1, 2)).any()
+    assert 1 <= len(flips) <= TOP_FLIPS and (flips == best).all(axis=(1, 2)).any()
+    _assert_best_top_flips_rescored(climbs, scored[1:-1], col)
+    assert rec == local_oracle(n, 2, family, 0, 1, 1)
 
 
 @pytest.mark.parametrize(
@@ -983,12 +1017,89 @@ def test_screen_leaders_keep_every_tied_flip(g, s, family):
     iu, ju = np.triu_indices(g.n, 1)
     col = _column(g.n, s, family)
     exact = _pair_scores(iu.size, g.n, lambda lo, hi: _flipped_stack(a, iu[lo:hi], ju[lo:hi]), col)
-    rank = np.abs(_first_order_mu(a[None], col + 1, iu, ju)[0]).sum(0)
+    rank = np.abs(_rank(a, col + 1, iu, ju)).sum(0)
     order = np.argsort(exact, kind="stable")
     ties = np.split(order, np.flatnonzero(np.diff(exact[order]) > 1e-9) + 1)
     assert max(tie.size for tie in ties) > TOP_FLIPS
     for tie in ties:
         assert np.ptp(rank[tie]) <= 1e-12, (exact[tie[0]], rank[tie])
+
+
+def _bracket_graphs(n):
+    """Graphs of order n to bracket flips on: the empty and complete graphs,
+    the cycle, the star and K_{n/2, n/2}, every extremal_graph(k, t) of
+    order n, Paley(13) at n = 13, and G(n, 1/2).  All but the last have
+    integer or repeated eigenvalues."""
+    yield empty(n)
+    yield complete(n)
+    if n >= 3:
+        yield cycle(n)
+    for part in sorted({1, n // 2} - {0}):
+        yield complete_bipartite(part, n - part)
+    for k in range(1, 6):
+        if n % 2 ** (k + 1) == 0:
+            yield extremal_graph(k, n // 2 ** (k + 1))
+    if n == 13:
+        squares = {1, 3, 4, 9, 10, 12}  # the squares mod 13, closed under negation
+        yield Graph.from_edges(13, [(u, v) for u in range(1, 14) for v in range(u + 1, 14)
+                                    if v - u in squares])
+    yield erdos_renyi(n, 0.5, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 13, 16, 24, 32, 128])
+def test_flip_brackets_hold_eigvalsh(n):
+    # eigvalsh's eigenvalue t of every flip, on the graph and on the
+    # complement, lies inside its bracket, for every t.  Dyadic bisection
+    # midpoints fall on the integer eigenvalues of these graphs, where det T
+    # cancels.  At n = 128 a seeded sample of 32 flips of each graph is
+    # bracketed, which keeps the test to seconds
+    iu, ju = np.triu_indices(n, 1)
+    if n == 128:
+        pick = np.sort(np.random.default_rng(n).choice(iu.size, 32, replace=False))
+        iu, ju = iu[pick], ju[pick]
+    for g in _bracket_graphs(n):
+        a = g.adjacency_matrix()
+        mu = np.stack(complement_pair_eigenvalues(_flipped_stack(a, iu, ju)), axis=1)  # (K, 2, n)
+        lam, vec = complement_pair_eigh(a[None])
+        for t in range(1, n + 1):
+            lo, hi = _flip_brackets(a[None], lam, vec, t, iu[None], ju[None])
+            inside = (lo[0] <= mu[:, :, t - 1].T) & (mu[:, :, t - 1].T <= hi[0])
+            assert inside.all(), (n, g.bits, t, np.argwhere(~inside))
+            assert (hi - lo).max() <= 2.0 ** (1 - BRACKET_STEPS) + 3 * BRACKET_SLACK
+
+
+def test_ranking_and_brackets_leave_the_eigenpairs_as_they_are():
+    # one eigendecomposition per step feeds both the ranking and the brackets
+    a = np.stack([extremal_graph(1, 4).adjacency_matrix(), erdos_renyi(16, 0.5, 0).adjacency_matrix()])
+    iu, ju = np.triu_indices(16, 1)
+    lam, vec = complement_pair_eigh(a)
+    before = lam.copy(), vec.copy()
+    _first_order_mu(a, lam, vec, 2, iu, ju)
+    _flip_brackets(a, lam, vec, 2, iu[:TOP_FLIPS][None].repeat(2, 0), ju[:TOP_FLIPS][None].repeat(2, 0))
+    assert np.array_equal(lam, before[0]) and np.array_equal(vec, before[1])
+
+
+def test_brackets_spare_most_top_flips_a_rescore(monkeypatch):
+    # the six climbs of `search --local --s 2` at n = 16, 24 and 32 rescore
+    # 948 of their 10 560 top flips, with the records of rescoring them all
+    rescored, top = [], []
+
+    def spy(count, *call):
+        rescored.append(count)
+        return _pair_scores(count, *call)
+
+    def eigh_spy(stack):
+        top.append(TOP_FLIPS * len(stack))
+        return complement_pair_eigh(stack)
+
+    monkeypatch.setattr(ngspectral.search, "_pair_scores", spy)
+    monkeypatch.setattr(ngspectral.search, "complement_pair_eigh", eigh_spy)
+    for n in (16, 24, 32):
+        for family in FAMILIES:
+            start = len(rescored)
+            local_search_f(n, 2, family, 0)
+            del rescored[start], rescored[-1]  # the starts and the witness
+    assert sum(top) == 10_560 and sum(rescored) <= 1_000, (sum(top), sum(rescored))
 
 
 def test_local_search_calls_no_unique(monkeypatch):
