@@ -39,7 +39,7 @@ def emit_graph6(g: Graph) -> str:
 
 def parse_graph6(text: str) -> Graph:
     """Decode a graph6 string; strict except for an optional header and
-    trailing newline."""
+    trailing newline.  An order below 63 must take the one-byte prefix."""
     s = text.rstrip("\r\n")
     if s.startswith(HEADER):
         s = s[len(HEADER) :]
@@ -54,15 +54,15 @@ def parse_graph6(text: str) -> Graph:
         raise ValueError("graph6 characters must be in the byte range 63..126")
 
     if data[0] != 126:  # '~'
-        n = int(data[0]) - 63
-        body = data[1:]
+        n, body = int(data[0]) - 63, data[1:]
     else:
         if len(data) >= 2 and data[1] == 126:
             raise ValueError("graph6 eight-byte order form exceeds supported range")
         if len(data) < 4:
             raise ValueError("truncated graph6 order prefix")
-        n = ((int(data[1]) - 63) << 12) | ((int(data[2]) - 63) << 6) | (int(data[3]) - 63)
-        body = data[4:]
+        n, body = int(np.dot(data[1:4] - 63, (4096, 64, 1))), data[4:]  # three 6-bit digits
+        if n <= 62:
+            raise ValueError(f"graph6 order {n} takes the one-byte prefix, not '~'")
     if n == 0:
         raise ValueError("graph6 order 0 not supported (order must be positive)")
     check_order(n)

@@ -18,14 +18,17 @@ Every blow-up takes one route too: `blowup` expands a looped 0/1 quotient
 `Matrix01` into parts of given sizes, cliques at its loops.
 
 Batches of graphs up to EXHAUSTIVE_CAP are int64 arrays of the same masks.
+Every relabelling takes one route: at a fixed order graph6 compares as the
+key that weighs pair b by 2^(m-1-b), and `_key_range` gives each mask's
+smallest and largest key over a colour layout's relabellings by one
+product with their graph6 weights (`_label_weights`, kept once per layout).
+`canonical_masks` takes the smallest over the permutations within the
+cells of the colour refinement, and `smallest_labelling` over all n!
+relabellings, layout (n,), of a batch and of its complements.
 `complement_pair_classes` keeps one class per complement pair: the smaller
-canonical form (`canonical_masks`: colour refinement, then permutations
-within its cells) of each one-vertex extension of the pairs of the order
-below (`extensions`) and of its complement.  `smallest_labelling` ranks
-every relabelling of a batch and of its complements in graph6 order with
-no canonical form, by one product per block of masks with the graph6
-weights of the order's n! relabellings (`_label_weights`), kept once per
-order: 0.09 MB at n = 6, 0.85 MB at 7, 9.0 MB at 8, about 10 MB in all.
+canonical form of each one-vertex extension of the pairs of the order below
+(`extensions`) and of its complement.  The (n,) tables take 0.09 MB at
+n = 6, 0.85 MB at 7 and 9.0 MB at 8.
 """
 
 from __future__ import annotations
@@ -46,11 +49,11 @@ MAX_ORDER_ENV = "NG_MAX_ORDER"
 # about 38 s to classify, and int64 pair masks overflow from order 12
 EXHAUSTIVE_CAP = 8
 # the package's memory budget: the most entries in the largest array of a
-# batch, be it the pair bits of a `_relabel` block, the masks of
-# `canonical_masks`, the keys of a `smallest_labelling` block (13 masks x 8!)
-# or an eigvalsh stack of search, so that no batch grows with n^2 or n! (8192
-# matrices of order 8, 512 of order 32).  The per-order weight table of
-# `smallest_labelling` is kept, not batched: n! x m, 9.0 MB at n = 8
+# batch, be it the matrices of `canonical_masks`, the keys of a `_key_range`
+# block (13 masks x 8! for layout (8,)) or an eigvalsh stack of search, so
+# that no batch grows with n^2 or n! (8192 matrices of order 8, 512 of order
+# 32).  The weight tables of `_key_range` are kept per colour layout, not
+# batched: P x m for P relabellings, 9.0 MB for the 8! of (8,)
 SCORE_ENTRIES = 1 << 19
 
 
@@ -363,26 +366,6 @@ def extensions(reps: np.ndarray, k: int) -> np.ndarray:
     return (reps[:, None] | sets[None, :]).ravel()
 
 
-def _relabel(adj: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Masks (G, P) of the graphs `adj` (G, k, k) relabelled by each row of
-    `perms` (P, k): entry [g, p] is the mask of adj[g][perms[p]][:, perms[p]].
-    Built in blocks of at most SCORE_ENTRIES pair bits (graphs x relabellings
-    x pairs), which split `perms` when one graph's relabellings pass it."""
-    k = adj.shape[-1]
-    i, j = pair_indices(k)
-    weights = np.int64(1) << np.arange(i.size, dtype=np.int64)
-    block = max(1, SCORE_ENTRIES // max(1, i.size))  # graphs x relabellings
-    flat, graphs = adj.reshape(adj.shape[0], k * k), max(1, block // perms.shape[0])
-    out = np.empty((adj.shape[0], perms.shape[0]), dtype=np.int64)
-    for p in range(0, perms.shape[0], block):
-        entry = perms[p : p + block, i]  # the flat entry of each pair, relabelled
-        entry *= k
-        entry += perms[p : p + block, j]
-        for g in range(0, adj.shape[0], graphs):
-            out[g : g + graphs, p : p + block] = flat[g : g + graphs, entry] @ weights
-    return out
-
-
 def _permutations(m: int) -> np.ndarray:
     """Every permutation of range(m) as rows, in the lexicographic order of
     itertools.permutations: each first entry f of range(k), then the rows
@@ -396,17 +379,14 @@ def _permutations(m: int) -> np.ndarray:
     return table
 
 
-@functools.cache
 def _cell_table(cells: tuple[int, ...]) -> np.ndarray:
     """Every permutation of positions that maps each run of `cells[c]`
     positions, in order, onto itself, as rows, ordered as itertools.product
-    of each run's `_permutations`.  Each layout is built once per process;
-    the shared table is read-only."""
+    of each run's `_permutations`."""
     table = np.zeros((1, 0), dtype=np.int64)
     for lo, size in zip(np.cumsum((0, *cells)).tolist(), cells):
         perms = _permutations(size) + lo
         table = np.hstack([np.repeat(table, len(perms), axis=0), np.tile(perms, (len(table), 1))])
-    table.flags.writeable = False
     return table
 
 
@@ -430,32 +410,72 @@ def _refined_colours(adj: np.ndarray) -> np.ndarray:
     return colour
 
 
-def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
-    """Canonical form of each order-k mask: the smallest mask over the
-    relabellings that list the refined colour cells in colour order.
+@functools.cache
+def _label_weights(cells: tuple[int, ...]) -> np.ndarray:
+    """(P, m) graph6 weights, 2^(m-1-b) at pair b, of each pair's image
+    under each of the P rows of `_cell_table(cells)`, for an order
+    n = sum(cells) with 1 <= n <= EXHAUSTIVE_CAP.  Built a pair at a time
+    once per colour layout; read-only, 9.0 MB for the n! rows of (8,)."""
+    n = sum(cells)
+    if not 1 <= n <= EXHAUSTIVE_CAP:
+        raise ValueError(f"relabelling needs 1 <= n <= {EXHAUSTIVE_CAP}, got n={n}")
+    i, j = pair_indices(n)
+    weight = np.zeros((n, n))
+    weight[i, j] = weight[j, i] = np.ldexp(1.0, np.arange(i.size - 1, -1, -1))
+    perms = _cell_table(cells)
+    table = np.empty((perms.shape[0], i.size))
+    for b in range(i.size):
+        table[:, b] = weight[perms[:, i[b]], perms[:, j[b]]]
+    table.flags.writeable = False
+    return table
 
-    Each adjacency matrix is put in colour order once, so the graphs with one
-    colour layout share its table of P permutations within cells, built once
-    per process (`_cell_table`).  Masks go SCORE_ENTRIES // k^2, and a
-    layout's graphs SCORE_ENTRIES // P, at a time.  Two masks get the same
+
+def _key_range(bits: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest graph6 key of each row of the 0/1 pair bits
+    `bits` (B, m) over the relabellings weighed by the rows of `weights`
+    (P, m), from one float64 product per block of at most SCORE_ENTRIES keys
+    (masks x P, at least one mask).  Exact: every key is below 2^m <= 2^28."""
+    step = max(1, SCORE_ENTRIES // weights.shape[0])
+    lo, hi = np.empty((2, bits.shape[0]), dtype=np.int64)
+    for g in range(0, bits.shape[0], step):
+        keys = bits[g : g + step].astype(np.float64) @ weights.T
+        lo[g : g + step], hi[g : g + step] = keys.min(axis=1), keys.max(axis=1)
+        keys = None  # each block is freed before the next one is built
+    return lo, hi
+
+
+def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
+    """Canonical form of each order-k mask: the mask of the smallest graph6
+    string over the relabellings that list the refined colour cells in
+    colour order.
+
+    Each graph's pair bits are read in colour order once, so the graphs with
+    one colour layout share its weight table (`_label_weights`), and
+    `_key_range` gives their smallest keys, the reversed pair bits of the
+    form.  Masks go SCORE_ENTRIES // k^2 at a time.  Two masks get the same
     canonical form exactly when their graphs are isomorphic, and the form is
     itself a labelling of the graph.
     """
-    chunk = SCORE_ENTRIES // max(1, k * k)
+    if k == 0:
+        return np.zeros_like(masks)  # no vertex, so no pair and no cell
+    i, j = pair_indices(k)
+    place = np.arange(i.size)
+    pair = np.zeros((k, k), dtype=np.int64)
+    pair[i, j] = pair[j, i] = place  # the bit of each pair
+    chunk = SCORE_ENTRIES // (k * k)
     canon = np.empty(masks.size, dtype=np.int64)
     for lo in range(0, masks.size, chunk):
-        adj = masks_to_stack(masks[lo : lo + chunk], k, dtype=np.int64)
-        colour = _refined_colours(adj)
+        block = masks[lo : lo + chunk]
+        colour = _refined_colours(masks_to_stack(block, k, dtype=np.int64))
         order = np.argsort(colour, axis=1, kind="stable")
-        adj = adj[np.arange(adj.shape[0])[:, None, None], order[:, :, None], order[:, None, :]]
+        bits = (block[:, None] >> pair[order[:, i], order[:, j]]) & 1
+        keys = np.empty(block.size, dtype=np.int64)
         layouts, group = np.unique(np.sort(colour, axis=1), axis=0, return_inverse=True)
         for g, layout in enumerate(layouts):
             members = np.flatnonzero(group == g)
-            perms = _cell_table(tuple(np.unique(layout, return_counts=True)[1].tolist()))
-            step = max(1, SCORE_ENTRIES // perms.shape[0])
-            for first in range(0, members.size, step):
-                idx = members[first : first + step]
-                canon[lo + idx] = _relabel(adj[idx], perms).min(axis=1)
+            cells = tuple(np.unique(layout, return_counts=True)[1].tolist())
+            keys[members] = _key_range(bits[members], _label_weights(cells))[0]
+        canon[lo : lo + chunk] = ((keys[:, None] >> (i.size - 1 - place)) & 1) @ (1 << place)
     return canon
 
 
@@ -478,48 +498,21 @@ def complement_pair_classes(n: int) -> np.ndarray:
     return reps
 
 
-@functools.cache
-def _label_weights(n: int) -> np.ndarray:
-    """(n!, m) graph6 weights, 2^(m-1-b) at pair b, of each pair's image
-    under each row of `_cell_table((n,))`, for 1 <= n <= EXHAUSTIVE_CAP.
-    Built a pair at a time once per order; read-only, 9.0 MB at n = 8."""
-    if not 1 <= n <= EXHAUSTIVE_CAP:
-        raise ValueError(f"relabelling needs 1 <= n <= {EXHAUSTIVE_CAP}, got n={n}")
-    i, j = pair_indices(n)
-    weight = np.zeros((n, n))
-    weight[i, j] = weight[j, i] = np.ldexp(1.0, np.arange(i.size - 1, -1, -1))
-    perms = _cell_table((n,))
-    table = np.empty((perms.shape[0], i.size))
-    for b in range(i.size):
-        table[:, b] = weight[perms[:, i[b]], perms[:, j[b]]]
-    table.flags.writeable = False
-    return table
-
-
 def smallest_labelling(masks: np.ndarray | Sequence[int], n: int) -> int:
     """The mask of the smallest graph6 string over every relabelling of the
     order-n `masks` and of their complements, with no canonical form.
 
     At a fixed order graph6 compares as the key that weighs pair b by
-    2^(m-1-b), so one product of a block's pair bits with `_label_weights`
-    gives the keys of its masks under all n! relabellings, exact in float64
-    since every key is below 2^m <= 2^28.  Complementing flips every bit, so
-    the complements' smallest key is full ^ the largest key: a running min
-    and max over blocks of at most SCORE_ENTRIES keys (masks x n!, at least
-    one mask) give both.  Raises ValueError on no mask or one outside [0, 2^m).
+    2^(m-1-b), so `_key_range` over the n! rows of `_label_weights((n,))`
+    gives each mask's smallest and largest key.  Complementing flips every
+    bit, so the complements' smallest key is full ^ the largest key.  Raises
+    ValueError on no mask or one outside [0, 2^m).
     """
-    weights = _label_weights(n)
+    weights = _label_weights((n,))
     m = weights.shape[1]
     masks = np.asarray(masks, dtype=np.int64)
     if masks.size == 0 or masks.min() < 0 or masks.max() >> m:
         raise ValueError(f"need order-{n} masks in [0, 2^{m}), got {masks.ravel()[:3].tolist()}")
-    full = (1 << m) - 1
-    graphs = max(1, SCORE_ENTRIES // weights.shape[0])
-    lo, hi = full, 0
-    for g in range(0, masks.size, graphs):
-        bits = (masks[g : g + graphs, None] >> np.arange(m)) & 1
-        keys = bits.astype(np.float64) @ weights.T
-        lo, hi = min(lo, int(keys.min())), max(hi, int(keys.max()))
-        keys = None  # each block is freed before the next one is built
-    best = min(lo, full ^ hi)
+    lo, hi = _key_range((masks[:, None] >> np.arange(m)) & 1, weights)
+    best = min(int(lo.min()), ((1 << m) - 1) ^ int(hi.max()))
     return int(f"{best:0{m}b}"[::-1], 2)

@@ -598,6 +598,8 @@ def test_usage_errors_exit1(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, "spectrum", "--generate", "cycle:5", "--tol", "-1")
     assert code == 1
+    code, out, err = run_cli(capsys, "check", "--graph6", "~??Cw")  # order 4 in the long prefix
+    assert code == 1 and out == "" and "graph6 order 4" in err
     commands = [
         ["check", "--generate", "cycle:5"],
         ["search", "--exact", "--n", "5", "--s", "2", "--family", "top"],

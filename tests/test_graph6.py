@@ -87,6 +87,10 @@ def test_parse_errors():
         parse_graph6("~~??????")  # eight-byte order form
     with pytest.raises(ValueError):
         parse_graph6("~?")  # truncated order prefix
+    with pytest.raises(ValueError, match="order 4 takes the one-byte prefix"):
+        parse_graph6("~??Cw")  # the long prefix of an order below 63; Cw is the graph
+    with pytest.raises(ValueError, match="order 62 takes the one-byte prefix"):
+        parse_graph6("~?" + chr(63) + chr(63 + 62))  # the largest order of the one-byte prefix
     with pytest.raises(ValueError):
         parse_graph6("A" + chr(200))  # non-ASCII range
 

@@ -53,7 +53,9 @@ from ngspectral.search import (
     target_ratio,
 )
 from ngspectral.spectra import DEFAULT_TOL
-from witness_oracle import canonical_exhaustive_f, labellings, smallest_graph6_array
+from witness_oracle import (
+    canonical_exhaustive_f, graph6_canonical_form, labellings, smallest_graph6_array,
+)
 
 SQ5 = math.sqrt(5)
 
@@ -316,7 +318,8 @@ def test_isomorphism_class_counts():
 # order -> (class count, sum of the class masks, sha256 prefix of the masks
 # as little-endian int64), over every class: the pair classes and their
 # complements' canonical forms.  The count and invariance tests accept any
-# canonical labelling; these pin the representatives themselves.
+# canonical labelling; these pin the representatives themselves, each the
+# graph6-smallest labelling within its refined colour cells.
 CLASS_DIGESTS = {
     0: (1, 0, "af5570f5a1810b7a"),
     1: (1, 0, "af5570f5a1810b7a"),
@@ -324,9 +327,9 @@ CLASS_DIGESTS = {
     3: (4, 17, "4b98e917857295e3"),
     4: (11, 459, "c7f4f5dc70c39b12"),
     5: (34, 25372, "af3b5941164c8111"),
-    6: (156, 3746451, "8d5369c45be3dad5"),
-    7: (1044, 1643811301, "99615f42d502df29"),
-    8: (12346, 2516343922332, "2ae045ee262d592f"),
+    6: (156, 3773753, "be48e59e2e1cab13"),
+    7: (1044, 1648338720, "75f293e224235626"),
+    8: (12346, 2522101478190, "b546b9212d34d1a5"),
 }
 
 
@@ -390,31 +393,40 @@ def test_smallest_labelling_rejects_masks_not_of_the_order(masks):
         smallest_labelling(masks, 4)
 
 
-def test_label_weights_built_once_per_order_and_read_only(monkeypatch):
+def test_label_weights_built_once_per_layout_and_read_only(monkeypatch):
     weights = ngspectral.graphs._label_weights
-    tables = {}
+    c5 = cycle(5).bits  # regular: one cell of 5
+    star = complete_bipartite(1, 4).bits  # cells of 4 leaves and 1 centre
     for n in (7, 8):
         exhaustive_f(n, 2, "bottom")
-        tables[n] = weights(n)
-    built = weights.cache_info()
+    canonical_masks(np.array([c5, star]), 5)
+    built = weights.cache_info()  # the tables below were built by the calls above
+    tables = {cells: weights(cells) for cells in [(5,), (4, 1), (7,), (8,)]}
 
     def no_gather(*args):
         raise AssertionError("relabelling weights gathered again")
 
-    # a later (s, family) of the same order reads the table the first built
+    # a later (s, family) of the same order, and later canonical forms of
+    # the same layouts, read the tables the first calls built
     monkeypatch.setattr(ngspectral.graphs, "_cell_table", no_gather)
     for n in (7, 8):
         exhaustive_f(n, 3, "top")
-        assert weights(n) is tables[n]
-        assert tables[n].shape == (math.factorial(n), n * (n - 1) // 2)
-        assert not tables[n].flags.writeable
+    canonical_masks(np.array([c5, star]), 5)
+    for cells, table in tables.items():
+        n = sum(cells)
+        assert weights(cells) is table
+        assert table.shape == (math.prod(map(math.factorial, cells)), n * (n - 1) // 2)
+        assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            tables[n][0, 0] = 1
+            table[0, 0] = 1
+    assert tables[(8,)].shape == (40320, 28)
     assert weights.cache_info().misses == built.misses
     # an order outside the cap raises before any gather, and is not kept
     for n in (0, 9):
         with pytest.raises(ValueError, match=f"got n={n}"):
             smallest_labelling([0], n)
+    with pytest.raises(ValueError, match="got n=9"):
+        canonical_masks(np.zeros(1, dtype=np.int64), 9)
     assert weights.cache_info().currsize == built.currsize
 
 
@@ -433,17 +445,23 @@ def test_exhaustive_matches_canonical_witness_pass(n, tol):
 
 def test_witness_pass_builds_no_canonical_form(monkeypatch):
     records = {case: exhaustive_f(*case) for case in _all_cases(7)}
+    weights, layouts = ngspectral.graphs._label_weights, []
 
     def no_call(*args):
         raise AssertionError("canonical form or labelling built")
 
-    # the engine of canonical_masks and of every labelling, and any name
-    # search might hold for them
-    for name in ("canonical_masks", "_relabel"):
-        monkeypatch.setattr(ngspectral.graphs, name, no_call)
-    for name in ("canonical_masks", "labellings", "_relabel"):
+    def spy(cells):
+        layouts.append(cells)
+        return weights(cells)
+
+    # canonical forms and every labelling, under any name search might hold
+    # for them; the witness pass reads the weights of one cell of n alone
+    monkeypatch.setattr(ngspectral.graphs, "canonical_masks", no_call)
+    for name in ("canonical_masks", "labellings"):
         monkeypatch.setattr(ngspectral.search, name, no_call, raising=False)
+    monkeypatch.setattr(ngspectral.graphs, "_label_weights", spy)
     assert {case: exhaustive_f(*case) for case in _all_cases(7)} == records
+    assert set(layouts) == {(7,)} and len(layouts) == len(records)
 
 
 def test_isomorphism_classes_capped():
@@ -471,27 +489,6 @@ def test_isomorphism_classes_built_once_and_read_only(monkeypatch):
         classes[0] = 1
 
 
-def test_permutation_tables_built_once_and_read_only(monkeypatch):
-    labelled = labellings(all_classes(5), 5)
-    table = ngspectral.graphs._cell_table((5,))
-    assert table.shape == (120, 5) and len({tuple(row) for row in table}) == 120
-
-    def no_build(*args):
-        raise AssertionError("permutations listed again")
-
-    monkeypatch.setattr(ngspectral.graphs, "_permutations", no_build)
-    assert ngspectral.graphs._cell_table((5,)) is table
-    assert np.array_equal(labellings(all_classes(5), 5), labelled)
-    assert not table.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        table[0, 0] = 1
-    # cells of 2 and 3 positions: 2! 3! rows, each cell mapped onto itself
-    cells = ngspectral.graphs._cell_table((2, 3))
-    assert cells.shape == (12, 5)
-    assert (np.sort(cells[:, :2], axis=1) == [0, 1]).all()
-    assert (np.sort(cells[:, 2:], axis=1) == [2, 3, 4]).all()
-
-
 @pytest.mark.parametrize("cells", [(5,), (2, 3), (1, 2, 2), (7,)])
 def test_cell_table_rows_in_itertools_order(cells):
     # the product of each cell's permutations, row for row, in order
@@ -499,6 +496,24 @@ def test_cell_table_rows_in_itertools_order(cells):
     runs = [itertools.permutations(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
     expected = [list(sum(p, ())) for p in itertools.product(*runs)]
     assert ngspectral.graphs._cell_table(cells).tolist() == expected
+
+
+def _regular_order8():
+    """C8, the cube and K_{4,4}: regular, so one refinement cell of all 8!
+    relabellings each."""
+    cube = Graph.from_edges(8, [(a + 1, (a ^ d) + 1) for a in range(8) for d in (1, 2, 4) if a < a ^ d])
+    return np.array([cycle(8).bits, cube.bits, complete_bipartite(4, 4).bits], dtype=np.int64)
+
+
+def test_canonical_form_is_graph6_smallest_within_cells():
+    # against the gather kernel the package used before its weight tables,
+    # ranked by emit_graph6: 40 random masks at each order, then three graphs
+    # whose one cell takes every relabelling
+    rng = np.random.default_rng(17)
+    cases = [(n, rng.integers(0, 1 << n * (n - 1) // 2, size=40, dtype=np.int64)) for n in (5, 7, 8)]
+    for n, masks in cases + [(8, _regular_order8())]:
+        expected = [graph6_canonical_form(mask, n) for mask in masks.tolist()]
+        assert canonical_masks(masks, n).tolist() == expected, n
 
 
 def test_canonical_form_is_a_relabelling_invariant_labelling():
@@ -824,23 +839,24 @@ def test_score_batches_keep_every_bit(monkeypatch):
     assert split[1:] == whole[1:]
 
 
-# tracemalloc peaks of `labellings(all_classes(8)[:3], 8)` and of
-# the canonical forms of three regular graphs of order 8 were 27.7 and 27.1
-# MB when each graph's 8! relabellings were built in one block (numpy 2.4,
-# Python 3.11).  A block now holds at most SCORE_ENTRIES pair bits, and its
-# index and bit arrays, two of SCORE_ENTRIES int64 entries, are the largest
-# live at once: 9.5 MB for both calls
+# tracemalloc peaks of the oracle's `labellings(all_classes(8)[:3], 8)`
+# and of the canonical forms of three regular graphs of order 8 were 27.7
+# and 27.1 MB when each graph's 8! relabellings were built in one block
+# (numpy 2.4, Python 3.11).  An oracle block holds at most SCORE_ENTRIES
+# pair bits, and its index and bit arrays, two of SCORE_ENTRIES int64
+# entries, are the largest live at once: 9.5 MB.  The canonical forms'
+# largest array is a block of keys, at most SCORE_ENTRIES float64 entries:
+# 1.0 MB for the three graphs' 3 x 8! keys
 RELABEL_PEAK_BOUND = 3 * 8 * SCORE_ENTRIES
 
 
 def test_relabelling_memory_is_bounded():
-    # C8, the cube and K_{4,4} are regular: one refinement cell, so their
-    # canonical forms take all 8! relabellings, like every labelling
-    cube = Graph.from_edges(8, [(a + 1, (a ^ d) + 1) for a in range(8) for d in (1, 2, 4) if a < a ^ d])
-    regular = np.array([cycle(8).bits, cube.bits, complete_bipartite(4, 4).bits], dtype=np.int64)
+    # regular graphs have one refinement cell, so their canonical forms take
+    # all 8! relabellings, like every labelling
+    regular = _regular_order8()
     classes = all_classes(8)[:3]
     for call in (lambda: labellings(classes, 8), lambda: canonical_masks(regular, 8)):
-        expected = call()  # builds the permutation table, kept for the process
+        expected = call()  # builds the layout's table, kept for the process
         tracemalloc.start()
         try:
             result = call()
