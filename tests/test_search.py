@@ -54,7 +54,8 @@ from ngspectral.search import (
 )
 from ngspectral.spectra import DEFAULT_TOL
 from witness_oracle import (
-    canonical_exhaustive_f, graph6_canonical_form, labellings, smallest_graph6_array,
+    _permutations_within, canonical_exhaustive_f, graph6_canonical_form, labellings,
+    smallest_graph6_array,
 )
 
 SQ5 = math.sqrt(5)
@@ -393,38 +394,57 @@ def test_smallest_labelling_rejects_masks_not_of_the_order(masks):
         smallest_labelling(masks, 4)
 
 
-def test_label_weights_built_once_per_layout_and_read_only(monkeypatch):
+def test_label_weights_built_once_per_order_and_read_only(monkeypatch):
     weights = ngspectral.graphs._label_weights
-    c5 = cycle(5).bits  # regular: one cell of 5
-    star = complete_bipartite(1, 4).bits  # cells of 4 leaves and 1 centre
+    tables = {}
     for n in (7, 8):
         exhaustive_f(n, 2, "bottom")
-    canonical_masks(np.array([c5, star]), 5)
-    built = weights.cache_info()  # the tables below were built by the calls above
-    tables = {cells: weights(cells) for cells in [(5,), (4, 1), (7,), (8,)]}
+        tables[n] = weights((n,))
+    built = weights.cache_info()
 
     def no_gather(*args):
         raise AssertionError("relabelling weights gathered again")
 
-    # a later (s, family) of the same order, and later canonical forms of
-    # the same layouts, read the tables the first calls built
+    # a later (s, family) of the same order reads the table the first built
     monkeypatch.setattr(ngspectral.graphs, "_cell_table", no_gather)
     for n in (7, 8):
         exhaustive_f(n, 3, "top")
-    canonical_masks(np.array([c5, star]), 5)
-    for cells, table in tables.items():
-        n = sum(cells)
-        assert weights(cells) is table
-        assert table.shape == (math.prod(map(math.factorial, cells)), n * (n - 1) // 2)
-        assert not table.flags.writeable
+        assert weights((n,)) is tables[n]
+        assert tables[n].shape == (math.factorial(n), n * (n - 1) // 2)
+        assert not tables[n].flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1
-    assert tables[(8,)].shape == (40320, 28)
+            tables[n][0, 0] = 1
     assert weights.cache_info().misses == built.misses
     # an order outside the cap raises before any gather, and is not kept
     for n in (0, 9):
         with pytest.raises(ValueError, match=f"got n={n}"):
             smallest_labelling([0], n)
+    assert weights.cache_info().currsize == built.currsize
+
+
+def test_label_weights_built_once_per_layout_and_read_only(monkeypatch):
+    weights = ngspectral.graphs._label_weights
+    c5 = cycle(5).bits  # regular: one cell of 5
+    star = complete_bipartite(1, 4).bits  # cells of 4 leaves and 1 centre
+    canonical_masks(np.array([c5, star]), 5)
+    built = weights.cache_info()  # the tables below were built by the call above
+    tables = {cells: weights(cells) for cells in [(5,), (4, 1)]}
+
+    def no_gather(*args):
+        raise AssertionError("relabelling weights gathered again")
+
+    # later canonical forms of the same layouts read the tables the first
+    # call built
+    monkeypatch.setattr(ngspectral.graphs, "_cell_table", no_gather)
+    canonical_masks(np.array([c5, star]), 5)
+    for cells, table in tables.items():
+        assert weights(cells) is table
+        assert table.shape == (math.prod(map(math.factorial, cells)), 10)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+    assert weights.cache_info().misses == built.misses
+    # an order outside the cap raises before any gather, and is not kept
     with pytest.raises(ValueError, match="got n=9"):
         canonical_masks(np.zeros(1, dtype=np.int64), 9)
     assert weights.cache_info().currsize == built.currsize
@@ -487,6 +507,33 @@ def test_isomorphism_classes_built_once_and_read_only(monkeypatch):
     assert not classes.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         classes[0] = 1
+
+
+def test_permutation_tables_built_once_and_read_only(monkeypatch):
+    # the oracle keeps each layout's permutation table; the package lists a
+    # layout's permutations only while building its weight table
+    labelled = labellings(all_classes(5), 5)
+    regular = np.array([cycle(5).bits], dtype=np.int64)
+    canonical = canonical_masks(regular, 5)
+    table = _permutations_within((5,))
+    assert table.shape == (120, 5) and len({tuple(row) for row in table}) == 120
+
+    def no_build(*args):
+        raise AssertionError("permutations listed again")
+
+    monkeypatch.setattr(ngspectral.graphs, "_permutations", no_build)
+    assert _permutations_within((5,)) is table
+    assert np.array_equal(labellings(all_classes(5), 5), labelled)
+    assert np.array_equal(canonical_masks(regular, 5), canonical)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+    monkeypatch.undo()
+    # cells of 2 and 3 positions: 2! 3! rows, each cell mapped onto itself
+    cells = ngspectral.graphs._cell_table((2, 3))
+    assert cells.shape == (12, 5)
+    assert (np.sort(cells[:, :2], axis=1) == [0, 1]).all()
+    assert (np.sort(cells[:, 2:], axis=1) == [2, 3, 4]).all()
 
 
 @pytest.mark.parametrize("cells", [(5,), (2, 3), (1, 2, 2), (7,)])

@@ -30,8 +30,13 @@ from ngspectral.graphs import (
 from ngspectral.search import ExtremalRecord, _column, _extension_scores, objective
 
 
-# each colour layout's permutation table, listed once per process
-_permutations_within = functools.cache(_cell_table)
+@functools.cache
+def _permutations_within(cells: tuple[int, ...]) -> np.ndarray:
+    """Each colour layout's permutation table, listed once per process and
+    read-only."""
+    table = _cell_table(cells)
+    table.flags.writeable = False
+    return table
 
 
 def _relabel(adj: np.ndarray, perms: np.ndarray) -> np.ndarray:
