@@ -114,7 +114,7 @@ def _resolve_graph(args: argparse.Namespace) -> Graph:
         try:
             with open(args.graph6_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.graph6_file}: {exc}") from exc
         # graph6 holds no whitespace, so blank lines and the ends of the
         # one graph's line are layout

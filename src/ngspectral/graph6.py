@@ -82,16 +82,15 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, bitarray_to_mask(bits[:m]))
 
 
-def smallest_graph6(n: int, masks: list[int]) -> str:
-    """Smallest graph6 string over the order-n masks and their complements.
+def smallest_graph6(n: int, masks: list[int]) -> int:
+    """The mask of the smallest graph6 string over `masks` and their complements.
 
     At a fixed order graph6 compares as the pair bits read from bit 0 up,
     which is the mask's m-bit binary string reversed.
     """
     m = n * (n - 1) // 2
     full = (1 << m) - 1
-    best = min(
+    return min(
         (cand for mask in masks for cand in (mask, mask ^ full)),
         key=lambda mask: f"{mask:0{m}b}"[::-1],
     )
-    return emit_graph6(Graph(n, best))

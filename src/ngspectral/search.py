@@ -15,11 +15,11 @@ the smallest graph6 string among every labelling, complements included, of
 the extensions within tol of the best score: the tie band.  It is a
 graph6-ordered minimum over the n! relabellings of each band mask
 (`graphs.smallest_labelling`), so the band is never canonicalized and no
-labelling is kept.  Both engines follow one value rule (`_record`): a
-record's value is its witness scored by `objective`, so the printed witness
-re-scores to the printed value bit for bit.  Rounding differs between
-labellings of one graph, so that value may differ from the best extension's
-score in the last bits.
+labelling is kept.  Both engines follow one value rule (`_record`): each
+picks one witness mask, and the record scores that graph by `objective` and
+prints it as graph6, so the printed witness re-scores to the printed value
+bit for bit.  Rounding differs between labellings of one graph, so that
+value may differ from the best extension's score in the last bits.
 
 Every batch is bounded by the entries of its largest array: the relabelling
 blocks of the witness and the eigvalsh stacks of `_pair_scores`, the one
@@ -56,7 +56,7 @@ import numpy as np
 
 from ngspectral.constructions import extremal_graph
 from ngspectral.eigensolver import complement_pair_eigenvalues, complement_pair_eigh
-from ngspectral.graph6 import parse_graph6, smallest_graph6
+from ngspectral.graph6 import emit_graph6, smallest_graph6
 from ngspectral.graphs import (
     EXHAUSTIVE_CAP, SCORE_ENTRIES, Graph, check_order, complement_pair_classes, erdos_renyi,
     extensions, masks_to_stack, smallest_labelling,
@@ -154,15 +154,15 @@ def objective(g: Graph, s: int, family: str) -> float:
 
 
 def _record(
-    n: int, s: int, family: str, masks, *, method: str, exact: bool, evaluations: int,
+    n: int, s: int, family: str, witness: int, *, method: str, exact: bool, evaluations: int,
     seed: Optional[int] = None,
 ) -> ExtremalRecord:
-    """The record of (n, s, family) whose witness is the smallest graph6
-    string among the order-n `masks` and whose value is that witness scored
-    by `objective`: the value rule of both engines."""
-    witness = smallest_graph6(n, masks)
-    value = objective(parse_graph6(witness), s, family)
-    return ExtremalRecord(n, s, family, value, witness, method, exact, evaluations, seed)
+    """The record of (n, s, family) whose witness is the order-n mask its
+    engine chose, printed as graph6, and whose value is that graph scored by
+    `objective`: the value rule of both engines."""
+    g = Graph(n, witness)
+    value = objective(g, s, family)
+    return ExtremalRecord(n, s, family, value, emit_graph6(g), method, exact, evaluations, seed)
 
 
 def target_ratio(s: int, family: str) -> float:
@@ -239,7 +239,7 @@ def exhaustive_f(n: int, s: int, family: str, *, tol: float = DEFAULT_TOL) -> Ex
             "relabellings, so lower tol"
         )
     witness = smallest_labelling(band, n)
-    return _record(n, s, family, [witness], method="exhaustive", exact=True, evaluations=total)
+    return _record(n, s, family, witness, method="exhaustive", exact=True, evaluations=total)
 
 
 def _constructive_starts(n: int, s: int, family: str) -> list[Graph]:
@@ -366,9 +366,10 @@ def local_search_f(
     more than CLIMB_TIE_TOL, and otherwise stops and leaves the batch.  This
     is the flip that rescoring every top flip would pick.  `evaluations`
     counts the starts plus n(n-1)/2 per running climb per step.  The
-    returned value is the witness re-scored by `objective` after its graph6
-    round trip (`_record`), hence a certified lower bound on the true
-    extremal value.
+    witness is the smallest graph6 string among the climbs tied for the best
+    score and their complements (`smallest_graph6`), and the value is that
+    graph scored by `objective` (`_record`), hence a certified lower bound
+    on the true extremal value.
 
     A step costs one eigendecomposition of each running climb and its
     complement and an eigvalsh rescore of each kept top flip, all O(n^3).
@@ -417,18 +418,15 @@ def local_search_f(
         i, j = iu[top[rows, best]], ju[top[rows, best]]
         a[live, i, j] = a[live, j, i] = 1.0 - a[live, i, j]
 
-    best_score = -math.inf
-    best_masks: list[int] = []
-    for c in range(len(starts)):
-        bits = Graph.from_adjacency(a[c]).bits
-        if score[c] > best_score + CLIMB_TIE_TOL:
-            best_score = float(score[c])
-            best_masks = [bits]
-        elif score[c] > best_score - CLIMB_TIE_TOL:
-            best_masks.append(bits)
-
+    tied = [0]  # the climbs tied for the best score, within CLIMB_TIE_TOL of the first
+    for c in range(1, len(starts)):
+        if score[c] > score[tied[0]] + CLIMB_TIE_TOL:
+            tied = [c]
+        elif score[c] > score[tied[0]] - CLIMB_TIE_TOL:
+            tied.append(c)
+    witness = smallest_graph6(n, [Graph.from_adjacency(a[c]).bits for c in tied])
     return _record(
-        n, s, family, best_masks, method="local_search", exact=False, evaluations=evaluations, seed=seed
+        n, s, family, witness, method="local_search", exact=False, evaluations=evaluations, seed=seed
     )
 
 

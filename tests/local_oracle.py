@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from ngspectral.eigensolver import complement_pair_eigh
+from ngspectral.graph6 import smallest_graph6
 from ngspectral.graphs import Graph, check_order, erdos_renyi
 from ngspectral.search import (
     CLIMB_TIE_TOL,
@@ -72,5 +73,6 @@ def local_oracle(
             best_masks.append(bits)
 
     return _record(
-        n, s, family, best_masks, method="local_search", exact=False, evaluations=evaluations, seed=seed
+        n, s, family, smallest_graph6(n, best_masks), method="local_search", exact=False,
+        evaluations=evaluations, seed=seed,
     )

@@ -716,6 +716,14 @@ def test_graph6_file_whitespace_around_the_graph(tmp_path, capsys):
         src.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "check", "--graph6-file", str(src))
         assert (code, out, err) == (1, "", f"error: {src}: {message}\n")
+    # so is a file that is not UTF-8, here UTF-16 with its byte order mark
+    src.write_bytes("CF\n".encode("utf-16"))
+    code, out, err = run_cli(capsys, "spectrum", "--graph6-file", str(src))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: cannot read {src}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
 
 
 def test_check_degenerate_bipartite_at_order_768(capsys):

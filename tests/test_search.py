@@ -16,7 +16,7 @@ from labelled_oracle import labelled_exhaustive_f
 from local_oracle import local_oracle
 from ngspectral.constructions import extremal_graph
 from ngspectral.eigensolver import complement_pair_eigenvalues, complement_pair_eigh
-from ngspectral.graph6 import emit_graph6, parse_graph6
+from ngspectral.graph6 import emit_graph6, parse_graph6, smallest_graph6
 from ngspectral.graphs import (
     EXHAUSTIVE_CAP,
     Graph,
@@ -635,12 +635,36 @@ def test_local_search_deterministic():
 
 
 def test_local_search_witness_rescores():
-    rec = local_search_f(7, 1, "bottom", seed=2, iterations=15, restarts=2)
-    assert objective(parse_graph6(rec.witness), 1, "bottom") == pytest.approx(
-        rec.value, abs=1e-9
-    )
-    exact = exhaustive_f(7, 1, "bottom")
-    assert rec.value <= exact.value + 1e-9
+    # the value rule promises bits: at n = 8 two climbs tie and the witness is
+    # a complement, at n = 12 it is a complement, at n = 24 the climb's own graph
+    for n, s, family in ((8, 1, "bottom"), (12, 2, "top"), (24, 3, "bottom")):
+        rec = local_search_f(n, s, family, 0, 10, 3)
+        assert objective(parse_graph6(rec.witness), s, family) == rec.value
+        if n <= EXHAUSTIVE_CAP:
+            assert rec.value <= exhaustive_f(n, s, family).value + 1e-9
+
+
+def test_records_score_the_graph_they_print(monkeypatch):
+    # a record scores the graph its engine chose: it parses no graph6, exact
+    # records take smallest_labelling's witness as it is, and local search
+    # ranks only its tied climbs, once
+    def no_parse(text):
+        raise AssertionError("a record parses its own graph6")
+
+    calls = []
+
+    def counting(n, masks):
+        calls.append(list(masks))
+        return smallest_graph6(n, masks)
+
+    monkeypatch.setattr(ngspectral.search, "parse_graph6", no_parse, raising=False)
+    monkeypatch.setattr(ngspectral.search, "smallest_graph6", counting)
+    records = [exhaustive_f(6, 3, "top"), exhaustive_f(7, 2, "top")]
+    assert calls == []
+    records.append(local_search_f(8, 1, "bottom", 0, 10, 3))
+    assert len(calls) == 1 and len(calls[0]) == 2
+    for rec in records:
+        assert objective(parse_graph6(rec.witness), rec.s, rec.family) == rec.value
 
 
 # local_search_f records within tol of exhaustive_f, over seeds 0-4 and every
