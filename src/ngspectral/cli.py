@@ -138,10 +138,6 @@ def _resolve_graph(args: argparse.Namespace) -> Graph:
     return generate(kind, values, seed=args.seed)
 
 
-def _lines(lines: list[str]) -> str:
-    return "\n".join(lines) + "\n" if lines else ""
-
-
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.output:
         try:
@@ -153,14 +149,13 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _do_spectrum(args: argparse.Namespace) -> int:
+def _do_spectrum(args: argparse.Namespace) -> tuple[str, int]:
     g = _resolve_graph(args)
     sg, sc = spectrum_pair(g)
-    _emit(args, _lines(spectrum_lines(g.n, g.edge_count, sg, sc, args.format)))
-    return 0
+    return spectrum_lines(g.n, g.edge_count, sg, sc, args.format), 0
 
 
-def _do_check(args: argparse.Namespace) -> int:
+def _do_check(args: argparse.Namespace) -> tuple[str, int]:
     if args.s_max < 1:
         raise UsageError(f"--s-max must be at least 1, got {args.s_max}")
     cap = max_order()
@@ -168,28 +163,26 @@ def _do_check(args: argparse.Namespace) -> int:
         raise UsageError(f"--s-max {args.s_max} exceeds the graph-order cap {cap}")
     g = _resolve_graph(args)
     columns = battery_columns(g, args.s_max, tol=args.tol)
-    _emit(args, render_columns(columns, args.format, BoundReport))
-    return 2 if any_violated(columns) else 0
+    return render_columns(columns, args.format, BoundReport), 2 if any_violated(columns) else 0
 
 
-def _do_construct(args: argparse.Namespace) -> int:
+def _do_construct(args: argparse.Namespace) -> tuple[str, int]:
     if args.a_matrix is not None:
         if args.a_matrix < 1:
             raise UsageError(f"--a-matrix index must be at least 1, got {args.a_matrix}")
-        _emit(args, _lines(matrix_lines(construct_a(args.a_matrix), args.format)))
-        return 0
+        return matrix_lines(construct_a(args.a_matrix), args.format), 0
     if args.k is None or args.t is None:
         raise UsageError("--extremal requires --k and --t")
     if args.k < 1 or args.t < 1:
         raise UsageError("--k and --t must be at least 1")
     g = extremal_graph(args.k, args.t)
     reports = witness_check(g, args.k, tol=args.tol)
-    header = graph6_line(emit_graph6(g), args.k, args.t, args.format)
-    _emit(args, _lines([header] + render(reports, args.format, BoundReport)))
-    return 2 if any(r.violated for r in reports) else 0
+    text = graph6_line(emit_graph6(g), args.k, args.t, args.format)
+    text += render(reports, args.format, BoundReport)
+    return text, 2 if any(r.violated for r in reports) else 0
 
 
-def _do_search(args: argparse.Namespace) -> int:
+def _do_search(args: argparse.Namespace) -> tuple[str, int]:
     if args.table:
         try:
             orders = [int(x) for x in (args.n_list or "").split(",") if x != ""]
@@ -206,8 +199,7 @@ def _do_search(args: argparse.Namespace) -> int:
             restarts=args.restarts,
             tol=args.tol,
         )
-        _emit(args, _lines(render(rows, args.format, RatioRow)))
-        return 0
+        return render(rows, args.format, RatioRow), 0
     if args.n is None:
         raise UsageError("--exact and --local require --n")
     if args.exact:
@@ -221,8 +213,7 @@ def _do_search(args: argparse.Namespace) -> int:
             args.iterations,
             args.restarts,
         )
-    _emit(args, _lines(render([record], args.format, ExtremalRecord)))
-    return 0
+    return render([record], args.format, ExtremalRecord), 0
 
 
 _HANDLERS = {
@@ -236,7 +227,9 @@ _HANDLERS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        text, code = _HANDLERS[args.command](args)
+        _emit(args, text)
+        return code
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,8 +2,9 @@
 
 Identical inputs must produce byte-identical output, so every real number is
 rendered with 12 significant digits (IEEE round-half-even), -0.0 normalizes
-to 0, field order is fixed, and rows end with a bare newline.  NaN renders as
-"nan" in CSV/text and as null in JSON.
+to 0, field order is fixed, and rows end with a bare newline.  NaN renders
+as "nan" in CSV/text and as null in JSON.  Every entry point the CLI calls
+returns the exact text it prints, each line ending in a newline.
 
 Tables are formatted from columns, in bulk.  Reports, records and ratio rows
 each have one column table in `COLUMNS`, in the field order of their kind,
@@ -259,23 +260,22 @@ def render_columns(columns: Sequence[Sequence], fmt: str, kind: type) -> str:
     return head + _fill(cells, "", tail + "\n", null_nan=fmt == "json")
 
 
-def render(items: Iterable, fmt: str, kind: type) -> list[str]:
-    """Lines of `items`, all of `kind`, in `fmt`: `render_columns` on the
-    items' fields, split at its newlines (so a string cell that holds a
-    newline splits its line)."""
+def render(items: Iterable, fmt: str, kind: type) -> str:
+    """The output of `items`, all of `kind`, in `fmt`: `render_columns` on
+    the items' fields."""
     fields, items = _columns_of(kind), list(items)
     columns = [list(map(attrgetter(c.attr), items)) for c in fields]
-    return render_columns(columns, fmt, kind).split("\n")[:-1]
+    return render_columns(columns, fmt, kind)
 
 
 def _reals(x: np.ndarray, sep: str, null_nan: bool = False) -> str:
     return _fill([("", REAL, x)], sep, null_nan=null_nan)
 
 
-def spectrum_csv_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray) -> list[str]:
+def spectrum_csv_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray) -> str:
     index = range(1, len(sg) + 1)
-    rows = _fill([(f"{n},{edges},", "%s", index), (",", REAL, sg), (",", REAL, sc)], "\n")
-    return ["n,e,i,mu_g,mu_complement"] + rows.splitlines()
+    rows = _fill([(f"{n},{edges},", "%s", index), (",", REAL, sg), (",", REAL, sc)], "", "\n")
+    return "n,e,i,mu_g,mu_complement\n" + rows
 
 
 def spectrum_json(n: int, edges: int, sg: np.ndarray, sc: np.ndarray) -> str:
@@ -284,39 +284,37 @@ def spectrum_json(n: int, edges: int, sg: np.ndarray, sc: np.ndarray) -> str:
         f'"n":{n},"e":{edges},'
         f'"spectrum":[{_reals(sg, ",", True)}],'
         f'"complement_spectrum":[{_reals(sc, ",", True)}]'
-        "}"
+        "}\n"
     )
 
 
-def spectrum_text_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray) -> list[str]:
-    return [f"n={n} e={edges}", f"G: {_reals(sg, ', ')}", f"complement: {_reals(sc, ', ')}"]
+def spectrum_text_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray) -> str:
+    return f"n={n} e={edges}\nG: {_reals(sg, ', ')}\ncomplement: {_reals(sc, ', ')}\n"
 
 
-def spectrum_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray, fmt: str) -> list[str]:
+def spectrum_lines(n: int, edges: int, sg: np.ndarray, sc: np.ndarray, fmt: str) -> str:
     """The spectra `sg` of a graph with `n` vertices and `edges` edges and
     `sc` of its complement, in `fmt`."""
     if _check_format(fmt) == "json":
-        return [spectrum_json(n, edges, sg, sc)]
+        return spectrum_json(n, edges, sg, sc)
     if fmt == "csv":
         return spectrum_csv_lines(n, edges, sg, sc)
     return spectrum_text_lines(n, edges, sg, sc)
 
 
-def matrix_lines(matrix: Matrix01, fmt: str) -> list[str]:
+def matrix_lines(matrix: Matrix01, fmt: str) -> str:
     """The 0/1 grid of `matrix`: one row of digits per line (comma-separated
     in csv), or one json object with the order and the rows."""
     rows = ["".join(map(str, row)) for row in matrix.entries.tolist()]
     if _check_format(fmt) == "json":
-        return [json.dumps({"order": matrix.order, "rows": rows}, separators=(",", ":"))]
-    if fmt == "csv":
-        return [",".join(row) for row in rows]
-    return rows
+        return json.dumps({"order": matrix.order, "rows": rows}, separators=(",", ":")) + "\n"
+    return "".join((",".join(row) if fmt == "csv" else row) + "\n" for row in rows)
 
 
 def graph6_line(g6: str, k: int, t: int, fmt: str) -> str:
     """The graph6 line that heads the witness reports of extremal_graph(k, t)."""
     if _check_format(fmt) == "json":
-        return json.dumps({"graph6": g6, "k": k, "t": t}, separators=(",", ":"))
+        return json.dumps({"graph6": g6, "k": k, "t": t}, separators=(",", ":")) + "\n"
     if fmt == "csv":
-        return f"graph6,{g6}"
-    return f"graph6: {g6}"
+        return f"graph6,{g6}\n"
+    return f"graph6: {g6}\n"

@@ -272,16 +272,16 @@ def _first_order_mu(
     """
     mu = lam[..., t - 1 : t]
     run = np.abs(lam - mu) <= DEFAULT_TOL  # one index range: lam descends
-    # Q_c, zero outside the run, in vec's layout (eigh's columns reversed):
-    # matmul's order of summation depends on it, and the ranking keeps its bits
-    q = (vec[..., ::-1] * run[..., None, ::-1])[..., ::-1]
-    proj = q @ q.swapaxes(-1, -2)
+    start, size = np.argmax(run, axis=-1)[..., None], run.sum(-1, keepdims=True)
+    k = np.arange(size.max())  # Q_c': the run's eigenvectors, zero rows up to the longest run
+    rows = np.minimum(start + k, lam.shape[-1] - 1)
+    q = vec.swapaxes(-1, -2)[np.arange(len(a))[:, None, None], np.arange(2)[:, None], rows]
+    proj = (q * (k < size)[..., None]).swapaxes(-1, -2) @ q
     norm = np.sqrt(np.diagonal(proj, axis1=-2, axis2=-1))
     d = 1.0 - 2.0 * a[:, iu, ju]
     uv = np.stack([d, -d], axis=1) * proj[..., iu, ju]
     root = norm[..., iu] * norm[..., ju]
-    place = t - 1 - np.argmax(run, axis=-1)
-    first, last = (place == 0)[..., None], (place == run.sum(-1) - 1)[..., None]
+    first, last = start == t - 1, start + size == t  # mu_t heads or ends its run
     return mu + first * (uv + root) + last * (uv - root)
 
 
@@ -374,8 +374,8 @@ def local_search_f(
     A step costs one eigendecomposition of each running climb and its
     complement and an eigvalsh rescore of each kept top flip, all O(n^3).
     `local_search_f(n, 2, "top", 0, 1, 1)`, one step of two climbs, took
-    0.17 s at n = 256, 0.71 s at n = 512 and 5.5-5.8 s at n = 1024, with a
-    peak RSS of 273 MB (2 cores, OpenBLAS on 1 thread).
+    0.15-0.20, 0.73-0.79 and 5.1-5.4 s at n = 256, 512 and 1024, with a peak
+    RSS of 240 MB at 1024 (2 cores, OpenBLAS on 1 thread).
     """
     col = _column(n, s, family)
     check_order(n)

@@ -6,7 +6,9 @@ of all running climbs in one `_first_order_mu` call and rescores, in one
 their brackets (`_flip_brackets`) leave in the running.  The tests use this
 plain loop, which climbs from each start on its own with the same ranking
 and rescores every top flip with the same kernel, as an oracle for it, so
-the records must agree bit for bit.
+the records must agree bit for bit.  `masked_first_order_mu` is the ranking
+as first written, from a masked copy of every eigenvector; the ranking must
+keep its bits.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from ngspectral.search import (
     _pair_scores,
     _record,
 )
+from ngspectral.spectra import DEFAULT_TOL
 
 
 def local_oracle(
@@ -76,3 +79,22 @@ def local_oracle(
         n, s, family, smallest_graph6(n, best_masks), method="local_search", exact=False,
         evaluations=evaluations, seed=seed,
     )
+
+
+def masked_first_order_mu(
+    a: np.ndarray, lam: np.ndarray, vec: np.ndarray, t: int, iu: np.ndarray, ju: np.ndarray
+) -> np.ndarray:
+    """`_first_order_mu(a, lam, vec, t, iu, ju)` with Q_c as a copy of all n
+    eigenvectors, zero outside the run, in vec's layout (eigh's columns
+    reversed)."""
+    mu = lam[..., t - 1 : t]
+    run = np.abs(lam - mu) <= DEFAULT_TOL
+    q = (vec[..., ::-1] * run[..., None, ::-1])[..., ::-1]
+    proj = q @ q.swapaxes(-1, -2)
+    norm = np.sqrt(np.diagonal(proj, axis1=-2, axis2=-1))
+    d = 1.0 - 2.0 * a[:, iu, ju]
+    uv = np.stack([d, -d], axis=1) * proj[..., iu, ju]
+    root = norm[..., iu] * norm[..., ju]
+    place = t - 1 - np.argmax(run, axis=-1)
+    first, last = (place == 0)[..., None], (place == run.sum(-1) - 1)[..., None]
+    return mu + first * (uv + root) + last * (uv - root)

@@ -6,9 +6,11 @@ only in `graphs.py`.  One module judges inequalities: `BoundReport(...)` is
 called only in `bounds.py`, so every report gets its verdict from the table
 walk.  One module names the output formats: the machine formats "json" and
 "csv" are string constants only in `reporting.py`, which lists them in
-`FORMATS`.  The package imports only numpy, the standard library and
-itself: CI installs numpy and pytest alone, so any other import would pass
-only where it happens to be installed.
+`FORMATS`.  One function writes the CLI's output: the subcommand handlers
+return their text, and `main` is the only caller of `cli._emit`.  The
+package imports only numpy, the standard library and itself: CI installs
+numpy and pytest alone, so any other import would pass only where it
+happens to be installed.
 """
 
 import ast
@@ -83,6 +85,14 @@ def test_format_names_stay_in_reporting(path):
         text for text, owner in SPELLERS.items() if text in constants and path.name != owner
     )
     assert not strays, f"{path.name} spells {strays}"
+
+
+def test_only_main_writes_the_output():
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    writers = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and "_emit" in _callees(node)}
+    assert writers == {"main"}
 
 
 def _imports(tree: ast.AST) -> set[str]:

@@ -12,11 +12,16 @@ import pytest
 
 import ngspectral.cli
 import ngspectral.constructions
+from ngspectral.bounds import BoundReport, battery_columns
 from ngspectral.cli import build_parser, main
+from ngspectral.constructions import construct_a, extremal_graph, witness_check
 from ngspectral.graph6 import emit_graph6
 from ngspectral.graphs import GENERATORS, complete_bipartite, cycle, generate, path
-from ngspectral.reporting import render
-from ngspectral.search import ExtremalRecord, exhaustive_f, local_search_f
+from ngspectral.reporting import (
+    FORMATS, graph6_line, matrix_lines, render, render_columns, spectrum_lines,
+)
+from ngspectral.search import ExtremalRecord, RatioRow, exhaustive_f, local_search_f, ratio_table
+from ngspectral.spectra import spectrum_pair
 
 
 def run_cli(capsys, *argv):
@@ -555,7 +560,7 @@ def test_search_exact_at_order_8(capsys):
         capsys, "search", "--exact", "--n", "8", "--s", "2", "--family", "top", "--format", "json"
     )
     assert code == 0
-    assert out.splitlines() == render([exhaustive_f(8, 2, "top")], "json", ExtremalRecord)
+    assert out == render([exhaustive_f(8, 2, "top")], "json", ExtremalRecord)
 
 
 def test_allow_n8_flag(capsys):
@@ -766,7 +771,31 @@ def test_parser_is_reused_without_leaking_values(capsys):
     assert code == 0
     # defaults, not the first call's values: seed 0 and text format
     record = local_search_f(6, 3, "bottom", 0, 3, 1)
-    assert out.splitlines() == render([record], "text", ExtremalRecord)
+    assert out == render([record], "text", ExtremalRecord)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_every_renderer_returns_the_text_main_writes(capsys, fmt):
+    # each renderer returns the whole text, every line ending in a newline,
+    # and main writes it as it is
+    g, x = cycle(9), extremal_graph(2, 1)
+    cases = [
+        (["spectrum", "--generate", "cycle:9"], [spectrum_lines(9, 9, *spectrum_pair(g), fmt)]),
+        (["check", "--generate", "cycle:9", "--s-max", "3"],
+         [render_columns(battery_columns(g, 3), fmt, BoundReport)]),
+        (["construct", "--a-matrix", "2"], [matrix_lines(construct_a(2), fmt)]),
+        (["construct", "--extremal", "--k", "2", "--t", "1"],
+         [graph6_line(emit_graph6(x), 2, 1, fmt), render(witness_check(x, 2), fmt, BoundReport)]),
+        (["search", "--exact", "--n", "5", "--s", "2", "--family", "top"],
+         [render([exhaustive_f(5, 2, "top")], fmt, ExtremalRecord)]),
+        (["search", "--table", "--n-list", "4,5", "--s", "1", "--family", "bottom"],
+         [render(ratio_table(1, "bottom", [4, 5]), fmt, RatioRow)]),
+    ]
+    for argv, texts in cases:
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert all(isinstance(text, str) and text.endswith("\n") for text in texts), argv
+        assert "".join(texts) == out, argv
 
 
 def test_csv_byte_identical_per_blas_thread_count():

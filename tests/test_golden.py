@@ -43,8 +43,15 @@ CASES = {
     **{f"spectrum-c9.{fmt}": ["spectrum", "--generate", "cycle:9", "--format", fmt]
        for fmt in ("csv", "json", "text")},
     **{f"extremal.{fmt}": [*_EXTREMAL, "--format", fmt] for fmt in ("csv", "json", "text")},
+    # the recursion matrix's 0/1 grid, which no check or search prints
+    **{f"a-matrix3.{fmt}": ["construct", "--a-matrix", "3", "--format", fmt]
+       for fmt in ("csv", "json", "text")},
     **{f"exact.{fmt}": ["search", "--exact", "--n", "5", "--s", "2", "--family", "top",
                         "--format", fmt] for fmt in ("csv", "json", "text")},
+    # a local record: three seeded climbs and the construction, a lower bound
+    **{f"local12.{fmt}": ["search", "--local", "--n", "12", "--s", "2", "--family", "top",
+                          "--seed", "0", "--iterations", "10", "--restarts", "3", "--format", fmt]
+       for fmt in ("csv", "json", "text")},
     **{f"table.{fmt}": ["search", "--table", "--n-list", "4,5", "--s", "1", "--family", "bottom",
                         "--format", fmt] for fmt in ("csv", "json", "text")},
 }

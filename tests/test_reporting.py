@@ -17,6 +17,11 @@ from ngspectral.search import ExtremalRecord, RatioRow
 NAN = math.nan
 
 
+def _text(lines: list[str]) -> str:
+    """The output of `lines`, each ending in a newline."""
+    return "".join(line + "\n" for line in lines)
+
+
 def test_render_edge_values():
     # two distinct NaN objects, -0.0 next to 0.0, None, a quote and a
     # backslash: equal values share one conversion, NaN never merges wrongly
@@ -31,14 +36,14 @@ def test_render_edge_values():
         BoundReport('x":nan,nan}', 3, 1, True, True, lhs=0.5, rhs=NAN, margin=NAN,
                     satisfied=False, tol=1e-8),
     ]
-    assert render(reports, "csv", BoundReport) == [
+    assert render(reports, "csv", BoundReport) == _text([
         "bound_id,n,s_or_k,applicable,strict,lhs,rhs,margin,satisfied,tol",
         'a"b\\c,3,,true,false,nan,0,nan,false,1e-08',
         "plain,3,2,false,true,nan,0,nan,false,1e-08",
         "plain,3,0,true,true,1,2.5,1.5,true,1e-08",
         'x":nan,nan},3,1,true,true,0.5,nan,nan,false,1e-08',
-    ]
-    assert render(reports, "json", BoundReport) == [
+    ])
+    assert render(reports, "json", BoundReport) == _text([
         '{"bound_id":"a\\"b\\\\c","n":3,"s_or_k":null,"applicable":true,"strict":false,'
         '"lhs":null,"rhs":0,"margin":null,"satisfied":false,"tol":1e-08}',
         '{"bound_id":"plain","n":3,"s_or_k":2,"applicable":false,"strict":true,'
@@ -47,42 +52,42 @@ def test_render_edge_values():
         '"lhs":1,"rhs":2.5,"margin":1.5,"satisfied":true,"tol":1e-08}',
         '{"bound_id":"x\\":nan,nan}","n":3,"s_or_k":1,"applicable":true,"strict":true,'
         '"lhs":0.5,"rhs":null,"margin":null,"satisfied":false,"tol":1e-08}',
-    ]
-    assert render(reports, "text", BoundReport) == [
+    ])
+    assert render(reports, "text", BoundReport) == _text([
         "VIOLATION a\"b\\c                  n=3 param=- nan <= 0 margin=nan",
         "SKIP      plain                  n=3 param=2 nan < 0 margin=nan",
         "OK        plain                  n=3 param=0 1 < 2.5 margin=1.5",
         'VIOLATION x":nan,nan}            n=3 param=1 0.5 < nan margin=nan',
-    ]
+    ])
     records = [
         ExtremalRecord(5, 2, "top", 1.0 / 3.0, "D\\w", "exhaustive", True, 12, None),
         ExtremalRecord(5, 2, "top", -0.0, "D??", "local_search", False, 0, 7),
     ]
-    assert render(records, "csv", ExtremalRecord) == [
+    assert render(records, "csv", ExtremalRecord) == _text([
         "n,s,family,value,witness,method,exact,evaluations,seed",
         "5,2,top,0.333333333333,D\\w,exhaustive,true,12,",
         "5,2,top,0,D??,local_search,false,0,7",
-    ]
-    assert render(records, "json", ExtremalRecord) == [
+    ])
+    assert render(records, "json", ExtremalRecord) == _text([
         '{"n":5,"s":2,"family":"top","value":0.333333333333,"witness":"D\\\\w",'
         '"method":"exhaustive","exact":true,"evaluations":12,"seed":null}',
         '{"n":5,"s":2,"family":"top","value":0,"witness":"D??",'
         '"method":"local_search","exact":false,"evaluations":0,"seed":7}',
-    ]
-    assert render(records, "text", ExtremalRecord) == [
+    ])
+    assert render(records, "text", ExtremalRecord) == _text([
         "n=5 s=2 family=top: value=0.333333333333 (exact, exhaustive, 12 evaluations) witness=D\\w",
         "n=5 s=2 family=top: value=0 (lower bound, local_search, 0 evaluations) witness=D??",
-    ]
+    ])
     rows = [RatioRow(4, NAN, NAN, 0.5, NAN, "exhaustive")]
-    assert render(rows, "csv", RatioRow) == [
+    assert render(rows, "csv", RatioRow) == _text([
         "n,value,ratio,target,gap,method", "4,nan,nan,0.5,nan,exhaustive"
-    ]
-    assert render(rows, "json", RatioRow) == [
+    ])
+    assert render(rows, "json", RatioRow) == _text([
         '{"n":4,"value":null,"ratio":null,"target":0.5,"gap":null,"method":"exhaustive"}'
-    ]
-    assert render(rows, "text", RatioRow) == [
+    ])
+    assert render(rows, "text", RatioRow) == _text([
         "n=4: value=nan value/n=nan target=0.5 gap=nan [exhaustive]"
-    ]
+    ])
 
 
 def _hard_reals(rng) -> np.ndarray:
@@ -107,14 +112,15 @@ def test_bulk_reals_match_format_real(seed):
     ]
     # as table cells: spectrum lines and report columns, in every format
     sg = x[:300]
-    assert spectrum_lines(300, 0, sg, sg, "text")[1] == "G: " + ", ".join(want[:300])
-    assert [line.split(",")[3] for line in spectrum_lines(300, 0, sg, sg, "csv")[1:]] == want[:300]
+    assert spectrum_lines(300, 0, sg, sg, "text").split("\n")[1] == "G: " + ", ".join(want[:300])
+    csv = spectrum_lines(300, 0, sg, sg, "csv").splitlines()[1:]
+    assert [line.split(",")[3] for line in csv] == want[:300]
     reports = [BoundReport("r", 3, None, True, False, v, -v, v, True, 1e-8)
                for v in x[:500].tolist()]
-    lhs = [line.split(",")[5] for line in render(reports, "csv", BoundReport)[1:]]
+    lhs = [line.split(",")[5] for line in render(reports, "csv", BoundReport).splitlines()[1:]]
     rhs = [format_real(-v) for v in x[:500].tolist()]
     assert lhs == want[:500]
-    json_lines = render(reports, "json", BoundReport)
+    json_lines = render(reports, "json", BoundReport).splitlines()
     json_rhs = [line.split('"rhs":')[1].split(",")[0] for line in json_lines]
     assert json_rhs == ["null" if r == "nan" else r for r in rhs]
 
@@ -130,9 +136,9 @@ def test_fill_prints_percent_literally_and_null_for_a_nan_column():
 
 
 def test_render_empty_and_unknown_kind():
-    assert render([], "csv", RatioRow) == ["n,value,ratio,target,gap,method"]
-    assert render([], "json", RatioRow) == []
-    assert render(iter([]), "text", RatioRow) == []
+    assert render([], "csv", RatioRow) == "n,value,ratio,target,gap,method\n"
+    assert render([], "json", RatioRow) == ""
+    assert render(iter([]), "text", RatioRow) == ""
     with pytest.raises(TypeError, match="no renderer for int"):
         render([1], "csv", int)
 
@@ -246,11 +252,11 @@ def test_constant_columns_print_as_every_row_would():
     # constant string prints as itself
     reports = [BoundReport("100%", 4, p, True, False, NAN, -0.0, NAN, True, 1e-12)
                for p in (None, 1, 2)]
-    assert render(reports, "json", BoundReport) == [
+    assert render(reports, "json", BoundReport) == _text([
         '{"bound_id":"100%","n":4,"s_or_k":' + p + ',"applicable":true,"strict":false,'
         '"lhs":null,"rhs":0,"margin":null,"satisfied":true,"tol":1e-12}' for p in ("null", "1", "2")
-    ]
-    assert render(reports, "csv", BoundReport)[1:] == [
+    ])
+    assert render(reports, "csv", BoundReport).splitlines()[1:] == [
         f"100%,4,{p},true,false,nan,0,nan,true,1e-12" for p in ("", "1", "2")
     ]
     assert _fill([("%", "%s", ["%d"] * 2), ("%", REAL, [-0.0, 0.0])], ";", "%") == "%%d%0%;%%d%0%"

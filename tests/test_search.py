@@ -13,7 +13,7 @@ import ngspectral.graphs
 import ngspectral.search
 from class_oracle import all_classes, brute_force_pair_classes
 from labelled_oracle import labelled_exhaustive_f
-from local_oracle import local_oracle
+from local_oracle import local_oracle, masked_first_order_mu
 from ngspectral.constructions import extremal_graph
 from ngspectral.eigensolver import complement_pair_eigenvalues, complement_pair_eigh
 from ngspectral.graph6 import emit_graph6, parse_graph6, smallest_graph6
@@ -1164,6 +1164,51 @@ def test_ranking_and_brackets_leave_the_eigenpairs_as_they_are():
     _first_order_mu(a, lam, vec, 2, iu, ju)
     _flip_brackets(a, lam, vec, 2, iu[:TOP_FLIPS][None].repeat(2, 0), ju[:TOP_FLIPS][None].repeat(2, 0))
     assert np.array_equal(lam, before[0]) and np.array_equal(vec, before[1])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_ranking_keeps_the_bits_of_the_masked_copy(family):
+    # Q_c' is the run's eigenvectors, padded with zero rows to the longest
+    # run in the batch; the ranks must equal, bit for bit, those of a copy of
+    # all n eigenvectors masked to the run, graph by graph and batched.  The
+    # constructions' spectra have long runs; s is each one's s in `family`
+    wide = 0
+    for graphs in ([extremal_graph(2, 16), extremal_graph(3, 8), erdos_renyi(128, 0.5, 0)],
+                   [extremal_graph(1, 16), erdos_renyi(64, 0.5, 0)]):
+        a = np.stack([g.adjacency_matrix() for g in graphs])
+        n = a.shape[-1]
+        iu, ju = np.triu_indices(n, 1)
+        lam, vec = complement_pair_eigh(a)
+        for k in (1, 2, 3):
+            t = _column(n, 2 ** (k - 1) + (family == "top"), family) + 1
+            wide = max(wide, int((np.abs(lam - lam[..., t - 1 : t]) <= DEFAULT_TOL).sum(-1).max()))
+            for c in [slice(None)] + [slice(c, c + 1) for c in range(len(graphs))]:
+                rank = np.abs(_first_order_mu(a[c], lam[c], vec[c], t, iu, ju)).sum(1)
+                want = np.abs(masked_first_order_mu(a[c], lam[c], vec[c], t, iu, ju)).sum(1)
+                assert rank.tobytes() == want.tobytes(), (n, k, c)
+    assert wide > 16, wide
+
+
+# tracemalloc peaks of `_first_order_mu` on G(256, 1/2) and the construction
+# start, at the top column of s = 2: 7 930 891 B from the run's eigenvectors,
+# and 10 016 784 B from a masked copy of all 256 eigenvectors (numpy 2.4,
+# Python 3.11)
+FIRST_ORDER_PEAK = 7_930_891
+
+
+def test_first_order_ranking_copies_only_the_run():
+    n = 256
+    starts = [erdos_renyi(n, 0.5, 0)] + _constructive_starts(n, 2, "top")
+    a = np.stack([g.adjacency_matrix() for g in starts])
+    iu, ju = np.triu_indices(n, 1)
+    lam, vec = complement_pair_eigh(a)
+    tracemalloc.start()
+    try:
+        _first_order_mu(a, lam, vec, _column(n, 2, "top") + 1, iu, ju)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(starts) == 2 and peak <= 1.1 * FIRST_ORDER_PEAK, peak
 
 
 def test_brackets_spare_most_top_flips_a_rescore(monkeypatch):
