@@ -19,9 +19,10 @@ Every blow-up takes one route too: `blowup` expands a looped 0/1 quotient
 
 Batches of graphs up to EXHAUSTIVE_CAP are int64 arrays of the same masks.
 Every relabelling takes one route: at a fixed order graph6 compares as the
-key that weighs pair b by 2^(m-1-b), and `_key_range` gives each mask's
-smallest and largest key over a colour layout's relabellings by one
-product with their graph6 weights (`_label_weights`, kept once per layout).
+key that weighs pair b by 2^(m-1-b), and `_key_blocks` gives the keys of
+masks over a colour layout's relabellings, block by block, by one product
+with their graph6 weights (`_label_weights`, kept once per layout); each
+caller takes only the reduction of each block it needs.
 `canonical_masks` takes the smallest over the permutations within the
 cells of the colour refinement, and `smallest_labelling` over all n!
 relabellings, layout (n,), of a batch and of its complements.
@@ -49,10 +50,10 @@ MAX_ORDER_ENV = "NG_MAX_ORDER"
 # about 38 s to classify, and int64 pair masks overflow from order 12
 EXHAUSTIVE_CAP = 8
 # the package's memory budget: the most entries in the largest array of a
-# batch, be it the matrices of `canonical_masks`, the keys of a `_key_range`
+# batch, be it the matrices of `canonical_masks`, the keys of a `_key_blocks`
 # block (13 masks x 8! for layout (8,)) or an eigvalsh stack of search, so
 # that no batch grows with n^2 or n! (8192 matrices of order 8, 512 of order
-# 32).  The weight tables of `_key_range` are kept per colour layout, not
+# 32).  The weight tables of `_key_blocks` are kept per colour layout, not
 # batched: P x m for P relabellings, 9.0 MB for the 8! of (8,)
 SCORE_ENTRIES = 1 << 19
 
@@ -430,18 +431,15 @@ def _label_weights(cells: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _key_range(bits: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest graph6 key of each row of the 0/1 pair bits
-    `bits` (B, m) over the relabellings weighed by the rows of `weights`
-    (P, m), from one float64 product per block of at most SCORE_ENTRIES keys
-    (masks x P, at least one mask).  Exact: every key is below 2^m <= 2^28."""
+def _key_blocks(bits: np.ndarray, weights: np.ndarray, reduce) -> list:
+    """`reduce(keys)` of each block of graph6 keys of the rows of the 0/1
+    pair bits `bits` (B, m) over the relabellings weighed by the rows of
+    `weights` (P, m): keys (b, P) from one float64 product per block of at
+    most SCORE_ENTRIES keys (at least one mask), blocks in row order, each
+    freed before the next is built.  Exact: every key is below 2^m <= 2^28."""
     step = max(1, SCORE_ENTRIES // weights.shape[0])
-    lo, hi = np.empty((2, bits.shape[0]), dtype=np.int64)
-    for g in range(0, bits.shape[0], step):
-        keys = bits[g : g + step].astype(np.float64) @ weights.T
-        lo[g : g + step], hi[g : g + step] = keys.min(axis=1), keys.max(axis=1)
-        keys = None  # each block is freed before the next one is built
-    return lo, hi
+    return [reduce(bits[g : g + step].astype(np.float64) @ weights.T)
+            for g in range(0, bits.shape[0], step)]
 
 
 def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
@@ -451,7 +449,7 @@ def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
 
     Each graph's pair bits are read in colour order once, so the graphs with
     one colour layout share its weight table (`_label_weights`), and
-    `_key_range` gives their smallest keys, the reversed pair bits of the
+    `_key_blocks` gives their smallest keys, the reversed pair bits of the
     form.  Masks go SCORE_ENTRIES // k^2 at a time.  Two masks get the same
     canonical form exactly when their graphs are isomorphic, and the form is
     itself a labelling of the graph.
@@ -474,7 +472,8 @@ def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
         for g, layout in enumerate(layouts):
             members = np.flatnonzero(group == g)
             cells = tuple(np.unique(layout, return_counts=True)[1].tolist())
-            keys[members] = _key_range(bits[members], _label_weights(cells))[0]
+            smallest = _key_blocks(bits[members], _label_weights(cells), lambda keys: keys.min(axis=1))
+            keys[members] = np.concatenate(smallest)
         canon[lo : lo + chunk] = ((keys[:, None] >> (i.size - 1 - place)) & 1) @ (1 << place)
     return canon
 
@@ -503,9 +502,10 @@ def smallest_labelling(masks: np.ndarray | Sequence[int], n: int) -> int:
     order-n `masks` and of their complements, with no canonical form.
 
     At a fixed order graph6 compares as the key that weighs pair b by
-    2^(m-1-b), so `_key_range` over the n! rows of `_label_weights((n,))`
-    gives each mask's smallest and largest key.  Complementing flips every
-    bit, so the complements' smallest key is full ^ the largest key.  Raises
+    2^(m-1-b), and it needs only the smallest and the largest key of all
+    masks over the n! rows of `_label_weights((n,))`: one min and one max
+    of each block of `_key_blocks`.  Complementing flips every bit, so the
+    complements' smallest key is full ^ the largest key.  Raises
     ValueError on no mask or one outside [0, 2^m).
     """
     weights = _label_weights((n,))
@@ -513,6 +513,8 @@ def smallest_labelling(masks: np.ndarray | Sequence[int], n: int) -> int:
     masks = np.asarray(masks, dtype=np.int64)
     if masks.size == 0 or masks.min() < 0 or masks.max() >> m:
         raise ValueError(f"need order-{n} masks in [0, 2^{m}), got {masks.ravel()[:3].tolist()}")
-    lo, hi = _key_range((masks[:, None] >> np.arange(m)) & 1, weights)
-    best = min(int(lo.min()), ((1 << m) - 1) ^ int(hi.max()))
+    ranges = _key_blocks((masks[:, None] >> np.arange(m)) & 1, weights,
+                         lambda keys: (keys.min(), keys.max()))
+    lo, hi = min(r[0] for r in ranges), max(r[1] for r in ranges)
+    best = min(int(lo), ((1 << m) - 1) ^ int(hi))
     return int(f"{best:0{m}b}"[::-1], 2)

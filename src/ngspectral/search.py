@@ -35,14 +35,18 @@ reads the eigenspace, not the basis eigh picks in it.  The same eigenpairs
 bracket the exact target eigenvalue after each of the TOP_FLIPS flips that
 rank highest, by bisection on an inertia count (`_flip_brackets`).  A top
 flip whose score bracket lies below the best lower bound among its climb's
-top flips cannot win; only the others are rebuilt and rescored through
-eigvalsh, and those scores pick the flip and stop the climb, so the prune
-never changes a record.  The climbs from all starts run in lockstep: each
-step solves the eigendecompositions of every climb still running in one
-call and rescores all their kept top flips in one `_pair_scores` call; a
-climb leaves the batch when it stops.  Results are fully
-deterministic: enumeration order is fixed, local search is seed-driven,
-and value ties are broken by the lexicographically smallest graph6 string.
+top flips cannot win.  A climb's own score lies within BRACKET_SLACK of
+the one read from the step's eigenpairs.  A step whose brackets prove,
+against those bounds, that one flip wins or that none improves takes it or
+stops unrescored; the others rebuild their kept flips and rescore them
+through eigvalsh.  So each step makes the choice that rescoring every top
+flip would make, and the brackets never change a record.  The climbs from
+all starts run in lockstep: each step solves the eigendecompositions of
+every climb still running in one call and rescores all their kept top
+flips in one `_pair_scores` call; a climb leaves the batch when it stops.
+Results are fully deterministic: enumeration order is fixed, local search
+is seed-driven, and value ties are broken by the lexicographically
+smallest graph6 string.
 """
 
 from __future__ import annotations
@@ -77,22 +81,26 @@ LABEL_BUDGET = 1 << 26
 CLIMB_TIE_TOL = 1e-12
 # local search: each step brackets this many flips of every running climb,
 # those that rank highest to first order, and rescores through eigvalsh
-# those of them that can still win
+# those of them that can still win, unless the brackets decide the step
 TOP_FLIPS = 16
 # local search: bisection steps of each top flip's bracket (_flip_brackets),
 # which leave it 2^-11 wide.  On the six climbs of `search --local --s 2` at
-# n = 16, 24 and 32 (10 560 top flips), 8, 10, 12, 14 and 16 steps keep 2809,
-# 1201, 948, 865 and 836 flips for eigvalsh, and the climbs took 0.47-0.55,
-# 0.38-0.40, 0.37-0.39, 0.36 and 0.37 s (1 BLAS thread): past 12 steps the
-# bisection costs about what it saves
+# n = 16, 24 and 32 (660 steps, 10 560 top flips), 8, 10, 12, 14 and 16
+# steps rescore 2522, 691, 331, 203 and 160 top flips through eigvalsh, and
+# the climbs took 0.41, 0.29, 0.28, 0.28 and 0.29 s (best of 5, 1 BLAS
+# thread).  At 12 steps the brackets decide 565 of the 660 steps alone
+# (548 flips taken, 17 stops); past 12 the bisection costs what it saves
 BRACKET_STEPS = 12
 # local search: each bracket's widening, ten times the least distance of a
-# bisection midpoint from an eigenvalue of the step's spectra.  Over every
-# flip and t of empty, complete, cycle, star, K_{n/2,n/2}, extremal_graph,
-# Paley(13) and G(n, 1/2) graphs of orders 2 to 32, brackets missed
-# eigvalsh by at most 1.1e-14 before this widening.  With midpoints kept
-# only 1e-9 or 1e-10 off, they missed by about that distance, as a count
-# next to a pole that is also an eigenvalue of the flip can err
+# bisection midpoint from an eigenvalue of the step's spectra, and the
+# half-width of the bounds on a climb's score between rescores, around the
+# score read from its step's eigenpairs.  Over every flip and t of empty,
+# complete, cycle, star, K_{n/2,n/2}, extremal_graph, Paley(13) and
+# G(n, 1/2) graphs of orders 2 to 32, brackets missed eigvalsh by at most
+# 1.1e-14 before this widening, and eigh scores by at most 7.5e-14.  With
+# midpoints kept only 1e-9 or 1e-10 off, brackets missed by about that
+# distance, as a count next to a pole that is also an eigenvalue of the
+# flip can err
 BRACKET_SLACK = 1e-7
 
 
@@ -358,24 +366,37 @@ def local_search_f(
     t = `_column(n, s, family)` + 1 of the flipped graph and of its
     complement to first order (`_first_order_mu`), takes the TOP_FLIPS that
     rank highest, ties to the smaller flip index, and brackets the exact
-    score of each (`_flip_brackets`).  It rescores through `_pair_scores`,
-    in one call, every top flip whose upper bound reaches the best lower
-    bound among its climb's top flips; the others score below some rescored
-    flip, so they cannot win.  Each climb takes its best rescored flip, the
-    smallest flip index among equal scores, if it improves its score by
-    more than CLIMB_TIE_TOL, and otherwise stops and leaves the batch.  This
-    is the flip that rescoring every top flip would pick.  `evaluations`
-    counts the starts plus n(n-1)/2 per running climb per step.  The
-    witness is the smallest graph6 string among the climbs tied for the best
-    score and their complements (`smallest_graph6`), and the value is that
-    graph scored by `objective` (`_record`), hence a certified lower bound
-    on the true extremal value.
+    score of each (`_flip_brackets`).  A top flip whose upper bound is
+    below the best lower bound among its climb's top flips scores below
+    another, so it cannot win; the others are kept.  A climb's own score
+    lies within bounds: its eigvalsh bits after a rescore, else the score
+    read from the step's eigenpairs +- BRACKET_SLACK; starts have no
+    eigvalsh score.  A climb whose one kept flip has a lower bound above its
+    score's upper bound by more than CLIMB_TIE_TOL takes that flip
+    unrescored, and a climb that no top flip's upper bound lets beat its
+    score's lower bound by that much stops.  The other climbs rescore their
+    kept flips through `_pair_scores`, in one call for the step, and take
+    the best, the smallest flip index among equal scores, if it beats
+    their score by more than CLIMB_TIE_TOL; a comparison the bounds leave
+    open first solves the climb's graph again through eigvalsh, in one call.
+    Each climb thus takes the flip that rescoring every top flip would pick,
+    or stops and leaves the batch where it would.  A climb that ends
+    without eigvalsh bits is scored once, with the others, before the tie
+    rule, with the bits the rescore of its graph would have given.
+    `evaluations` counts the starts plus n(n-1)/2 per running climb per
+    step.  The witness is the smallest graph6 string among the climbs tied
+    for the best score and their complements (`smallest_graph6`), and the
+    value is that graph scored by `objective` (`_record`), hence a
+    certified lower bound on the true extremal value.
 
     A step costs one eigendecomposition of each running climb and its
-    complement and an eigvalsh rescore of each kept top flip, all O(n^3).
+    complement and an eigvalsh rescore of each kept top flip where the
+    brackets leave the step open, all O(n^3).
     `local_search_f(n, 2, "top", 0, 1, 1)`, one step of two climbs, took
-    0.15-0.20, 0.73-0.79 and 5.1-5.4 s at n = 256, 512 and 1024, with a peak
-    RSS of 240 MB at 1024 (2 cores, OpenBLAS on 1 thread).
+    0.064-0.068, 0.26-0.27 and 1.44-1.60 s at n = 256, 512 and 1024, with a
+    peak RSS of 240 MB at 1024 (2 cores, OpenBLAS on 1 thread).  There the
+    brackets decide both climbs: the seeded start takes its flip, and the
+    construction, whose 16 tied top flips all score below it, stops.
     """
     col = _column(n, s, family)
     check_order(n)
@@ -386,7 +407,7 @@ def local_search_f(
     starts = [erdos_renyi(n, 0.5, seed + r) for r in range(restarts)] + _constructive_starts(n, s, family)
 
     a = np.stack([start.adjacency_matrix() for start in starts])
-    score = _pair_scores(len(starts), n, lambda lo, hi: a[lo:hi], col)
+    score = np.full(len(starts), np.nan)  # each climb's eigvalsh score, NaN until one is solved
     evaluations = len(starts)
     live = np.arange(len(starts) if m else 0)  # one vertex: nothing to flip
     for _ in range(iterations):
@@ -403,21 +424,41 @@ def local_search_f(
         low = np.maximum(np.maximum(lower, -upper), 0.0).sum(1)  # |mu| at least, both sides
         high = np.maximum(-lower, upper).sum(1)
         keep = high >= low.max(1, keepdims=True)
+        # bounds on each climb's own score: its eigvalsh score, or its eigh score +- BRACKET_SLACK
+        own = np.abs(lam[:, :, col]).sum(1)
+        solved = score[live]
+        floor = np.where(np.isnan(solved), own - BRACKET_SLACK, solved)
+        ceil = np.where(np.isnan(solved), own + BRACKET_SLACK, solved)
+        # a lone kept flip whose lower bound beats the climb's score is taken,
+        # and a climb that no flip's upper bound lets improve stops, unrescored
+        take = (keep.sum(1) == 1) & (low.max(1) > ceil + CLIMB_TIE_TOL)
+        keep &= ~take[:, None] & (high.max(1) > floor + CLIMB_TIE_TOL)[:, None]
         owner, flip = live[np.nonzero(keep)[0]], top[keep]
 
         def flipped(lo, hi):
             return _flipped_stack(a[owner[lo:hi]], iu[flip[lo:hi]], ju[flip[lo:hi]])
 
-        rescored = np.full(top.shape, -np.inf)
-        rescored[keep] = _pair_scores(flip.size, n, flipped, col)
+        rescored = np.where(take[:, None], low, -np.inf)  # a taken flip has its climb's best lower bound
+        if flip.size:
+            rescored[keep] = _pair_scores(flip.size, n, flipped, col)
         evaluations += m * live.size
         best = np.argmax(rescored, axis=1)  # ties resolve to the smallest flip index
-        rows = np.flatnonzero(rescored[np.arange(live.size), best] > score[live] + CLIMB_TIE_TOL)
+        value = rescored[np.arange(live.size), best]
+        # a rescored best that falls between the bounds of its climb's score
+        # is compared with the score itself, solved again through eigvalsh
+        unsure = np.flatnonzero((value > floor + CLIMB_TIE_TOL) & (value <= ceil + CLIMB_TIE_TOL))
+        if unsure.size:
+            climb = live[unsure]
+            score[climb] = ceil[unsure] = _pair_scores(unsure.size, n, lambda lo, hi: a[climb[lo:hi]], col)
+        rows = np.flatnonzero(value > ceil + CLIMB_TIE_TOL)
         live, best = live[rows], best[rows]
-        score[live] = rescored[rows, best]
+        score[live] = np.where(take[rows], np.nan, value[rows])
         i, j = iu[top[rows, best]], ju[top[rows, best]]
         a[live, i, j] = a[live, j, i] = 1.0 - a[live, i, j]
 
+    unsolved = np.flatnonzero(np.isnan(score))  # climbs that ended on an unrescored flip or start
+    if unsolved.size:
+        score[unsolved] = _pair_scores(unsolved.size, n, lambda lo, hi: a[unsolved[lo:hi]], col)
     tied = [0]  # the climbs tied for the best score, within CLIMB_TIE_TOL of the first
     for c in range(1, len(starts)):
         if score[c] > score[tied[0]] + CLIMB_TIE_TOL:

@@ -52,7 +52,11 @@ CASES = {
     **{f"local12.{fmt}": ["search", "--local", "--n", "12", "--s", "2", "--family", "top",
                           "--seed", "0", "--iterations", "10", "--restarts", "3", "--format", fmt]
        for fmt in ("csv", "json", "text")},
-    **{f"table.{fmt}": ["search", "--table", "--n-list", "4,5", "--s", "1", "--family", "bottom",
+    # the six climbs of the search_local bench, at its default iterations and restarts
+    **{f"local{n}-{family}.json": ["search", "--local", "--n", str(n), "--s", "2",
+                                   "--family", family, "--seed", "0", "--format", "json"]
+       for n in (16, 24, 32) for family in ("top", "bottom")},
+    **{f"table.{fmt}":["search", "--table", "--n-list", "4,5", "--s", "1", "--family", "bottom",
                         "--format", fmt] for fmt in ("csv", "json", "text")},
 }
 

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import local_oracle as local_oracle_module
 import ngspectral.graphs
 import ngspectral.search
 from class_oracle import all_classes, brute_force_pair_classes
@@ -36,6 +37,7 @@ from ngspectral.graphs import (
 from ngspectral.search import (
     BRACKET_SLACK,
     BRACKET_STEPS,
+    CLIMB_TIE_TOL,
     FAMILIES,
     SCORE_ENTRIES,
     TOP_FLIPS,
@@ -777,65 +779,100 @@ def test_local_search_memory_stays_flat():
 
 def _spy_on_steps(monkeypatch):
     """Lists that fill as `local_search_f` runs: the climbs that each step
-    ranks, one stack per `complement_pair_eigh` call, and the matrices that
-    each `_pair_scores` call scores."""
-    climbs, scored = [], []
+    ranks, one stack per `complement_pair_eigh` call, and one entry per
+    `_pair_scores` call, (step, matrices, flips): the index of the last step
+    ranked before the call, the matrices it scores, and whether they are
+    top flips, built by `_flipped_stack`, or graphs as they stand."""
+    climbs, scored, built = [], [], []
 
     def eigh_spy(stack):
         climbs.append(stack.copy())
         return complement_pair_eigh(stack)
 
+    def flip_spy(a, i, j):
+        built.append(i.size)
+        return _flipped_stack(a, i, j)
+
     def score_spy(count, order, build, col=None):
-        scored.append(np.array(build(0, count)))
+        before = len(built)
+        scored.append((len(climbs) - 1, np.array(build(0, count)), len(built) > before))
         return _pair_scores(count, order, build, col)
 
     monkeypatch.setattr(ngspectral.search, "complement_pair_eigh", eigh_spy)
+    monkeypatch.setattr(ngspectral.search, "_flipped_stack", flip_spy)
     monkeypatch.setattr(ngspectral.search, "_pair_scores", score_spy)
     return climbs, scored
 
 
-def _assert_best_top_flips_rescored(climbs, rescored, col):
-    """Each step rescored at most TOP_FLIPS flips of each of its climbs, and
-    among them the flip that rescoring every top flip picks, as the oracle
-    does: the best eigvalsh score, the smallest flip index among equals.
-    climbs[k] and rescored[k] are step k's climbs and rescored matrices."""
-    assert len(climbs) == len(rescored)
-    for stack, matrices in zip(climbs, rescored):
-        n = stack.shape[-1]
-        iu, ju = np.triu_indices(n, 1)
+def _assert_steps_rescore_every_top_flip(climbs, args):
+    """The climbs of each step of `local_search_f(*args)`, as
+    `complement_pair_eigh` got them (climbs[k] for step k), are those of
+    rescoring every top flip through eigvalsh, as the oracle does: the first
+    step climbs from the starts, and each climb goes on to the next step
+    with its best-scoring top flip, the smallest flip index among equal
+    scores, if that beats the climb's own eigvalsh score by more than
+    CLIMB_TIE_TOL, and stops otherwise."""
+    n, s, family, seed, iterations, restarts = args + (50, 3)[len(args) - 4 :]
+    col = _column(n, s, family)
+    iu, ju = np.triu_indices(n, 1)
+    starts = [erdos_renyi(n, 0.5, seed + r) for r in range(restarts)] + _constructive_starts(n, s, family)
+    expected = np.stack([g.adjacency_matrix() for g in starts])
+    for k, stack in enumerate(climbs):
+        assert np.array_equal(stack, expected), k
         rank = np.abs(_first_order_mu(stack, *complement_pair_eigh(stack), col + 1, iu, ju)).sum(1)
+        going = []
         for a, r in zip(stack, rank):
             top = np.sort(np.argsort(-r, kind="stable")[:TOP_FLIPS])
             flips = _flipped_stack(a, iu[top], ju[top])
-            best = flips[np.argmax(_pair_scores(top.size, n, lambda lo, hi: flips[lo:hi], col))]
-            # a flip of `a` differs from it in two entries, (i, j) and (j, i)
-            mine = matrices[np.count_nonzero(matrices != a, axis=(1, 2)) == 2]
-            assert 1 <= len(mine) <= TOP_FLIPS, len(mine)
-            assert (mine == best).all(axis=(1, 2)).any()
+            scores = _pair_scores(top.size, n, lambda lo, hi: flips[lo:hi], col)
+            if scores.max() > _pair_scores(1, n, lambda lo, hi: a[None], col)[0] + CLIMB_TIE_TOL:
+                going.append(flips[np.argmax(scores)])
+        expected = np.array(going).reshape(-1, n, n)
+    assert len(climbs) == iterations or not expected.size
+
+
+def _assert_at_most_top_flips_rescored(climbs, scored):
+    """Each step rescores its top flips in at most one `_pair_scores` call,
+    at most TOP_FLIPS flips of each of its climbs."""
+    steps = [k for k, _, flips in scored if flips]
+    assert len(steps) == len(set(steps)), steps
+    for k, matrices, flips in scored:
+        if flips:
+            # a flip of a climb differs from it in two entries, (i, j) and (j, i)
+            mine = [np.count_nonzero(matrices != a, axis=(1, 2)) == 2 for a in climbs[k]]
+            assert np.any(mine, axis=0).all() and max(np.sum(mine, axis=1)) <= TOP_FLIPS, k
 
 
 def test_local_search_screens_each_step_in_one_block(monkeypatch):
     # each step ranks the flips of every running climb from one
     # complement_pair_eigh call and rescores at most TOP_FLIPS flips of each
-    # in one _pair_scores call, eigvalsh's best top flip among them; the
-    # first call of the kernel scores the four starts of order 32 (three
-    # seeded and the construction), the last the witness
+    # in one _pair_scores call, or none where their brackets decide the
+    # step; the climbs take the flips that rescoring every top flip picks.
+    # The four starts of order 32 (three seeded and the construction) get
+    # no call of their own: the first call rescores the first step's flips,
+    # and the last scores the witness
     args = (32, 2, "bottom", 0)
     climbs, scored = _spy_on_steps(monkeypatch)
     rec = local_search_f(*args)
-    assert len(scored[0]) == len(climbs[0]) == 4 and len(scored[-1]) == 1
-    _assert_best_top_flips_rescored(climbs, scored[1:-1], _column(*args[:3]))
+    assert len(climbs[0]) == 4 and scored[0][0] == 0 and scored[0][2]
+    assert len(scored[-1][1]) == 1 and not scored[-1][2]
+    _assert_at_most_top_flips_rescored(climbs, scored)
+    _assert_steps_rescore_every_top_flip(climbs, args)
     assert rec == local_oracle(*args)
 
 
 def test_each_step_rescores_at_most_top_flips_per_climb(monkeypatch):
     # the construction's start of order 96 ties 2304 flips for the best
-    # first-order rank; the step rescores at most TOP_FLIPS of them, not all
+    # first-order rank; the step rescores at most TOP_FLIPS of them, not
+    # all.  The seeded start takes its flip on its bracket, so its graph is
+    # scored after the step, and then the witness
     args = (96, 2, "bottom", 0, 1, 1)
     climbs, scored = _spy_on_steps(monkeypatch)
     rec = local_search_f(*args)
-    assert [len(m) for m in scored[::2]] == [2, 1] and len(scored) == 3  # the starts, a step, the witness
-    _assert_best_top_flips_rescored(climbs, scored[1:-1], _column(*args[:3]))
+    assert [(k, len(m), flips) for k, m, flips in scored] == [(0, TOP_FLIPS, True), (0, 1, False),
+                                                              (0, 1, False)]
+    _assert_at_most_top_flips_rescored(climbs, scored)
+    _assert_steps_rescore_every_top_flip(climbs, args)
     assert rec == local_oracle(*args)
 
 
@@ -855,14 +892,16 @@ def test_rescoring_batches_are_bounded_by_entries(monkeypatch):
     climbs, scored = _spy_on_steps(monkeypatch)
     monkeypatch.setattr(ngspectral.search, "complement_pair_eigenvalues", spy)
     rec = local_search_f(*args)
-    assert batches == [len(m) for m in scored] and len(climbs) == 2, batches
-    _assert_best_top_flips_rescored(climbs, scored[1:-1], _column(*args[:3]))
+    assert batches == [len(m) for _, m, _ in scored] and len(climbs) == 2, batches
+    _assert_at_most_top_flips_rescored(climbs, scored)
+    _assert_steps_rescore_every_top_flip(climbs, args)
     monkeypatch.setattr(ngspectral.search, "SCORE_ENTRIES", 8 * n * n)
-    batches.clear()
-    scored.clear()
+    for spied in (batches, climbs, scored):
+        spied.clear()
     assert local_search_f(*args) == rec
-    counts = [len(m) for m in scored]
-    assert min(counts[1:-1]) > 8, counts
+    counts = [len(m) for _, m, _ in scored]
+    assert [k for k, _, flips in scored if flips] == [0, 1], counts
+    assert min(len(m) for _, m, flips in scored if flips) > 8, counts
     assert batches == [min(8, k - lo) for k in counts for lo in range(0, k, 8)], (counts, batches)
     assert (rec.value.hex(), rec.evaluations) == ("0x1.00109309dd0e5p+5", 8066)
     assert rec == local_oracle(*args)
@@ -1073,22 +1112,24 @@ def test_flip_problems_match_a_loop_over_spectra_and_runs(n):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_screen_prunes_most_flips(monkeypatch, family):
-    # a step from G(32, 1/2) rescores at most TOP_FLIPS of its 496 flips,
-    # and eigvalsh's best flip is one of them
+    # the first step from G(32, 1/2) rescores at most TOP_FLIPS of its 496
+    # flips, and takes eigvalsh's best flip, rescored or on its bracket
     n = 32
     start = erdos_renyi(n, 0.5, 0).adjacency_matrix()
     iu, ju = np.triu_indices(n, 1)
     col = _column(n, 2, family)
     exact = _pair_scores(iu.size, n, lambda lo, hi: _flipped_stack(start, iu[lo:hi], ju[lo:hi]), col)
     climbs, scored = _spy_on_steps(monkeypatch)
-    rec = local_search_f(n, 2, family, 0, 1, 1)
-    matrices = scored[1]  # after the starts: the step's flips, of the start and of the construction
+    args = (n, 2, family, 0, 2, 1)
+    rec = local_search_f(*args)
     # a flip of the start differs from it in two entries, (i, j) and (j, i)
-    flips = matrices[np.count_nonzero(matrices != start, axis=(1, 2)) == 2]
+    flips = sum(np.count_nonzero(np.count_nonzero(m != start, axis=(1, 2)) == 2)
+                for k, m, rescored in scored if rescored and k == 0)
     best = _flipped_stack(start, iu[[np.argmax(exact)]], ju[[np.argmax(exact)]])
-    assert 1 <= len(flips) <= TOP_FLIPS and (flips == best).all(axis=(1, 2)).any()
-    _assert_best_top_flips_rescored(climbs, scored[1:-1], col)
-    assert rec == local_oracle(n, 2, family, 0, 1, 1)
+    assert flips <= TOP_FLIPS and np.array_equal(climbs[1][0], best[0])
+    _assert_at_most_top_flips_rescored(climbs, scored)
+    _assert_steps_rescore_every_top_flip(climbs, args)
+    assert rec == local_oracle(*args)
 
 
 @pytest.mark.parametrize(
@@ -1155,6 +1196,24 @@ def test_flip_brackets_hold_eigvalsh(n):
             assert (hi - lo).max() <= 2.0 ** (1 - BRACKET_STEPS) + 3 * BRACKET_SLACK
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 13, 16, 24, 32, 128])
+def test_eigh_scores_lie_within_the_bracket_slack(n):
+    # between rescores a climb's score is bounded by its step's eigh score
+    # +- BRACKET_SLACK: the eigvalsh score lies within it, for every t, on
+    # each graph and its flips.  At n = 128 a seeded sample of 32 flips of
+    # each graph is scored
+    iu, ju = np.triu_indices(n, 1)
+    if n == 128:
+        pick = np.sort(np.random.default_rng(n).choice(iu.size, 32, replace=False))
+        iu, ju = iu[pick], ju[pick]
+    for g in _bracket_graphs(n):
+        a = g.adjacency_matrix()
+        stack = np.concatenate([a[None], _flipped_stack(a, iu, ju)])
+        own = np.abs(complement_pair_eigh(stack)[0]).sum(1)  # (K, n): every t
+        exact = _pair_scores(len(stack), n, lambda lo, hi: stack[lo:hi])
+        assert np.abs(own - exact).max() <= BRACKET_SLACK, (n, g.bits, np.abs(own - exact).max())
+
+
 def test_ranking_and_brackets_leave_the_eigenpairs_as_they_are():
     # one eigendecomposition per step feeds both the ranking and the brackets
     a = np.stack([extremal_graph(1, 4).adjacency_matrix(), erdos_renyi(16, 0.5, 0).adjacency_matrix()])
@@ -1213,25 +1272,74 @@ def test_first_order_ranking_copies_only_the_run():
 
 def test_brackets_spare_most_top_flips_a_rescore(monkeypatch):
     # the six climbs of `search --local --s 2` at n = 16, 24 and 32 rescore
-    # 948 of their 10 560 top flips, with the records of rescoring them all
-    rescored, top = [], []
-
-    def spy(count, *call):
-        rescored.append(count)
-        return _pair_scores(count, *call)
-
-    def eigh_spy(stack):
-        top.append(TOP_FLIPS * len(stack))
-        return complement_pair_eigh(stack)
-
-    monkeypatch.setattr(ngspectral.search, "_pair_scores", spy)
-    monkeypatch.setattr(ngspectral.search, "complement_pair_eigh", eigh_spy)
+    # 331 of their 10 560 top flips, with the records of rescoring them all;
+    # the bound leaves 10% for the rounding of other LAPACK builds
+    climbs, scored = _spy_on_steps(monkeypatch)
     for n in (16, 24, 32):
         for family in FAMILIES:
-            start = len(rescored)
             local_search_f(n, 2, family, 0)
-            del rescored[start], rescored[-1]  # the starts and the witness
-    assert sum(top) == 10_560 and sum(rescored) <= 1_000, (sum(top), sum(rescored))
+    top = TOP_FLIPS * sum(len(stack) for stack in climbs)
+    rescored = sum(len(m) for _, m, flips in scored if flips)
+    assert top == 10_560 and rescored <= 365, (top, rescored)
+
+
+def _exact_brackets(a, lam, vec, t, i, j):
+    """`_flip_brackets` of zero width, at the eigenvalues eigvalsh gives:
+    the tightest bounds it may return."""
+    flips = np.stack([_flipped_stack(c, ic, jc) for c, ic, jc in zip(a, i, j)])
+    wg, wc = complement_pair_eigenvalues(flips)
+    mu = np.stack([wg[..., t - 1], wc[..., t - 1]], axis=1)
+    return mu, mu
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [{"BRACKET_STEPS": 1}, {"BRACKET_SLACK": 0.25},
+     {"BRACKET_SLACK": 0.25, "_flip_brackets": _exact_brackets}],
+    ids=["one-step", "wide-slack", "exact-brackets"],
+)
+def test_undecided_steps_fall_back_to_eigvalsh(monkeypatch, patch):
+    # with one bisection step each bracket is about a unit wide, and with a
+    # slack of 0.25 so are the bounds of each unrescored score, around
+    # brackets as wide or of no width.  Then most steps rescore their top
+    # flips, and where a rescored best lies within BRACKET_SLACK of a
+    # climb's unrescored score (as at the starts of order 6, whose best
+    # flips tie with them) the climb's graph is solved again through
+    # eigvalsh before the comparison.  Records stay the oracle's, from
+    # starts with tied flips (the constructions) and without
+    for name, value in patch.items():
+        monkeypatch.setattr(ngspectral.search, name, value)
+    climbs, scored = _spy_on_steps(monkeypatch)
+    solved_again = 0
+    for args in [(6, 2, "bottom", 0), (6, 5, "top", 0), (16, 2, "top", 0), (20, 3, "top", 2),
+                 (32, 2, "bottom", 0, 10)]:
+        climbs.clear()
+        scored.clear()
+        assert local_search_f(*args) == local_oracle(*args), args
+        # graphs scored before the last step are solved again; the climbs
+        # without eigvalsh bits and the witness are scored after it
+        solved_again += sum(not flips and k < len(climbs) - 1 for k, _, flips in scored)
+        _assert_at_most_top_flips_rescored(climbs, scored)
+        _assert_steps_rescore_every_top_flip(climbs, args)
+    assert solved_again >= 1
+
+
+def test_a_start_at_a_local_optimum_stops_where_the_oracle_does(monkeypatch):
+    # a lone climb ends on a graph that none of its top flips beats.  Given
+    # as the start, with brackets of zero width and bounds 4 wide on its
+    # unrescored score, its best top flip falls within those bounds: the
+    # step rescores the kept flips, solves the start again, and stops
+    args = (10, 3, "top", 0, 50, 1)
+    optimum = parse_graph6(local_search_f(*args).witness)
+    for module in (ngspectral.search, local_oracle_module):
+        monkeypatch.setattr(module, "erdos_renyi", lambda n, p, seed: optimum)
+    monkeypatch.setattr(ngspectral.search, "BRACKET_SLACK", 4.0)
+    monkeypatch.setattr(ngspectral.search, "_flip_brackets", _exact_brackets)
+    climbs, scored = _spy_on_steps(monkeypatch)
+    rec = local_search_f(*args)
+    assert len(climbs) == 1 and [flips for _, _, flips in scored] == [True, False, False]
+    assert np.array_equal(scored[1][1], optimum.adjacency_matrix()[None])
+    assert rec == local_oracle(*args) and rec.witness == emit_graph6(optimum)
 
 
 def test_local_search_calls_no_unique(monkeypatch):
