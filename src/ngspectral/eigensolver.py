@@ -3,7 +3,12 @@
 This is the toolkit's one eigen path, and the only module that calls
 numpy.linalg.  Single matrices, stacks of matrices and graph/complement
 pairs all end in `batched_symmetric_eigenvalues`; its descending float64
-arrays are the toolkit's spectra, read 1-based by `spectra.mu`.  Local
+arrays are the toolkit's spectra, read 1-based by `spectra.mu`.  The
+spectra of graph/complement pairs come from one function,
+`complement_pair_eigenvalues_in_place`: it solves a float64 stack its
+caller hands over, overwrites that stack with the complements and solves
+it again, so a pair holds one array, not two.  `complement_pair_eigenvalues`
+is that solve on a copy, for callers that read their stack again.  Local
 search also needs eigenvectors: `complement_pair_eigh` returns the
 eigenpairs of a stack of graphs and of their complements from one eigh
 call.  On integer adjacency matrices the error per eigenvalue is a small
@@ -43,14 +48,23 @@ def _complement(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return comp
 
 
-def complement_pair_eigenvalues(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of adjacency matrices (..., n, n) and of their complements.
+def complement_pair_eigenvalues_in_place(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of adjacency matrices (..., n, n) and of their complements,
+    both descending on the last axis, overwriting a float64 `stack` with the
+    complements.
 
-    The complement matrix is 1 - A with a zero diagonal.  Both results are
-    descending on the last axis.
+    The complement matrix is 1 - A with a zero diagonal.  The stack is
+    solved, turned into its complements in place and solved again, so no
+    second stack is built; any other dtype is solved on a float64 copy.
     """
     a = np.asarray(stack, dtype=np.float64)
-    return batched_symmetric_eigenvalues(a), batched_symmetric_eigenvalues(_complement(a))
+    return batched_symmetric_eigenvalues(a), batched_symmetric_eigenvalues(_complement(a, out=a))
+
+
+def complement_pair_eigenvalues(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`complement_pair_eigenvalues_in_place` on a float64 copy of `stack`,
+    which is left as it is."""
+    return complement_pair_eigenvalues_in_place(np.array(stack, dtype=np.float64))
 
 
 def complement_pair_eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

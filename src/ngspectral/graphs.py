@@ -17,7 +17,8 @@ in the number of pairs up to the order cap.
 Every blow-up takes one route too: `blowup` expands a looped 0/1 quotient
 `Matrix01` into parts of given sizes, cliques at its loops.
 
-Batches of graphs up to EXHAUSTIVE_CAP are int64 arrays of the same masks.
+Batches of graphs up to EXHAUSTIVE_CAP are int64 arrays of the same masks,
+read as uint8 pair bits by one helper (`_mask_bits`).
 Every relabelling takes one route: at a fixed order graph6 compares as the
 key that weighs pair b by 2^(m-1-b), and `_key_blocks` gives the keys of
 masks over a colour layout's relabellings, block by block, by one product
@@ -53,8 +54,10 @@ EXHAUSTIVE_CAP = 8
 # batch, be it the matrices of `canonical_masks`, the keys of a `_key_blocks`
 # block (13 masks x 8! for layout (8,)) or an eigvalsh stack of search, so
 # that no batch grows with n^2 or n! (8192 matrices of order 8, 512 of order
-# 32).  The weight tables of `_key_blocks` are kept per colour layout, not
-# batched: P x m for P relabellings, 9.0 MB for the 8! of (8,)
+# 32).  A batch holds one such array, plus the uint8 pair bits of its masks
+# (`_mask_bits`): search overwrites each stack with its complements.  The
+# weight tables of `_key_blocks` are kept per colour layout, not batched:
+# P x m for P relabellings, 9.0 MB for the 8! of (8,)
 SCORE_ENTRIES = 1 << 19
 
 
@@ -350,10 +353,19 @@ def generate(kind: str, params: Sequence[float], seed: int | None = None) -> Gra
     return builder(*args, float(params[-1]), seed)
 
 
+def _mask_bits(masks: np.ndarray, m: int) -> np.ndarray:
+    """uint8 pair bits (B, m) of the int64 masks (B,), bit b of mask k at
+    [k, b]: the first m bits of each mask's little-endian bytes, unpacked,
+    one byte per bit."""
+    octets = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, bitorder="little")[:, :m]
+
+
 def masks_to_stack(masks: np.ndarray, n: int, dtype=np.float64) -> np.ndarray:
-    """Adjacency matrices (B, n, n) of the order-n int64 masks (B,)."""
-    m = n * (n - 1) // 2
-    return _bits_to_matrices((masks[:, None] >> np.arange(m)) & 1, n, dtype)
+    """Adjacency matrices (B, n, n) of the order-n int64 masks (B,), a new
+    array, through the same fill as `Graph.adjacency_matrix`, from the
+    uint8 pair bits of `_mask_bits`."""
+    return _bits_to_matrices(_mask_bits(masks, n * (n - 1) // 2), n, dtype)
 
 
 def extensions(reps: np.ndarray, k: int) -> np.ndarray:
@@ -466,7 +478,7 @@ def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
         block = masks[lo : lo + chunk]
         colour = _refined_colours(masks_to_stack(block, k, dtype=np.int64))
         order = np.argsort(colour, axis=1, kind="stable")
-        bits = (block[:, None] >> pair[order[:, i], order[:, j]]) & 1
+        bits = np.take_along_axis(_mask_bits(block, i.size), pair[order[:, i], order[:, j]], axis=1)
         keys = np.empty(block.size, dtype=np.int64)
         layouts, group = np.unique(np.sort(colour, axis=1), axis=0, return_inverse=True)
         for g, layout in enumerate(layouts):
@@ -513,8 +525,7 @@ def smallest_labelling(masks: np.ndarray | Sequence[int], n: int) -> int:
     masks = np.asarray(masks, dtype=np.int64)
     if masks.size == 0 or masks.min() < 0 or masks.max() >> m:
         raise ValueError(f"need order-{n} masks in [0, 2^{m}), got {masks.ravel()[:3].tolist()}")
-    ranges = _key_blocks((masks[:, None] >> np.arange(m)) & 1, weights,
-                         lambda keys: (keys.min(), keys.max()))
+    ranges = _key_blocks(_mask_bits(masks, m), weights, lambda keys: (keys.min(), keys.max()))
     lo, hi = min(r[0] for r in ranges), max(r[1] for r in ranges)
     best = min(int(lo), ((1 << m) - 1) ^ int(hi))
     return int(f"{best:0{m}b}"[::-1], 2)

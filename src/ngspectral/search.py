@@ -59,7 +59,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ngspectral.constructions import extremal_graph
-from ngspectral.eigensolver import complement_pair_eigenvalues, complement_pair_eigh
+from ngspectral.eigensolver import complement_pair_eigenvalues_in_place, complement_pair_eigh
 from ngspectral.graph6 import emit_graph6, smallest_graph6
 from ngspectral.graphs import (
     EXHAUSTIVE_CAP, SCORE_ENTRIES, Graph, check_order, complement_pair_classes, erdos_renyi,
@@ -184,16 +184,18 @@ def target_ratio(s: int, family: str) -> float:
 def _pair_scores(count: int, n: int, build, col: Optional[int] = None) -> np.ndarray:
     """|mu_i(G)| + |mu_i(comp)| of `count` adjacency matrices of order n,
     (count, n) for every i, or (count,) for the 0-based index `col`.
-    `build(lo, hi)` returns matrices lo:hi as a stack (hi - lo, n, n); they
-    are solved in batches of at most SCORE_ENTRIES matrix entries.  eigvalsh
-    solves each matrix of a stack on its own, so the batches never change
-    a bit.  This is the search's one call of `complement_pair_eigenvalues`."""
+    `build(lo, hi)` returns matrices lo:hi as a float64 stack (hi - lo, n,
+    n) that the caller does not read again: it is overwritten with the
+    complements.  They are solved in batches of at most SCORE_ENTRIES matrix
+    entries, so a batch holds one such stack.  eigvalsh solves each matrix
+    of a stack on its own, so the batches never change a bit.  This is the
+    search's one call of `complement_pair_eigenvalues_in_place`."""
     pick = slice(None) if col is None else col
     scores = np.empty((count, n) if col is None else count)
     batch = max(1, SCORE_ENTRIES // (n * n))
     for lo in range(0, count, batch):
         hi = min(lo + batch, count)
-        wg, wc = complement_pair_eigenvalues(build(lo, hi))
+        wg, wc = complement_pair_eigenvalues_in_place(build(lo, hi))
         scores[lo:hi] = np.abs(wg[:, pick]) + np.abs(wc[:, pick])
     return scores
 

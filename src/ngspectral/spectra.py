@@ -12,7 +12,9 @@ import numpy as np
 
 # symmetric_eigenvalues is unused here, but bench/test_bench.py reads it as
 # ngspectral.spectra.symmetric_eigenvalues, an alias its tracer must rebind
-from ngspectral.eigensolver import _complement, batched_symmetric_eigenvalues, symmetric_eigenvalues
+from ngspectral.eigensolver import (
+    batched_symmetric_eigenvalues, complement_pair_eigenvalues_in_place, symmetric_eigenvalues,
+)
 from ngspectral.graphs import Graph, Matrix01, check_sizes
 
 DEFAULT_TOL = 1e-8
@@ -47,11 +49,11 @@ def adjacency_spectrum(g: Graph) -> np.ndarray:
 
 
 def spectrum_pair(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of g and of its complement, in that order.  One n x n matrix
-    is live at a time: g's, solved, then turned into the complement's in
-    place and solved again, the same bits as `complement_pair_eigenvalues`."""
-    a = g.adjacency_matrix()
-    return batched_symmetric_eigenvalues(a), batched_symmetric_eigenvalues(_complement(a, out=a))
+    """Spectra of g and of its complement, in that order, from
+    `complement_pair_eigenvalues_in_place` on g's fresh adjacency matrix:
+    one n x n matrix is live at a time, solved, turned into the
+    complement's in place and solved again."""
+    return complement_pair_eigenvalues_in_place(g.adjacency_matrix())
 
 
 def blowup_spectrum(base: Matrix01, sizes: Sequence[int]) -> np.ndarray:

@@ -53,7 +53,8 @@ def local_oracle(
     best_masks: list[int] = []
     for start in starts:
         a = start.adjacency_matrix()
-        score = float(_pair_scores(1, n, lambda lo, hi: a[None], col)[0])
+        # a copy: _pair_scores overwrites the stack it solves, and a climbs on
+        score = float(_pair_scores(1, n, lambda lo, hi: a[None].copy(), col)[0])
         evaluations += 1
         for _ in range(iterations if m else 0):
             lam, vec = complement_pair_eigh(a[None])

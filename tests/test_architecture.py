@@ -1,16 +1,17 @@
 """Module boundaries of the package, read from its source with `ast`.
 
 One module calls LAPACK and one module owns the pair order: `np.linalg`
-appears only in `eigensolver.py`, and `pair_indices` and `tril_indices`
-only in `graphs.py`.  One module judges inequalities: `BoundReport(...)` is
-called only in `bounds.py`, so every report gets its verdict from the table
-walk.  One module names the output formats: the machine formats "json" and
-"csv" are string constants only in `reporting.py`, which lists them in
-`FORMATS`.  One function writes the CLI's output: the subcommand handlers
-return their text, and `main` is the only caller of `cli._emit`.  The
-package imports only numpy, the standard library and itself: CI installs
-numpy and pytest alone, so any other import would pass only where it
-happens to be installed.
+and `_complement`, the complement of a matrix stack, appear only in
+`eigensolver.py`, and `pair_indices` and `tril_indices` only in
+`graphs.py`.  No module imports a private name of another.  One module
+judges inequalities: `BoundReport(...)` is called only in `bounds.py`, so
+every report gets its verdict from the table walk.  One module names the
+output formats: the machine formats "json" and "csv" are string constants
+only in `reporting.py`, which lists them in `FORMATS`.  One function
+writes the CLI's output: the subcommand handlers return their text, and
+`main` is the only caller of `cli._emit`.  The package imports only numpy,
+the standard library and itself: CI installs numpy and pytest alone, so
+any other import would pass only where it happens to be installed.
 """
 
 import ast
@@ -22,7 +23,10 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ngspectral").glob("*.py"))
 
 # name -> the one module that may use it
-OWNERS = {"linalg": "eigensolver.py", "pair_indices": "graphs.py", "tril_indices": "graphs.py"}
+OWNERS = {
+    "linalg": "eigensolver.py", "_complement": "eigensolver.py",
+    "pair_indices": "graphs.py", "tril_indices": "graphs.py",
+}
 # callee -> the one module that may call it
 CALLERS = {"BoundReport": "bounds.py"}
 # string constant -> the one module that may spell it
@@ -110,4 +114,12 @@ def _imports(tree: ast.AST) -> set[str]:
 def test_imports_only_numpy_and_the_standard_library(path):
     imports = _imports(ast.parse(path.read_text(), filename=str(path)))
     strays = sorted(imports - DEPENDENCIES - set(sys.stdlib_module_names))
+    assert not strays, f"{path.name} imports {strays}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_name_is_imported(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    strays = sorted(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names if alias.name.startswith("_"))
     assert not strays, f"{path.name} imports {strays}"
