@@ -7,12 +7,12 @@ arrays are the toolkit's spectra, read 1-based by `spectra.mu`.  The
 spectra of graph/complement pairs come from one function,
 `complement_pair_eigenvalues_in_place`: it solves a float64 stack its
 caller hands over, overwrites that stack with the complements and solves
-it again, so a pair holds one array, not two.  `complement_pair_eigenvalues`
-is that solve on a copy, for callers that read their stack again.  Local
-search also needs eigenvectors: `complement_pair_eigh` returns the
-eigenpairs of a stack of graphs and of their complements from one eigh
-call.  On integer adjacency matrices the error per eigenvalue is a small
-multiple of machine epsilon times the spectral radius.
+it again, so a pair holds one array, not two; a caller that reads its stack
+again hands over a copy.  Local search also needs eigenvectors:
+`complement_pair_eigh` returns the eigenpairs of a stack of graphs and of
+their complements from one eigh call.  On integer adjacency matrices the
+error per eigenvalue is a small multiple of machine epsilon times the
+spectral radius.
 
 Determinism: the same input gives byte-identical output across runs on the
 same machine with the same BLAS thread count.  A different thread count can
@@ -59,12 +59,6 @@ def complement_pair_eigenvalues_in_place(stack: np.ndarray) -> tuple[np.ndarray,
     """
     a = np.asarray(stack, dtype=np.float64)
     return batched_symmetric_eigenvalues(a), batched_symmetric_eigenvalues(_complement(a, out=a))
-
-
-def complement_pair_eigenvalues(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`complement_pair_eigenvalues_in_place` on a float64 copy of `stack`,
-    which is left as it is."""
-    return complement_pair_eigenvalues_in_place(np.array(stack, dtype=np.float64))
 
 
 def complement_pair_eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ Order prefix: a single byte n+63 for n <= 62, or '~' followed by three
 6-bit bytes for 63 <= n <= 258047.  Data bytes pack the upper triangle in
 column-major pair order, six bits per character, most significant first.
 The optional '>>graph6<<' header is accepted on input and never emitted.
+The order that graph6 strings put on masks lives in `graphs`.
 """
 
 from __future__ import annotations
@@ -80,17 +81,3 @@ def parse_graph6(text: str) -> Graph:
     if np.any(bits[m:]):
         raise ValueError("graph6 padding bits must be zero")
     return Graph(n, bitarray_to_mask(bits[:m]))
-
-
-def smallest_graph6(n: int, masks: list[int]) -> int:
-    """The mask of the smallest graph6 string over `masks` and their complements.
-
-    At a fixed order graph6 compares as the pair bits read from bit 0 up,
-    which is the mask's m-bit binary string reversed.
-    """
-    m = n * (n - 1) // 2
-    full = (1 << m) - 1
-    return min(
-        (cand for mask in masks for cand in (mask, mask ^ full)),
-        key=lambda mask: f"{mask:0{m}b}"[::-1],
-    )

@@ -19,8 +19,11 @@ Every blow-up takes one route too: `blowup` expands a looped 0/1 quotient
 
 Batches of graphs up to EXHAUSTIVE_CAP are int64 arrays of the same masks,
 read as uint8 pair bits by one helper (`_mask_bits`).
-Every relabelling takes one route: at a fixed order graph6 compares as the
-key that weighs pair b by 2^(m-1-b), and `_key_blocks` gives the keys of
+One helper owns the graph6 order of masks: at a fixed order graph6
+compares as the key that weighs pair b by 2^(m-1-b), the mask's m-bit string
+reversed (`_graph6_key`); `smallest_graph6` ranks a list of masks by it, and
+`smallest_labelling` turns its smallest key back into a mask.
+Every relabelling takes one route: `_key_blocks` gives the keys of
 masks over a colour layout's relabellings, block by block, by one product
 with their graph6 weights (`_label_weights`, kept once per layout); each
 caller takes only the reduction of each block it needs.
@@ -47,8 +50,9 @@ import numpy as np
 DEFAULT_MAX_ORDER = 4096
 MAX_ORDER_ENV = "NG_MAX_ORDER"
 
-# largest order of exhaustive search and of the class build: order 9 takes
-# about 38 s to classify, and int64 pair masks overflow from order 12
+# largest order of exhaustive search and of the class build: order 9 took
+# 28.1 s and 245 MB to classify (complement_pair_classes(9), 2 cores,
+# OpenBLAS), and int64 pair masks overflow from order 12
 EXHAUSTIVE_CAP = 8
 # the package's memory budget: the most entries in the largest array of a
 # batch, be it the matrices of `canonical_masks`, the keys of a `_key_blocks`
@@ -173,9 +177,6 @@ class Graph:
         on = np.flatnonzero(mask_to_bitarray(self.bits, self.pair_count))
         yield from zip((i[on] + 1).tolist(), (j[on] + 1).tolist())
 
-    def degrees(self) -> list[int]:
-        return [int(x) for x in self.adjacency_matrix(dtype=np.int64).sum(axis=0)]
-
     def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
         return _bits_to_matrices(mask_to_bitarray(self.bits, self.pair_count), self.n, dtype)
 
@@ -230,9 +231,6 @@ class Matrix01:
     @property
     def order(self) -> int:
         return int(self.entries.shape[0])
-
-    def row_sums(self) -> list[int]:
-        return [int(x) for x in self.entries.sum(axis=1)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix01):
@@ -509,6 +507,12 @@ def complement_pair_classes(n: int) -> np.ndarray:
     return reps
 
 
+def _graph6_key(mask: int, m: int) -> int:
+    """The graph6 key of an m-bit mask, its m-bit string reversed, in which
+    pair b weighs 2^(m-1-b); the reversal also takes a key back to its mask."""
+    return int(f"{mask:0{m}b}"[::-1], 2)
+
+
 def smallest_labelling(masks: np.ndarray | Sequence[int], n: int) -> int:
     """The mask of the smallest graph6 string over every relabelling of the
     order-n `masks` and of their complements, with no canonical form.
@@ -527,5 +531,13 @@ def smallest_labelling(masks: np.ndarray | Sequence[int], n: int) -> int:
         raise ValueError(f"need order-{n} masks in [0, 2^{m}), got {masks.ravel()[:3].tolist()}")
     ranges = _key_blocks(_mask_bits(masks, m), weights, lambda keys: (keys.min(), keys.max()))
     lo, hi = min(r[0] for r in ranges), max(r[1] for r in ranges)
-    best = min(int(lo), ((1 << m) - 1) ^ int(hi))
-    return int(f"{best:0{m}b}"[::-1], 2)
+    return _graph6_key(min(int(lo), ((1 << m) - 1) ^ int(hi)), m)
+
+
+def smallest_graph6(n: int, masks: list[int]) -> int:
+    """The mask of the smallest graph6 string over the order-n `masks` and
+    their complements, ranked by their graph6 keys."""
+    m = n * (n - 1) // 2
+    full = (1 << m) - 1
+    return min((cand for mask in masks for cand in (mask, mask ^ full)),
+               key=lambda mask: _graph6_key(mask, m))

@@ -60,10 +60,10 @@ import numpy as np
 
 from ngspectral.constructions import extremal_graph
 from ngspectral.eigensolver import complement_pair_eigenvalues_in_place, complement_pair_eigh
-from ngspectral.graph6 import emit_graph6, smallest_graph6
+from ngspectral.graph6 import emit_graph6
 from ngspectral.graphs import (
     EXHAUSTIVE_CAP, SCORE_ENTRIES, Graph, check_order, complement_pair_classes, erdos_renyi,
-    extensions, masks_to_stack, smallest_labelling,
+    extensions, masks_to_stack, smallest_graph6, smallest_labelling,
 )
 from ngspectral.spectra import DEFAULT_TOL, check_tol
 

@@ -18,8 +18,7 @@ import math
 import numpy as np
 
 from ngspectral.eigensolver import complement_pair_eigh
-from ngspectral.graph6 import smallest_graph6
-from ngspectral.graphs import Graph, check_order, erdos_renyi
+from ngspectral.graphs import Graph, check_order, erdos_renyi, smallest_graph6
 from ngspectral.search import (
     CLIMB_TIE_TOL,
     TOP_FLIPS,

@@ -10,6 +10,7 @@ import pytest
 import ngspectral.bounds
 from battery_oracle import battery_rows
 from class_oracle import all_classes
+from pair_oracle import pair_eigenvalues
 
 from ngspectral.bounds import (
     BATTERY,
@@ -27,7 +28,6 @@ from ngspectral.bounds import (
     violations,
 )
 from ngspectral.constructions import extremal_graph
-from ngspectral.eigensolver import complement_pair_eigenvalues
 from ngspectral.graphs import (
     Graph,
     complement,
@@ -503,7 +503,7 @@ def test_battery_matches_plain_python_oracle():
     graphs += [complete_bipartite(3, 5), complete_bipartite(6, 6), cycle(9), extremal_graph(2, 2)]
     graphs += [erdos_renyi(n, p, n) for n in (16, 40, 64) for p in (0.1, 0.5, 0.9)]
     for g in graphs:
-        wg, wc = complement_pair_eigenvalues(g.adjacency_matrix())
+        wg, wc = pair_eigenvalues(g.adjacency_matrix())
         for s_max in (1, 3, 12, 40):
             got = [(r.bound_id, r.param, r.applicable, r.strict, r.lhs, r.rhs)
                    for r in run_battery(g, s_max)]
@@ -514,7 +514,7 @@ def test_battery_matches_plain_python_oracle():
 def test_batch_evaluation_matches_battery_per_graph():
     graphs = [erdos_renyi(9, p, seed) for p in (0.2, 0.5, 0.8) for seed in range(10)]
     graphs += [complete(9), empty(9), cycle(9), complete_bipartite(4, 5)]
-    spectra = [complement_pair_eigenvalues(g.adjacency_matrix()) for g in graphs]
+    spectra = [pair_eigenvalues(g.adjacency_matrix()) for g in graphs]
     wg = np.array([pair[0] for pair in spectra])
     wc = np.array([pair[1] for pair in spectra])
     ev = evaluate(wg, wc, 4)
@@ -535,7 +535,7 @@ def test_table_sound_on_every_class_at_order_8():
     # parameter that applies at n = 8.
     classes = all_classes(8)
     assert classes.size == 12346
-    wg, wc = complement_pair_eigenvalues(masks_to_stack(classes, 8))
+    wg, wc = pair_eigenvalues(masks_to_stack(classes, 8))
     tol = 1e-8
     applicable_ids = set()
     ev = evaluate(wg, wc, 8, tol)
@@ -574,7 +574,7 @@ def test_layout_evaluates_spectrum_free_sides_once():
     calls = Counter()
     table = _spied(BATTERY, calls)
     g = erdos_renyi(16, 0.5, 4)
-    wg, wc = complement_pair_eigenvalues(g.adjacency_matrix())
+    wg, wc = pair_eigenvalues(g.adjacency_matrix())
     first = evaluate(wg[None], wc[None], 5, table=table)
     fixed, spectral = calls["fixed"], calls["spectrum"]
     # three sides a row; every row but nonpositive_eigenvalue reads the
@@ -617,7 +617,7 @@ def test_batched_evaluate_matches_plain_python_oracle(batch):
         graphs = [erdos_renyi(n, 0.3 + 0.1 * seed, seed) for seed in range(batch)]
         if batch > 1 and n >= 4:  # a degenerate spectrum, with -0.0 and rounding residue
             graphs[-1] = complete_bipartite(n // 2, n - n // 2)
-        wg, wc = map(np.array, zip(*(complement_pair_eigenvalues(g.adjacency_matrix())
+        wg, wc = map(np.array, zip(*(pair_eigenvalues(g.adjacency_matrix())
                                     for g in graphs)))
         ev = evaluate(wg, wc, s_max, table=BATTERY)
         for b in range(batch):

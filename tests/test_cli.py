@@ -1,5 +1,7 @@
-"""CLI subcommands, exit codes, deterministic machine output."""
+"""CLI subcommands, exit codes, deterministic machine output, and the
+README that documents them and the package's exports."""
 
+import ast
 import os
 import re
 import shlex
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import ngspectral
 import ngspectral.cli
 import ngspectral.constructions
 from ngspectral.bounds import BoundReport, battery_columns
@@ -905,3 +908,35 @@ def test_generator_docs_match_the_table():
     assert examples
     for kind, params in examples:
         generate(kind, [float(x) for x in params.split(",")], seed=0)
+
+
+def test_readme_layout_names_every_export():
+    # every name that ngspectral/__init__.py imports appears in a code span
+    # of README's "Library layout" section
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", layout))))
+    tree = ast.parse((root / "src" / "ngspectral" / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "local_search_f" in exported
+    assert exported <= documented, sorted(exported - documented)
+
+
+def test_max_order_follows_the_environment(monkeypatch):
+    monkeypatch.delenv("NG_MAX_ORDER", raising=False)
+    assert ngspectral.max_order() == 4096
+    monkeypatch.setenv("NG_MAX_ORDER", "12")
+    assert ngspectral.max_order() == 12
+    for raw, message in (("0", "positive"), ("big", "integer")):
+        monkeypatch.setenv("NG_MAX_ORDER", raw)
+        with pytest.raises(ValueError, match=message):
+            ngspectral.max_order()
+
+
+def test_ramsey_certificate_returns_a_certificate():
+    # the least edge of C_5 is a clique of k + 1 = 2 vertices
+    cert = ngspectral.ramsey_certificate(cycle(5), 1)
+    assert isinstance(cert, ngspectral.RamseyCertificate)
+    assert cert == ngspectral.RamseyCertificate("clique", (1, 2))

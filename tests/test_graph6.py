@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from ngspectral.graph6 import emit_graph6, parse_graph6, smallest_graph6
+from ngspectral.graph6 import emit_graph6, parse_graph6
 from ngspectral.graphs import (
     Graph,
     complement,
@@ -15,6 +15,7 @@ from ngspectral.graphs import (
     empty,
     erdos_renyi,
     path,
+    smallest_graph6,
 )
 from witness_oracle import smallest_graph6_array
 

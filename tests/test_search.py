@@ -16,10 +16,8 @@ from class_oracle import all_classes, brute_force_pair_classes
 from labelled_oracle import labelled_exhaustive_f
 from local_oracle import local_oracle, masked_first_order_mu
 from ngspectral.constructions import extremal_graph
-from ngspectral.eigensolver import (
-    complement_pair_eigenvalues, complement_pair_eigenvalues_in_place, complement_pair_eigh,
-)
-from ngspectral.graph6 import emit_graph6, parse_graph6, smallest_graph6
+from ngspectral.eigensolver import complement_pair_eigenvalues_in_place, complement_pair_eigh
+from ngspectral.graph6 import emit_graph6, parse_graph6
 from ngspectral.graphs import (
     EXHAUSTIVE_CAP,
     Graph,
@@ -34,6 +32,7 @@ from ngspectral.graphs import (
     extensions,
     masks_to_stack,
     pair_bit,
+    smallest_graph6,
     smallest_labelling,
 )
 from ngspectral.search import (
@@ -57,6 +56,7 @@ from ngspectral.search import (
     target_ratio,
 )
 from ngspectral.spectra import DEFAULT_TOL
+from pair_oracle import pair_eigenvalues
 from witness_oracle import (
     _permutations_within, canonical_exhaustive_f, graph6_canonical_form, labellings,
     smallest_graph6_array,
@@ -105,7 +105,7 @@ def test_exhaustive_order4_bottom():
     assert rec.value == pytest.approx(1 + SQ5, abs=1e-9)
     assert rec.witness == "CL"
     witness = parse_graph6(rec.witness)
-    assert sorted(witness.degrees()) == [1, 1, 2, 2]
+    assert sorted(witness.adjacency_matrix().sum(0).tolist()) == [1, 1, 2, 2]
     assert rec.evaluations == 32
 
 
@@ -489,7 +489,7 @@ def test_witness_pass_builds_no_canonical_form(monkeypatch):
 
 
 def test_isomorphism_classes_capped():
-    # order 9 would take about 38 s, and pair masks overflow int64 from order 12
+    # order 9 took 28.1 s and 245 MB, and pair masks overflow int64 from order 12
     with pytest.raises(ValueError, match="n <= 8, got n=9"):
         complement_pair_classes(9)
     with pytest.raises(ValueError, match="got n=-1"):
@@ -580,7 +580,8 @@ def test_canonical_form_is_a_relabelling_invariant_labelling():
             assert canonical_masks(np.array([h.bits]), n)[0] == form
             # the form is a labelling of g: same degrees, same spectrum pair
             f = Graph(n, form)
-            assert sorted(f.degrees()) == sorted(g.degrees())
+            f_degrees, g_degrees = (sorted(x.adjacency_matrix().sum(0).tolist()) for x in (f, g))
+            assert f_degrees == g_degrees
             assert objective(f, 2, "top") == pytest.approx(objective(g, 2, "top"), abs=1e-9)
     # the regular graphs of order 7 fall in one refinement cell
     c7 = Graph.from_edges(7, [(i, i % 7 + 1) for i in range(1, 8)])
@@ -964,7 +965,7 @@ def test_pair_scores_hold_one_stack():
     n = 32
     count = SCORE_ENTRIES // (n * n)  # one batch: 512 matrices of order 32
     source = np.stack([erdos_renyi(n, 0.5, seed).adjacency_matrix() for seed in range(count)])
-    wg, wc = complement_pair_eigenvalues(source)
+    wg, wc = pair_eigenvalues(source)
     tracemalloc.start()
     try:
         scores = _pair_scores(count, n, lambda lo, hi: source[lo:hi].copy())
@@ -1071,8 +1072,8 @@ def test_screen_matches_eigvalsh_on_every_flip(n):
         for sign in (1.0, -1.0):
             stack = np.repeat(a[None], iu.size, axis=0)
             stack[rows, iu, ju] = stack[rows, ju, iu] = a[iu, ju] + sign * eps * d
-            sides.append(complement_pair_eigenvalues(stack))
-        lam = np.stack(complement_pair_eigenvalues(a))
+            sides.append(pair_eigenvalues(stack))
+        lam = np.stack(pair_eigenvalues(a))
         gaps = np.abs(np.diff(lam, axis=-1))
         for t in _ranked_indices(n):
             mu = _rank(a, t, iu, ju)
@@ -1213,7 +1214,7 @@ def test_flip_brackets_hold_eigvalsh(n):
         iu, ju = iu[pick], ju[pick]
     for g in _bracket_graphs(n):
         a = g.adjacency_matrix()
-        mu = np.stack(complement_pair_eigenvalues(_flipped_stack(a, iu, ju)), axis=1)  # (K, 2, n)
+        mu = np.stack(pair_eigenvalues(_flipped_stack(a, iu, ju)), axis=1)  # (K, 2, n)
         lam, vec = complement_pair_eigh(a[None])
         for t in range(1, n + 1):
             lo, hi = _flip_brackets(a[None], lam, vec, t, iu[None], ju[None])
@@ -1313,7 +1314,7 @@ def _exact_brackets(a, lam, vec, t, i, j):
     """`_flip_brackets` of zero width, at the eigenvalues eigvalsh gives:
     the tightest bounds it may return."""
     flips = np.stack([_flipped_stack(c, ic, jc) for c, ic, jc in zip(a, i, j)])
-    wg, wc = complement_pair_eigenvalues(flips)
+    wg, wc = pair_eigenvalues(flips)
     mu = np.stack([wg[..., t - 1], wc[..., t - 1]], axis=1)
     return mu, mu
 
