@@ -1,14 +1,16 @@
 """The Nordhaus-Gaddum eigenvalue inequalities as one table.
 
-Each row of BOUNDS is one inequality lhs <= rhs, or lhs < rhs when strict:
-its bound id, its strictness, its parameters at order n for a given s_max,
-and three numpy sides, lhs, rhs and `applies` (the precondition), which all
-read the same `Views` and parameter array.  A side that reads no spectrum,
-only n, s_max and the parameters, is marked `Fixed` in the table: most rhs,
-every `applies` but nonpositive_eigenvalue's, and the constant lhs of
-nosal_lower and weyl_lower, 31 of the 48 sides of BOUNDS.  `evaluate` walks
-a table over the spectra of a batch of graphs and their complements, with
-the table's layout at (n, s_max) built once and memoized: its columns,
+BOUNDS is in report order: its rows are in bound_id order, and each lists
+its parameters in ascending order.  Each row is one inequality lhs <= rhs,
+or lhs < rhs when strict: its bound id, its strictness, its parameters at
+order n for a given s_max, and three numpy sides, lhs, rhs and `applies`
+(the precondition), which all read the same `Views` and parameter array.
+A side that reads no spectrum, only n, s_max and the parameters, is marked
+`Fixed` in the table: most rhs, every `applies` but nonpositive_eigenvalue's
+(`ALWAYS` where a row always applies), and the constant lhs of nosal_lower
+and weyl_lower, 31 of the 48 sides of BOUNDS.  `evaluate` walks a table
+over the spectra of a batch of graphs and their complements, with the
+table's layout at (n, s_max) built once and memoized: its columns,
 parameter arrays and strictness, and the values of every Fixed side as
 read-only arrays.  So a call starts from copies of those and calls only the
 sides that read the spectrum.  `table_columns` gives the walk over one
@@ -42,7 +44,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -148,7 +149,7 @@ def _total(v: Views, p) -> np.ndarray:
     return _both(v.t[..., 1:2])
 
 
-_always = Fixed(lambda v, p: True)
+ALWAYS = Fixed(lambda v, p: True)  # the precondition of a row that always applies
 _top_gate = Fixed(lambda v, s: v.n >= 3 * s - 2)
 
 
@@ -168,35 +169,8 @@ def _two_to_n(n: int, s_max: int) -> range:
     return range(2, n + 1)
 
 
+# in report order (module docstring)
 BOUNDS: tuple[Bound, ...] = (
-    # n - 1 <= mu_1(G) + mu_1(comp) < sqrt(2)(n - 1)
-    Bound("nosal_lower", False, _none, Fixed(lambda v, p: v.n - 1.0), _total, _always),
-    Bound("nosal_upper", True, _none, _total, Fixed(lambda v, p: math.sqrt(2.0) * (v.n - 1)),
-          _always),
-    # mu_1(G) + mu_1(comp) <= 4n/3 - 1
-    Bound("csikvari_terpai", False, _none, _total, Fixed(lambda v, p: 4.0 * v.n / 3.0 - 1.0),
-          _always),
-    # sum_{i=2..s} (mu_i(G)^2 + mu_i(comp)^2) < n^2/4, for n >= 3s-2
-    Bound("top_sum_squares", True, _top_s,
-          lambda v, s: _both(_running(_sq(v.t), s)), Fixed(lambda v, s: v.n * v.n / 4.0),
-          _top_gate),
-    # sum_{i=2..s} (|mu_i(G)| + |mu_i(comp)|) < n sqrt((s-1)/2), for n >= 3s-2
-    Bound("top_abs_sum", True, _top_s,
-          lambda v, s: _both(_running(np.abs(v.t), s)),
-          Fixed(lambda v, s: v.n * np.sqrt((s - 1) / 2.0)), _top_gate),
-    # mu_s(G)^2 + mu_s(comp)^2 < n^2/(4(s-1)), for n >= 3s-2
-    Bound("top_pair_squares", True, _top_s,
-          lambda v, s: _both(_sq(v.t[..., s])), Fixed(lambda v, s: v.n * v.n / (4.0 * (s - 1))),
-          _top_gate),
-    # |mu_s(G)| + |mu_s(comp)| <= n/sqrt(2(s-1)) - 1, for n >= 15(s-1)
-    Bound("fs_upper", False, _top_s,
-          lambda v, s: _both(np.abs(v.t[..., s])),
-          Fixed(lambda v, s: v.n / np.sqrt(2.0 * (s - 1)) - 1.0),
-          Fixed(lambda v, s: v.n >= 15 * (s - 1))),
-    # sum_{i=1..s} (mu_{n-i+1}(G)^2 + mu_{n-i+1}(comp)^2) <= (n/2 + s)^2, for n > 2s
-    Bound("bottom_sum_squares", False, _bottom_s,
-          lambda v, s: _fsum_prefix(_both(_sq(v.b)), s), Fixed(lambda v, s: _sq(v.n / 2.0 + s)),
-          Fixed(lambda v, s: v.n > 2 * s)),
     # sum_{i=1..s} (|mu_{n-i+1}(G)| + |mu_{n-i+1}(comp)|) <= (n/2 + s) sqrt(2s), for n > 2s
     Bound("bottom_abs_sum", False, _bottom_s,
           lambda v, s: _fsum_prefix(_both(np.abs(v.b)), s),
@@ -206,32 +180,57 @@ BOUNDS: tuple[Bound, ...] = (
     Bound("bottom_pair_squares", False, _bottom_s,
           lambda v, s: _both(_sq(v.b[..., s])), Fixed(lambda v, s: _sq(v.n / 2.0 + s) / s),
           Fixed(lambda v, s: 2 * s < (v.n - 1).bit_length())),
+    # sum_{i=1..s} (mu_{n-i+1}(G)^2 + mu_{n-i+1}(comp)^2) <= (n/2 + s)^2, for n > 2s
+    Bound("bottom_sum_squares", False, _bottom_s,
+          lambda v, s: _fsum_prefix(_both(_sq(v.b)), s), Fixed(lambda v, s: _sq(v.n / 2.0 + s)),
+          Fixed(lambda v, s: v.n > 2 * s)),
+    # mu_1(G) + mu_1(comp) <= 4n/3 - 1
+    Bound("csikvari_terpai", False, _none, _total, Fixed(lambda v, p: 4.0 * v.n / 3.0 - 1.0),
+          ALWAYS),
     # |mu_{n-s+1}(G)| + |mu_{n-s+1}(comp)| <= n/sqrt(2s) + 1, for n >= 4^s
     Bound("fns_upper", False, _bottom_s,
           lambda v, s: _both(np.abs(v.b[..., s])), Fixed(lambda v, s: v.n / np.sqrt(2.0 * s) + 1.0),
           Fixed(lambda v, s: 2 * s < v.n.bit_length())),
-    # sum_{i=2..n} mu_i(G)^2 <= n^2/4; the parameter is the index count
-    # c = n - 1, and the shifted view puts mu_2..mu_{c+1} at 1..c
-    Bound("subset_squares", False, lambda n, s_max: [n - 1],
-          lambda v, c: _fsum_prefix(_sq(v.t[0, :, 1:]), c), Fixed(lambda v, c: v.n * v.n / 4.0),
-          _always),
+    # |mu_s(G)| + |mu_s(comp)| <= n/sqrt(2(s-1)) - 1, for n >= 15(s-1)
+    Bound("fs_upper", False, _top_s,
+          lambda v, s: _both(np.abs(v.t[..., s])),
+          Fixed(lambda v, s: v.n / np.sqrt(2.0 * (s - 1)) - 1.0),
+          Fixed(lambda v, s: v.n >= 15 * (s - 1))),
     # |mu_s(G)| <= n / (2 sqrt(n-s+1)), applicable when mu_s(G) <= 0
     Bound("nonpositive_eigenvalue", False, lambda n, s_max: range(2, min(s_max, n) + 1),
           lambda v, s: np.abs(v.t[0][:, s]), Fixed(lambda v, s: v.n / (2.0 * np.sqrt(v.n - s + 1))),
           lambda v, s: v.t[0][:, s] <= v.tol),
+    # n - 1 <= mu_1(G) + mu_1(comp) < sqrt(2)(n - 1)
+    Bound("nosal_lower", False, _none, Fixed(lambda v, p: v.n - 1.0), _total, ALWAYS),
+    Bound("nosal_upper", True, _none, _total, Fixed(lambda v, p: math.sqrt(2.0) * (v.n - 1)),
+          ALWAYS),
     # for n >= 4^k one of {G, comp} has mu_{n-k+1} <= -1 and the other
     # mu_{n-k+1} <= 0; k runs over 4^k <= n, and k = 0 is never applicable
     Bound("ramsey_sign", False, lambda n, s_max: range((n.bit_length() - 1) // 2 + 1),
           _ramsey_lhs, Fixed(lambda v, k: 0.0), Fixed(lambda v, k: k >= 1)),
-    # mu_k(G) + mu_{n-k+2}(comp) <= -1 and mu_k(G) + mu_{n-k+1}(comp) >= -1, for 2 <= k <= n
-    Bound("weyl_upper", False, _two_to_n,
-          lambda v, k: v.t[0][:, k] + v.b[1][:, k - 1], Fixed(lambda v, k: -1.0), _always),
+    # sum_{i=2..n} mu_i(G)^2 <= n^2/4; the parameter is the index count
+    # c = n - 1, and the shifted view puts mu_2..mu_{c+1} at 1..c
+    Bound("subset_squares", False, lambda n, s_max: [n - 1],
+          lambda v, c: _fsum_prefix(_sq(v.t[0, :, 1:]), c), Fixed(lambda v, c: v.n * v.n / 4.0),
+          ALWAYS),
+    # sum_{i=2..s} (|mu_i(G)| + |mu_i(comp)|) < n sqrt((s-1)/2), for n >= 3s-2
+    Bound("top_abs_sum", True, _top_s,
+          lambda v, s: _both(_running(np.abs(v.t), s)),
+          Fixed(lambda v, s: v.n * np.sqrt((s - 1) / 2.0)), _top_gate),
+    # mu_s(G)^2 + mu_s(comp)^2 < n^2/(4(s-1)), for n >= 3s-2
+    Bound("top_pair_squares", True, _top_s,
+          lambda v, s: _both(_sq(v.t[..., s])), Fixed(lambda v, s: v.n * v.n / (4.0 * (s - 1))),
+          _top_gate),
+    # sum_{i=2..s} (mu_i(G)^2 + mu_i(comp)^2) < n^2/4, for n >= 3s-2
+    Bound("top_sum_squares", True, _top_s,
+          lambda v, s: _both(_running(_sq(v.t), s)), Fixed(lambda v, s: v.n * v.n / 4.0),
+          _top_gate),
+    # mu_k(G) + mu_{n-k+1}(comp) >= -1 and mu_k(G) + mu_{n-k+2}(comp) <= -1, for 2 <= k <= n
     Bound("weyl_lower", False, _two_to_n,
-          Fixed(lambda v, k: -1.0), lambda v, k: v.t[0][:, k] + v.b[1][:, k], _always),
+          Fixed(lambda v, k: -1.0), lambda v, k: v.t[0][:, k] + v.b[1][:, k], ALWAYS),
+    Bound("weyl_upper", False, _two_to_n,
+          lambda v, k: v.t[0][:, k] + v.b[1][:, k - 1], Fixed(lambda v, k: -1.0), ALWAYS),
 )
-
-# BOUNDS in the order of `run_battery`'s reports
-BATTERY = tuple(sorted(BOUNDS, key=attrgetter("bound_id")))
 
 
 class Evaluation(NamedTuple):
@@ -372,13 +371,13 @@ def battery_columns(g: Graph, s_max: int, *, tol: float = DEFAULT_TOL) -> tuple[
     """`run_battery`'s reports as columns, in BoundReport field order."""
     _check_args(s_max, tol)  # fail before the eigensolve
     wg, wc = spectrum_pair(g)
-    return table_columns(wg, wc, s_max, BATTERY, tol=tol)
+    return table_columns(wg, wc, s_max, BOUNDS, tol=tol)
 
 
 def run_battery(g: Graph, s_max: int, *, tol: float = DEFAULT_TOL) -> list[BoundReport]:
     """Every row of BOUNDS over all its parameters (s <= s_max, and all k),
-    with both spectra computed once; reports sorted by (bound_id,
-    parameter), since every row lists its parameters in ascending order."""
+    with both spectra computed once, in table order: by (bound_id,
+    parameter)."""
     return _reports(battery_columns(g, s_max, tol=tol))
 
 

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ngspectral.bounds import Bound, BoundReport, Fixed, Views, table_reports
+from ngspectral.bounds import ALWAYS, Bound, BoundReport, Fixed, Views, table_reports
 from ngspectral.graphs import Graph, Matrix01, blowup, check_order
 from ngspectral.spectra import check_tol, spectrum_pair
 
@@ -78,17 +78,16 @@ def _scale(v: Views) -> float:
 
 _top_floor = Fixed(lambda v, i: _scale(v) - 1.0)  # mu_i >= c - 1
 _bottom_ceiling = Fixed(lambda v, i: -_scale(v))  # mu_{n-i+2} <= -c
-_always = Fixed(lambda v, i: True)
 
 WITNESS_ROWS: tuple[Bound, ...] = (
     Bound("witness_top", False, lambda n, s: range(2, s + 1),
-          _top_floor, lambda v, i: v.t[0][:, i], _always),
+          _top_floor, lambda v, i: v.t[0][:, i], ALWAYS),
     Bound("witness_top_complement", False, lambda n, s: range(2, s + 1),
-          _top_floor, lambda v, i: v.t[1][:, i], _always),
+          _top_floor, lambda v, i: v.t[1][:, i], ALWAYS),
     Bound("witness_bottom", False, lambda n, s: range(2, s + 1),
-          lambda v, i: v.b[0][:, i - 1], _bottom_ceiling, _always),
+          lambda v, i: v.b[0][:, i - 1], _bottom_ceiling, ALWAYS),
     Bound("witness_bottom_complement", False, lambda n, s: range(2, s + 1),
-          lambda v, i: v.b[1][:, i - 1], _bottom_ceiling, _always),
+          lambda v, i: v.b[1][:, i - 1], _bottom_ceiling, ALWAYS),
 )
 
 

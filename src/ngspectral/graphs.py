@@ -282,7 +282,6 @@ def complete(n: int) -> Graph:
 
 
 def empty(n: int) -> Graph:
-    check_order(n)
     return Graph(n, 0)
 
 

@@ -1,52 +1,28 @@
 """Extremal-function search: exact values by exhaustive enumeration for small
-orders and certified lower bounds by seeded hill climbing for larger ones.
+orders (`exhaustive_f`) and certified lower bounds by seeded hill climbing
+for larger ones (`local_search_f`).
 
 The objective for the top family at index s is |mu_s(G)| + |mu_s(comp)|; the
-bottom family at index s uses mu_{n-s+1} instead.  Both depend only on the
+bottom family at index s uses mu_{n-s+1} instead.  Both read only the
 spectra, so they are invariant under relabelling and under swapping G with
 its complement; a graph and its complement even score the same bits, since
-the two eigvalsh inputs swap.  The exhaustive pass therefore scores the
-one-vertex extensions of `graphs.complement_pair_classes(n - 1)`, one class
-per complement pair, which cover a graph or the complement of a graph of
-every class of order n.  It solves them once per order and process and keeps
-|mu_i(G)| + |mu_i(comp)| for every i (`_extension_scores`), so each (s,
-family) of that order reads one column of the same table.  The witness is
-the smallest graph6 string among every labelling, complements included, of
-the extensions within tol of the best score: the tie band.  It is a
-graph6-ordered minimum over the n! relabellings of each band mask
-(`graphs.smallest_labelling`), so the band is never canonicalized and no
-labelling is kept.  Both engines follow one value rule (`_record`): each
-picks one witness mask, and the record scores that graph by `objective` and
-prints it as graph6, so the printed witness re-scores to the printed value
-bit for bit.  Rounding differs between labellings of one graph, so that
-value may differ from the best extension's score in the last bits.
+the two eigvalsh inputs swap.  So `exhaustive_f` scores only the one-vertex
+extensions of `graphs.complement_pair_classes(n - 1)`, which cover a graph
+or the complement of a graph of every class of order n.
 
-Every batch is bounded by the entries of its largest array: the relabelling
-blocks of the witness and the eigvalsh stacks of `_pair_scores`, the one
-kernel of both engines, by the memory budget `graphs.SCORE_ENTRIES`.
-Batches solve each matrix or mask on its own, so they never change a bit.
+Both engines score graphs through one kernel, `_pair_scores`, and keep the
+candidates within a tolerance of the best score as a tie band.  The witness
+is the smallest graph6 string among the band's graphs and their complements
+(every relabelling of them, for `exhaustive_f`), and the value is that
+witness scored by `objective` (`_record`), so the printed witness re-scores
+to the printed value bit for bit.
 
-The hill climb ranks, at every step, the single-edge flips by a first-order
-estimate of their score and takes the best of the top few by exact score.
-A flip is a rank-2 update of the adjacency matrix, so one eigendecomposition
-of the graph and of its complement gives the first-order shift of the target
-eigenvalue under every flip (`_first_order_mu`); in a repeated eigenvalue it
-reads the eigenspace, not the basis eigh picks in it.  The same eigenpairs
-bracket the exact target eigenvalue after each of the TOP_FLIPS flips that
-rank highest, by bisection on an inertia count (`_flip_brackets`).  A top
-flip whose score bracket lies below the best lower bound among its climb's
-top flips cannot win.  A climb's own score lies within BRACKET_SLACK of
-the one read from the step's eigenpairs.  A step whose brackets prove,
-against those bounds, that one flip wins or that none improves takes it or
-stops unrescored; the others rebuild their kept flips and rescore them
-through eigvalsh.  So each step makes the choice that rescoring every top
-flip would make, and the brackets never change a record.  The climbs from
-all starts run in lockstep: each step solves the eigendecompositions of
-every climb still running in one call and rescores all their kept top
-flips in one `_pair_scores` call; a climb leaves the batch when it stops.
-Results are fully deterministic: enumeration order is fixed, local search
-is seed-driven, and value ties are broken by the lexicographically
-smallest graph6 string.
+Every batch is bounded by the entries of its largest array, the eigvalsh
+stacks of `_pair_scores` and the relabelling blocks of the witness, by the
+memory budget `graphs.SCORE_ENTRIES`.  Batches solve each matrix or mask on
+its own, so they never change a bit.  Results are fully deterministic:
+enumeration order is fixed, local search is seed-driven, and value ties are
+broken by the smallest graph6 string.
 """
 
 from __future__ import annotations
@@ -386,9 +362,9 @@ def local_search_f(
     without eigvalsh bits is scored once, with the others, before the tie
     rule, with the bits the rescore of its graph would have given.
     `evaluations` counts the starts plus n(n-1)/2 per running climb per
-    step.  The witness is the smallest graph6 string among the climbs tied
-    for the best score and their complements (`smallest_graph6`), and the
-    value is that graph scored by `objective` (`_record`), hence a
+    step.  The witness is the smallest graph6 string among the climbs
+    within CLIMB_TIE_TOL of the best score, the tie band of `exhaustive_f`,
+    and their complements (`smallest_graph6`), and the value is that graph scored by `objective` (`_record`), hence a
     certified lower bound on the true extremal value.
 
     A step costs one eigendecomposition of each running climb and its
@@ -461,12 +437,7 @@ def local_search_f(
     unsolved = np.flatnonzero(np.isnan(score))  # climbs that ended on an unrescored flip or start
     if unsolved.size:
         score[unsolved] = _pair_scores(unsolved.size, n, lambda lo, hi: a[unsolved[lo:hi]], col)
-    tied = [0]  # the climbs tied for the best score, within CLIMB_TIE_TOL of the first
-    for c in range(1, len(starts)):
-        if score[c] > score[tied[0]] + CLIMB_TIE_TOL:
-            tied = [c]
-        elif score[c] > score[tied[0]] - CLIMB_TIE_TOL:
-            tied.append(c)
+    tied = np.flatnonzero(score >= score.max() - CLIMB_TIE_TOL)
     witness = smallest_graph6(n, [Graph.from_adjacency(a[c]).bits for c in tied])
     return _record(
         n, s, family, witness, method="local_search", exact=False, evaluations=evaluations, seed=seed

@@ -13,8 +13,6 @@ keep its bits.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ngspectral.eigensolver import complement_pair_eigh
@@ -48,8 +46,7 @@ def local_oracle(
     starts.extend(_constructive_starts(n, s, family))
 
     evaluations = 0
-    best_score = -math.inf
-    best_masks: list[int] = []
+    scores, masks = [], []
     for start in starts:
         a = start.adjacency_matrix()
         # a copy: _pair_scores overwrites the stack it solves, and a climbs on
@@ -68,16 +65,14 @@ def local_oracle(
             score = float(flips[k])
             i, j = iu[top[k]], ju[top[k]]
             a[i, j] = a[j, i] = 1.0 - a[i, j]
-        bits = Graph.from_adjacency(a).bits
-        if score > best_score + CLIMB_TIE_TOL:
-            best_score = score
-            best_masks = [bits]
-        elif score > best_score - CLIMB_TIE_TOL:
-            best_masks.append(bits)
+        scores.append(score)
+        masks.append(Graph.from_adjacency(a).bits)
 
+    scores = np.array(scores)
+    tied = np.flatnonzero(scores >= scores.max() - CLIMB_TIE_TOL)
     return _record(
-        n, s, family, smallest_graph6(n, best_masks), method="local_search", exact=False,
-        evaluations=evaluations, seed=seed,
+        n, s, family, smallest_graph6(n, [masks[c] for c in tied]), method="local_search",
+        exact=False, evaluations=evaluations, seed=seed,
     )
 
 

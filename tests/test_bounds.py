@@ -13,7 +13,6 @@ from class_oracle import all_classes
 from pair_oracle import pair_eigenvalues
 
 from ngspectral.bounds import (
-    BATTERY,
     BOUNDS,
     Bound,
     BoundReport,
@@ -480,6 +479,21 @@ def test_battery_report_counts_at_order_16():
     assert set(counts) == {b.bound_id for b in BOUNDS}
 
 
+def test_bounds_is_in_report_order():
+    ids = [b.bound_id for b in BOUNDS]
+    assert ids == sorted(ids)
+    g = erdos_renyi(16, 0.5, 0)
+    keys = [(r.bound_id, r.param) for r in run_battery(g, 5)]
+    assert keys == [(b.bound_id, p) for b in BOUNDS for p in b.params(16, 5)]
+    assert keys == sorted(keys, key=lambda k: (k[0], -1 if k[1] is None else k[1]))
+    # the battery and evaluate's default read one table, so one layout
+    _layout.cache_clear()
+    wg, wc = pair_eigenvalues(g.adjacency_matrix())
+    evaluate(wg[None], wc[None], 5)
+    run_battery(g, 5)
+    assert _layout.cache_info().currsize == 1
+
+
 def test_squares_match_python_pow():
     # the reports keep the bits of Python's v ** 2 (C pow), which is not
     # always the rounded v * v that numpy's ** 2 gives
@@ -572,17 +586,17 @@ def _spied(table, calls):
 
 def test_layout_evaluates_spectrum_free_sides_once():
     calls = Counter()
-    table = _spied(BATTERY, calls)
+    table = _spied(BOUNDS, calls)
     g = erdos_renyi(16, 0.5, 4)
     wg, wc = pair_eigenvalues(g.adjacency_matrix())
     first = evaluate(wg[None], wc[None], 5, table=table)
     fixed, spectral = calls["fixed"], calls["spectrum"]
     # three sides a row; every row but nonpositive_eigenvalue reads the
     # spectrum on one side, and it on two
-    assert (fixed, spectral) == (2 * len(BATTERY) - 1, len(BATTERY) + 1)
+    assert (fixed, spectral) == (2 * len(BOUNDS) - 1, len(BOUNDS) + 1)
     again = evaluate(wg[None], wc[None], 5, tol=1e-6, table=table)
     assert calls == {"fixed": fixed, "spectrum": 2 * spectral}
-    plain = evaluate(wg[None], wc[None], 5, table=BATTERY)
+    plain = evaluate(wg[None], wc[None], 5)
     for got in (first, again):
         for name in ("lhs", "rhs", "margin"):
             assert np.array_equal(getattr(got, name), getattr(plain, name), equal_nan=True)
@@ -593,7 +607,7 @@ def test_layout_evaluates_spectrum_free_sides_once():
 
 
 def test_layout_arrays_are_read_only():
-    layout = _layout(BATTERY, 16, 5)
+    layout = _layout(BOUNDS, 16, 5)
     assert [x.shape for x in layout.fixed] == [(len(layout.rows),)] * 3
     for x in (*layout.fixed, layout.strict_mask, *(p for _, _, p, _ in layout.sides)):
         assert not x.flags.writeable
@@ -601,11 +615,11 @@ def test_layout_arrays_are_read_only():
             x[...] = 0
     # what evaluate returns is its own, and writing it leaves the layout as it was
     w = np.zeros((1, 16))
-    ev = evaluate(w, w, 5, table=BATTERY)
+    ev = evaluate(w, w, 5)
     nosal_lower = [row.bound_id for row in ev.rows].index("nosal_lower")
     ev.lhs[...] = 7.0
     ev.applicable[...] = False
-    again = evaluate(w, w, 5, table=BATTERY)
+    again = evaluate(w, w, 5)
     assert again.lhs[0, nosal_lower] == 15.0 and again.applicable.any()
 
 
@@ -619,7 +633,7 @@ def test_batched_evaluate_matches_plain_python_oracle(batch):
             graphs[-1] = complete_bipartite(n // 2, n - n // 2)
         wg, wc = map(np.array, zip(*(pair_eigenvalues(g.adjacency_matrix())
                                     for g in graphs)))
-        ev = evaluate(wg, wc, s_max, table=BATTERY)
+        ev = evaluate(wg, wc, s_max)
         for b in range(batch):
             got = [(row.bound_id, p, bool(ev.applicable[b, j]), row.strict,
                     float(ev.lhs[b, j]), float(ev.rhs[b, j]))
