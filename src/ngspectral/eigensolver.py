@@ -5,14 +5,18 @@ numpy.linalg.  Single matrices, stacks of matrices and graph/complement
 pairs all end in `batched_symmetric_eigenvalues`; its descending float64
 arrays are the toolkit's spectra, read 1-based by `spectra.mu`.  The
 spectra of graph/complement pairs come from one function,
-`complement_pair_eigenvalues_in_place`: it solves a float64 stack its
-caller hands over, overwrites that stack with the complements and solves
-it again, so a pair holds one array, not two; a caller that reads its stack
-again hands over a copy.  Local search also needs eigenvectors:
-`complement_pair_eigh` returns the eigenpairs of a stack of graphs and of
-their complements from one eigh call.  On integer adjacency matrices the
-error per eigenvalue is a small multiple of machine epsilon times the
-spectral radius.
+`complement_pair_eigenvalues_in_place`.  Its caller hands a float64 array
+over and does not read it again, so a pair holds one array, not two:
+- a stack, or a matrix of order at most `TWO_THREAD_ORDER`, is solved,
+  overwritten with its complements and solved again;
+- a matrix above that order, with BLAS pinned to one thread, gets the
+  complement in its strict lower triangle, and the graph (from the
+  transpose) and the complement are solved on two threads.
+LAPACK reads only the lower triangle, so both ways give the same bits.
+Local search also needs eigenvectors: `complement_pair_eigh` returns the
+eigenpairs of a stack of graphs and of their complements from one eigh
+call.  On integer adjacency matrices the error per eigenvalue is a small
+multiple of machine epsilon times the spectral radius.
 
 Determinism: the same input gives byte-identical output across runs on the
 same machine with the same BLAS thread count.  A different thread count can
@@ -21,7 +25,22 @@ change the last bits from order about 300 up.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
+
+# numpy holds the interpreter lock through eigvalsh on one matrix of order up
+# to 500, so only larger matrices gain from a second thread: 1.8x at 501,
+# 512 and 1024 with one BLAS thread (numpy 2.4, OpenBLAS 0.3.31, 2 cores)
+TWO_THREAD_ORDER = 500
+
+# OpenBLAS reads its thread count when numpy loads it, from
+# OPENBLAS_NUM_THREADS or else OMP_NUM_THREADS.  Two concurrent solves that
+# each start BLAS threads ran 0.7-0.9x as fast as one after the other
+# (orders 512-2048, 2 cores), so the pair takes two threads only when BLAS
+# has one.
+_ONE_BLAS_THREAD = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) == "1"
 
 
 def symmetric_eigenvalues(matrix) -> np.ndarray:
@@ -49,16 +68,47 @@ def _complement(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def complement_pair_eigenvalues_in_place(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of adjacency matrices (..., n, n) and of their complements,
-    both descending on the last axis, overwriting a float64 `stack` with the
-    complements.
+    """Spectra of adjacency matrices (..., n, n), whose diagonals are zero,
+    and of their complements, both descending on the last axis, reusing a
+    float64 `stack` that the caller does not read again; any other dtype is
+    solved on a float64 copy.
 
-    The complement matrix is 1 - A with a zero diagonal.  The stack is
-    solved, turned into its complements in place and solved again, so no
-    second stack is built; any other dtype is solved on a float64 copy.
+    The complement matrix is 1 - A with a zero diagonal.  A stack, or a
+    matrix of order at most `TWO_THREAD_ORDER`, is solved, overwritten with
+    its complements and solved again.  A larger matrix, with BLAS pinned to
+    one thread, is left holding the complement in its strict lower triangle
+    and the graph in its upper one, and `_solve_on_two_threads` solves both.
+    No second n x n array is built here either way, but the two threads hold
+    LAPACK's two working copies at once.
     """
     a = np.asarray(stack, dtype=np.float64)
+    if a.ndim == 2 and a.shape[0] > TWO_THREAD_ORDER and _ONE_BLAS_THREAD:
+        np.subtract(1.0, a, out=a, where=np.tri(a.shape[0], k=-1, dtype=bool))
+        return _solve_on_two_threads(a.T, a)
     return batched_symmetric_eigenvalues(a), batched_symmetric_eigenvalues(_complement(a, out=a))
+
+
+def _solve_on_two_threads(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spectra of two symmetric matrices, the second solved on a thread of
+    its own, which is joined before this returns or raises; an exception the
+    thread raises is raised here."""
+    out: dict[str, object] = {}
+
+    def solve_second() -> None:
+        try:
+            out["spectrum"] = batched_symmetric_eigenvalues(second)
+        except BaseException as exc:  # handed to the caller, which raises it
+            out["error"] = exc
+
+    worker = threading.Thread(target=solve_second)
+    worker.start()
+    try:
+        spectrum = batched_symmetric_eigenvalues(first)
+    finally:
+        worker.join()
+    if "error" in out:
+        raise out["error"]
+    return spectrum, out["spectrum"]
 
 
 def complement_pair_eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -50,9 +50,11 @@ def adjacency_spectrum(g: Graph) -> np.ndarray:
 
 def spectrum_pair(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Spectra of g and of its complement, in that order, from
-    `complement_pair_eigenvalues_in_place` on g's fresh adjacency matrix:
-    one n x n matrix is live at a time, solved, turned into the
-    complement's in place and solved again."""
+    `complement_pair_eigenvalues_in_place` on g's fresh adjacency matrix,
+    which it hands over and does not read again: the one n x n matrix is
+    solved, turned into the complement's in place and solved again, or,
+    above order 500 with BLAS pinned to one thread, holds the complement in
+    its strict lower triangle while both are solved on two threads."""
     return complement_pair_eigenvalues_in_place(g.adjacency_matrix())
 
 

@@ -802,21 +802,24 @@ def test_every_renderer_returns_the_text_main_writes(capsys, fmt):
 
 
 def test_csv_byte_identical_per_blas_thread_count():
-    # the contract covers repeat runs with the same BLAS thread count only
-    argv = [
-        sys.executable, "-m", "ngspectral", "check",
-        "--generate", "erdos_renyi:400,0.5", "--seed", "1", "--format", "csv",
-    ]
+    # the contract covers repeat runs with the same BLAS thread count only;
+    # with one BLAS thread, order 600 solves the graph and its complement on
+    # two threads, and order 400 one after the other
     src = str(Path(__file__).resolve().parents[1] / "src")
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        runs = [
-            subprocess.run(argv, env=env, capture_output=True, check=True, timeout=120).stdout
-            for _ in range(2)
+    for spec in ("erdos_renyi:400,0.5", "erdos_renyi:600,0.5"):
+        argv = [
+            sys.executable, "-m", "ngspectral", "check",
+            "--generate", spec, "--seed", "1", "--format", "csv",
         ]
-        assert runs[0] == runs[1]
-        assert runs[0].startswith(b"bound_id,")
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            runs = [
+                subprocess.run(argv, env=env, capture_output=True, check=True, timeout=120).stdout
+                for _ in range(2)
+            ]
+            assert runs[0] == runs[1], (spec, threads)
+            assert runs[0].startswith(b"bound_id,")
 
 
 def test_exact_search_output_pinned(capsys):

@@ -2,10 +2,12 @@
 Householder + QL oracle in ql_oracle.py."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import ngspectral.eigensolver
 from ngspectral.eigensolver import (
     batched_symmetric_eigenvalues,
     complement_pair_eigenvalues_in_place,
@@ -113,6 +115,39 @@ def test_complement_pair_matches_single_solves():
         wc_single = symmetric_eigenvalues(complement(g).adjacency_matrix())
         assert np.max(np.abs(wc[i] - wc_single)) < 1e-10
 
+
+
+def test_two_thread_pair_leaves_the_complement_below_the_diagonal(monkeypatch):
+    monkeypatch.setattr(ngspectral.eigensolver, "_ONE_BLAS_THREAD", True)
+    g = erdos_renyi(ngspectral.eigensolver.TWO_THREAD_ORDER + 1, 0.5, 4)
+    a = g.adjacency_matrix()
+    threads = threading.active_count()
+    wg, wc = complement_pair_eigenvalues_in_place(a)
+    # the worker thread is joined before the call returns
+    assert threading.active_count() == threads
+    assert [w.tobytes() for w in (wg, wc)] == [w.tobytes() for w in pair_eigenvalues(g.adjacency_matrix())]
+    assert np.array_equal(np.tril(a), np.tril(complement(g).adjacency_matrix()))
+    assert np.array_equal(np.triu(a), np.triu(g.adjacency_matrix()))
+
+
+def test_two_thread_pair_raises_the_worker_error(monkeypatch):
+    monkeypatch.setattr(ngspectral.eigensolver, "_ONE_BLAS_THREAD", True)
+    solve = ngspectral.eigensolver.batched_symmetric_eigenvalues
+    solved_here = []
+
+    def fail_off_the_main_thread(stack):
+        if threading.current_thread() is not threading.main_thread():
+            raise np.linalg.LinAlgError("worker failed")
+        solved_here.append(stack.shape)
+        return solve(stack)
+
+    monkeypatch.setattr(ngspectral.eigensolver, "batched_symmetric_eigenvalues", fail_off_the_main_thread)
+    threads = threading.active_count()
+    a = erdos_renyi(ngspectral.eigensolver.TWO_THREAD_ORDER + 1, 0.5, 5).adjacency_matrix()
+    with pytest.raises(np.linalg.LinAlgError, match="worker failed"):
+        complement_pair_eigenvalues_in_place(a)
+    assert solved_here == [a.shape]
+    assert threading.active_count() == threads
 
 def test_complement_pair_eigh_reconstructs_both_matrices():
     for g in [erdos_renyi(11, 0.5, 3), complete_bipartite(4, 5), path(1)]:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ngspectral.bounds import run_battery
+import ngspectral.eigensolver
 from ngspectral.constructions import construct_a, extremal_graph, witness_check
 from ngspectral.eigensolver import symmetric_eigenvalues
 from ngspectral.graphs import (
@@ -65,6 +66,28 @@ def test_spectrum_pair_matches_the_batched_pair_solve():
         got = spectrum_pair(g)
         assert [w.tobytes() for w in got] == [w.tobytes() for w in expected], g.n
 
+
+
+@pytest.mark.parametrize("one_blas_thread", [True, False])
+def test_spectrum_pair_bits_on_either_side_of_the_two_thread_order(monkeypatch, one_blas_thread):
+    # above TWO_THREAD_ORDER a pinned BLAS solves the graph and its complement
+    # on two threads from one array; either path gives the reference's bits
+    monkeypatch.setattr(ngspectral.eigensolver, "_ONE_BLAS_THREAD", one_blas_thread)
+    threaded = []
+    solve = ngspectral.eigensolver._solve_on_two_threads
+
+    def spy(first, second):
+        threaded.append(first.shape[0])
+        return solve(first, second)
+
+    monkeypatch.setattr(ngspectral.eigensolver, "_solve_on_two_threads", spy)
+    graphs = [erdos_renyi(500, 0.5, 1), erdos_renyi(501, 0.5, 1), erdos_renyi(768, 0.5, 2)]
+    graphs.append(complete_bipartite(256, 256))
+    for g in graphs:
+        expected = pair_eigenvalues(g.adjacency_matrix())
+        got = spectrum_pair(g)
+        assert [w.tobytes() for w in got] == [w.tobytes() for w in expected], g.n
+    assert threaded == ([501, 768, 512] if one_blas_thread else [])
 
 # spectrum_pair holds one n x n float64 matrix at a time: its tracemalloc
 # peak at n = 512 was 1.2 matrices, against 2.0 when the complement's matrix
