@@ -65,8 +65,9 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parse_args leaves it unchanged."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name, built
+    once per process; parse_args leaves them unchanged."""
     parser = _Parser(prog="ngspectral", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -104,7 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--n-list", metavar="N1,N2,...", help="orders for --table")
     _add_common(p_search)
 
-    return parser
+    return parser, {"spectrum": p_spec, "check": p_check, "construct": p_con, "search": p_search}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, built once per process.  `main` hands it only
+    an argv that does not start with a command name; a command's own parser
+    reads the rest of an argv that does."""
+    return _parsers()[0]
 
 
 def _resolve_graph(args: argparse.Namespace) -> Graph:
@@ -225,8 +233,20 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command line (sys.argv[1:] by default) and return its exit
+    code.  argv is parsed in one pass: when it starts with a command name,
+    that command's parser reads the rest; otherwise (no argument, an unknown
+    name, a leading option or a top-level -h) the top-level parser reads it
+    all and prints its own error or help.  Both paths print the messages
+    and help texts, with the exit codes, that the top-level parser gives
+    when it reads the whole argv."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        parser, commands = _parsers()
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = parser.parse_args(argv)
         text, code = _HANDLERS[args.command](args)
         _emit(args, text)
         return code

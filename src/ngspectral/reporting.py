@@ -11,9 +11,11 @@ each have one column table in `COLUMNS`, in the field order of their kind,
 and one text row in `TEXT_ROWS`.  `render_columns` takes a table as columns
 (`check` hands it `bounds.battery_columns`, straight from `bounds.evaluate`,
 its reals as float64 arrays) and builds a row template of % specs from the
-column table.  A real is REAL, "%.12g", which calls the same
-PyOS_double_to_string as format(x, ".12g"); -0.0 is folded in numpy first,
-and in json a row with a NaN real gets a template with null in that cell.
+column table; the text that depends only on the kind and the format, the
+csv header and the json keys, is built once per process (`_frame`).  A real
+is REAL, "%.12g", which calls the same PyOS_double_to_string as
+format(x, ".12g"); -0.0 is folded in numpy first, and in json a row with a
+NaN real gets a template with null in that cell.
 Word cells (a bool, an optional int, a json string, and the words of a
 text row) are mapped to text through a table of their column's distinct
 values.  A column whose values are all equal, such as a battery's n and
@@ -30,6 +32,7 @@ rejects any other with a ValueError.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from operator import attrgetter
@@ -237,27 +240,37 @@ def _columns_of(kind: type) -> tuple[Column, ...]:
     return COLUMNS[kind]
 
 
+@functools.cache
+def _frame(kind: type, fmt: str) -> tuple[str, tuple[tuple[str, object], ...], str]:
+    """The text of a json or csv table of `kind` that no value changes, built
+    once per (kind, format): the csv header ("" in json), then per column
+    the literal text before its cell and how its values become words (None
+    for a real), then each row's tail."""
+    fields, json_ = COLUMNS[kind], fmt == "json"
+    cells = []
+    for j, (name, _, vtype) in enumerate(fields):
+        before = "," if j else ""
+        if json_:
+            before = (before or "{") + json.dumps(name) + ":"
+        cells.append((before, None if vtype is FLOAT else vtype[json_]))
+    head = "" if json_ else ",".join(c.name for c in fields) + "\n"
+    return head, tuple(cells), "}\n" if json_ else "\n"
+
+
 def render_columns(columns: Sequence[Sequence], fmt: str, kind: type) -> str:
     """The output of a table of `kind` (BoundReport, ExtremalRecord or
     RatioRow) in `fmt`, each line ending in a newline: csv is a header then
     one row per item, json and text one line per item.  columns[j] holds
     field j of the kind for every item (`COLUMNS`), and one '%' formats the
     whole table."""
-    fields = _columns_of(kind)
+    _columns_of(kind)  # a TypeError for a kind with no table, before any format error
     if _check_format(fmt) == "text":
         cells, tail = TEXT_ROWS[kind](*columns)
-    else:
-        cells, tail = [], "}" if fmt == "json" else ""
-        for j, ((name, _, vtype), values) in enumerate(zip(fields, columns)):
-            before = "," if j else ""
-            if fmt == "json":
-                before = (before or "{") + json.dumps(name) + ":"
-            if vtype is FLOAT:
-                cells.append((before, REAL, values))
-            else:
-                cells.append((before, "%s", _words(values, vtype[fmt == "json"])))
-    head = ",".join(c.name for c in fields) + "\n" if fmt == "csv" else ""
-    return head + _fill(cells, "", tail + "\n", null_nan=fmt == "json")
+        return _fill(cells, "", tail + "\n")
+    head, frame, tail = _frame(kind, fmt)
+    cells = [(before, REAL, values) if word is None else (before, "%s", _words(values, word))
+             for (before, word), values in zip(frame, columns)]
+    return head + _fill(cells, "", tail, null_nan=fmt == "json")
 
 
 def render(items: Iterable, fmt: str, kind: type) -> str:

@@ -777,6 +777,77 @@ def test_parser_is_reused_without_leaking_values(capsys):
     assert out == render([record], "text", ExtremalRecord)
 
 
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv); help exits as ("exit", 0)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_CHOICES = "(choose from 'spectrum', 'check', 'construct', 'search')"
+_EXACT5 = ["search", "--exact", "--n", "5", "--s", "2"]
+# argv -> exit code and stderr; stdout is empty on every error
+PARSE_PATHS = [
+    ([], 1, "error: the following arguments are required: command\n"),
+    (["bogus"], 1, f"error: argument command: invalid choice: 'bogus' {_CHOICES}\n"),
+    (["--format", "csv", "check", "--generate", "cycle:5"], 1,
+     f"error: argument command: invalid choice: 'csv' {_CHOICES}\n"),
+    (["--", "check", "--generate", "cycle:5"], 1,
+     f"error: argument command: invalid choice: '--' {_CHOICES}\n"),
+    (["check"], 1, "error: one of the arguments --graph6 --graph6-file --generate is required\n"),
+    (["check", "--", "--generate", "cycle:5"], 1,
+     "error: one of the arguments --graph6 --graph6-file --generate is required\n"),
+    (["check", "--generate", "cycle:5", "--bogus", "1"], 1,
+     "error: unrecognized arguments: --bogus 1\n"),
+    (["check", "check", "--generate", "cycle:5"], 1, "error: unrecognized arguments: check\n"),
+    (["search"], 1, "error: the following arguments are required: --s, --family\n"),
+    ([*_EXACT5, "--fam", "top"], 0, ""),  # an abbreviated option
+    ([*_EXACT5, "--family", "top", "--workers", "2"], 0, ""),
+    (["-h"], ("exit", 0), ""),
+    (["--help"], ("exit", 0), ""),
+    (["check", "-h"], ("exit", 0), ""),
+    (["search", "--h"], ("exit", 0), ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", PARSE_PATHS)
+def test_parse_paths_keep_their_messages(capsys, monkeypatch, argv, code, err):
+    # one-pass parsing prints what the two-pass path prints, byte for byte:
+    # there the top-level parser reads every argv and hands a command's
+    # tokens to that command's parser
+    got = _outcome(capsys, argv)
+    assert got[0] == code and got[2] == err
+    if code == 0:
+        assert got[1] == render([exhaustive_f(5, 2, "top")], "text", ExtremalRecord)
+    elif code == 1:
+        assert got[1] == ""
+    else:
+        assert got[1].startswith(f"usage: ngspectral {argv[0] if argv[0][0] != '-' else '[-h]'}")
+    top = build_parser()
+    monkeypatch.setattr(ngspectral.cli, "_parsers", lambda: (top, {}))
+    assert _outcome(capsys, argv) == got
+
+
+def test_a_command_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
+    def top_level(*args, **kwargs):
+        raise AssertionError("the top-level parser read a command line")
+
+    for method in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(build_parser(), method, top_level)
+    cases = [
+        (["spectrum", "--generate", "cycle:5"], 0),
+        (["check", "--generate", "cycle:5", "--bogus", "1"], 1),
+        (["construct", "--a-matrix", "2"], 0),
+        ([*_EXACT5, "--family", "top"], 0),
+    ]
+    for argv, code in cases:
+        assert _outcome(capsys, argv)[0] == code, argv
+    assert _outcome(capsys, ["check", "-h"])[0] == ("exit", 0)
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_every_renderer_returns_the_text_main_writes(capsys, fmt):
     # each renderer returns the whole text, every line ending in a newline,

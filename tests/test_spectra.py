@@ -3,7 +3,11 @@ Weyl properties.  The trace identities and the rank-one shift of a regular
 graph are checked here against test-local formulas."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +108,42 @@ def test_spectrum_pair_holds_one_matrix():
     finally:
         tracemalloc.stop()
     assert peak < PAIR_PEAK_MATRICES * 512 * 512 * 8, peak / (512 * 512 * 8)
+
+
+# tracemalloc does not see the work copies numpy hands LAPACK, so the pair
+# solve's whole peak is read from the peak RSS of a fresh process, in
+# matrices of order 1024, after g's matrix was built and freed once: 2.1-2.2
+# on the two-thread path and 1.1-1.2 on the sequential one at orders 1024 and
+# 1536 (numpy 2.4, OpenBLAS 0.3.31, Python 3.11).  The probe reads its own
+# VmHWM: Linux carries ru_maxrss over from the test process through fork and
+# exec, which would hide the probe's growth below the test process's peak.
+RSS_PROBE = """
+import ngspectral.eigensolver
+from ngspectral.graphs import erdos_renyi
+from ngspectral.spectra import spectrum_pair
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+g = erdos_renyi(1024, 0.5, 1)
+g.adjacency_matrix()
+before = peak_kib()
+spectrum_pair(g)
+print(ngspectral.eigensolver._ONE_BLAS_THREAD, (peak_kib() - before) * 1024 / (1024 * 1024 * 8))
+"""
+
+
+@pytest.mark.parametrize("threads, two_threads, bound", [("1", True, 3.0), ("2", False, 2.0)])
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_spectrum_pair_rss_in_a_fresh_process(threads, two_threads, bound):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    ).stdout.split()
+    assert out[0] == str(two_threads)
+    assert float(out[1]) <= bound, out
 
 
 def test_mu_indexing():
